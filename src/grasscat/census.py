@@ -10,8 +10,10 @@ more than one such filtration, and the classes are what the counts mean.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import random
+import sys
 from dataclasses import dataclass, field
 from math import comb
 from pathlib import Path
@@ -19,8 +21,9 @@ from typing import Optional
 
 from . import __version__ as _pkg_version
 from .homology import is_isomorphic, is_rigid, rigid_indecomposable_rank2
-from .modules import CMModuleRep, Profile, a_vector, build_layered
-from .rims import Rim, all_rims, classify_pair, interlacing_degree
+from .modules import (CMModuleRep, Profile, a_vector, build_layered,
+                      default_truncation)
+from .rims import Rim, all_rims, classify_pair, interlacing_degree, rim, shift
 from .roots import RootVector, classify_root_vector, expected_rigid_rank2_count
 
 # rank-1 and rank-2 rigid counts reproduced by the computation
@@ -121,7 +124,6 @@ def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
 
 def _evaluate_candidate(args):
     (a_elems, b_elems, k, n, trunc) = args
-    from .rims import rim
     a, b = rim(a_elems, k, n), rim(b_elems, k, n)
     rep = rigid_indecomposable_rank2(a, b, trunc)
     return (a_elems, b_elems, rep is not None)
@@ -140,7 +142,6 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
     """
     if not 3 <= k <= n // 2:
         raise ValueError(f"need 3 <= k <= n/2, got k={k}, n={n}")
-    from .modules import default_truncation
     N = trunc if trunc is not None else default_truncation(n)
 
     cache_path = None
@@ -167,15 +168,15 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
 
     tasks = [(a.elements, b.elements, k, n, N) for a, b in chosen]
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_candidate, tasks, chunksize=8))
     else:
         results = []
         for i, task in enumerate(tasks):
             results.append(_evaluate_candidate(task))
-            if progress and (i + 1) % 25 == 0:
-                print(f"  census ({k},{n}): {i + 1}/{len(tasks)} candidates")
+            if progress and ((i + 1) % 25 == 0 or i + 1 == len(tasks)):
+                print(f"  census ({k},{n}): {i + 1}/{len(tasks)} candidates",
+                      file=sys.stderr)
 
     verdicts = {(a, b): ok for a, b, ok in sorted(results)}
     report = CensusReport(
@@ -202,7 +203,6 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
 
 def _group_classes(k: int, n: int, trunc: int, verdicts) -> list[CensusEntry]:
     """Group the rigid filtrations into isomorphism classes."""
-    from .rims import rim
     by_avec: dict[tuple[int, ...], list[Profile]] = {}
     for (a_el, b_el), ok in verdicts.items():
         if not ok:
@@ -279,7 +279,6 @@ def verify_conjectures(k: int, n: int, *, report: Optional[CensusReport] = None,
     report = report or run_census(k, n, trunc=trunc, jobs=jobs)
     tight_failures = []
     r4_failures = []
-    from .rims import rim
     for (a_el, b_el), ok in report.candidate_verdicts.items():
         a, b = rim(a_el, k, n), rim(b_el, k, n)
         cls = classify_pair(a, b)
@@ -306,7 +305,6 @@ def negative_control_48(trunc: Optional[int] = None) -> dict:
     logged); an extension realisation exists but coincides with one of the
     eight imaginary-type classes.
     """
-    from .rims import rim
     a, b = rim(NEGATIVE_CONTROL_48[0], 4, 8), rim(NEGATIVE_CONTROL_48[1], 4, 8)
     layered = build_layered([a, b], trunc)
     raw = is_rigid(layered)
@@ -314,7 +312,6 @@ def negative_control_48(trunc: Optional[int] = None) -> dict:
     same_class = None
     if rep is not None:
         base = rim((1, 2, 4, 6), 4, 8), rim((3, 5, 7, 8), 4, 8)
-        from .rims import shift
         for m in range(8):
             known = rigid_indecomposable_rank2(shift(base[0], m), shift(base[1], m), trunc)
             if known is not None and is_isomorphic(rep, known):
@@ -336,7 +333,6 @@ def _load_cache(path: Path, k: int, n: int, trunc: int) -> Optional[CensusReport
         return None
     if data.get("truncation") != trunc or data.get("version") != _pkg_version:
         return None
-    from .rims import rim
     entries = []
     for e in data.get("rank2_rigid", []):
         profiles = tuple(

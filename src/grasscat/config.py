@@ -15,12 +15,10 @@ ENV_OUT = "GRASSCAT_OUT"
 class Config:
     """Working precision and output settings.
 
-    The truncation defaults to 2n per ambient and must be at least n; the
-    escalation cap bounds automatic retries on unstable computations.
+    The truncation defaults to 2n per ambient and must be at least n.
     """
 
     truncation: Optional[int] = None      # None: 2n per ambient
-    escalation_factor: int = 8
     output_dir: Path = Path("out")
     fmt: str = "table"                    # table / json / svg / tikz / dot
 
@@ -41,7 +39,3 @@ class Config:
         if self.truncation < n:
             raise ValueError(f"truncation {self.truncation} below ambient size {n}")
         return self.truncation
-
-    def escalation_cap(self, n: int) -> int:
-        cap = self.escalation_factor * n
-        return max(cap, self.truncation_for(n))

@@ -174,10 +174,11 @@ class DVRMatrix:
         return cls([[one if i == j else z for j in range(size)] for i in range(size)], trunc)
 
     @classmethod
-    def from_int_rows(cls, rows: Sequence[Sequence[int]], trunc: int) -> "DVRMatrix":
-        """Constant integer matrix, for generator vectors and permutations."""
-        return cls(
-            [[ValPoly.monomial(v, 0, trunc) for v in row] for row in rows], trunc)
+    def from_columns(cls, columns: Sequence[Sequence[ValPoly]], rows: int,
+                     trunc: int) -> "DVRMatrix":
+        """Matrix with the given columns; ``rows`` fixes the shape when there are none."""
+        return cls([[col[i] for col in columns] for i in range(rows)], trunc,
+                   cols=len(columns))
 
     def __getitem__(self, idx: tuple[int, int]) -> ValPoly:
         return self.data[idx[0]][idx[1]]

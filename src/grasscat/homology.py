@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import combinations, permutations
+from typing import Optional, Sequence
 
 from .dvr import (DVRMatrix, SmithData, ValPoly, _smith, kernel_coordinates,
                   kernel_data, rational_rank, solve_linear)
 from .errors import ProjectiveInput, TruncationUnstable
-from .modules import CMModuleRep, build_rank1
-from .rims import Rim, interlacing_degree
+from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
+                      rep_a_vector)
+from .rims import Rim, interlacing_degree, peaks, rim
 from . import rims as _rims
 
 TRUNCATION_STEP = 2
@@ -75,20 +77,10 @@ def projective_cover(m: CMModuleRep) -> Cover:
         for idx in chosen:
             vertices.append(v)
             generators.append(tuple(1 if i == idx else 0 for i in range(m.s)))
-    eps = {}
-    for w in range(1, m.n + 1):
-        cols = []
-        for v, gen in zip(vertices, generators):
-            path = m.path_matrix(v, w)
-            gen_col = DVRMatrix.from_int_rows([[g] for g in gen], m.trunc)
-            cols.append(path @ gen_col)
-        if cols:
-            mat = cols[0]
-            for c in cols[1:]:
-                mat = mat.hstack(c)
-        else:
-            mat = DVRMatrix.zeros(m.s, 0, m.trunc)
-        eps[w] = mat
+    eps = {w: DVRMatrix.from_columns(
+               [m.path_matrix(v, w).column(gen.index(1))
+                for v, gen in zip(vertices, generators)], m.s, m.trunc)
+           for w in range(1, m.n + 1)}
     return Cover(tuple(vertices), tuple(generators), eps)
 
 
@@ -143,8 +135,7 @@ def syzygy_data(m: CMModuleRep, cover: Optional[Cover] = None) -> SyzygyData:
             raise AssertionError(f"cover map not surjective at vertex {w}")
         if len(basis) != r:
             raise AssertionError("kernel rank varies across vertices")
-        embed[w] = DVRMatrix([[vec[i] for vec in basis] for i in range(c)],
-                             trunc, cols=r)
+        embed[w] = DVRMatrix.from_columns(basis, c, trunc)
         smith[w] = data
     x_omega, y_omega = {}, {}
     for v in range(1, n + 1):
@@ -175,13 +166,8 @@ def _induced_map(m: CMModuleRep, cover: Cover, embed, smith, edge: int,
     moved = DVRMatrix(
         [[scalars[i] * src_mat.data[i][j] for j in range(src_mat.cols)]
          for i in range(src_mat.rows)], m.trunc, cols=src_mat.cols)
-    cols = []
-    for j in range(moved.cols):
-        coords = kernel_coordinates(smith[dst], moved.column(j))
-        cols.append(coords)
-    r = src_mat.cols
-    return DVRMatrix([[cols[j][i] for j in range(r)] for i in range(r)],
-                     m.trunc, cols=r)
+    cols = [kernel_coordinates(smith[dst], moved.column(j)) for j in range(moved.cols)]
+    return DVRMatrix.from_columns(cols, src_mat.cols, m.trunc)
 
 
 def syzygy(m: CMModuleRep) -> CMModuleRep:
@@ -224,6 +210,16 @@ def _hom_target_blocks(n_rep: CMModuleRep, sources: tuple[int, ...], w: int) -> 
     return [n_rep.path_matrix(v, w) for v in sources]
 
 
+def _hom_rows(u: Sequence[ValPoly], paths: list[DVRMatrix], sN: int) -> list[list[ValPoly]]:
+    """Rows of the condition sum_i u_i * paths[i] @ xi_i = 0 on generator images.
+
+    One row per coordinate of the target; the columns run over the pairs
+    (i, b), the b-th coordinate of the image xi_i of cover generator i.
+    """
+    return [[u[i] * paths[i].data[a][b] for i in range(len(u)) for b in range(sN)]
+            for a in range(sN)]
+
+
 def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     """Module maps m -> n as a free module over the centre.
 
@@ -237,52 +233,34 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
         raise ValueError("modules carry different truncation levels")
     cover = projective_cover(m)
     c, sN, trunc = cover.size, n_rep.s, m.trunc
-    if c == m.s:
-        syz_embed = None
-    else:
-        syz_embed = syzygy_data(m, cover).embed
     rows: list[list[ValPoly]] = []
-    if syz_embed is not None:
+    if c != m.s:
+        syz_embed = syzygy_data(m, cover).embed
         for w in range(1, m.n + 1):
             paths = _hom_target_blocks(n_rep, cover.vertices, w)
             emb = syz_embed[w]
             for j in range(emb.cols):
-                for a in range(sN):
-                    row = []
-                    for i in range(c):
-                        u = emb.data[i][j]
-                        for b in range(sN):
-                            row.append(u * paths[i].data[a][b])
-                    rows.append(row)
+                rows += _hom_rows(emb.column(j), paths, sN)
     constraint = DVRMatrix(rows, trunc, cols=c * sN)
     basis, _ = kernel_data(constraint)
-    gens = []
-    for vec in basis:
-        xi = [DVRMatrix([[vec[i * sN + a]] for a in range(sN)], trunc, cols=1)
-              for i in range(c)]
-        gens.append(_hom_from_generator_images(m, n_rep, cover, xi))
-    return HomBasis(gens)
+    return HomBasis([_hom_from_generator_images(m, n_rep, cover, vec) for vec in basis])
 
 
 def _hom_from_generator_images(m: CMModuleRep, n_rep: CMModuleRep, cover: Cover,
-                               xi: list[DVRMatrix]) -> dict[int, DVRMatrix]:
-    """Vertexwise matrices of the map with the given generator images."""
+                               images: Sequence[ValPoly]) -> dict[int, DVRMatrix]:
+    """Vertexwise matrices of the map sending generator i to images[i*sN:(i+1)*sN]."""
     out = {}
     sN, sM, trunc = n_rep.s, m.s, m.trunc
+    xi = [DVRMatrix.from_columns([images[i * sN:(i + 1) * sN]], sN, trunc)
+          for i in range(cover.size)]
     for w in range(1, m.n + 1):
         paths = _hom_target_blocks(n_rep, cover.vertices, w)
-        g_cols = [paths[i] @ xi[i] for i in range(cover.size)]
-        if g_cols:
-            g = g_cols[0]
-            for col in g_cols[1:]:
-                g = g.hstack(col)
-        else:
-            g = DVRMatrix.zeros(sN, 0, trunc)
+        g = DVRMatrix.from_columns(
+            [(paths[i] @ xi[i]).column(0) for i in range(cover.size)], sN, trunc)
         eps_t = cover.eps[w].transpose()
         f_rows = []
         for a in range(sN):
-            rhs = [g.data[a][i] for i in range(cover.size)]
-            sol = solve_linear(eps_t, rhs)
+            sol = solve_linear(eps_t, g.data[a])
             if sol is None:
                 raise TruncationUnstable(
                     f"hom evaluation not solvable at vertex {w}")
@@ -337,14 +315,7 @@ def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep,
         emb = res.syz1.embed[wj]
         omega_vec = [sum((emb.data[i][l].scale(gen[l]) for l in range(omega.s)),
                          start=ValPoly.zero(trunc)) for i in range(c0)]
-        paths = _hom_target_blocks(n_rep, res.cover0.vertices, wj)
-        for a in range(sN):
-            row = []
-            for i in range(c0):
-                u = omega_vec[i]
-                for b in range(sN):
-                    row.append(u * paths[i].data[a][b])
-            b1_rows.append(row)
+        b1_rows += _hom_rows(omega_vec, _hom_target_blocks(n_rep, res.cover0.vertices, wj), sN)
     B1 = DVRMatrix(b1_rows, trunc, cols=c0 * sN)
 
     # vanishing conditions on the second syzygy inside Hom(P1, N)
@@ -354,44 +325,30 @@ def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep,
             emb2 = res.syz2_embed[w]
             paths = _hom_target_blocks(n_rep, res.cover1.vertices, w)
             for j in range(emb2.cols):
-                for a in range(sN):
-                    row = []
-                    for i in range(c1):
-                        u = emb2.data[i][j]
-                        for b in range(sN):
-                            row.append(u * paths[i].data[a][b])
-                    e_rows.append(row)
+                e_rows += _hom_rows(emb2.column(j), paths, sN)
     E = DVRMatrix(e_rows, trunc, cols=c1 * sN)
     kernel, kdata = kernel_data(E)
 
-    coord_cols = []
-    for j in range(B1.cols):
-        coords = kernel_coordinates(kdata, B1.column(j))
-        coord_cols.append(coords)
-    dim_ker = len(kernel)
-    C = DVRMatrix([[coord_cols[j][i] for j in range(B1.cols)] for i in range(dim_ker)],
-                  trunc, cols=B1.cols)
-    sm = _smith(C, need_u=False)
-    free = dim_ker - sm.npivots
+    coord_cols = [kernel_coordinates(kdata, B1.column(j)) for j in range(B1.cols)]
+    sm = _smith(DVRMatrix.from_columns(coord_cols, len(kernel), trunc), need_u=False)
+    free = len(kernel) - sm.npivots
     if free:
         raise TruncationUnstable(
             f"extension group shows free rank {free}; raise the truncation")
     return tuple(sorted(e for e in sm.exponents if e > 0))
 
 
-def ext1(m: CMModuleRep, n_rep: CMModuleRep, *,
-         stability_check: bool = True,
-         escalation_cap: Optional[int] = None) -> ExtDecomp:
+def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     """Ext^1(m, n) as a product of cyclic modules over the centre.
 
     When both inputs know how to rebuild themselves, the exponents are
     recomputed at truncation N+2 and must agree; on disagreement the
     truncation escalates (default cap 8n) before TruncationUnstable.
     """
-    cap = escalation_cap if escalation_cap is not None else ESCALATION_CAP_FACTOR * m.n
+    cap = ESCALATION_CAP_FACTOR * m.n
     reb_m, reb_n = m.rebuilder, n_rep.rebuilder
     same = m is n_rep
-    if not stability_check or reb_m is None or reb_n is None:
+    if reb_m is None or reb_n is None:
         return ExtDecomp(_ext1_once(m, n_rep))
     trunc = m.trunc
     while True:
@@ -429,8 +386,6 @@ def is_indecomposable_rank2(top: Rim, bottom: Rim) -> bool:
 
 def _det_poly_mod_t(blocks: list[list[list[Fraction]]], s: int) -> dict[tuple[int, ...], Fraction]:
     """det(sum_g lambda_g * blocks[g]) mod t, as a polynomial in lambda."""
-    from itertools import permutations
-
     def sign(perm: tuple[int, ...]) -> int:
         sgn, seen = 1, set()
         for start in range(len(perm)):
@@ -475,7 +430,6 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     """
     if (m.n, m.k, m.s) != (n_rep.n, n_rep.k, n_rep.s):
         return False
-    from .modules import rep_a_vector
     if rep_a_vector(m) != rep_a_vector(n_rep):
         return False
     basis = hom_space(m, n_rep).generators
@@ -488,28 +442,16 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     return True
 
 
-def _hom_stack(gens: list[dict[int, DVRMatrix]], n: int, trunc: int) -> DVRMatrix:
-    """Column per generator: all vertex-matrix entries flattened."""
-    cols = []
-    for g in gens:
-        col = []
-        for w in range(1, n + 1):
-            mat = g[w]
-            for a in range(mat.rows):
-                for b in range(mat.cols):
-                    col.append(mat.data[a][b])
-        cols.append(col)
-    return DVRMatrix([[cols[g][i] for g in range(len(cols))]
-                      for i in range(len(cols[0]))], trunc, cols=len(cols))
-
-
 def _ext_class_coordinates(m: CMModuleRep, n_rep: CMModuleRep,
                            syz: SyzygyData, hom: HomBasis) -> SmithData:
     """Smith data of Hom(P0, N) -> Hom(Omega, N) in the hom-basis coordinates."""
     trunc, sN = m.trunc, n_rep.s
     c0 = syz.cover.size
     omega = syz.omega
-    stack = _hom_stack(hom.generators, m.n, trunc)
+    # column per hom generator: all its vertex-matrix entries, flattened
+    stack = DVRMatrix.from_columns(
+        [[e for w in range(1, m.n + 1) for row in g[w].data for e in row]
+         for g in hom.generators], m.n * sN * omega.s, trunc)
     coord_cols = []
     for i in range(c0):
         v = syz.cover.vertices[i]
@@ -525,10 +467,7 @@ def _ext_class_coordinates(m: CMModuleRep, n_rep: CMModuleRep,
             if sol is None:
                 raise TruncationUnstable("cover-induced map escapes the hom space")
             coord_cols.append(sol)
-    z = len(hom.generators)
-    C = DVRMatrix([[coord_cols[j][i] for j in range(len(coord_cols))]
-                   for i in range(z)], trunc, cols=len(coord_cols))
-    return _smith(C)
+    return _smith(DVRMatrix.from_columns(coord_cols, len(hom.generators), trunc))
 
 
 def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
@@ -542,16 +481,21 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
     The result is the pushout of the cover presentation of the top module
     along the chosen map, assembled vertexwise with free quotients.
     """
-    from .modules import build_rank1, direct_sum, default_truncation
-    from . import rims as _r
     if (top.n, top.k) != (bottom.n, bottom.k):
         raise ValueError("rims disagree on (k, n)")
     N = trunc if trunc is not None else default_truncation(top.n)
-    top_rep = build_rank1(top, N)
-    bot_rep = build_rank1(bottom, N)
+    out = _extension_middle(build_rank1(top, N), build_rank1(bottom, N), weights)
+    out.rebuilder = lambda N2: generic_extension(top, bottom, N2, weights)
+    return out
+
+
+def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep,
+                      weights: Optional[tuple[int, ...]]) -> CMModuleRep:
+    """Pushout for the chosen extension class, or the direct sum when it is zero."""
+    n, N = top_rep.n, top_rep.trunc
     cover = projective_cover(top_rep)
     if cover.size == 1:  # projective top: every extension splits
-        return _with_rebuilder(direct_sum(top_rep, bot_rep), top, bottom, weights)
+        return direct_sum(top_rep, bot_rep)
     syz = syzygy_data(top_rep, cover)
     hom = hom_space(syz.omega, bot_rep)
     sm = _ext_class_coordinates(top_rep, bot_rep, syz, hom)
@@ -559,7 +503,7 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
     free_tail = list(range(sm.npivots, len(hom.generators)))
     targets = nonzero + free_tail
     if not targets:
-        return _with_rebuilder(direct_sum(top_rep, bot_rep), top, bottom, weights)
+        return direct_sum(top_rep, bot_rep)
     # class with chosen components in the cyclic factors: solve U y = indicator
     U = DVRMatrix(sm.U, N, cols=len(hom.generators))
     w = weights if weights is not None else (1,) * len(targets)
@@ -569,33 +513,23 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
     y = solve_linear(U, indicator)
     if y is None:
         raise TruncationUnstable("could not lift the extension class")
-    f = {v: DVRMatrix.zeros(1, syz.omega.s, N) for v in range(1, top.n + 1)}
+    f = {v: DVRMatrix.zeros(1, syz.omega.s, N) for v in range(1, n + 1)}
     for j, coeff in enumerate(y):
         if coeff.is_zero():
             continue
         gen = hom.generators[j]
-        for v in range(1, top.n + 1):
+        for v in range(1, n + 1):
             f[v] = f[v] + gen[v].scale(coeff)
-    return _pushout_rank2(top_rep, bot_rep, cover, syz, f, top, bottom, weights)
-
-
-def _with_rebuilder(rep: CMModuleRep, top: Rim, bottom: Rim,
-                    weights: Optional[tuple[int, ...]]) -> CMModuleRep:
-    rep.rebuilder = lambda N2: generic_extension(top, bottom, N2, weights)
-    return rep
+    return _pushout_rank2(top_rep, bot_rep, cover, syz, f)
 
 
 def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep, cover: Cover,
-                   syz: SyzygyData, f: dict[int, DVRMatrix],
-                   top: Rim, bottom: Rim,
-                   weights: Optional[tuple[int, ...]]) -> CMModuleRep:
+                   syz: SyzygyData, f: dict[int, DVRMatrix]) -> CMModuleRep:
     """Quotient (bottom + cover) / antidiagonal image of the syzygy."""
-    from .modules import build_rank1, direct_sum
-    from .rims import rim as _mk
     n, k, N = top_rep.n, top_rep.k, top_rep.trunc
     amb = bot_rep
     for v_cov in cover.vertices:
-        proj_rim = _mk([(v_cov + i - 1) % n + 1 for i in range(1, k + 1)], k, n)
+        proj_rim = rim([(v_cov + i - 1) % n + 1 for i in range(1, k + 1)], k, n)
         amb = direct_sum(amb, build_rank1(proj_rim, N))
     c = cover.size
     r = syz.omega.s
@@ -617,9 +551,7 @@ def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep, cover: Cover,
         w = (v - 2) % n + 1
         x_new[v] = _induced_on_quotient(projections[w], projections[v], amb.x[v], N)
         y_new[v] = _induced_on_quotient(projections[v], projections[w], amb.y[v], N)
-    out = CMModuleRep(n, k, 2, x_new, y_new, N)
-    out.rebuilder = lambda N2: generic_extension(top, bottom, N2, weights)
-    return out
+    return CMModuleRep(n, k, 2, x_new, y_new, N)
 
 
 def _induced_on_quotient(proj_src: DVRMatrix, proj_dst: DVRMatrix,
@@ -655,8 +587,6 @@ def decomposition_rank2(m: CMModuleRep) -> Optional[tuple[Rim, Rim]]:
     vectors add to that of m, so the finitely many candidate pairs are
     compared by explicit isomorphism.
     """
-    from .modules import rep_a_vector, build_rank1, direct_sum
-    from .rims import rim as _mk
     if m.s != 2:
         raise ValueError("decomposition test is for rank-2 modules")
     avec = rep_a_vector(m).entries
@@ -665,15 +595,13 @@ def decomposition_rank2(m: CMModuleRep) -> Optional[tuple[Rim, Rim]]:
     need = m.k - len(twos)
     if need < 0 or need > len(ones):
         return None
-    from itertools import combinations
     tops = top_multiset(m)
     for chosen in combinations(ones, need):
         if ones and ones[0] not in chosen:
             continue  # unordered pairs: first free vertex goes to the first layer
-        u = _mk(twos + list(chosen), m.k, m.n)
+        u = rim(twos + list(chosen), m.k, m.n)
         v_elems = twos + [x for x in ones if x not in chosen]
-        v = _mk(v_elems, m.k, m.n)
-        from .rims import peaks
+        v = rim(v_elems, m.k, m.n)
         expected_top: dict[int, int] = {}
         for p in list(peaks(u)) + list(peaks(v)):
             expected_top[p] = expected_top.get(p, 0) + 1
@@ -685,43 +613,47 @@ def decomposition_rank2(m: CMModuleRep) -> Optional[tuple[Rim, Rim]]:
     return None
 
 
+# one ladder walk per (n, k, top, bottom, resolved truncation)
 _RANK2_CACHE: dict = {}
+
+
+def _rank2_walk(top: Rim, bottom: Rim,
+                trunc: Optional[int]) -> tuple[CMModuleRep, bool]:
+    """Walk the weight ladder once: the module and its rigid-indecomposable verdict.
+
+    The module is the first extension middle that is rigid and
+    indecomposable (the unique such module when one exists), and
+    otherwise the first middle, which is the generic extension.
+    """
+    N = trunc if trunc is not None else default_truncation(top.n)
+    key = (top.n, top.k, top.elements, bottom.elements, N)
+    if key in _RANK2_CACHE:
+        return _RANK2_CACHE[key]
+    first: Optional[CMModuleRep] = None
+    for weights in WEIGHT_LADDER:
+        m = generic_extension(top, bottom, N, weights=weights)
+        if is_rigid(m) and decomposition_rank2(m) is None:
+            result = (m, True)
+            break
+        if first is None:
+            first = m
+    else:
+        result = (first, False)
+    _RANK2_CACHE[key] = result
+    return result
 
 
 def rank2_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None) -> CMModuleRep:
     """The canonical rank-2 module with the given ordered profile.
 
-    Walks the weight ladder and returns the first extension middle that is
-    rigid and indecomposable (the unique such module when one exists);
-    otherwise the first middle, which is the generic extension.
+    This is the rigid indecomposable module when one exists, and otherwise
+    the generic extension (see ``_rank2_walk``).
     """
-    key = ("ext", top.n, top.k, top.elements, bottom.elements, trunc)
-    if key in _RANK2_CACHE:
-        return _RANK2_CACHE[key]
-    first: Optional[CMModuleRep] = None
-    for weights in WEIGHT_LADDER:
-        m = generic_extension(top, bottom, trunc, weights=weights)
-        if first is None:
-            first = m
-        if is_rigid(m) and decomposition_rank2(m) is None:
-            _RANK2_CACHE[key] = m
-            return m
-    assert first is not None
-    _RANK2_CACHE[key] = first
-    return first
+    return _rank2_walk(top, bottom, trunc)[0]
 
 
 def rigid_indecomposable_rank2(top: Rim, bottom: Rim,
                                trunc: Optional[int] = None) -> Optional[CMModuleRep]:
     """The rigid indecomposable module with profile top|bottom, or None."""
-    key = ("rigid", top.n, top.k, top.elements, bottom.elements, trunc)
-    if key in _RANK2_CACHE:
-        return _RANK2_CACHE[key]
-    result = None
-    for weights in WEIGHT_LADDER:
-        m = generic_extension(top, bottom, trunc, weights=weights)
-        if is_rigid(m) and decomposition_rank2(m) is None:
-            result = m
-            break
-    _RANK2_CACHE[key] = result
-    return result
+    module, verdict = _rank2_walk(top, bottom, trunc)
+    return module if verdict else None

@@ -17,8 +17,8 @@ from typing import Callable, Optional, Sequence
 
 from .dvr import DVRMatrix, ValPoly, _smith
 from .errors import EmbeddingFailure, NotRankOne
-from .rims import Rim, rim
-from .roots import RootVector
+from .rims import Rim, parse_rim, rim, shift as shift_rim
+from .roots import RootVector, classify_root_vector
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class Profile:
         return self.layers[0].k
 
     def shift(self, m: int) -> "Profile":
-        from . import rims as _rims
-        return Profile(tuple(_rims.shift(r, m) for r in self.layers))
+        return Profile(tuple(shift_rim(r, m) for r in self.layers))
 
     def swap(self) -> "Profile":
         return Profile(tuple(reversed(self.layers)))
@@ -60,7 +59,6 @@ def profile(layer_lists, k: int, n: int) -> Profile:
 
 def parse_profile(token: str) -> Profile:
     """Parse "246|135@(3,9)" (or a single rim token) into a profile."""
-    from .rims import parse_rim
     body, _, ambient = token.partition("@")
     parts = body.split("|")
     return Profile(tuple(parse_rim(f"{p}@{ambient}") for p in parts))
@@ -219,11 +217,6 @@ def validate_relations(m: CMModuleRep) -> list[str]:
         if xk != ynk:
             report.append(f"x^{k} != y^{n - k} starting at vertex {start}")
     return report
-
-
-def rank(m: CMModuleRep) -> int:
-    """Generic rank: the common free rank of the vertex components."""
-    return m.s
 
 
 def a_vector(p: Profile) -> RootVector:
@@ -417,5 +410,4 @@ def classify_module_root(p: Profile) -> str:
     """
     if len(p.layers) != 2:
         raise ValueError("root classification expects a two-layer profile")
-    from .roots import classify_root_vector
     return classify_root_vector(a_vector(p))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import MismatchedAmbient, NotAlmostConsecutive
 
@@ -306,12 +306,3 @@ def parse_rim(token: str) -> Rim:
     else:
         elems = [int(ch) for ch in body.strip()]
     return rim(elems, k, n)
-
-
-def iter_tame_pairs(k: int, n: int) -> Iterator[tuple[Rim, Rim]]:
-    """Ordered pairs of distinct rims over one ambient."""
-    rs = all_rims(k, n)
-    for a in rs:
-        for b in rs:
-            if a != b:
-                yield a, b

@@ -12,8 +12,10 @@ vector only.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import combinations
 from math import lcm
 from pathlib import Path
 from typing import Optional, Union
@@ -22,7 +24,8 @@ from .errors import NotAlmostConsecutive, ProjectiveInput
 from .homology import (is_isomorphic, is_rigid, rank2_extension,
                        rigid_indecomposable_rank2, syzygy)
 from .modules import (CMModuleRep, Profile, a_vector, build_rank1,
-                      default_truncation, direct_sum, rep_a_vector)
+                      default_truncation, direct_sum, identify_rank1,
+                      rep_a_vector)
 from .rims import (Rim, all_rims, ar_middle_profile, interlacing_degree,
                    is_almost_consecutive, is_projective, rim, shift,
                    syzygy_rim)
@@ -119,7 +122,6 @@ def _seed_rep(seed: Seed, trunc: int) -> tuple[CMModuleRep, OrbitMember]:
 
 def _rank2_filtration_candidates(avec: tuple[int, ...], k: int, n: int) -> list[Profile]:
     """Ordered two-layer splits of a multiplicity vector, interlacing >= 3."""
-    from itertools import combinations
     twos = [v + 1 for v, c in enumerate(avec) if c == 2]
     ones = [v + 1 for v, c in enumerate(avec) if c == 1]
     need = k - len(twos)
@@ -137,7 +139,6 @@ def _rank2_filtration_candidates(avec: tuple[int, ...], k: int, n: int) -> list[
 def _identify(rep: CMModuleRep, trunc: int) -> OrbitMember:
     avec = rep_a_vector(rep).entries
     if rep.s == 1:
-        from .modules import identify_rank1
         return OrbitMember(1, avec, rim_label=identify_rank1(rep))
     if rep.s == 2:
         matches = []
@@ -236,13 +237,11 @@ def ar_sequence(r: Rim, trunc: Optional[int] = None) -> ARSequence:
             middle_indecomposable=False,
             exact=mid_avec == total)
     prof = Profile((middle.x, middle.y))
-    rep = rank2_extension(middle.x, middle.y, N)
-    rigid = rigid_indecomposable_rank2(middle.x, middle.y, N) is not None
     mid_avec = list(a_vector(prof).entries)
     return ARSequence(
         left=r, right=right, middle_profile=prof,
         middle_projective_vertex=None, middle_extra_layer=None,
-        middle_rigid=rigid and is_rigid(rep),
+        middle_rigid=rigid_indecomposable_rank2(middle.x, middle.y, N) is not None,
         middle_indecomposable=interlacing_degree(middle.x, middle.y) >= 3,
         exact=mid_avec == total)
 
@@ -338,7 +337,7 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
             for p in member.profiles:
                 seen_profiles.add(p.label())
         if progress and (idx + 1) % 20 == 0:
-            print(f"  tubes ({k},{n}): {idx + 1}/{len(seeds)} seeds")
+            print(f"  tubes ({k},{n}): {idx + 1}/{len(seeds)} seeds", file=sys.stderr)
     orbits.sort(key=lambda o: min(m.sort_key() for m in o.members))
 
     periods: dict[int, int] = {}

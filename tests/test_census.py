@@ -106,6 +106,14 @@ class TestSampleMode:
         assert all(ok for ok in rep.candidate_verdicts.values())
 
 
+class TestProgress:
+    def test_progress_goes_to_stderr(self, capsys):
+        rep = run_census(3, 7, progress=True)
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"census (3,7): {rep.candidates_tested}/{rep.candidates_tested} candidates" in err
+
+
 class TestNegativeControl:
     def test_1247_3568(self, census_reports):
         out = negative_control_48()

@@ -141,3 +141,19 @@ def test_rational_rank():
     assert rational_rank([[one, one], [one, one]]) == 1
     assert rational_rank([[one, 0], [0, one]]) == 2
     assert rational_rank([[Fraction(0)]]) == 0
+
+
+class TestFromColumns:
+    @pytest.mark.parametrize("rows, cols", [(3, 2), (1, 4), (3, 0), (0, 2), (0, 0)])
+    def test_equals_hstack_of_columns(self, rows, cols):
+        rng = random.Random(rows * 10 + cols)
+        columns = [[tpow(rng.randrange(3), coeff=rng.randrange(-2, 3)) for _ in range(rows)]
+                   for _ in range(cols)]
+        built = DVRMatrix.from_columns(columns, rows, N)
+        assert (built.rows, built.cols, built.trunc) == (rows, cols, N)
+        stacked = DVRMatrix.zeros(rows, 0, N)
+        for col in columns:
+            stacked = stacked.hstack(DVRMatrix([[e] for e in col], N, cols=1))
+        assert built == stacked
+        for j, col in enumerate(columns):
+            assert built.column(j) == tuple(col)

@@ -1,7 +1,8 @@
 import pytest
 
+from grasscat import homology
 from grasscat.errors import ProjectiveInput
-from grasscat.homology import (decomposition_rank2, ext1, ext1_rims,
+from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_rims,
                                generic_extension, hom_space,
                                is_indecomposable_rank2, is_isomorphic,
                                is_rigid, projective_cover, rank2_extension,
@@ -251,6 +252,59 @@ class TestExtensionConstruction:
         # single-shot at two truncations agrees
         ra = resolve_two_steps(ma)
         assert _ext1_once(ma, mb, ra) == (1, 1)
+
+
+class TestRank2Walk:
+    """Both rank-2 entry points read one cached ladder walk."""
+
+    @pytest.fixture
+    def fresh_cache(self, monkeypatch):
+        monkeypatch.setattr(homology, "_RANK2_CACHE", {})
+        return homology._RANK2_CACHE
+
+    @pytest.fixture
+    def build_count(self, monkeypatch):
+        calls = []
+        original = homology.generic_extension
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(homology, "generic_extension", counted)
+        return calls
+
+    @pytest.mark.parametrize("rigid_first", [False, True])
+    def test_entry_points_share_the_module(self, fresh_cache, rigid_first):
+        a, b = rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)
+        if rigid_first:
+            rigid = rigid_indecomposable_rank2(a, b)
+            canonical = rank2_extension(a, b)
+        else:
+            canonical = rank2_extension(a, b)
+            rigid = rigid_indecomposable_rank2(a, b)
+        assert rigid is not None and rigid is canonical
+        assert len(fresh_cache) == 1
+
+    def test_default_and_explicit_truncation_share_an_entry(self, fresh_cache,
+                                                            build_count):
+        a, b = rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)
+        m = rank2_extension(a, b)
+        builds = len(build_count)
+        assert builds >= 1
+        assert rank2_extension(a, b, 12) is m
+        assert rigid_indecomposable_rank2(a, b, 12) is m
+        assert len(build_count) == builds
+        assert len(fresh_cache) == 1
+        assert rank2_extension(a, b, 14) is not m
+        assert len(fresh_cache) == 2
+
+    def test_no_rigid_middle_falls_back_to_first_weight(self, fresh_cache):
+        a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
+        assert rigid_indecomposable_rank2(a, b) is None
+        m = rank2_extension(a, b)
+        first = generic_extension(a, b, weights=WEIGHT_LADDER[0])
+        assert (m.s, m.trunc, m.x, m.y) == (first.s, first.trunc, first.x, first.y)
+        assert len(fresh_cache) == 1
 
 
 class TestTwoPeakExtBound:

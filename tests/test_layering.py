@@ -1,0 +1,72 @@
+"""Imports of grasscat modules sit at module top, in layer order.
+
+Two kinds of function-local import are allowed: the census <-> tubes pair,
+which is a genuine import cycle, and the CLI's per-subcommand imports,
+which keep ``import grasscat.cli`` from loading the computational layers.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "grasscat"
+
+ALLOWED = {
+    ("census", "_attach_orbit_ids", "tubes"),
+    ("tubes", "tube_census", "census"),
+}
+
+
+def _allowed(module: str, function: str, target: str) -> bool:
+    if module == "cli":
+        return function.startswith("cmd_") or function == "_module_for"
+    return (module, function, target) in ALLOWED
+
+
+def _grasscat_targets(node) -> list[str]:
+    """grasscat modules named by an import statement."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level:
+            if node.module:
+                return [node.module.split(".")[0]]
+            return [alias.name for alias in node.names]
+        if node.module and node.module.split(".")[0] == "grasscat":
+            parts = node.module.split(".")
+            return [parts[1]] if len(parts) > 1 else [a.name for a in node.names]
+        return []
+    return [alias.name.split(".")[1] for alias in node.names
+            if alias.name.startswith("grasscat.")]
+
+
+def local_imports(package: Path = PACKAGE) -> list[tuple[str, str, str]]:
+    """(module, function, imported grasscat module) for each function-local import."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found += [(path.stem, fn.name, target)
+                              for target in _grasscat_targets(node)]
+    return found
+
+
+def test_no_function_local_grasscat_imports_outside_the_allow_list():
+    stray = [f"{m}.{fn} imports {t}" for m, fn, t in local_imports()
+             if not _allowed(m, fn, t)]
+    assert stray == []
+
+
+def test_allow_list_is_still_needed():
+    # a cycle that has gone away should take its allow-list entry with it
+    assert ALLOWED <= set(local_imports())
+
+
+def test_detects_a_local_import(tmp_path):
+    (tmp_path / "homology.py").write_text(
+        "import json\n"
+        "def f():\n    from .modules import rep_a_vector\n    return rep_a_vector\n"
+        "def g():\n    import grasscat.rims\n    from itertools import chain\n")
+    assert local_imports(tmp_path) == [("homology", "f", "modules"),
+                                       ("homology", "g", "rims")]
