@@ -12,15 +12,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import TruncationUnstable
 
-Coeffs = dict[int, Fraction]
+Coeff = Union[int, Fraction]
+Coeffs = dict[int, Coeff]
+
+
+def _exact(c) -> Coeff:
+    """c as an exact coefficient: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _reciprocal(c: Coeff) -> Coeff:
+    """1 / c exactly; +-1 stays an int, any other inverse is a Fraction."""
+    return c if c == 1 or c == -1 else Fraction(1) / c
 
 
 class ValPoly:
-    """Polynomial in t, exact rational coefficients, degrees < trunc."""
+    """Polynomial in t, exact rational coefficients, degrees < trunc.
+
+    Coefficients are ints until a division makes them Fractions; they are
+    never floats and never zero.
+    """
 
     __slots__ = ("coeffs", "trunc")
 
@@ -29,12 +47,19 @@ class ValPoly:
         self.coeffs = {d: c for d, c in coeffs.items() if c != 0 and d < trunc}
 
     @classmethod
+    def _clean(cls, coeffs: Coeffs, trunc: int) -> "ValPoly":
+        """Wrap coefficients already known to be nonzero and below trunc."""
+        p = object.__new__(cls)
+        p.coeffs, p.trunc = coeffs, trunc
+        return p
+
+    @classmethod
     def zero(cls, trunc: int) -> "ValPoly":
-        return cls({}, trunc)
+        return cls._clean({}, trunc)
 
     @classmethod
     def monomial(cls, coeff, degree: int, trunc: int) -> "ValPoly":
-        return cls({degree: Fraction(coeff)}, trunc)
+        return cls({degree: _exact(coeff)}, trunc)
 
     @classmethod
     def one(cls, trunc: int) -> "ValPoly":
@@ -57,31 +82,38 @@ class ValPoly:
     def __add__(self, other: "ValPoly") -> "ValPoly":
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) + c
+            out[d] = out.get(d, 0) + c
         return ValPoly(out, self.trunc)
 
     def __sub__(self, other: "ValPoly") -> "ValPoly":
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
-            out[d] = out.get(d, Fraction(0)) - c
+            out[d] = out.get(d, 0) - c
         return ValPoly(out, self.trunc)
 
     def __neg__(self) -> "ValPoly":
-        return ValPoly({d: -c for d, c in self.coeffs.items()}, self.trunc)
+        return ValPoly._clean({d: -c for d, c in self.coeffs.items()}, self.trunc)
 
     def __mul__(self, other: "ValPoly") -> "ValPoly":
-        out: Coeffs = {}
         trunc = self.trunc
+        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
+            (d1, c1), = self.coeffs.items()
+            (d2, c2), = other.coeffs.items()
+            d = d1 + d2
+            return ValPoly._clean({d: c1 * c2} if d < trunc else {}, trunc)
+        out: Coeffs = {}
         for d1, c1 in self.coeffs.items():
             for d2, c2 in other.coeffs.items():
                 d = d1 + d2
                 if d < trunc:
-                    out[d] = out.get(d, Fraction(0)) + c1 * c2
+                    out[d] = out.get(d, 0) + c1 * c2
         return ValPoly(out, trunc)
 
     def scale(self, c) -> "ValPoly":
-        c = Fraction(c)
-        return ValPoly({d: v * c for d, v in self.coeffs.items()}, self.trunc)
+        c = _exact(c)
+        if c == 0:
+            return ValPoly.zero(self.trunc)
+        return ValPoly._clean({d: v * c for d, v in self.coeffs.items()}, self.trunc)
 
     def shift_up(self, a: int) -> "ValPoly":
         """Multiply by t^a."""
@@ -92,7 +124,9 @@ class ValPoly:
         if not self.is_unit():
             raise ZeroDivisionError("only valuation-0 elements are invertible")
         a0 = self.coeffs[0]
-        inv: list[Fraction] = [Fraction(1) / a0]
+        if len(self.coeffs) == 1:
+            return ValPoly._clean({0: _reciprocal(a0)}, self.trunc)
+        inv: list[Coeff] = [Fraction(1) / a0]
         higher = [(d, c) for d, c in self.coeffs.items() if d > 0]
         for m in range(1, self.trunc):
             acc = Fraction(0)
@@ -117,8 +151,12 @@ class ValPoly:
         if self.valuation() < a:
             raise TruncationUnstable(
                 f"inexact division: valuation {self.valuation()} < {a}")
-        shifted = ValPoly({d - a: c for d, c in self.coeffs.items()}, self.trunc)
-        unit = ValPoly({d - a: c for d, c in other.coeffs.items()}, other.trunc)
+        if len(other.coeffs) == 1:
+            inv = _reciprocal(other.coeffs[a])
+            return ValPoly._clean({d - a: c * inv for d, c in self.coeffs.items()},
+                                  self.trunc)
+        shifted = ValPoly._clean({d - a: c for d, c in self.coeffs.items()}, self.trunc)
+        unit = ValPoly._clean({d - a: c for d, c in other.coeffs.items()}, other.trunc)
         return shifted * unit.unit_inverse()
 
     def retruncate(self, trunc: int) -> "ValPoly":
@@ -199,27 +237,27 @@ class DVRMatrix:
                             acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return DVRMatrix(out, self.trunc)
+        return DVRMatrix(out, self.trunc, cols=other.cols)
 
     def __add__(self, other: "DVRMatrix") -> "DVRMatrix":
         return DVRMatrix(
             [[self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-             for i in range(self.rows)], self.trunc)
+             for i in range(self.rows)], self.trunc, cols=self.cols)
 
     def __sub__(self, other: "DVRMatrix") -> "DVRMatrix":
         return DVRMatrix(
             [[self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-             for i in range(self.rows)], self.trunc)
+             for i in range(self.rows)], self.trunc, cols=self.cols)
 
     def scale(self, p: ValPoly) -> "DVRMatrix":
         return DVRMatrix(
             [[p * self.data[i][j] for j in range(self.cols)] for i in range(self.rows)],
-            self.trunc)
+            self.trunc, cols=self.cols)
 
     def transpose(self) -> "DVRMatrix":
         return DVRMatrix(
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.trunc)
+            self.trunc, cols=self.rows)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.data for e in row)
@@ -230,21 +268,23 @@ class DVRMatrix:
     def hstack(self, other: "DVRMatrix") -> "DVRMatrix":
         return DVRMatrix(
             [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)],
-            self.trunc)
+            self.trunc, cols=self.cols + other.cols)
 
     def retruncate(self, trunc: int) -> "DVRMatrix":
         return DVRMatrix(
-            [[e.retruncate(trunc) for e in row] for row in self.data], trunc)
+            [[e.retruncate(trunc) for e in row] for row in self.data], trunc,
+            cols=self.cols)
 
-    def mod_t(self) -> list[list[Fraction]]:
+    def mod_t(self) -> list[list[Coeff]]:
         """Constant terms, as an exact rational matrix."""
-        return [[e.coeffs.get(0, Fraction(0)) for e in row] for row in self.data]
+        return [[e.coeffs.get(0, 0) for e in row] for row in self.data]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, DVRMatrix) and self.data == other.data
+        return (isinstance(other, DVRMatrix)
+                and (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data))
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.data)
@@ -317,7 +357,8 @@ def _smith(matrix: DVRMatrix, need_u: bool = True) -> SmithData:
             Vi[r], Vi[bj] = Vi[bj], Vi[r]
         pivot = A[r][r]
         # normalise the pivot row so the pivot becomes exactly t^val
-        unit_inv = ValPoly({d - val: c for d, c in pivot.coeffs.items()}, trunc).unit_inverse()
+        unit_inv = ValPoly._clean({d - val: c for d, c in pivot.coeffs.items()},
+                                  trunc).unit_inverse()
         for j in range(r, p):
             A[r][j] = unit_inv * A[r][j]
         if need_u:
@@ -377,7 +418,8 @@ def _normalise_vector(v: list[ValPoly]) -> list[ValPoly]:
         return v
     val, idx = min(vals)
     lead = v[idx]
-    unit_inv = ValPoly({d - val: c for d, c in lead.coeffs.items()}, lead.trunc).unit_inverse()
+    unit_inv = ValPoly._clean({d - val: c for d, c in lead.coeffs.items()},
+                              lead.trunc).unit_inverse()
     return [unit_inv * e for e in v]
 
 
@@ -428,7 +470,7 @@ def solve_linear(matrix: DVRMatrix, rhs: Sequence[ValPoly]) -> Optional[list[Val
             continue
         if ub[i].valuation() < data.exponents[i]:
             return None
-        y[i] = ValPoly(
+        y[i] = ValPoly._clean(
             {d - data.exponents[i]: c for d, c in ub[i].coeffs.items()}, matrix.trunc)
     for i in range(data.npivots, matrix.rows):
         if not ub[i].is_zero():

@@ -92,22 +92,32 @@ class CMModuleRep:
 
         The route takes x-steps when (w - v) mod n <= k and y-steps
         otherwise; on the projective at v these routes carry the generator
-        to the canonical basis vector of every vertex component.
+        to the canonical basis vector of every vertex component.  The
+        route extends its longest cached prefix one map at a time, and
+        every prefix is cached on the way.
         """
-        key = (v, w)
-        cached = self._paths.get(key)
+        paths = self._paths
+        cached = paths.get((v, w))
         if cached is not None:
             return cached
         n = self.n
         d = (w - v) % n
-        mat = DVRMatrix.identity(self.s, self.trunc)
+        # (end vertex, structure map) of each step; every prefix of a
+        # canonical route is the canonical route to its end vertex
         if d <= self.k:
-            for step in range(1, d + 1):
-                mat = self.x[(v + step - 1) % n + 1] @ mat
+            route = [((v + j - 1) % n + 1, self.x[(v + j - 1) % n + 1])
+                     for j in range(1, d + 1)]
         else:
-            for step in range(n - d):
-                mat = self.y[(v - step - 1) % n + 1] @ mat
-        self._paths[key] = mat
+            route = [((v - j - 1) % n + 1, self.y[(v - j) % n + 1])
+                     for j in range(1, n - d + 1)]
+        mat = paths.get((v, v))
+        if mat is None:
+            mat = paths[(v, v)] = DVRMatrix.identity(self.s, self.trunc)
+        for end, step in route:
+            nxt = paths.get((v, end))
+            if nxt is None:
+                nxt = paths[(v, end)] = step @ mat
+            mat = nxt
         return mat
 
 

@@ -144,6 +144,12 @@ class TestUsageErrors:
         code = main(["--trunc", "4", "ext", "135@(3,6)", "246@(3,6)"])
         assert code == 2
 
+    def test_trunc_one_below_n_reports_an_error(self, capsys):
+        code = main(["--trunc", "5", "ext", "135@(3,6)", "246@(3,6)"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert any(line.startswith("error:") for line in err.splitlines())
+
 
 class TestTubesCommand:
     def test_tubes_nontame_writes_json(self, capsys, tmp_path):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasscat.dvr import (DVRMatrix, ValPoly, kernel_basis, rational_rank,
                           smith_over_dvr, solve_linear)
@@ -157,3 +158,106 @@ class TestFromColumns:
         assert built == stacked
         for j, col in enumerate(columns):
             assert built.column(j) == tuple(col)
+
+
+class TestDVRMatrixShape:
+    def test_hstack_keeps_columns_of_empty_rows(self):
+        stacked = DVRMatrix.zeros(0, 1, N).hstack(DVRMatrix.zeros(0, 2, N))
+        assert (stacked.rows, stacked.cols) == (0, 3)
+        assert stacked == DVRMatrix.zeros(0, 3, N)
+
+    def test_equality_sees_the_shape(self):
+        assert DVRMatrix.zeros(0, 2, N) != DVRMatrix.zeros(0, 0, N)
+        assert DVRMatrix.zeros(0, 2, N) != DVRMatrix.zeros(2, 0, N)
+        assert DVRMatrix.zeros(0, 2, N) == DVRMatrix.zeros(0, 2, N)
+        assert hash(DVRMatrix.zeros(0, 2, N)) == hash(DVRMatrix.zeros(0, 2, N))
+
+    def test_operations_keep_the_shape_of_empty_rows(self):
+        empty = DVRMatrix.zeros(0, 2, N)
+        assert empty @ DVRMatrix.zeros(2, 3, N) == DVRMatrix.zeros(0, 3, N)
+        assert empty + empty == empty and empty - empty == empty
+        assert empty.scale(tpow(1)) == empty
+        assert empty.retruncate(N - 2) == DVRMatrix.zeros(0, 2, N - 2)
+        assert empty.transpose() == DVRMatrix.zeros(2, 0, N)
+
+
+# -- exact arithmetic against a schoolbook reference ----------------------
+
+TRUNC = 8
+
+coefficients = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 5)))
+
+
+# 0 to 4 terms in degrees below TRUNC
+terms = st.dictionaries(st.integers(0, TRUNC - 1), coefficients, max_size=4)
+
+
+def ref_add(p, q, sign=1):
+    out = {d: Fraction(c) for d, c in p.items()}
+    for d, c in q.items():
+        out[d] = out.get(d, Fraction(0)) + sign * Fraction(c)
+    return {d: c for d, c in out.items() if c != 0 and d < TRUNC}
+
+
+def ref_mul(p, q):
+    out = {}
+    for d1, c1 in p.items():
+        for d2, c2 in q.items():
+            out[d1 + d2] = out.get(d1 + d2, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {d: c for d, c in out.items() if c != 0 and d < TRUNC}
+
+
+def assert_clean(p: ValPoly):
+    """Exact nonzero coefficients in degrees 0 .. trunc - 1, and nothing else."""
+    for d, c in p.coeffs.items():
+        assert type(c) in (int, Fraction), (d, c)
+        assert c != 0 and 0 <= d < p.trunc, (d, c)
+
+
+class TestExactArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(terms, terms)
+    def test_ring_operations_match_reference(self, a, b):
+        p, q = ValPoly(a, TRUNC), ValPoly(b, TRUNC)
+        for got, want in [(p + q, ref_add(a, b)), (p - q, ref_add(a, b, -1)),
+                          (p * q, ref_mul(a, b)), (-p, ref_add({}, a, -1))]:
+            assert got.coeffs == want
+            assert_clean(got)
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms, coefficients)
+    def test_unit_inverse(self, higher, a0):
+        u = ValPoly({**{d: c for d, c in higher.items() if d > 0}, 0: a0}, TRUNC)
+        inv = u.unit_inverse()
+        assert u * inv == ValPoly.one(TRUNC)
+        assert_clean(inv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, TRUNC - 1), terms, coefficients, terms)
+    def test_exact_div_inverts_multiplication(self, a, higher, a0, num):
+        q = ValPoly({**{d + a: c for d, c in higher.items() if d > 0}, a: a0}, TRUNC)
+        p = ValPoly({d: c for d, c in num.items() if d >= a}, TRUNC)
+        r = p.exact_div(q)
+        assert_clean(r)
+        window = TRUNC - a
+        back = {d: c for d, c in (r * q).coeffs.items() if d < window}
+        assert back == {d: c for d, c in p.coeffs.items() if d < window}
+
+    @settings(max_examples=100, deadline=None)
+    @given(terms, st.one_of(coefficients, st.just(0)))
+    def test_scale_matches_reference(self, a, c):
+        got = ValPoly(a, TRUNC).scale(c)
+        assert got.coeffs == ref_mul(a, {0: c} if c else {})
+        assert_clean(got)
+
+    def test_integers_stay_integers(self):
+        p = (tpow(1, 2) + tpow(0, -3)) * tpow(2, 4) - tpow(3, 5)
+        assert all(type(c) is int for c in p.coeffs.values())
+        for unit in (1, -1):
+            assert ValPoly.monomial(unit, 0, N).unit_inverse().coeffs == {0: unit}
+            assert type(ValPoly.monomial(unit, 0, N).unit_inverse().coeffs[0]) is int
+        assert type(ValPoly.monomial(Fraction(4, 2), 1, N).coeffs[1]) is int
+        assert tpow(2, 3).exact_div(tpow(0, 2)).coeffs == {2: Fraction(3, 2)}
+        assert tpow(0, 2).unit_inverse().coeffs == {0: Fraction(1, 2)}

@@ -1,7 +1,10 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from grasscat import homology
-from grasscat.errors import ProjectiveInput
+from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_rims,
                                generic_extension, hom_space,
                                is_indecomposable_rank2, is_isomorphic,
@@ -163,6 +166,29 @@ class TestExt1:
         for J in all_rims(3, 8):
             if crossing(I, J) and not interlacing_degree(I, J) >= 3:
                 assert ext1_rims(I, J).total_dim == 1
+
+
+class TestLowTruncation:
+    """A truncation of only n must give the default answer or raise, never another."""
+
+    @staticmethod
+    def check(pairs, n):
+        for a, b in pairs:
+            expected = ext1_rims(a, b)
+            try:
+                got = ext1_rims(a, b, trunc=n)
+            except TruncationUnstable:
+                continue
+            assert got == expected, (a, b)
+
+    def test_every_pair_at_3_6(self):
+        pairs = list(combinations(all_rims(3, 6), 2))
+        assert len(pairs) == 190
+        self.check(pairs, 6)
+
+    def test_sample_at_4_8(self):
+        pairs = random.Random(48).sample(list(combinations(all_rims(4, 8), 2)), 40)
+        self.check(pairs, 8)
 
 
 class TestTwoPeakSyzygyFormula:

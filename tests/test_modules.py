@@ -4,12 +4,13 @@ import pytest
 
 from grasscat.dvr import DVRMatrix, ValPoly
 from grasscat.errors import EmbeddingFailure, NotRankOne
+from grasscat.homology import rank2_extension
 from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered,
                               build_profile, build_rank1, diagonal_embedding,
                               direct_sum, identify_rank1, lattice_diagram_data,
                               parse_profile, profile, rep_a_vector,
                               sigma_power, validate_relations)
-from grasscat.rims import all_rims, is_projective, rim
+from grasscat.rims import all_rims, is_projective, parse_rim, rim
 
 N = 16
 
@@ -230,3 +231,41 @@ def test_rank1_validates_up_to_n12():
         for k in range(2, n // 2 + 1):
             for r in all_rims(k, n):
                 assert validate_relations(build_rank1(r, 2 * n)) == [], r
+
+
+def multiplied_out_route(m: CMModuleRep, v: int, w: int) -> DVRMatrix:
+    """The canonical route v -> w, multiplied out from the identity."""
+    n, d = m.n, (w - v) % m.n
+    if d <= m.k:
+        maps = [m.x[(v + j - 1) % n + 1] for j in range(1, d + 1)]
+    else:
+        maps = [m.y[(v - j) % n + 1] for j in range(1, n - d + 1)]
+    mat = DVRMatrix.identity(m.s, m.trunc)
+    for step in maps:
+        mat = step @ mat
+    return mat
+
+
+def route_length(m: CMModuleRep, v: int, w: int) -> int:
+    d = (w - v) % m.n
+    return d if d <= m.k else m.n - d
+
+
+class TestPathMatrix:
+    @pytest.fixture(params=["rank1", "rank2", "rank3"])
+    def module(self, request):
+        if request.param == "rank1":
+            return build_rank1(rim([1, 4, 5], 3, 8))
+        if request.param == "rank2":
+            return rank2_extension(parse_rim("135@(3,6)"), parse_rim("246@(3,6)"))
+        return build_layered([parse_rim(f"{r}@(3,7)") for r in ("136", "247", "125")])
+
+    @pytest.mark.parametrize("longest_first", [True, False])
+    def test_matches_multiplied_out_route(self, module, longest_first):
+        fresh = CMModuleRep(module.n, module.k, module.s, module.x, module.y, module.trunc)
+        pairs = [(v, w) for v in range(1, fresh.n + 1) for w in range(1, fresh.n + 1)]
+        pairs.sort(key=lambda vw: route_length(fresh, *vw), reverse=longest_first)
+        for v, w in pairs:
+            got = fresh.path_matrix(v, w)
+            assert got == multiplied_out_route(fresh, v, w), (v, w)
+            assert fresh.path_matrix(v, w) is got

@@ -55,11 +55,18 @@ def test_document_validates(schema, args, tmp_path, capsys):
     assert schema_errors(doc, schema) == []
 
 
+@pytest.mark.parametrize("token", ["145@(3,8)", "123@(3,6)", "1357@(4,8)"])
+def test_rim_document_validates(token, capsys):
+    doc = emit(["rim", token], capsys)
+    assert schema_errors(doc, "rim-doc") == []
+
+
 def test_rim_document_carries_valid_rims(capsys):
-    # the rim schema describes one rim; the rim command reports it and its syzygy rim
+    # its rim and syzygy rim are checked through rim-doc -> rim
     doc = emit(["rim", "145@(3,8)"], capsys)
-    for key in ("rim", "syzygy_rim"):
-        assert schema_errors(doc[key], "rim") == []
+    assert "syzygy_rim" in doc
+    assert schema_errors({**doc, "syzygy_rim": [3]}, "rim-doc")
+    assert schema_errors({**doc, "rim": "145"}, "rim-doc")
 
 
 def test_nested_references_resolve():
