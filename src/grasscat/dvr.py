@@ -224,20 +224,10 @@ class DVRMatrix:
     def __matmul__(self, other: "DVRMatrix") -> "DVRMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ValPoly.zero(self.trunc)
-                for l in range(self.cols):
-                    a = self.data[i][l]
-                    if a.coeffs:
-                        b = other.data[l][j]
-                        if b.coeffs:
-                            acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return DVRMatrix(out, self.trunc, cols=other.cols)
+        trunc = self.trunc
+        cols = [other.column(j) for j in range(other.cols)]
+        return DVRMatrix([[_dot(row, col, trunc) for col in cols] for row in self.data],
+                         trunc, cols=other.cols)
 
     def __add__(self, other: "DVRMatrix") -> "DVRMatrix":
         return DVRMatrix(
@@ -400,15 +390,22 @@ def smith_over_dvr(matrix: DVRMatrix) -> InvariantFactors:
     return InvariantFactors(tuple(data.exponents), matrix.rows - data.npivots)
 
 
+def _dot(row: Sequence[ValPoly], col: Sequence[ValPoly], trunc: int) -> ValPoly:
+    """sum_l row[l] * col[l], accumulated in one coefficient dict."""
+    out: Coeffs = {}
+    get = out.get
+    for a, b in zip(row, col):
+        if a.coeffs and b.coeffs:
+            for d1, c1 in a.coeffs.items():
+                for d2, c2 in b.coeffs.items():
+                    d = d1 + d2
+                    if d < trunc:
+                        out[d] = get(d, 0) + c1 * c2
+    return ValPoly(out, trunc)
+
+
 def _mat_vec(M: list[list[ValPoly]], v: Sequence[ValPoly], trunc: int) -> list[ValPoly]:
-    out = []
-    for row in M:
-        acc = ValPoly.zero(trunc)
-        for a, b in zip(row, v):
-            if a.coeffs and b.coeffs:
-                acc = acc + a * b
-        out.append(acc)
-    return out
+    return [_dot(row, v, trunc) for row in M]
 
 
 def _normalise_vector(v: list[ValPoly]) -> list[ValPoly]:

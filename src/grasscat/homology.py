@@ -20,13 +20,12 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
 
-from .dvr import (DVRMatrix, SmithData, ValPoly, _smith, kernel_coordinates,
-                  kernel_data, rational_rank, solve_linear)
+from .dvr import (Coeff, DVRMatrix, SmithData, ValPoly, _reciprocal, _smith,
+                  kernel_coordinates, kernel_data, solve_linear)
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
                       rep_a_vector)
-from .rims import Rim, interlacing_degree, peaks, rim
-from . import rims as _rims
+from .rims import Rim, interlacing_degree, peaks, rim, shift as shift_rim
 
 TRUNCATION_STEP = 2
 ESCALATION_CAP_FACTOR = 8
@@ -35,18 +34,48 @@ ESCALATION_CAP_FACTOR = 8
 def top_multiset(m: CMModuleRep) -> dict[int, int]:
     """Multiplicity of each vertex in the top of the module.
 
-    At vertex v the top is the cokernel of [x_v | y_{v+1}] taken modulo t,
-    so its dimension is s minus the rational rank of the reduced block.
+    At vertex v the top is the cokernel of [x_v | y_{v+1}] taken modulo t.
     """
     out = {}
     for v in range(1, m.n + 1):
-        nxt = v % m.n + 1
-        block = [row_x + row_y for row_x, row_y in
-                 zip(m.x[v].mod_t(), m.y[nxt].mod_t())]
-        dim = m.s - rational_rank(block)
+        dim = len(_top_generators(m, v))
         if dim:
             out[v] = dim
     return out
+
+
+def _top_generators(m: CMModuleRep, v: int) -> list[int]:
+    """Indices of the standard basis vectors of M_v that span its top.
+
+    The columns of [x_v | y_{v+1}] mod t are put into one running echelon
+    form, and each e_i in turn is kept when it is not in the span so far.
+    """
+    nxt = v % m.n + 1
+    echelon: dict[int, list[Coeff]] = {}   # pivot index -> vector, 1 there
+
+    def absorb(vec: Sequence[Coeff]) -> bool:
+        vec = list(vec)
+        for p, basis in echelon.items():
+            c = vec[p]
+            if c:
+                vec = [a - c * b for a, b in zip(vec, basis)]
+        lead = next((i for i, c in enumerate(vec) if c), None)
+        if lead is None:
+            return False
+        inv = _reciprocal(vec[lead])
+        echelon[lead] = [c * inv for c in vec]
+        return True
+
+    for mat in (m.x[v], m.y[nxt]):
+        for col in zip(*mat.mod_t()):
+            absorb(col)
+    chosen = []
+    for idx in range(m.s):
+        if len(echelon) == m.s:
+            break
+        if absorb([1 if i == idx else 0 for i in range(m.s)]):
+            chosen.append(idx)
+    return chosen
 
 
 @dataclass
@@ -64,17 +93,10 @@ class Cover:
 
 def projective_cover(m: CMModuleRep) -> Cover:
     """Minimal cover: projectives at the top vertices, mapped by evaluation."""
-    tops = top_multiset(m)
     vertices: list[int] = []
     generators: list[tuple[int, ...]] = []
-    for v in sorted(tops):
-        nxt = v % m.n + 1
-        block = [row_x + row_y for row_x, row_y in
-                 zip(m.x[v].mod_t(), m.y[nxt].mod_t())]
-        chosen = _extend_to_full_rank(block, m.s)
-        if len(chosen) != tops[v]:
-            raise AssertionError("top dimension does not match generator count")
-        for idx in chosen:
+    for v in range(1, m.n + 1):
+        for idx in _top_generators(m, v):
             vertices.append(v)
             generators.append(tuple(1 if i == idx else 0 for i in range(m.s)))
     eps = {w: DVRMatrix.from_columns(
@@ -82,26 +104,6 @@ def projective_cover(m: CMModuleRep) -> Cover:
                 for v, gen in zip(vertices, generators)], m.s, m.trunc)
            for w in range(1, m.n + 1)}
     return Cover(tuple(vertices), tuple(generators), eps)
-
-
-def _extend_to_full_rank(block: list[list[Fraction]], s: int) -> list[int]:
-    """Indices of standard basis vectors completing the column span of block."""
-    cols = [list(col) for col in zip(*block)] if block and block[0] else []
-    chosen = []
-    base_rank = rational_rank([list(r) for r in zip(*cols)]) if cols else 0
-    current = [list(r) for r in cols]
-    rank_now = base_rank
-    for idx in range(s):
-        e = [Fraction(1) if i == idx else Fraction(0) for i in range(s)]
-        trial = current + [e]
-        r = rational_rank([list(r) for r in zip(*trial)])
-        if r > rank_now:
-            chosen.append(idx)
-            current = trial
-            rank_now = r
-        if rank_now == s:
-            break
-    return chosen
 
 
 def is_projective_rep(m: CMModuleRep) -> bool:
@@ -150,7 +152,7 @@ def _cover_edge_scalars(m: CMModuleRep, cover: Cover, edge: int, forward: bool) 
     """Scalar action of one edge on each rank-1 cover summand."""
     out = []
     for v in cover.vertices:
-        inside = edge in _rims._cyclic_interval(v + 1, v + m.k, m.n)
+        inside = (edge - v - 1) % m.n < m.k  # edge in the cyclic interval [v+1, v+k]
         if forward:
             out.append(ValPoly.one(m.trunc) if inside else ValPoly.t(m.trunc))
         else:
@@ -281,18 +283,27 @@ class Resolution:
 
 
 def resolve_two_steps(m: CMModuleRep) -> Optional[Resolution]:
-    """Covers of m and of its syzygy; None when m itself is projective."""
+    """Covers of m and of its syzygy; None when m itself is projective.
+
+    The result is cached on the module, which is immutable.
+    """
+    try:
+        return m._resolution
+    except AttributeError:
+        pass
+    res = None
     cover0 = projective_cover(m)
-    if cover0.size == m.s:
-        return None
-    syz1 = syzygy_data(m, cover0)
-    omega = syz1.omega
-    cover1 = projective_cover(omega)
-    if cover1.size == omega.s:
-        syz2_embed = None
-    else:
-        syz2_embed = syzygy_data(omega, cover1).embed
-    return Resolution(cover0, syz1, cover1, syz2_embed, omega.s)
+    if cover0.size != m.s:
+        syz1 = syzygy_data(m, cover0)
+        omega = syz1.omega
+        cover1 = projective_cover(omega)
+        if cover1.size == omega.s:
+            syz2_embed = None
+        else:
+            syz2_embed = syzygy_data(omega, cover1).embed
+        res = Resolution(cover0, syz1, cover1, syz2_embed, omega.s)
+    m._resolution = res
+    return res
 
 
 def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep,
@@ -305,16 +316,13 @@ def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep,
         return ()
     trunc, sN = m.trunc, n_rep.s
     c0, c1 = res.cover0.size, res.cover1.size
-    omega = res.syz1.omega
 
     # induced map Hom(P0, N) -> Hom(P1, N): evaluate at the generator images
     b1_rows: list[list[ValPoly]] = []
     for j in range(c1):
         wj = res.cover1.vertices[j]
-        gen = res.cover1.generators[j]
-        emb = res.syz1.embed[wj]
-        omega_vec = [sum((emb.data[i][l].scale(gen[l]) for l in range(omega.s)),
-                         start=ValPoly.zero(trunc)) for i in range(c0)]
+        # the generator is a standard basis vector of Omega at wj
+        omega_vec = res.syz1.embed[wj].column(res.cover1.generators[j].index(1))
         b1_rows += _hom_rows(omega_vec, _hom_target_blocks(n_rep, res.cover0.vertices, wj), sN)
     B1 = DVRMatrix(b1_rows, trunc, cols=c0 * sN)
 
@@ -344,10 +352,25 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     When both inputs know how to rebuild themselves, the exponents are
     recomputed at truncation N+2 and must agree; on disagreement the
     truncation escalates (default cap 8n) before TruncationUnstable.
+
+    Rotating the quiver is an automorphism of the algebra, so when m is a
+    rank-1 module with a recorded rim the pair is first rotated to make
+    that rim the least of its rotation class.  The canonical module comes
+    from a memo with one entry per rotation class and truncation, and its
+    two-step resolution is cached on it, so it is resolved once per class
+    and truncation; the N+2 re-check still runs on every call.
     """
+    same = m is n_rep
+    if m.rim is not None:
+        j = min(range(m.n), key=lambda i: shift_rim(m.rim, i).elements)
+        canon = _canonical_rank1(shift_rim(m.rim, j), m.trunc)
+        if same:
+            n_rep = canon
+        elif j:
+            n_rep = n_rep.rotate(j)
+        m = canon
     cap = ESCALATION_CAP_FACTOR * m.n
     reb_m, reb_n = m.rebuilder, n_rep.rebuilder
-    same = m is n_rep
     if reb_m is None or reb_n is None:
         return ExtDecomp(_ext1_once(m, n_rep))
     trunc = m.trunc
@@ -367,6 +390,21 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
                 f"extension exponents unstable up to truncation cap {cap}")
         m = reb_m(trunc)
         n_rep = m if same else reb_n(trunc)
+
+
+# rank-1 modules of rims that are least in their rotation class, one per
+# (rim, truncation); each carries its cached resolution
+_CANONICAL_RANK1: dict[tuple[Rim, int], CMModuleRep] = {}
+
+
+def _canonical_rank1(r: Rim, trunc: int) -> CMModuleRep:
+    """The memoised rank-1 module of r at trunc; it rebuilds from the memo."""
+    key = (r, trunc)
+    m = _CANONICAL_RANK1.get(key)
+    if m is None:
+        m = _CANONICAL_RANK1[key] = build_rank1(r, trunc)
+        m.rebuilder = lambda N2: _canonical_rank1(r, N2)
+    return m
 
 
 def ext1_rims(a: Rim, b: Rim, trunc: Optional[int] = None) -> ExtDecomp:

@@ -71,18 +71,38 @@ class CMModuleRep:
     vertex i-1 (labels taken mod n in [1, n]).  Instances are treated as
     immutable; ``rebuilder`` regenerates the same module at a different
     truncation when the construction is known (layered builds and sums).
+    ``rim`` is the rim of a rank-1 module built from one, else None.
+    ``_resolution`` is set by ``homology.resolve_two_steps`` on first use.
     """
 
-    __slots__ = ("n", "k", "s", "x", "y", "trunc", "rebuilder", "_paths")
+    __slots__ = ("n", "k", "s", "x", "y", "trunc", "rebuilder", "rim",
+                 "_paths", "_resolution")
 
     def __init__(self, n: int, k: int, s: int,
                  x: dict[int, DVRMatrix], y: dict[int, DVRMatrix],
                  trunc: int,
-                 rebuilder: Optional[Callable[[int], "CMModuleRep"]] = None):
+                 rebuilder: Optional[Callable[[int], "CMModuleRep"]] = None,
+                 rim: Optional[Rim] = None):
         self.n, self.k, self.s, self.trunc = n, k, s, trunc
         self.x, self.y = dict(x), dict(y)
         self.rebuilder = rebuilder
+        self.rim = rim
         self._paths: dict[tuple[int, int], DVRMatrix] = {}
+
+    def rotate(self, j: int) -> "CMModuleRep":
+        """The same module with every vertex label v moved to v + j (mod n).
+
+        Rotating the quiver is an automorphism of the algebra, so this only
+        relabels the structure maps; a recorded rim is shifted by j.
+        """
+        n = self.n
+        x = {(v + j - 1) % n + 1: mat for v, mat in self.x.items()}
+        y = {(v + j - 1) % n + 1: mat for v, mat in self.y.items()}
+        reb = self.rebuilder
+        return CMModuleRep(
+            n, self.k, self.s, x, y, self.trunc,
+            rebuilder=None if reb is None else lambda N2: reb(N2).rotate(j),
+            rim=None if self.rim is None else shift_rim(self.rim, j))
 
     def vertex_before(self, i: int) -> int:
         return (i - 2) % self.n + 1
@@ -163,7 +183,8 @@ def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModul
         x[i] = sigma_power(s, s - r_i, N)
         y[i] = sigma_power(s, r_i, N)
     return CMModuleRep(n, k, s, x, y, N,
-                       rebuilder=lambda N2: build_layered(layers, N2))
+                       rebuilder=lambda N2: build_layered(layers, N2),
+                       rim=layers[0] if s == 1 else None)
 
 
 def build_rank1(r: Rim, trunc: Optional[int] = None) -> CMModuleRep:

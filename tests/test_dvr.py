@@ -261,3 +261,22 @@ class TestExactArithmetic:
         assert type(ValPoly.monomial(Fraction(4, 2), 1, N).coeffs[1]) is int
         assert tpow(2, 3).exact_div(tpow(0, 2)).coeffs == {2: Fraction(3, 2)}
         assert tpow(0, 2).unit_inverse().coeffs == {0: Fraction(1, 2)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3).flatmap(lambda inner: st.tuples(
+        st.lists(st.lists(terms, min_size=inner, max_size=inner), min_size=1, max_size=3),
+        st.lists(st.lists(terms, min_size=2, max_size=2), min_size=inner, max_size=inner))))
+    def test_matrix_product_matches_reference(self, shapes):
+        left, right = shapes
+        a = DVRMatrix([[ValPoly(e, TRUNC) for e in row] for row in left], TRUNC,
+                      cols=len(left[0]))
+        b = DVRMatrix([[ValPoly(e, TRUNC) for e in row] for row in right], TRUNC, cols=2)
+        got = a @ b
+        assert (got.rows, got.cols) == (len(left), 2)
+        for i, row in enumerate(left):
+            for j in range(2):
+                want = {}
+                for l, entry in enumerate(row):
+                    want = ref_add(want, ref_mul(entry, right[l][j]))
+                assert got.data[i][j].coeffs == want
+                assert_clean(got.data[i][j])

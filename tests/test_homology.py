@@ -2,8 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasscat import homology
+from grasscat.dvr import rational_rank
 from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_rims,
                                generic_extension, hom_space,
@@ -345,3 +347,117 @@ class TestTwoPeakExtBound:
             exps = ext1_rims(I, J).exponents
             assert len(exps) == 1
             assert exps[0] <= m
+
+
+def reference_generators(m, v):
+    """Top generators at v by re-ranking the whole block for each trial vector."""
+    nxt = v % m.n + 1
+    block = [rx + ry for rx, ry in zip(m.x[v].mod_t(), m.y[nxt].mod_t())]
+    cols = [list(c) for c in zip(*block)]
+    chosen = []
+    for idx in range(m.s):
+        if rational_rank(cols) == m.s:
+            break
+        trial = cols + [[1 if i == idx else 0 for i in range(m.s)]]
+        if rational_rank(trial) > rational_rank(cols):
+            chosen.append(idx)
+            cols = trial
+    return chosen
+
+
+def test_top_generators_match_rank_based_choice():
+    modules = [build_rank1(r) for r in all_rims(3, 7)]
+    modules += [rank2_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)),
+                rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)),
+                build_layered([rim(e, 3, 7) for e in ([1, 3, 6], [2, 4, 7], [1, 2, 5])])]
+    modules += [syzygy(m) for m in modules[-3:]]
+    for m in modules:
+        for v in range(1, m.n + 1):
+            assert homology._top_generators(m, v) == reference_generators(m, v), (m.s, v)
+
+
+class TestCanonicalExt:
+    """ext1 of a rank-1 module runs on the least rotation of its rim."""
+
+    @staticmethod
+    def oracle(rims_all, N):
+        """Single-shot exponents on fresh, unrotated modules at N and N + 2."""
+        fresh = {N2: {r: build_rank1(r, N2) for r in rims_all} for N2 in (N, N + 2)}
+
+        def exps(a, b):
+            got = [_ext1_once(reps[a], reps[b]) for reps in fresh.values()]
+            assert got[0] == got[1], (a, b)
+            return got[0]
+        return exps
+
+    def test_all_ordered_3_7_pairs_match_the_oracle(self):
+        rims_all = all_rims(3, 7)
+        exps = self.oracle(rims_all, 14)
+        for a in rims_all:
+            ma = build_rank1(a)
+            assert ext1(ma, ma).exponents == exps(a, a), a
+            for b in rims_all:
+                assert ext1(ma, build_rank1(b)).exponents == exps(a, b), (a, b)
+
+    def test_seeded_4_9_sample_matches_the_oracle(self):
+        rims_all = all_rims(4, 9)
+        rng = random.Random(4109)
+        pairs = [tuple(rng.sample(rims_all, 2)) for _ in range(58)]
+        pairs += [(rims_all[7], rims_all[7]), (rims_all[40], rims_all[40])]
+        rotated = [a for a, _ in pairs
+                   if min(shift(a, j).elements for j in range(9)) != a.elements]
+        assert len(rotated) > 40
+        exps = self.oracle(sorted({r for p in pairs for r in p}, key=lambda r: r.elements), 18)
+        for a, b in pairs:
+            ma = build_rank1(a)
+            mb = ma if a == b else build_rank1(b)
+            assert ext1(ma, mb).exponents == exps(a, b), (a, b)
+
+    def test_rank2_second_argument_is_rotated_too(self):
+        n_rep = rank2_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
+        rebuilt = n_rep.rebuilder(14)
+        for a in all_rims(3, 6):
+            want = _ext1_once(build_rank1(a, 12), n_rep)
+            assert want == _ext1_once(build_rank1(a, 14), rebuilt)
+            assert ext1(build_rank1(a), n_rep).exponents == want, a
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 5), (3, 6), (3, 7), (3, 8), (3, 9), (4, 8), (4, 9)])
+           .flatmap(lambda kn: st.tuples(
+               st.sampled_from(all_rims(*kn)), st.sampled_from(all_rims(*kn)),
+               st.integers(1, kn[1] - 1))))
+    def test_rotation_equivariance(self, case):
+        a, b, j = case
+        turned = (shift(a, j), shift(b, j))
+        assert ext1_rims(*turned) == ext1_rims(a, b)
+        assert _ext1_once(*map(build_rank1, turned)) == \
+            _ext1_once(build_rank1(a), build_rank1(b))
+
+    def test_memo_holds_one_module_per_class_and_truncation(self, monkeypatch):
+        monkeypatch.setattr(homology, "_CANONICAL_RANK1", {})
+        rims_all = all_rims(3, 7)
+        for a in rims_all:
+            for b in rims_all[::5]:
+                ext1_rims(a, b)
+        memo = homology._CANONICAL_RANK1
+        assert len(memo) == 2 * 5
+        assert {N for _, N in memo} == {14, 16}
+        assert len({id(m) for m in memo.values()}) == len(memo)
+        for (r, N), m in memo.items():
+            assert (m.rim, m.trunc) == (r, N)
+            assert r.elements == min(shift(r, j).elements for j in range(7))
+            assert m.rebuilder(N) is m
+
+    def test_resolution_is_cached_on_the_module(self):
+        m = build_rank1(rim([1, 4, 5], 3, 9))
+        assert resolve_two_steps(m) is resolve_two_steps(m) is not None
+        projective = build_rank1(rim([6, 7, 8], 3, 8))
+        assert resolve_two_steps(projective) is None
+        assert resolve_two_steps(projective) is None
+
+    def test_mismatched_inputs_raise(self):
+        with pytest.raises(ValueError):
+            ext1(build_rank1(rim([1, 3, 5], 3, 6)), build_rank1(rim([1, 3, 5], 3, 7)))
+        with pytest.raises(ValueError):
+            ext1(build_rank1(rim([1, 3, 5], 3, 6), 12),
+                 build_rank1(rim([2, 4, 6], 3, 6), 14))

@@ -10,7 +10,7 @@ from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered,
                               direct_sum, identify_rank1, lattice_diagram_data,
                               parse_profile, profile, rep_a_vector,
                               sigma_power, validate_relations)
-from grasscat.rims import all_rims, is_projective, parse_rim, rim
+from grasscat.rims import all_rims, is_projective, parse_rim, rim, shift
 
 N = 16
 
@@ -269,3 +269,43 @@ class TestPathMatrix:
             got = fresh.path_matrix(v, w)
             assert got == multiplied_out_route(fresh, v, w), (v, w)
             assert fresh.path_matrix(v, w) is got
+
+
+class TestRotate:
+    @pytest.fixture(params=["rank1", "rank2"])
+    def module(self, request):
+        if request.param == "rank1":
+            return build_rank1(rim([1, 4, 5], 3, 8))
+        return rank2_extension(parse_rim("135@(3,6)"), parse_rim("246@(3,6)"))
+
+    @pytest.mark.parametrize("j", [1, 2, -3, 5])
+    def test_relations_and_paths_move_with_the_labels(self, module, j):
+        n = module.n
+        turned = module.rotate(j)
+        assert validate_relations(turned) == []
+        for v in range(1, n + 1):
+            for w in range(1, n + 1):
+                moved = turned.path_matrix((v + j - 1) % n + 1, (w + j - 1) % n + 1)
+                assert moved == module.path_matrix(v, w), (v, w)
+
+    @pytest.mark.parametrize("j", [1, 4, -2])
+    def test_inverse_rotation_gives_back_the_maps(self, module, j):
+        back = module.rotate(j).rotate(-j)
+        assert (back.x, back.y, back.s, back.trunc) == \
+            (module.x, module.y, module.s, module.trunc)
+
+    def test_rank1_rim_and_rebuilder_shift_with_the_module(self):
+        r = rim([1, 4, 5], 3, 8)
+        for j in range(-8, 9):
+            turned = build_rank1(r, 12).rotate(j)
+            want = build_rank1(shift(r, j), 12)
+            assert turned.rim == want.rim == shift(r, j)
+            assert (turned.x, turned.y) == (want.x, want.y)
+            rebuilt, want = turned.rebuilder(14), build_rank1(shift(r, j), 14)
+            assert (rebuilt.trunc, rebuilt.rim) == (14, shift(r, j))
+            assert (rebuilt.x, rebuilt.y) == (want.x, want.y)
+
+    def test_only_rank1_builds_record_a_rim(self):
+        assert build_rank1(rim([1, 4, 5], 3, 8)).rim == rim([1, 4, 5], 3, 8)
+        two = build_layered([rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)])
+        assert two.rim is None and two.rotate(2).rim is None
