@@ -10,7 +10,6 @@ more than one such filtration, and the classes are what the counts mean.
 
 from __future__ import annotations
 
-import concurrent.futures
 import json
 import random
 import sys
@@ -57,10 +56,6 @@ class CensusEntry:
     def profile(self) -> Profile:
         return self.profiles[0]
 
-    def has_tight_profile(self) -> bool:
-        return any(
-            classify_pair(p.layers[0], p.layers[1]).tight for p in self.profiles)
-
 
 @dataclass
 class CensusReport:
@@ -69,7 +64,7 @@ class CensusReport:
     truncation: int
     rank1_count: int
     candidates_tested: int
-    candidate_verdicts: dict[tuple[tuple[int, ...], tuple[int, ...]], bool]
+    candidate_verdicts: dict[tuple[Rim, Rim], bool]
     rank2_rigid: list[CensusEntry]
     sampled: bool
     fixture_diffs: list[str] = field(default_factory=list)
@@ -122,16 +117,9 @@ def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
     return out
 
 
-def _evaluate_candidate(args):
-    (a_elems, b_elems, k, n, trunc) = args
-    a, b = rim(a_elems, k, n), rim(b_elems, k, n)
-    rep = rigid_indecomposable_rank2(a, b, trunc)
-    return (a_elems, b_elems, rep is not None)
-
-
 def run_census(k: int, n: int, *, trunc: Optional[int] = None,
                sample: Optional[float] = None, seed: int = 0,
-               jobs: int = 1, with_orbits: bool = False,
+               with_orbits: bool = False,
                cache_dir: Optional[Path] = None,
                refresh: bool = False,
                progress: bool = False) -> CensusReport:
@@ -166,26 +154,24 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
         chosen = sorted(rng.sample(candidates, count))
         sampled = True
 
-    tasks = [(a.elements, b.elements, k, n, N) for a, b in chosen]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_candidate, tasks, chunksize=8))
-    else:
-        results = []
-        for i, task in enumerate(tasks):
-            results.append(_evaluate_candidate(task))
-            if progress and ((i + 1) % 25 == 0 or i + 1 == len(tasks)):
-                print(f"  census ({k},{n}): {i + 1}/{len(tasks)} candidates",
-                      file=sys.stderr)
+    verdicts: dict[tuple[Rim, Rim], bool] = {}
+    rigid: list[tuple[Profile, CMModuleRep]] = []
+    for i, (a, b) in enumerate(chosen):
+        rep = rigid_indecomposable_rank2(a, b, N)
+        verdicts[(a, b)] = rep is not None
+        if rep is not None:
+            rigid.append((Profile((a, b)), rep))
+        if progress and ((i + 1) % 25 == 0 or i + 1 == len(chosen)):
+            print(f"  census ({k},{n}): {i + 1}/{len(chosen)} candidates",
+                  file=sys.stderr)
 
-    verdicts = {(a, b): ok for a, b, ok in sorted(results)}
     report = CensusReport(
         k=k, n=n, truncation=N, rank1_count=len(rims),
         candidates_tested=len(chosen), candidate_verdicts=verdicts,
         rank2_rigid=[], sampled=sampled)
 
     if not sampled:
-        report.rank2_rigid = _group_classes(k, n, N, verdicts)
+        report.rank2_rigid = _group_classes(k, rigid)
         report.fixture_diffs = _fixture_diffs(report)
         if with_orbits:
             _attach_orbit_ids(report, N)
@@ -201,22 +187,15 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
     return report
 
 
-def _group_classes(k: int, n: int, trunc: int, verdicts) -> list[CensusEntry]:
-    """Group the rigid filtrations into isomorphism classes."""
-    by_avec: dict[tuple[int, ...], list[Profile]] = {}
-    for (a_el, b_el), ok in verdicts.items():
-        if not ok:
-            continue
-        p = Profile((rim(a_el, k, n), rim(b_el, k, n)))
-        by_avec.setdefault(a_vector(p).entries, []).append(p)
+def _group_classes(k: int, rigid: list[tuple[Profile, CMModuleRep]]) -> list[CensusEntry]:
+    """Group the rigid filtrations, with their modules, into isomorphism classes."""
+    by_avec: dict[tuple[int, ...], list[tuple[Profile, CMModuleRep]]] = {}
+    for p, rep in rigid:
+        by_avec.setdefault(a_vector(p).entries, []).append((p, rep))
     entries: list[CensusEntry] = []
     for avec in sorted(by_avec):
-        profiles = sorted(by_avec[avec], key=lambda p: p.label())
         reps: list[tuple[list[Profile], CMModuleRep]] = []
-        for p in profiles:
-            rep = rigid_indecomposable_rank2(p.layers[0], p.layers[1], trunc)
-            if rep is None:
-                continue
+        for p, rep in sorted(by_avec[avec], key=lambda pr: pr[0].label()):
             for members, existing in reps:
                 if is_isomorphic(rep, existing):
                     members.append(p)
@@ -274,13 +253,12 @@ class ConjectureReport:
 
 
 def verify_conjectures(k: int, n: int, *, report: Optional[CensusReport] = None,
-                       trunc: Optional[int] = None, jobs: int = 1) -> ConjectureReport:
+                       trunc: Optional[int] = None) -> ConjectureReport:
     """Check the three counting statements across one ambient."""
-    report = report or run_census(k, n, trunc=trunc, jobs=jobs)
+    report = report or run_census(k, n, trunc=trunc)
     tight_failures = []
     r4_failures = []
-    for (a_el, b_el), ok in report.candidate_verdicts.items():
-        a, b = rim(a_el, k, n), rim(b_el, k, n)
+    for (a, b), ok in report.candidate_verdicts.items():
         cls = classify_pair(a, b)
         if cls.tight and not ok:
             tight_failures.append(f"{a}|{b}")

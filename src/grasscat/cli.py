@@ -1,8 +1,9 @@
 """Command-line interface tying the library together.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 fixture mismatch in a
-full census or tube run, 4 truncation instability that survived automatic
-escalation.
+full census or tube run, 4 truncation instability: an answer that changed
+when recomputed at a higher truncation, or a computation that could not be
+completed at the working one.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ def cmd_census(args, cfg: Config) -> int:
     sample = args.sample if args.sample is not None else None
     full = sample is None
     rep = run_census(args.k, args.n, trunc=cfg.truncation_for(args.n),
-                     sample=sample, jobs=args.jobs,
+                     sample=sample,
                      with_orbits=args.orbits and full,
                      cache_dir=cfg.output_dir if full else None,
                      refresh=args.refresh, progress=not args.json)
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="working t-adic truncation (default 2n)")
     ap.add_argument("--out", type=Path, default=None, help="output directory")
     ap.add_argument("--format", dest="fmt", default=None,
-                    choices=["table", "json", "svg", "tikz", "dot"])
+                    choices=["table", "svg", "tikz", "dot"])
     ap.add_argument("--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -340,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full run (default unless --sample)")
     s.add_argument("--sample", type=float, default=None,
                    help="probabilistic smoke run, e.g. 0.05")
-    s.add_argument("--jobs", type=int, default=1)
     s.add_argument("--refresh", action="store_true",
                    help="recompute even when a cache entry exists")
     s.add_argument("--orbits", action="store_true",

@@ -20,7 +20,7 @@ class Config:
 
     truncation: Optional[int] = None      # None: 2n per ambient
     output_dir: Path = Path("out")
-    fmt: str = "table"                    # table / json / svg / tikz / dot
+    fmt: str = "table"                    # table / svg / tikz / dot
 
     @classmethod
     def from_env(cls) -> "Config":

@@ -115,10 +115,6 @@ class ValPoly:
             return ValPoly.zero(self.trunc)
         return ValPoly._clean({d: v * c for d, v in self.coeffs.items()}, self.trunc)
 
-    def shift_up(self, a: int) -> "ValPoly":
-        """Multiply by t^a."""
-        return ValPoly({d + a: c for d, c in self.coeffs.items()}, self.trunc)
-
     def unit_inverse(self) -> "ValPoly":
         """Power-series inverse of a valuation-0 element, to the truncation."""
         if not self.is_unit():
@@ -158,12 +154,6 @@ class ValPoly:
         shifted = ValPoly._clean({d - a: c for d, c in self.coeffs.items()}, self.trunc)
         unit = ValPoly._clean({d - a: c for d, c in other.coeffs.items()}, other.trunc)
         return shifted * unit.unit_inverse()
-
-    def retruncate(self, trunc: int) -> "ValPoly":
-        """Drop to a lower truncation level (never widens the window)."""
-        if trunc > self.trunc:
-            raise ValueError("cannot raise the truncation of an existing value")
-        return ValPoly(self.coeffs, trunc)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -259,11 +249,6 @@ class DVRMatrix:
         return DVRMatrix(
             [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)],
             self.trunc, cols=self.cols + other.cols)
-
-    def retruncate(self, trunc: int) -> "DVRMatrix":
-        return DVRMatrix(
-            [[e.retruncate(trunc) for e in row] for row in self.data], trunc,
-            cols=self.cols)
 
     def mod_t(self) -> list[list[Coeff]]:
         """Constant terms, as an exact rational matrix."""

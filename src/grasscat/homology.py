@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from typing import Optional, Sequence
 
 from .dvr import (Coeff, DVRMatrix, SmithData, ValPoly, _reciprocal, _smith,
@@ -25,10 +25,10 @@ from .dvr import (Coeff, DVRMatrix, SmithData, ValPoly, _reciprocal, _smith,
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
                       rep_a_vector)
-from .rims import Rim, interlacing_degree, peaks, rim, shift as shift_rim
+from .rims import (Rim, interlacing_degree, peaks, rim, shift as shift_rim,
+                   two_layer_splits)
 
 TRUNCATION_STEP = 2
-ESCALATION_CAP_FACTOR = 8
 
 
 def top_multiset(m: CMModuleRep) -> dict[int, int]:
@@ -350,8 +350,10 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     """Ext^1(m, n) as a product of cyclic modules over the centre.
 
     When both inputs know how to rebuild themselves, the exponents are
-    recomputed at truncation N+2 and must agree; on disagreement the
-    truncation escalates (default cap 8n) before TruncationUnstable.
+    computed once at the working truncation N and once more on the modules
+    rebuilt at N+2; the answer is accepted only when the two agree, and
+    TruncationUnstable is raised otherwise.  Without a rebuilder the
+    exponents at N are returned unchecked.
 
     Rotating the quiver is an automorphism of the algebra, so when m is a
     rank-1 module with a recorded rim the pair is first rotated to make
@@ -369,27 +371,17 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
         elif j:
             n_rep = n_rep.rotate(j)
         m = canon
-    cap = ESCALATION_CAP_FACTOR * m.n
-    reb_m, reb_n = m.rebuilder, n_rep.rebuilder
-    if reb_m is None or reb_n is None:
-        return ExtDecomp(_ext1_once(m, n_rep))
-    trunc = m.trunc
-    while True:
-        try:
-            first = _ext1_once(m, n_rep)
-            m2 = reb_m(trunc + TRUNCATION_STEP)
-            n2 = m2 if same else reb_n(trunc + TRUNCATION_STEP)
-            second = _ext1_once(m2, n2)
-            if first == second:
-                return ExtDecomp(first)
-        except TruncationUnstable:
-            pass
-        trunc += 2 * TRUNCATION_STEP
-        if trunc > cap:
-            raise TruncationUnstable(
-                f"extension exponents unstable up to truncation cap {cap}")
-        m = reb_m(trunc)
-        n_rep = m if same else reb_n(trunc)
+    first = _ext1_once(m, n_rep)
+    if m.rebuilder is None or n_rep.rebuilder is None:
+        return ExtDecomp(first)
+    N2 = m.trunc + TRUNCATION_STEP
+    m2 = m.rebuilder(N2)
+    second = _ext1_once(m2, m2 if same else n_rep.rebuilder(N2))
+    if first != second:
+        raise TruncationUnstable(
+            f"extension exponents {first} at truncation {m.trunc} "
+            f"differ from {second} at truncation {N2}")
+    return ExtDecomp(first)
 
 
 # rank-1 modules of rims that are least in their rotation class, one per
@@ -627,19 +619,10 @@ def decomposition_rank2(m: CMModuleRep) -> Optional[tuple[Rim, Rim]]:
     """
     if m.s != 2:
         raise ValueError("decomposition test is for rank-2 modules")
-    avec = rep_a_vector(m).entries
-    twos = [v + 1 for v, c in enumerate(avec) if c == 2]
-    ones = [v + 1 for v, c in enumerate(avec) if c == 1]
-    need = m.k - len(twos)
-    if need < 0 or need > len(ones):
-        return None
     tops = top_multiset(m)
-    for chosen in combinations(ones, need):
-        if ones and ones[0] not in chosen:
-            continue  # unordered pairs: first free vertex goes to the first layer
-        u = rim(twos + list(chosen), m.k, m.n)
-        v_elems = twos + [x for x in ones if x not in chosen]
-        v = rim(v_elems, m.k, m.n)
+    for u, v in two_layer_splits(rep_a_vector(m).entries, m.k, m.n):
+        if u > v:
+            continue  # unordered pairs: the least rim goes to the first layer
         expected_top: dict[int, int] = {}
         for p in list(peaks(u)) + list(peaks(v)):
             expected_top[p] = expected_top.get(p, 0) + 1

@@ -104,9 +104,6 @@ class CMModuleRep:
             rebuilder=None if reb is None else lambda N2: reb(N2).rotate(j),
             rim=None if self.rim is None else shift_rim(self.rim, j))
 
-    def vertex_before(self, i: int) -> int:
-        return (i - 2) % self.n + 1
-
     def path_matrix(self, v: int, w: int) -> DVRMatrix:
         """Composite of structure maps along the canonical route v -> w.
 

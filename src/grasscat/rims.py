@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import MismatchedAmbient, NotAlmostConsecutive
 
@@ -187,6 +187,22 @@ def two_peak_syzygy_rim(r: Rim) -> Rim:
     n, k = r.n, r.k
     out = _cyclic_interval(a + d1, a + k - 1, n) + _cyclic_interval(b + d2, b + k - 1, n)
     return rim(out, k, n)
+
+
+def two_layer_splits(avec: Sequence[int], k: int, n: int) -> Iterator[tuple[Rim, Rim]]:
+    """Ordered rim pairs (top, bottom) whose multiplicity vectors add to avec.
+
+    Vertices of multiplicity 2 lie in both layers and those of multiplicity
+    1 in exactly one; the pairs come in lexicographic order of the top.
+    """
+    twos = [v + 1 for v, c in enumerate(avec) if c == 2]
+    ones = [v + 1 for v, c in enumerate(avec) if c == 1]
+    need = k - len(twos)
+    if any(c not in (0, 1, 2) for c in avec) or len(ones) != 2 * need:
+        return
+    for chosen in combinations(ones, need):
+        yield (rim(twos + list(chosen), k, n),
+               rim(twos + [x for x in ones if x not in chosen], k, n))
 
 
 def _check_ambient(a: Rim, b: Rim) -> None:

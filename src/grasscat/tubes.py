@@ -15,7 +15,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import combinations
 from math import lcm
 from pathlib import Path
 from typing import Optional, Union
@@ -28,7 +27,7 @@ from .modules import (CMModuleRep, Profile, a_vector, build_rank1,
                       rep_a_vector)
 from .rims import (Rim, all_rims, ar_middle_profile, interlacing_degree,
                    is_almost_consecutive, is_projective, rim, shift,
-                   syzygy_rim)
+                   syzygy_rim, two_layer_splits)
 
 Seed = Union[Rim, Profile]
 
@@ -84,9 +83,6 @@ class TauOrbit:
     members: list[OrbitMember]
     period: int
 
-    def member_keys(self) -> set:
-        return {m.key() for m in self.members}
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k, "n": self.n, "v": self.v, "period": self.period,
@@ -120,32 +116,17 @@ def _seed_rep(seed: Seed, trunc: int) -> tuple[CMModuleRep, OrbitMember]:
     return rep, member
 
 
-def _rank2_filtration_candidates(avec: tuple[int, ...], k: int, n: int) -> list[Profile]:
-    """Ordered two-layer splits of a multiplicity vector, interlacing >= 3."""
-    twos = [v + 1 for v, c in enumerate(avec) if c == 2]
-    ones = [v + 1 for v, c in enumerate(avec) if c == 1]
-    need = k - len(twos)
-    if need < 0 or need > len(ones) or any(c > 2 for c in avec):
-        return []
-    out = []
-    for chosen in combinations(ones, need):
-        top = rim(twos + list(chosen), k, n)
-        bottom = rim(twos + [x for x in ones if x not in chosen], k, n)
-        if interlacing_degree(top, bottom) >= 3:
-            out.append(Profile((top, bottom)))
-    return out
-
-
 def _identify(rep: CMModuleRep, trunc: int) -> OrbitMember:
     avec = rep_a_vector(rep).entries
     if rep.s == 1:
         return OrbitMember(1, avec, rim_label=identify_rank1(rep))
     if rep.s == 2:
         matches = []
-        for p in _rank2_filtration_candidates(avec, rep.k, rep.n):
-            cand = rank2_extension(p.layers[0], p.layers[1], trunc)
-            if is_isomorphic(rep, cand):
-                matches.append(p)
+        for top, bottom in two_layer_splits(avec, rep.k, rep.n):
+            if interlacing_degree(top, bottom) < 3:
+                continue
+            if is_isomorphic(rep, rank2_extension(top, bottom, trunc)):
+                matches.append(Profile((top, bottom)))
         if matches:
             matches.sort(key=lambda p: p.label())
             return OrbitMember(2, avec, profiles=tuple(matches))
@@ -159,10 +140,7 @@ def tau_orbit(start: Seed, trunc: Optional[int] = None) -> TauOrbit:
     reports the least period dividing 2v at which the identified member
     sequence repeats.
     """
-    if isinstance(start, Rim):
-        n, k = start.n, start.k
-    else:
-        n, k = start.n, start.k
+    n, k = start.n, start.k
     N = trunc if trunc is not None else default_truncation(n)
     v = lcm(n, k) // k
     rep, first = _seed_rep(start, N)

@@ -148,12 +148,6 @@ class TestCacheRoundTrip:
         assert CENSUS_TABLE[(4, 8)]["imaginary"] == 8
 
 
-class TestParallelCensus:
-    def test_jobs_worker_pool_matches_serial(self, census_reports):
-        rep = run_census(3, 6, jobs=2)
-        assert rep.counts() == census_reports[(3, 6)].counts()
-
-
 class TestClosures:
     def test_shift_closure(self, census_reports):
         for k, n in [(3, 9), (4, 8)]:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from grasscat.cli import main
 
 
@@ -129,6 +131,15 @@ class TestUsageErrors:
             [sys.executable, "-m", "grasscat.cli", "frobnicate"],
             capture_output=True)
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "3", "6", "--jobs", "2"],
+        ["--format", "json", "rim", "145@(3,8)"],
+    ])
+    def test_removed_options_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_bad_rim_token(self, capsys):
         code = main(["rim", "145"])

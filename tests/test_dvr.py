@@ -177,7 +177,6 @@ class TestDVRMatrixShape:
         assert empty @ DVRMatrix.zeros(2, 3, N) == DVRMatrix.zeros(0, 3, N)
         assert empty + empty == empty and empty - empty == empty
         assert empty.scale(tpow(1)) == empty
-        assert empty.retruncate(N - 2) == DVRMatrix.zeros(0, 2, N - 2)
         assert empty.transpose() == DVRMatrix.zeros(2, 0, N)
 
 

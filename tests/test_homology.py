@@ -461,3 +461,39 @@ class TestCanonicalExt:
         with pytest.raises(ValueError):
             ext1(build_rank1(rim([1, 3, 5], 3, 6), 12),
                  build_rank1(rim([2, 4, 6], 3, 6), 14))
+
+
+class TestOneExtCheck:
+    """ext1 computes at N and at N + 2 once each, and never retries."""
+
+    @staticmethod
+    def count_calls(monkeypatch, fn):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].trunc)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(homology, "_ext1_once", counted)
+        return calls
+
+    def test_disagreement_at_n_plus_2_raises(self, monkeypatch):
+        # 135 is the least rotation of its rim, so the pair is not rotated;
+        # the target rebuilds as a module it has no extensions with
+        m = build_rank1(rim([1, 3, 5], 3, 6), 12)
+        n_rep = build_rank1(rim([2, 4, 6], 3, 6), 12)
+        n_rep.rebuilder = lambda N2: build_rank1(rim([1, 2, 3], 3, 6), N2)
+        calls = self.count_calls(monkeypatch, _ext1_once)
+        with pytest.raises(TruncationUnstable) as exc:
+            ext1(m, n_rep)
+        assert calls == [12, 14]
+        message = str(exc.value)
+        assert "(1, 1) at truncation 12" in message
+        assert "() at truncation 14" in message
+
+    def test_instability_of_one_computation_propagates(self, monkeypatch):
+        def unstable(*args, **kwargs):
+            raise TruncationUnstable("free rank")
+        calls = self.count_calls(monkeypatch, unstable)
+        with pytest.raises(TruncationUnstable, match="free rank"):
+            ext1_rims(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
+        assert calls == [12]

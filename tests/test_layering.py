@@ -1,4 +1,5 @@
-"""Imports of grasscat modules sit at module top, in layer order.
+"""Imports of grasscat modules sit at module top, in layer order, and
+every name the package defines is used.
 
 Two kinds of function-local import are allowed: the census <-> tubes pair,
 which is a genuine import cycle, and the CLI's per-subcommand imports,
@@ -9,6 +10,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "grasscat"
+TESTS = Path(__file__).resolve().parent
 
 ALLOWED = {
     ("census", "_attach_orbit_ids", "tubes"),
@@ -70,3 +72,50 @@ def test_detects_a_local_import(tmp_path):
         "def g():\n    import grasscat.rims\n    from itertools import chain\n")
     assert local_imports(tmp_path) == [("homology", "f", "modules"),
                                        ("homology", "g", "rims")]
+
+
+def _used_names(tree) -> set[str]:
+    """Identifiers a module reads: names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name.split(".")[-1])
+    return used
+
+
+def unreferenced_definitions(package: Path = PACKAGE, tests: Path = TESTS) -> list[str]:
+    """module.name of each non-dunder function, method or class of the package
+    whose name appears nowhere in the package or the tests except where it is
+    defined."""
+    defined, used = [], set()
+    for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= _used_names(tree)
+        if path.parent == package:
+            defined += [(path.stem, node.name) for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                             ast.ClassDef))
+                        and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return [f"{module}.{name}" for module, name in defined if name not in used]
+
+
+def test_every_definition_is_used():
+    assert unreferenced_definitions() == []
+
+
+def test_detects_an_unused_definition(tmp_path):
+    package, tests = tmp_path / "grasscat", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "dvr.py").write_text(
+        "class ValPoly:\n"
+        "    def __add__(self, other):\n        return self.shift_up(1)\n"
+        "    def shift_up(self, a):\n        return self\n"
+        "    def retruncate(self, trunc):\n        return self\n"
+        "def helper():\n    return ValPoly()\n")
+    (tests / "test_dvr.py").write_text("from grasscat.dvr import helper\n")
+    assert unreferenced_definitions(package, tests) == ["dvr.retruncate"]

@@ -1,4 +1,5 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 
@@ -7,7 +8,8 @@ from grasscat.rims import (Rim, all_rims, almost_consecutive_decompositions,
                            ar_middle_profile, classify_pair, crossing,
                            interlacing_degree, is_almost_consecutive,
                            is_projective, peaks, projective_index, rim, runs,
-                           shift, slopes, syzygy_rim, parse_rim)
+                           shift, slopes, syzygy_rim, parse_rim,
+                           two_layer_splits)
 
 
 def R(elems, k, n):
@@ -185,6 +187,34 @@ class TestInterlacing:
                 if r == 3:
                     assert not set(a.elements) & set(b.elements)
                     assert classify_pair(a, b).tight
+
+
+class TestTwoLayerSplits:
+    """The split enumerator against a filter over all ordered rim pairs."""
+
+    @staticmethod
+    def brute_force(k, n):
+        splits = {}
+        rs = all_rims(k, n)
+        for a in rs:
+            for b in rs:
+                avec = tuple((v in a) + (v in b) for v in range(1, n + 1))
+                splits.setdefault(avec, []).append((a, b))
+        return splits
+
+    def test_every_vector_at_3_7(self):
+        splits = self.brute_force(3, 7)
+        for avec in product(range(4), repeat=7):
+            assert list(two_layer_splits(avec, 3, 7)) == splits.get(avec, []), avec
+
+    def test_seeded_sample_at_4_8(self):
+        splits = self.brute_force(4, 8)
+        rng = random.Random(48)
+        vectors = rng.sample(sorted(splits), 60)
+        vectors += [tuple(rng.choice((0, 1, 2)) for _ in range(8)) for _ in range(60)]
+        assert sum(len(splits.get(v, ())) > 2 for v in vectors) > 20
+        for avec in vectors:
+            assert list(two_layer_splits(avec, 4, 8)) == splits.get(avec, []), avec
 
 
 class TestClassifyPair:
