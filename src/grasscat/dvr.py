@@ -4,13 +4,14 @@ Elements are polynomials in t with exact rational coefficients, all
 arithmetic discarding degrees >= the truncation level N.  The Smith normal
 form uses minimal-t-valuation pivoting (every minimal-valuation entry of a
 matrix over a DVR divides all the others), which keeps every elimination
-step exact modulo t^N.  Kernels and linear solves are read off from the
-recorded transformation matrices.
+step exact modulo t^N.  ``_smith`` returns one factorisation object,
+``Smith``, that records the transformation matrices; kernels, kernel
+coordinates and solutions for any number of right-hand sides are read off
+it, so each matrix is factored once however often it is solved against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -136,8 +137,10 @@ class ValPoly:
         """Divide by other = t^a * unit; requires valuation(self) >= a.
 
         The top a coefficients of the result fall outside the window that
-        the inputs determine; they are reported as zero, which the
-        stability protocol (recompute at a higher truncation) guards.
+        the inputs determine; they are reported as zero.  Only ``ext1``
+        guards this, by comparing its answer with one recomputed at a
+        higher truncation; every other result is taken at the working
+        truncation unchecked.
         """
         a = other.valuation()
         if a is None:
@@ -266,29 +269,64 @@ class DVRMatrix:
         return f"[{body}]"
 
 
-@dataclass(frozen=True)
-class InvariantFactors:
-    """Valuations of the nonzero invariant factors, plus cokernel free rank."""
+class Smith:
+    """Smith factorisation U * A * V = S of a matrix A over the local ring.
 
-    exponents: tuple[int, ...]
-    free_rank: int
+    S is zero except for t^e in diagonal place i < ``npivots``, where e is
+    ``exponents[i]``; ``V_inv`` is the inverse of V.  U is None when the
+    factorisation was made without it, which leaves ``solve`` unavailable.
+    One factorisation serves every kernel read and right-hand side of A.
+    """
+
+    __slots__ = ("exponents", "npivots", "U", "V", "V_inv", "cols", "trunc")
+
+    def __init__(self, exponents: list[int], U: Optional[DVRMatrix], V: DVRMatrix,
+                 V_inv: DVRMatrix):
+        self.exponents, self.npivots = exponents, len(exponents)
+        self.U, self.V, self.V_inv = U, V, V_inv
+        self.cols, self.trunc = V.rows, V.trunc
+
+    def kernel(self) -> DVRMatrix:
+        """Free basis of the kernel of A, as columns: those of V past the pivots.
+
+        They span a saturated (direct summand) submodule.
+        """
+        return DVRMatrix([row[self.npivots:] for row in self.V.data], self.trunc,
+                         cols=self.cols - self.npivots)
+
+    def coordinates(self, vectors: DVRMatrix) -> DVRMatrix:
+        """Coordinates in the ``kernel`` basis of each column of ``vectors``.
+
+        Raises TruncationUnstable when a column is not in the kernel.
+        """
+        y = self.V_inv @ vectors
+        if any(not e.is_zero() for row in y.data[:self.npivots] for e in row):
+            raise TruncationUnstable("vector is not in the kernel at working precision")
+        return DVRMatrix(y.data[self.npivots:], self.trunc, cols=vectors.cols)
+
+    def solve(self, rhs: DVRMatrix) -> Optional[DVRMatrix]:
+        """One X with A @ X == rhs, or None when some column has no solution.
+
+        Column j of X is V y for the y with S y = U rhs[:, j], each pivot
+        coordinate divided by its t^e and every other coordinate zero.
+        """
+        trunc = self.trunc
+        ub = self.U @ rhs
+        z = ValPoly.zero(trunc)
+        y = [[z] * rhs.cols for _ in range(self.cols)]
+        for i, e in enumerate(self.exponents):
+            for j, entry in enumerate(ub.data[i]):
+                if entry.is_zero():
+                    continue
+                if entry.valuation() < e:
+                    return None
+                y[i][j] = ValPoly._clean({d - e: c for d, c in entry.coeffs.items()}, trunc)
+        if any(not e.is_zero() for row in ub.data[self.npivots:] for e in row):
+            return None
+        return self.V @ DVRMatrix(y, trunc, cols=rhs.cols)
 
 
-@dataclass
-class SmithData:
-    """Full Smith decomposition U * A * V = S with V inverse tracked."""
-
-    exponents: list[int]
-    npivots: int
-    U: list[list[ValPoly]]
-    V: list[list[ValPoly]]
-    V_inv: list[list[ValPoly]]
-    rows: int
-    cols: int
-    trunc: int
-
-
-def _smith(matrix: DVRMatrix, need_u: bool = True) -> SmithData:
+def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
     """Diagonalise over the local ring by minimal-valuation pivoting.
 
     Pivot selection takes the globally minimal valuation in the remaining
@@ -363,16 +401,8 @@ def _smith(matrix: DVRMatrix, need_u: bool = True) -> SmithData:
         r += 1
     if any(exponents[i] > exponents[i + 1] for i in range(len(exponents) - 1)):
         raise AssertionError("invariant factors out of order; pivoting bug")
-    return SmithData(exponents, r, U, V, Vi, m, p, trunc)
-
-
-def smith_over_dvr(matrix: DVRMatrix) -> InvariantFactors:
-    """Invariant factor valuations and cokernel free rank of a matrix."""
-    data = _smith(matrix, need_u=False)
-    for e in data.exponents:
-        if e >= matrix.trunc:
-            raise TruncationUnstable(f"invariant factor t^{e} at truncation {matrix.trunc}")
-    return InvariantFactors(tuple(data.exponents), matrix.rows - data.npivots)
+    return Smith(exponents, DVRMatrix(U, trunc, cols=m) if need_u else None,
+                 DVRMatrix(V, trunc, cols=p), DVRMatrix(Vi, trunc, cols=p))
 
 
 def _dot(row: Sequence[ValPoly], col: Sequence[ValPoly], trunc: int) -> ValPoly:
@@ -387,77 +417,6 @@ def _dot(row: Sequence[ValPoly], col: Sequence[ValPoly], trunc: int) -> ValPoly:
                     if d < trunc:
                         out[d] = get(d, 0) + c1 * c2
     return ValPoly(out, trunc)
-
-
-def _mat_vec(M: list[list[ValPoly]], v: Sequence[ValPoly], trunc: int) -> list[ValPoly]:
-    return [_dot(row, v, trunc) for row in M]
-
-
-def _normalise_vector(v: list[ValPoly]) -> list[ValPoly]:
-    """Scale by the inverse unit part of the minimal-valuation entry."""
-    vals = [(e.valuation(), i) for i, e in enumerate(v) if not e.is_zero()]
-    if not vals:
-        return v
-    val, idx = min(vals)
-    lead = v[idx]
-    unit_inv = ValPoly._clean({d - val: c for d, c in lead.coeffs.items()},
-                              lead.trunc).unit_inverse()
-    return [unit_inv * e for e in v]
-
-
-def kernel_basis(matrix: DVRMatrix) -> list[tuple[ValPoly, ...]]:
-    """Free basis of the kernel, each vector normalised to monic lead.
-
-    The basis columns come from the recorded column transform, so they
-    span a saturated (direct summand) submodule; membership is
-    re-verified below the truncation as a guard.
-    """
-    data = _smith(matrix, need_u=False)
-    basis = []
-    for j in range(data.npivots, matrix.cols):
-        vec = _normalise_vector([data.V[i][j] for i in range(matrix.cols)])
-        image = _mat_vec([list(r) for r in matrix.data], vec, matrix.trunc)
-        if any(not e.is_zero() for e in image):
-            raise TruncationUnstable("kernel vector fails membership below truncation")
-        basis.append(tuple(vec))
-    return basis
-
-
-def kernel_data(matrix: DVRMatrix) -> tuple[list[tuple[ValPoly, ...]], SmithData]:
-    """Kernel basis (unnormalised) together with the Smith transform data."""
-    data = _smith(matrix, need_u=False)
-    basis = [tuple(data.V[i][j] for i in range(matrix.cols))
-             for j in range(data.npivots, matrix.cols)]
-    return basis, data
-
-
-def kernel_coordinates(data: SmithData, vector: Sequence[ValPoly]) -> list[ValPoly]:
-    """Coordinates of a kernel element in the basis from ``kernel_data``."""
-    y = _mat_vec(data.V_inv, vector, data.trunc)
-    for i in range(data.npivots):
-        if not y[i].is_zero():
-            raise TruncationUnstable("vector is not in the kernel at working precision")
-    return y[data.npivots:]
-
-
-def solve_linear(matrix: DVRMatrix, rhs: Sequence[ValPoly]) -> Optional[list[ValPoly]]:
-    """One solution of matrix * x = rhs, or None when none exists."""
-    if len(rhs) != matrix.rows:
-        raise ValueError("right-hand side has wrong length")
-    data = _smith(matrix)
-    ub = _mat_vec(data.U, rhs, matrix.trunc)
-    y = [ValPoly.zero(matrix.trunc) for _ in range(matrix.cols)]
-    for i in range(data.npivots):
-        if ub[i].is_zero():
-            continue
-        if ub[i].valuation() < data.exponents[i]:
-            return None
-        y[i] = ValPoly._clean(
-            {d - data.exponents[i]: c for d, c in ub[i].coeffs.items()}, matrix.trunc)
-    for i in range(data.npivots, matrix.rows):
-        if not ub[i].is_zero():
-            return None
-    return _mat_vec(data.V, y, matrix.trunc)
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:

@@ -11,6 +11,9 @@ from the start of the projective resolution
 since Hom out of an indecomposable projective is evaluation at its
 generator: no linear systems are needed to write the induced maps between
 Hom(P_i, N), only to extract kernels and cokernels over the centre.
+Writing out a Hom basis or an extension middle vertexwise does solve
+linear systems; each function factors every matrix it solves against once
+and solves all of its right-hand sides from that one factorisation.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .dvr import (Coeff, DVRMatrix, SmithData, ValPoly, _reciprocal, _smith,
-                  kernel_coordinates, kernel_data, solve_linear)
+from .dvr import Coeff, DVRMatrix, Smith, ValPoly, _reciprocal, _smith
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
                       rep_a_vector)
@@ -118,7 +120,7 @@ class SyzygyData:
     cover: Cover
     omega: CMModuleRep                # kernel, in its own coordinates
     embed: dict[int, DVRMatrix]      # vertex -> cover-size x omega-rank basis
-    smith: dict[int, SmithData]      # per-vertex kernel extraction data
+    smith: dict[int, Smith]          # per-vertex factorisation of cover.eps
 
 
 def syzygy_data(m: CMModuleRep, cover: Optional[Cover] = None) -> SyzygyData:
@@ -129,16 +131,15 @@ def syzygy_data(m: CMModuleRep, cover: Optional[Cover] = None) -> SyzygyData:
         raise ProjectiveInput("projective module has vanishing stable syzygy")
     n, trunc = m.n, m.trunc
     embed: dict[int, DVRMatrix] = {}
-    smith: dict[int, SmithData] = {}
+    smith: dict[int, Smith] = {}
     r = c - m.s
     for w in range(1, n + 1):
-        basis, data = kernel_data(cover.eps[w])
-        if data.npivots != m.s:
+        sm = smith[w] = _smith(cover.eps[w], need_u=False)
+        if sm.npivots != m.s:
             raise AssertionError(f"cover map not surjective at vertex {w}")
-        if len(basis) != r:
+        embed[w] = sm.kernel()
+        if embed[w].cols != r:
             raise AssertionError("kernel rank varies across vertices")
-        embed[w] = DVRMatrix.from_columns(basis, c, trunc)
-        smith[w] = data
     x_omega, y_omega = {}, {}
     for v in range(1, n + 1):
         w = (v - 2) % n + 1
@@ -168,8 +169,7 @@ def _induced_map(m: CMModuleRep, cover: Cover, embed, smith, edge: int,
     moved = DVRMatrix(
         [[scalars[i] * src_mat.data[i][j] for j in range(src_mat.cols)]
          for i in range(src_mat.rows)], m.trunc, cols=src_mat.cols)
-    cols = [kernel_coordinates(smith[dst], moved.column(j)) for j in range(moved.cols)]
-    return DVRMatrix.from_columns(cols, src_mat.cols, m.trunc)
+    return smith[dst].coordinates(moved)
 
 
 def syzygy(m: CMModuleRep) -> CMModuleRep:
@@ -227,14 +227,17 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
 
     A map is determined by the images of the cover generators; it descends
     to m exactly when those images kill the syzygy, a vertexwise linear
-    condition solved over the centre.
+    condition solved over the centre.  The kernel of that condition gives
+    the generator images; each vertex matrix of every basis map is then
+    solved for from one factorisation of the transposed cover evaluation
+    at that vertex.
     """
     if (m.n, m.k) != (n_rep.n, n_rep.k):
         raise ValueError("modules live over different ambients")
     if m.trunc != n_rep.trunc:
         raise ValueError("modules carry different truncation levels")
     cover = projective_cover(m)
-    c, sN, trunc = cover.size, n_rep.s, m.trunc
+    c, sN, sM, trunc = cover.size, n_rep.s, m.s, m.trunc
     rows: list[list[ValPoly]] = []
     if c != m.s:
         syz_embed = syzygy_data(m, cover).embed
@@ -244,31 +247,27 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
             for j in range(emb.cols):
                 rows += _hom_rows(emb.column(j), paths, sN)
     constraint = DVRMatrix(rows, trunc, cols=c * sN)
-    basis, _ = kernel_data(constraint)
-    return HomBasis([_hom_from_generator_images(m, n_rep, cover, vec) for vec in basis])
-
-
-def _hom_from_generator_images(m: CMModuleRep, n_rep: CMModuleRep, cover: Cover,
-                               images: Sequence[ValPoly]) -> dict[int, DVRMatrix]:
-    """Vertexwise matrices of the map sending generator i to images[i*sN:(i+1)*sN]."""
-    out = {}
-    sN, sM, trunc = n_rep.s, m.s, m.trunc
-    xi = [DVRMatrix.from_columns([images[i * sN:(i + 1) * sN]], sN, trunc)
-          for i in range(cover.size)]
+    # column j: images of the cover generators under basis map j, generator
+    # i's image in rows i*sN .. (i+1)*sN - 1
+    images = _smith(constraint, need_u=False).kernel()
+    ngen = images.cols
+    generators: list[dict[int, DVRMatrix]] = [{} for _ in range(ngen)]
+    if not ngen:
+        return HomBasis(generators)
+    xi = [DVRMatrix(images.data[i * sN:(i + 1) * sN], trunc, cols=ngen) for i in range(c)]
     for w in range(1, m.n + 1):
         paths = _hom_target_blocks(n_rep, cover.vertices, w)
-        g = DVRMatrix.from_columns(
-            [(paths[i] @ xi[i]).column(0) for i in range(cover.size)], sN, trunc)
-        eps_t = cover.eps[w].transpose()
-        f_rows = []
-        for a in range(sN):
-            sol = solve_linear(eps_t, g.data[a])
-            if sol is None:
-                raise TruncationUnstable(
-                    f"hom evaluation not solvable at vertex {w}")
-            f_rows.append(sol)
-        out[w] = DVRMatrix(f_rows, trunc, cols=sM)
-    return out
+        # f eps_w = (paths[i] @ xi_i)_i for each map f; solve its transpose,
+        # one column per (map j, row a of f)
+        moved = [paths[i] @ xi[i] for i in range(c)]
+        rhs = DVRMatrix([[moved[i].data[a][j] for j in range(ngen) for a in range(sN)]
+                         for i in range(c)], trunc, cols=ngen * sN)
+        f_t = _smith(cover.eps[w].transpose()).solve(rhs)
+        if f_t is None:
+            raise TruncationUnstable(f"hom evaluation not solvable at vertex {w}")
+        for j, gen in enumerate(generators):
+            gen[w] = DVRMatrix([f_t.column(j * sN + a) for a in range(sN)], trunc, cols=sM)
+    return HomBasis(generators)
 
 
 @dataclass
@@ -335,11 +334,9 @@ def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep,
             for j in range(emb2.cols):
                 e_rows += _hom_rows(emb2.column(j), paths, sN)
     E = DVRMatrix(e_rows, trunc, cols=c1 * sN)
-    kernel, kdata = kernel_data(E)
-
-    coord_cols = [kernel_coordinates(kdata, B1.column(j)) for j in range(B1.cols)]
-    sm = _smith(DVRMatrix.from_columns(coord_cols, len(kernel), trunc), need_u=False)
-    free = len(kernel) - sm.npivots
+    coords = _smith(E, need_u=False).coordinates(B1)
+    sm = _smith(coords, need_u=False)
+    free = coords.rows - sm.npivots
     if free:
         raise TruncationUnstable(
             f"extension group shows free rank {free}; raise the truncation")
@@ -473,8 +470,8 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
 
 
 def _ext_class_coordinates(m: CMModuleRep, n_rep: CMModuleRep,
-                           syz: SyzygyData, hom: HomBasis) -> SmithData:
-    """Smith data of Hom(P0, N) -> Hom(Omega, N) in the hom-basis coordinates."""
+                           syz: SyzygyData, hom: HomBasis) -> Smith:
+    """Factorisation of Hom(P0, N) -> Hom(Omega, N) in the hom-basis coordinates."""
     trunc, sN = m.trunc, n_rep.s
     c0 = syz.cover.size
     omega = syz.omega
@@ -482,7 +479,7 @@ def _ext_class_coordinates(m: CMModuleRep, n_rep: CMModuleRep,
     stack = DVRMatrix.from_columns(
         [[e for w in range(1, m.n + 1) for row in g[w].data for e in row]
          for g in hom.generators], m.n * sN * omega.s, trunc)
-    coord_cols = []
+    induced_cols = []
     for i in range(c0):
         v = syz.cover.vertices[i]
         for b0 in range(sN):
@@ -493,11 +490,11 @@ def _ext_class_coordinates(m: CMModuleRep, n_rep: CMModuleRep,
                 for a in range(sN):
                     for j in range(omega.s):
                         col.append(path.data[a][b0] * emb.data[i][j])
-            sol = solve_linear(stack, col)
-            if sol is None:
-                raise TruncationUnstable("cover-induced map escapes the hom space")
-            coord_cols.append(sol)
-    return _smith(DVRMatrix.from_columns(coord_cols, len(hom.generators), trunc))
+            induced_cols.append(col)
+    coords = _smith(stack).solve(DVRMatrix.from_columns(induced_cols, stack.rows, trunc))
+    if coords is None:
+        raise TruncationUnstable("cover-induced map escapes the hom space")
+    return _smith(coords)
 
 
 def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
@@ -535,16 +532,15 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep,
     if not targets:
         return direct_sum(top_rep, bot_rep)
     # class with chosen components in the cyclic factors: solve U y = indicator
-    U = DVRMatrix(sm.U, N, cols=len(hom.generators))
     w = weights if weights is not None else (1,) * len(targets)
     indicator = [ValPoly.zero(N) for _ in range(len(hom.generators))]
     for pos, i in enumerate(targets):
         indicator[i] = ValPoly.monomial(w[pos % len(w)], 0, N)
-    y = solve_linear(U, indicator)
+    y = _smith(sm.U).solve(DVRMatrix.from_columns([indicator], len(indicator), N))
     if y is None:
         raise TruncationUnstable("could not lift the extension class")
     f = {v: DVRMatrix.zeros(1, syz.omega.s, N) for v in range(1, n + 1)}
-    for j, coeff in enumerate(y):
+    for j, coeff in enumerate(y.column(0)):
         if coeff.is_zero():
             continue
         gen = hom.generators[j]
@@ -574,28 +570,25 @@ def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep, cover: Cover,
         if sm.npivots != r or any(e > 0 for e in sm.exponents):
             raise TruncationUnstable(
                 f"extension quotient not free at vertex {v}")
-        projections[v] = DVRMatrix(
-            [sm.U[i] for i in range(r, 1 + c)], N, cols=1 + c)
+        projections[v] = DVRMatrix(sm.U.data[r:1 + c], N, cols=1 + c)
+    # one factorisation per vertex, shared by the x and the y map out of it
+    proj_t = {v: _smith(projections[v].transpose()) for v in range(1, n + 1)}
     x_new, y_new = {}, {}
     for v in range(1, n + 1):
         w = (v - 2) % n + 1
-        x_new[v] = _induced_on_quotient(projections[w], projections[v], amb.x[v], N)
-        y_new[v] = _induced_on_quotient(projections[v], projections[w], amb.y[v], N)
+        x_new[v] = _induced_on_quotient(proj_t[w], projections[v], amb.x[v])
+        y_new[v] = _induced_on_quotient(proj_t[v], projections[w], amb.y[v])
     return CMModuleRep(n, k, 2, x_new, y_new, N)
 
 
-def _induced_on_quotient(proj_src: DVRMatrix, proj_dst: DVRMatrix,
-                         amb_map: DVRMatrix, trunc: int) -> DVRMatrix:
-    """Solve induced * proj_src = proj_dst * amb_map on the quotient."""
-    rhs = proj_dst @ amb_map
-    lhs_t = proj_src.transpose()
-    rows = []
-    for a in range(rhs.rows):
-        sol = solve_linear(lhs_t, [rhs.data[a][i] for i in range(rhs.cols)])
-        if sol is None:
-            raise TruncationUnstable("quotient map not defined over the centre")
-        rows.append(sol)
-    return DVRMatrix(rows, trunc, cols=proj_src.rows)
+def _induced_on_quotient(proj_src_t: Smith, proj_dst: DVRMatrix,
+                         amb_map: DVRMatrix) -> DVRMatrix:
+    """Solve induced * proj_src = proj_dst * amb_map on the quotient, given the
+    factorisation of proj_src transposed."""
+    induced_t = proj_src_t.solve((proj_dst @ amb_map).transpose())
+    if induced_t is None:
+        raise TruncationUnstable("quotient map not defined over the centre")
+    return induced_t.transpose()
 
 
 # deterministic ladder of extension-class weightings; geometric sequences with

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscat.dvr import (DVRMatrix, ValPoly, kernel_basis, rational_rank,
-                          smith_over_dvr, solve_linear)
+from grasscat.dvr import DVRMatrix, ValPoly, _smith, rational_rank
 from grasscat.errors import TruncationUnstable
 
 N = 16
@@ -43,22 +42,56 @@ class TestValPoly:
             tpow(0).exact_div(tpow(1))
 
 
+def invariants(matrix):
+    """Smith exponents and cokernel free rank of a matrix."""
+    sm = _smith(matrix, need_u=False)
+    return tuple(sm.exponents), matrix.rows - sm.npivots
+
+
+def column(entries, trunc=N):
+    return DVRMatrix([[e] for e in entries], trunc, cols=1)
+
+
+def solve_column(matrix, rhs):
+    """The one-column solve of matrix * x = rhs, as a list, or None."""
+    sol = _smith(matrix).solve(column(rhs, matrix.trunc))
+    return None if sol is None else list(sol.column(0))
+
+
+def random_poly(rng, trunc=N, constant=None):
+    """Nonzero, at most three terms in degrees below 4; ``constant`` fixes the t^0 term."""
+    degrees = rng.sample(range(1, 4), rng.randint(0, 2))
+    coeffs = {d: Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3)) for d in degrees}
+    if constant is not None:
+        coeffs[0] = constant
+    elif not coeffs or rng.random() < 0.3:
+        coeffs[rng.randint(0, 3)] = rng.choice([-2, -1, 1, 2, 3])
+    return ValPoly(coeffs, trunc)
+
+
+def random_matrix(rng, rows, cols, trunc=N, density=0.7):
+    return DVRMatrix([[random_poly(rng, trunc) if rng.random() < density
+                       else ValPoly.zero(trunc) for _ in range(cols)]
+                      for _ in range(rows)], trunc, cols=cols)
+
+
 class TestSmith:
     def test_already_diagonal(self):
-        inv = smith_over_dvr(M([[tpow(1), tpow(99)], [tpow(99), tpow(0)]]))
-        assert inv.exponents == (0, 1)
-        assert inv.free_rank == 0
+        exponents, free_rank = invariants(M([[tpow(1), tpow(99)], [tpow(99), tpow(0)]]))
+        assert exponents == (0, 1)
+        assert free_rank == 0
 
     def test_permuted_diagonal(self):
-        inv = smith_over_dvr(M([[ValPoly.zero(N), tpow(0)],
-                                [tpow(2), ValPoly.zero(N)]]))
-        assert inv.exponents == (0, 2)
+        exponents, _ = invariants(M([[ValPoly.zero(N), tpow(0)],
+                                     [tpow(2), ValPoly.zero(N)]]))
+        assert exponents == (0, 2)
 
     def test_rank_drop(self):
         # second row is t times the first, with signs flipped
-        inv = smith_over_dvr(M([[tpow(1, -1), tpow(1)], [tpow(2), tpow(2, -1)]]))
-        assert inv.exponents == (1,)
-        assert inv.free_rank == 1
+        exponents, free_rank = invariants(M([[tpow(1, -1), tpow(1)],
+                                             [tpow(2), tpow(2, -1)]]))
+        assert exponents == (1,)
+        assert free_rank == 1
 
     def test_invariance_under_permutation_and_units(self):
         rng = random.Random(7)
@@ -67,14 +100,49 @@ class TestSmith:
             data = [[tpow(rng.randint(0, 4), coeff=rng.choice([-2, -1, 1, 2, 3]))
                      if rng.random() < 0.7 else ValPoly.zero(N)
                      for _ in range(cols)] for _ in range(rows)]
-            base = smith_over_dvr(M(data))
+            base, _ = invariants(M(data))
             perm_r = rng.sample(range(rows), rows)
             perm_c = rng.sample(range(cols), cols)
             permuted = [[data[i][j] for j in perm_c] for i in perm_r]
-            assert smith_over_dvr(M(permuted)).exponents == base.exponents
+            assert invariants(M(permuted))[0] == base
             unit = ValPoly({0: Fraction(3), 2: Fraction(1, 2)}, N)
             scaled = [[unit * e for e in row] for row in data]
-            assert smith_over_dvr(M(scaled)).exponents == base.exponents
+            assert invariants(M(scaled))[0] == base
+
+    def test_invariance_under_unimodular_transforms(self):
+        # elementary operations with non-constant multipliers and unit scalings
+        # generate GL over the local ring, which fixes the Smith form
+        rng = random.Random(19)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            base = random_matrix(rng, rows, cols)
+            A = [list(row) for row in base.data]
+            for _ in range(8):
+                op = rng.choice(["add", "scale", "swap"])
+                by_rows = rng.random() < 0.5
+                size = rows if by_rows else cols
+                i, j = rng.randrange(size), rng.randrange(size)
+                if op == "add" and i != j:
+                    g = random_poly(rng)
+                    if by_rows:
+                        A[i] = [a + g * b for a, b in zip(A[i], A[j])]
+                    else:
+                        for row in A:
+                            row[i] = row[i] + g * row[j]
+                elif op == "scale":
+                    u = random_poly(rng, constant=rng.choice([-3, -1, 2, Fraction(1, 2)]))
+                    if by_rows:
+                        A[i] = [u * a for a in A[i]]
+                    else:
+                        for row in A:
+                            row[i] = u * row[i]
+                elif op == "swap":
+                    if by_rows:
+                        A[i], A[j] = A[j], A[i]
+                    else:
+                        for row in A:
+                            row[i], row[j] = row[j], row[i]
+            assert invariants(DVRMatrix(A, N, cols=cols)) == invariants(base)
 
     def test_stability_across_truncations(self):
         rng = random.Random(11)
@@ -92,49 +160,90 @@ class TestSmith:
                         for cell in row])
                 return DVRMatrix(rows, trunc)
 
-            assert smith_over_dvr(build(N)).exponents == \
-                smith_over_dvr(build(N + 2)).exponents
+            assert invariants(build(N))[0] == invariants(build(N + 2))[0]
 
 
 class TestKernel:
     def test_identity_has_no_kernel(self):
-        assert kernel_basis(DVRMatrix.identity(2, N)) == []
+        assert _smith(DVRMatrix.identity(2, N)).kernel().cols == 0
 
     def test_zero_matrix(self):
-        basis = kernel_basis(DVRMatrix.zeros(2, 2, N))
-        assert len(basis) == 2
+        basis = _smith(DVRMatrix.zeros(2, 2, N)).kernel()
+        assert basis.cols == 2
 
     def test_one_by_two(self):
-        basis = kernel_basis(M([[tpow(1), tpow(0, -1)]]))
-        assert len(basis) == 1
-        v = basis[0]
-        assert v[0] == ValPoly.one(N) and v[1] == tpow(1)
+        mat = M([[tpow(1), tpow(0, -1)]])
+        basis = _smith(mat).kernel()
+        assert basis.cols == 1
+        assert (mat @ basis).is_zero()
+        # saturated: the basis vector is not t times another vector
+        assert any(e.valuation() == 0 for e in basis.column(0))
 
     def test_members_satisfy_equation_and_are_independent(self):
         mat = M([[tpow(1, -1), tpow(1)], [tpow(2), tpow(2, -1)]])
-        basis = kernel_basis(mat)
-        assert len(basis) == 1
-        v = basis[0]
+        basis = _smith(mat).kernel()
+        assert basis.cols == 1
+        v = basis.column(0)
         for i in range(2):
             acc = mat.data[i][0] * v[0] + mat.data[i][1] * v[1]
             assert acc.is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_coordinates_round_trip(self, seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        sm = _smith(random_matrix(rng, rows, cols), need_u=False)
+        basis = sm.kernel()
+        coeffs = random_matrix(rng, basis.cols, rng.randint(0, 3))
+        members = basis @ coeffs
+        coords = sm.coordinates(members)
+        assert coords == coeffs
+        assert basis @ coords == members
+        if sm.npivots:
+            # the first pivot column of V maps to a unit vector: not in the kernel
+            outside = members.hstack(DVRMatrix([[e] for e in sm.V.column(0)], N, cols=1))
+            with pytest.raises(TruncationUnstable):
+                sm.coordinates(outside)
 
 
 class TestSolve:
     def test_identity(self):
         rhs = [tpow(2), tpow(0, 5)]
-        assert solve_linear(DVRMatrix.identity(2, N), rhs) == rhs
+        assert solve_column(DVRMatrix.identity(2, N), rhs) == rhs
 
     def test_valuation_obstruction(self):
-        assert solve_linear(M([[tpow(1)]]), [tpow(0)]) is None
+        assert solve_column(M([[tpow(1)]]), [tpow(0)]) is None
 
     def test_exact_division(self):
-        sol = solve_linear(M([[tpow(1)]]), [tpow(3)])
+        sol = solve_column(M([[tpow(1)]]), [tpow(3)])
         assert sol == [tpow(2)]
 
     def test_incompatible_system(self):
         mat = M([[tpow(0)], [tpow(0)]])
-        assert solve_linear(mat, [tpow(0), tpow(1)]) is None
+        assert solve_column(mat, [tpow(0), tpow(1)]) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_every_column_from_one_factorisation(self, seed):
+        rng = random.Random(seed)
+        rows, cols, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
+        A = random_matrix(rng, rows, cols)
+        B = A @ random_matrix(rng, cols, k)
+        sol = _smith(A).solve(B)
+        assert sol is not None and (sol.rows, sol.cols) == (cols, k)
+        assert A @ sol == B
+        for j in range(k):
+            assert list(sol.column(j)) == solve_column(A, B.column(j))
+        # every entry of t * A lies in tC[[t]], so a unit vector is obstructed
+        tA = A.scale(tpow(1))
+        tB = tA @ random_matrix(rng, cols, k)
+        unit = column([tpow(0)] + [ValPoly.zero(N)] * (rows - 1))
+        at = rng.randint(0, k)
+        mixed = DVRMatrix([row[:at] + u + row[at:] for row, u in zip(tB.data, unit.data)],
+                          N, cols=k + 1)
+        assert _smith(tA).solve(tB) is not None
+        assert _smith(tA).solve(mixed) is None
 
 
 def test_rational_rank():

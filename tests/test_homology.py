@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscat import homology
+from grasscat import dvr, homology
+from grasscat.census import rank2_candidates
 from grasscat.dvr import rational_rank
 from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_rims,
@@ -333,6 +334,60 @@ class TestRank2Walk:
         first = generic_extension(a, b, weights=WEIGHT_LADDER[0])
         assert (m.s, m.trunc, m.x, m.y) == (first.s, first.trunc, first.x, first.y)
         assert len(fresh_cache) == 1
+
+
+class TestRank2Rotation:
+    def test_verdicts_and_self_ext_are_rotation_invariant(self):
+        # rotating the quiver is an automorphism of the algebra
+        for a, b in rank2_candidates(3, 7):
+            rep = rigid_indecomposable_rank2(a, b)
+            for j in range(1, 7):
+                turned = rigid_indecomposable_rank2(shift(a, j), shift(b, j))
+                assert (turned is None) == (rep is None), (a, b, j)
+                if rep is not None:
+                    rotated = rep.rotate(j)
+                    assert ext1(rotated, rotated).is_zero(), (a, b, j)
+                    assert is_isomorphic(rotated, turned), (a, b, j)
+
+
+class TestFactorOnce:
+    """Every matrix a computation solves against is factored once."""
+
+    @staticmethod
+    def count_smith(monkeypatch):
+        calls = []
+        original = dvr._smith
+
+        def counted(matrix, need_u=True):
+            calls.append(matrix)
+            return original(matrix, need_u)
+        monkeypatch.setattr(dvr, "_smith", counted)
+        monkeypatch.setattr(homology, "_smith", counted)
+        return calls
+
+    def test_hom_space_factors_each_vertex_once(self, monkeypatch):
+        m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        calls = self.count_smith(monkeypatch)
+        assert hom_space(m, m).z_rank > 1
+        # a kernel per vertex for the syzygy and one for the Hom condition,
+        # then one factorisation per vertex for every basis map's solves
+        assert len(calls) <= 8 + 1 + 8
+
+    def test_pushout_factors_each_vertex_once(self, monkeypatch):
+        calls = self.count_smith(monkeypatch)
+        inside = []
+        original = homology._pushout_rank2
+
+        def counted(*args):
+            before = len(calls)
+            out = original(*args)
+            inside.append(len(calls) - before)
+            return out
+        monkeypatch.setattr(homology, "_pushout_rank2", counted)
+        generic_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
+        # per vertex: one factorisation splits off the quotient and one
+        # serves the solves of both structure maps out of it
+        assert len(inside) == 1 and inside[0] <= 2 * 6
 
 
 class TestTwoPeakExtBound:
