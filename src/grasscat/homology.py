@@ -11,6 +11,10 @@ from the start of the projective resolution
 since Hom out of an indecomposable projective is evaluation at its
 generator: no linear systems are needed to write the induced maps between
 Hom(P_i, N), only to extract kernels and cokernels over the centre.
+P1 -> P0 is the cover of the syzygy followed by its embedding, so the
+syzygy of a module is computed once and cached on the module: Hom, Ext,
+extension middles and orbit steps all read that one cache, and the second
+step of the resolution is the cached syzygy of the syzygy.
 Writing out a Hom basis or an extension middle vertexwise does solve
 linear systems; each function factors every matrix it solves against once
 and solves all of its right-hand sides from that one factorisation.
@@ -115,20 +119,32 @@ def is_projective_rep(m: CMModuleRep) -> bool:
 
 @dataclass
 class SyzygyData:
-    """Kernel of the cover map with its embedding into the cover."""
+    """Kernel of the cover map with its embedding into the cover.
+
+    For a projective module the cover map is an isomorphism: ``omega`` is
+    None and ``embed`` is empty.
+    """
 
     cover: Cover
-    omega: CMModuleRep                # kernel, in its own coordinates
+    omega: Optional[CMModuleRep]      # kernel, in its own coordinates
     embed: dict[int, DVRMatrix]      # vertex -> cover-size x omega-rank basis
-    smith: dict[int, Smith]          # per-vertex factorisation of cover.eps
 
 
-def syzygy_data(m: CMModuleRep, cover: Optional[Cover] = None) -> SyzygyData:
-    """Compute the syzygy as an explicit submodule of the cover."""
-    cover = cover or projective_cover(m)
+def syzygy_data(m: CMModuleRep) -> SyzygyData:
+    """The syzygy as an explicit submodule of the cover.
+
+    The result is cached on the module, which is immutable, so every
+    caller shares one computation per module object.
+    """
+    try:
+        return m._syzygy
+    except AttributeError:
+        pass
+    cover = projective_cover(m)
     c = cover.size
     if c == m.s:
-        raise ProjectiveInput("projective module has vanishing stable syzygy")
+        m._syzygy = SyzygyData(cover, None, {})
+        return m._syzygy
     n, trunc = m.n, m.trunc
     embed: dict[int, DVRMatrix] = {}
     smith: dict[int, Smith] = {}
@@ -145,8 +161,8 @@ def syzygy_data(m: CMModuleRep, cover: Optional[Cover] = None) -> SyzygyData:
         w = (v - 2) % n + 1
         x_omega[v] = _induced_map(m, cover, embed, smith, v, w, v, forward=True)
         y_omega[v] = _induced_map(m, cover, embed, smith, v, v, w, forward=False)
-    omega = CMModuleRep(n, m.k, r, x_omega, y_omega, trunc)
-    return SyzygyData(cover, omega, embed, smith)
+    m._syzygy = SyzygyData(cover, CMModuleRep(n, m.k, r, x_omega, y_omega, trunc), embed)
+    return m._syzygy
 
 
 def _cover_edge_scalars(m: CMModuleRep, cover: Cover, edge: int, forward: bool) -> list[ValPoly]:
@@ -174,7 +190,10 @@ def _induced_map(m: CMModuleRep, cover: Cover, embed, smith, edge: int,
 
 def syzygy(m: CMModuleRep) -> CMModuleRep:
     """Kernel of the minimal projective cover, with its induced action."""
-    return syzygy_data(m).omega
+    omega = syzygy_data(m).omega
+    if omega is None:
+        raise ProjectiveInput("projective module has vanishing stable syzygy")
+    return omega
 
 
 @dataclass(frozen=True)
@@ -230,22 +249,21 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     condition solved over the centre.  The kernel of that condition gives
     the generator images; each vertex matrix of every basis map is then
     solved for from one factorisation of the transposed cover evaluation
-    at that vertex.
+    at that vertex.  The cover and the syzygy come from m's cached
+    ``syzygy_data``.
     """
     if (m.n, m.k) != (n_rep.n, n_rep.k):
         raise ValueError("modules live over different ambients")
     if m.trunc != n_rep.trunc:
         raise ValueError("modules carry different truncation levels")
-    cover = projective_cover(m)
+    syz = syzygy_data(m)
+    cover = syz.cover
     c, sN, sM, trunc = cover.size, n_rep.s, m.s, m.trunc
     rows: list[list[ValPoly]] = []
-    if c != m.s:
-        syz_embed = syzygy_data(m, cover).embed
-        for w in range(1, m.n + 1):
-            paths = _hom_target_blocks(n_rep, cover.vertices, w)
-            emb = syz_embed[w]
-            for j in range(emb.cols):
-                rows += _hom_rows(emb.column(j), paths, sN)
+    for w, emb in syz.embed.items():
+        paths = _hom_target_blocks(n_rep, cover.vertices, w)
+        for j in range(emb.cols):
+            rows += _hom_rows(emb.column(j), paths, sN)
     constraint = DVRMatrix(rows, trunc, cols=c * sN)
     # column j: images of the cover generators under basis map j, generator
     # i's image in rows i*sN .. (i+1)*sN - 1
@@ -270,69 +288,36 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     return HomBasis(generators)
 
 
-@dataclass
-class Resolution:
-    """First two cover steps of a module, enough for Ext^1."""
+def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
+    """Exponents of Ext^1(m, n) at the working truncation.
 
-    cover0: Cover
-    syz1: SyzygyData
-    cover1: Cover
-    syz2_embed: Optional[dict[int, DVRMatrix]]   # None when the syzygy is projective
-    omega_rank: int
-
-
-def resolve_two_steps(m: CMModuleRep) -> Optional[Resolution]:
-    """Covers of m and of its syzygy; None when m itself is projective.
-
-    The result is cached on the module, which is immutable.
+    The resolution is read from the cached syzygy of m and of its syzygy.
     """
-    try:
-        return m._resolution
-    except AttributeError:
-        pass
-    res = None
-    cover0 = projective_cover(m)
-    if cover0.size != m.s:
-        syz1 = syzygy_data(m, cover0)
-        omega = syz1.omega
-        cover1 = projective_cover(omega)
-        if cover1.size == omega.s:
-            syz2_embed = None
-        else:
-            syz2_embed = syzygy_data(omega, cover1).embed
-        res = Resolution(cover0, syz1, cover1, syz2_embed, omega.s)
-    m._resolution = res
-    return res
-
-
-def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep,
-               res: Optional[Resolution] = None) -> tuple[int, ...]:
-    """Exponents of Ext^1(m, n) at the working truncation."""
     if (m.n, m.k) != (n_rep.n, n_rep.k) or m.trunc != n_rep.trunc:
         raise ValueError("modules must share ambient and truncation")
-    res = res or resolve_two_steps(m)
-    if res is None:
+    syz1 = syzygy_data(m)
+    if syz1.omega is None:
         return ()
+    syz2 = syzygy_data(syz1.omega)
+    cover0, cover1 = syz1.cover, syz2.cover
     trunc, sN = m.trunc, n_rep.s
-    c0, c1 = res.cover0.size, res.cover1.size
+    c0, c1 = cover0.size, cover1.size
 
     # induced map Hom(P0, N) -> Hom(P1, N): evaluate at the generator images
     b1_rows: list[list[ValPoly]] = []
     for j in range(c1):
-        wj = res.cover1.vertices[j]
+        wj = cover1.vertices[j]
         # the generator is a standard basis vector of Omega at wj
-        omega_vec = res.syz1.embed[wj].column(res.cover1.generators[j].index(1))
-        b1_rows += _hom_rows(omega_vec, _hom_target_blocks(n_rep, res.cover0.vertices, wj), sN)
+        omega_vec = syz1.embed[wj].column(cover1.generators[j].index(1))
+        b1_rows += _hom_rows(omega_vec, _hom_target_blocks(n_rep, cover0.vertices, wj), sN)
     B1 = DVRMatrix(b1_rows, trunc, cols=c0 * sN)
 
     # vanishing conditions on the second syzygy inside Hom(P1, N)
     e_rows: list[list[ValPoly]] = []
-    if res.syz2_embed is not None:
-        for w in range(1, m.n + 1):
-            emb2 = res.syz2_embed[w]
-            paths = _hom_target_blocks(n_rep, res.cover1.vertices, w)
-            for j in range(emb2.cols):
-                e_rows += _hom_rows(emb2.column(j), paths, sN)
+    for w, emb2 in syz2.embed.items():
+        paths = _hom_target_blocks(n_rep, cover1.vertices, w)
+        for j in range(emb2.cols):
+            e_rows += _hom_rows(emb2.column(j), paths, sN)
     E = DVRMatrix(e_rows, trunc, cols=c1 * sN)
     coords = _smith(E, need_u=False).coordinates(B1)
     sm = _smith(coords, need_u=False)
@@ -356,8 +341,8 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     rank-1 module with a recorded rim the pair is first rotated to make
     that rim the least of its rotation class.  The canonical module comes
     from a memo with one entry per rotation class and truncation, and its
-    two-step resolution is cached on it, so it is resolved once per class
-    and truncation; the N+2 re-check still runs on every call.
+    syzygy is cached on it, so it is resolved once per class and
+    truncation; the N+2 re-check still runs on every call.
     """
     same = m is n_rep
     if m.rim is not None:
@@ -382,7 +367,7 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
 
 
 # rank-1 modules of rims that are least in their rotation class, one per
-# (rim, truncation); each carries its cached resolution
+# (rim, truncation); each carries its cached syzygy
 _CANONICAL_RANK1: dict[tuple[Rim, int], CMModuleRep] = {}
 
 
@@ -453,11 +438,11 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     A generic element of the Hom space is an isomorphism iff, at every
     vertex, the determinant of a generic combination of the basis maps is
     a unit; mod t this is a polynomial in the combination coefficients,
-    nonzero at every vertex exactly when an isomorphism exists.
+    nonzero at every vertex exactly when an isomorphism exists.  The test
+    is exact on its own; callers compare a-vectors first when that saves
+    work.
     """
     if (m.n, m.k, m.s) != (n_rep.n, n_rep.k, n_rep.s):
-        return False
-    if rep_a_vector(m) != rep_a_vector(n_rep):
         return False
     basis = hom_space(m, n_rep).generators
     if not basis:
@@ -520,10 +505,9 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep,
                       weights: Optional[tuple[int, ...]]) -> CMModuleRep:
     """Pushout for the chosen extension class, or the direct sum when it is zero."""
     n, N = top_rep.n, top_rep.trunc
-    cover = projective_cover(top_rep)
-    if cover.size == 1:  # projective top: every extension splits
+    syz = syzygy_data(top_rep)
+    if syz.omega is None:  # projective top: every extension splits
         return direct_sum(top_rep, bot_rep)
-    syz = syzygy_data(top_rep, cover)
     hom = hom_space(syz.omega, bot_rep)
     sm = _ext_class_coordinates(top_rep, bot_rep, syz, hom)
     nonzero = [i for i, e in enumerate(sm.exponents) if e > 0]
@@ -546,18 +530,18 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep,
         gen = hom.generators[j]
         for v in range(1, n + 1):
             f[v] = f[v] + gen[v].scale(coeff)
-    return _pushout_rank2(top_rep, bot_rep, cover, syz, f)
+    return _pushout_rank2(top_rep, bot_rep, syz, f)
 
 
-def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep, cover: Cover,
+def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep,
                    syz: SyzygyData, f: dict[int, DVRMatrix]) -> CMModuleRep:
     """Quotient (bottom + cover) / antidiagonal image of the syzygy."""
     n, k, N = top_rep.n, top_rep.k, top_rep.trunc
     amb = bot_rep
-    for v_cov in cover.vertices:
+    for v_cov in syz.cover.vertices:
         proj_rim = rim([(v_cov + i - 1) % n + 1 for i in range(1, k + 1)], k, n)
         amb = direct_sum(amb, build_rank1(proj_rim, N))
-    c = cover.size
+    c = syz.cover.size
     r = syz.omega.s
     projections: dict[int, DVRMatrix] = {}
     for v in range(1, n + 1):

@@ -72,11 +72,13 @@ class CMModuleRep:
     immutable; ``rebuilder`` regenerates the same module at a different
     truncation when the construction is known (layered builds and sums).
     ``rim`` is the rim of a rank-1 module built from one, else None.
-    ``_resolution`` is set by ``homology.resolve_two_steps`` on first use.
+    Two caches hang off an instance: ``_paths`` holds the path matrices,
+    and ``_syzygy`` holds the one ``homology.syzygy_data`` result, set on
+    first use and read by Hom, Ext, extension middles and orbit steps.
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "rebuilder", "rim",
-                 "_paths", "_resolution")
+                 "_paths", "_syzygy")
 
     def __init__(self, n: int, k: int, s: int,
                  x: dict[int, DVRMatrix], y: dict[int, DVRMatrix],

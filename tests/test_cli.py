@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -172,3 +173,33 @@ class TestTubesCommand:
         blob = json.loads(path.read_text())
         assert blob["banner"] == "non-tame: orbits only"
         assert all(4 % int(p) == 0 for p in blob["periods"])
+
+
+# sha256 of the --json output of each command, run with a fresh --out
+# directory.  Refactors must leave every byte unchanged; a deliberate output
+# change re-pins these and says why in CHANGES.md.
+PINNED_JSON = {
+    "census-3-7": (["census", "3", "7", "--refresh"],
+                   "ca4ebfe91993c61e2e989bc340e034b0ecd815eab39d9bea8ba8198c519ed21f"),
+    "orbit-3-6": (["orbit", "135|246@(3,6)"],
+                  "6dbb709a15cd5dadd7bed3509a95f71ad892b68807b378913f8903b202eb6246"),
+    "orbit-4-8": (["orbit", "1246|3578@(4,8)"],
+                  "36ee805764a48da08b796010946c827c6613b6c62b40b6b13115feaca72f370e"),
+    "ar-seq-3-9": (["ar-seq", "126@(3,9)"],
+                   "0f163785dff28018c15ce1c1d664a76f531b6e74b796aa25440522a3633951b8"),
+    "rigid-4-8": (["rigid", "1357|2468@(4,8)"],
+                  "932ff278717c184012a282e370ad51cb43531745eec74db82cca58c4a6dbb228"),
+    "hom-verbose-3-6": (["--verbose", "hom", "135|246@(3,6)", "135|246@(3,6)"],
+                        "59f0f5ad20b5489171c0e86d17a0d9315b051d5f43ebe136e4feb6eba1a2a7df"),
+    "ext-3-6": (["ext", "135@(3,6)", "246@(3,6)"],
+                "00540a20c7d0f7c81368f739ab6c9fc76997fd021d4f82c0d6e88621d4b4c972"),
+}
+
+
+class TestPinnedJson:
+    @pytest.mark.parametrize("name", sorted(PINNED_JSON))
+    def test_output_digest_is_unchanged(self, name, capsys, tmp_path):
+        argv, digest = PINNED_JSON[name]
+        code, out = run_cli(["--json", "--out", str(tmp_path)] + argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -12,8 +12,8 @@ from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_ri
                                generic_extension, hom_space,
                                is_indecomposable_rank2, is_isomorphic,
                                is_rigid, projective_cover, rank2_extension,
-                               resolve_two_steps, rigid_indecomposable_rank2,
-                               syzygy, top_multiset, _ext1_once)
+                               rigid_indecomposable_rank2, syzygy, syzygy_data,
+                               top_multiset, _ext1_once)
 from grasscat.modules import (build_layered, build_rank1, direct_sum,
                               identify_rank1, rep_a_vector,
                               validate_relations)
@@ -77,6 +77,19 @@ class TestCoverAndSyzygy:
     def test_projective_raises(self):
         with pytest.raises(ProjectiveInput):
             syzygy(build_rank1(rim([1, 2, 3], 3, 9)))
+
+    def test_projective_source_has_zero_ext_and_evaluation_hom(self):
+        projective = build_rank1(rim([6, 7, 8], 3, 8))
+        other = generic_extension(rim([1, 3, 5], 3, 8), rim([2, 4, 7], 3, 8))
+        assert syzygy_data(projective).omega is None
+        assert syzygy_data(projective).embed == {}
+        assert ext1(projective, other).is_zero()
+        assert _ext1_once(projective, projective) == ()
+        # Hom out of a projective is evaluation at its generator
+        assert hom_space(projective, other).z_rank == other.s
+        assert hom_space(projective, projective).z_rank == 1
+        with pytest.raises(ProjectiveInput):
+            syzygy(projective)
 
     def test_syzygy_validates(self):
         om = syzygy(build_rank1(rim([1, 4, 7], 3, 9)))
@@ -279,8 +292,8 @@ class TestExtensionConstruction:
         dec = ext1(ma, mb)
         assert dec.exponents == (1, 1)
         # single-shot at two truncations agrees
-        ra = resolve_two_steps(ma)
-        assert _ext1_once(ma, mb, ra) == (1, 1)
+        assert _ext1_once(ma, mb) == (1, 1)
+        assert _ext1_once(ma.rebuilder(14), mb.rebuilder(14)) == (1, 1)
 
 
 class TestRank2Walk:
@@ -372,6 +385,20 @@ class TestFactorOnce:
         # a kernel per vertex for the syzygy and one for the Hom condition,
         # then one factorisation per vertex for every basis map's solves
         assert len(calls) <= 8 + 1 + 8
+
+    def test_syzygy_is_factored_once_per_module(self, monkeypatch):
+        top, bottom = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
+        m, other = generic_extension(top, bottom), generic_extension(bottom, top)
+        calls = self.count_smith(monkeypatch)
+        assert hom_space(m, m).z_rank > 1
+        assert len(calls) == 8 + 1 + 8
+        # m's syzygy is cached: the Hom condition and the per-vertex solves only
+        before = len(calls)
+        hom_space(m, other)
+        assert len(calls) - before <= 1 + 8
+        before = len(calls)
+        assert syzygy(m) is syzygy_data(m).omega
+        assert len(calls) == before
 
     def test_pushout_factors_each_vertex_once(self, monkeypatch):
         calls = self.count_smith(monkeypatch)
@@ -503,12 +530,16 @@ class TestCanonicalExt:
             assert r.elements == min(shift(r, j).elements for j in range(7))
             assert m.rebuilder(N) is m
 
-    def test_resolution_is_cached_on_the_module(self):
+    def test_syzygy_is_cached_on_the_module(self):
         m = build_rank1(rim([1, 4, 5], 3, 9))
-        assert resolve_two_steps(m) is resolve_two_steps(m) is not None
+        data = syzygy_data(m)
+        assert data is syzygy_data(m) and data.omega is not None
+        assert syzygy(m) is data.omega
+        # the second step of the resolution is the syzygy's own cache
+        assert syzygy_data(data.omega) is syzygy_data(data.omega)
         projective = build_rank1(rim([6, 7, 8], 3, 8))
-        assert resolve_two_steps(projective) is None
-        assert resolve_two_steps(projective) is None
+        assert syzygy_data(projective) is syzygy_data(projective)
+        assert syzygy_data(projective).omega is None
 
     def test_mismatched_inputs_raise(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from grasscat import homology
 from grasscat.errors import NotAlmostConsecutive, ProjectiveInput
 from grasscat.modules import profile
 from grasscat.rims import all_rims, is_almost_consecutive, is_projective, rim
@@ -53,6 +56,25 @@ class TestTauOrbit:
                 continue
             orbit = tau_orbit(r)
             assert 4 % orbit.period == 0
+
+
+class TestOrbitSharesSyzygies:
+    def test_each_module_is_resolved_once(self, monkeypatch):
+        # fresh ladder and rank-1 memos, so every module below is resolved here
+        monkeypatch.setattr(homology, "_RANK2_CACHE", {})
+        monkeypatch.setattr(homology, "_CANONICAL_RANK1", {})
+        covered = []   # keeps every module alive, so that ids stay distinct
+        original = homology.projective_cover
+
+        def counted(m):
+            covered.append(m)
+            return original(m)
+        # the cover is computed exactly when a module's syzygy is
+        monkeypatch.setattr(homology, "projective_cover", counted)
+        orbit = tau_orbit(profile([[1, 3, 5], [2, 4, 6]], 3, 6))
+        assert orbit.members
+        repeats = [n for n in Counter(map(id, covered)).values() if n > 1]
+        assert covered and repeats == []
 
 
 class TestARSequence:
