@@ -8,6 +8,15 @@ step exact modulo t^N.  ``_smith`` returns one factorisation object,
 ``Smith``, that records the transformation matrices; kernels, kernel
 coordinates and solutions for any number of right-hand sides are read off
 it, so each matrix is factored once however often it is solved against.
+
+``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared,
+and arithmetic may return an operand unchanged (``p + 0`` is ``p``).  The
+kernels skip zero entries: products with a zero factor, elimination steps
+against a zero entry and zero terms of a dot product are never computed,
+since each would leave its target's value as it was.  Results the module
+builds itself are wrapped by ``ValPoly._clean`` and ``DVRMatrix._wrap``,
+which skip the validation the public constructors do; they stay private
+to this module.
 """
 
 from __future__ import annotations
@@ -38,7 +47,9 @@ class ValPoly:
     """Polynomial in t, exact rational coefficients, degrees < trunc.
 
     Coefficients are ints until a division makes them Fractions; they are
-    never floats and never zero.
+    never floats and never zero.  Instances are immutable and may be
+    shared; arithmetic with a zero operand may return the other operand
+    itself, and every result carries the left operand's truncation.
     """
 
     __slots__ = ("coeffs", "trunc")
@@ -81,12 +92,16 @@ class ValPoly:
         return 0 in self.coeffs
 
     def __add__(self, other: "ValPoly") -> "ValPoly":
+        if not other.coeffs:
+            return self
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
             out[d] = out.get(d, 0) + c
         return ValPoly(out, self.trunc)
 
     def __sub__(self, other: "ValPoly") -> "ValPoly":
+        if not other.coeffs:
+            return self
         out = dict(self.coeffs)
         for d, c in other.coeffs.items():
             out[d] = out.get(d, 0) - c
@@ -97,6 +112,8 @@ class ValPoly:
 
     def __mul__(self, other: "ValPoly") -> "ValPoly":
         trunc = self.trunc
+        if not self.coeffs or not other.coeffs:
+            return ValPoly._clean({}, trunc)
         if len(self.coeffs) == 1 and len(other.coeffs) == 1:
             (d1, c1), = self.coeffs.items()
             (d2, c2), = other.coeffs.items()
@@ -180,7 +197,11 @@ class ValPoly:
 
 
 class DVRMatrix:
-    """Immutable matrix of ValPoly entries sharing one truncation level."""
+    """Immutable matrix of ValPoly entries sharing one truncation level.
+
+    Instances, their row tuples and their entries may be shared; products
+    skip zero entries.
+    """
 
     __slots__ = ("rows", "cols", "trunc", "data")
 
@@ -194,15 +215,22 @@ class DVRMatrix:
                 raise ValueError("ragged matrix")
 
     @classmethod
+    def _wrap(cls, data: tuple[tuple[ValPoly, ...], ...], cols: int, trunc: int) -> "DVRMatrix":
+        """Wrap row tuples built in this module, each of length ``cols``."""
+        mat = object.__new__(cls)
+        mat.data, mat.rows, mat.cols, mat.trunc = data, len(data), cols, trunc
+        return mat
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, trunc: int) -> "DVRMatrix":
-        z = ValPoly.zero(trunc)
-        return cls([[z] * cols for _ in range(rows)], trunc, cols=cols)
+        return cls._wrap(((ValPoly.zero(trunc),) * cols,) * rows, cols, trunc)
 
     @classmethod
     def identity(cls, size: int, trunc: int) -> "DVRMatrix":
         one = ValPoly.one(trunc)
         z = ValPoly.zero(trunc)
-        return cls([[one if i == j else z for j in range(size)] for i in range(size)], trunc)
+        return cls._wrap(tuple([tuple([one if i == j else z for j in range(size)])
+                                for i in range(size)]), size, trunc)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[ValPoly]], rows: int,
@@ -219,39 +247,36 @@ class DVRMatrix:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         trunc = self.trunc
         cols = [other.column(j) for j in range(other.cols)]
-        return DVRMatrix([[_dot(row, col, trunc) for col in cols] for row in self.data],
-                         trunc, cols=other.cols)
+        return DVRMatrix._wrap(tuple([tuple([_dot(row, col, trunc) for col in cols])
+                                      for row in self.data]), other.cols, trunc)
 
     def __add__(self, other: "DVRMatrix") -> "DVRMatrix":
-        return DVRMatrix(
-            [[self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-             for i in range(self.rows)], self.trunc, cols=self.cols)
+        return DVRMatrix._wrap(tuple(
+            [tuple([self.data[i][j] + other.data[i][j] for j in range(self.cols)])
+             for i in range(self.rows)]), self.cols, self.trunc)
 
     def __sub__(self, other: "DVRMatrix") -> "DVRMatrix":
-        return DVRMatrix(
-            [[self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-             for i in range(self.rows)], self.trunc, cols=self.cols)
+        return DVRMatrix._wrap(tuple(
+            [tuple([self.data[i][j] - other.data[i][j] for j in range(self.cols)])
+             for i in range(self.rows)]), self.cols, self.trunc)
 
     def scale(self, p: ValPoly) -> "DVRMatrix":
-        return DVRMatrix(
-            [[p * self.data[i][j] for j in range(self.cols)] for i in range(self.rows)],
-            self.trunc, cols=self.cols)
+        return DVRMatrix._wrap(tuple([tuple([p * e for e in row]) for row in self.data]),
+                               self.cols, self.trunc)
 
     def transpose(self) -> "DVRMatrix":
-        return DVRMatrix(
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            self.trunc, cols=self.rows)
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return DVRMatrix._wrap(data, self.rows, self.trunc)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.data for e in row)
 
     def column(self, j: int) -> tuple[ValPoly, ...]:
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple([row[j] for row in self.data])
 
     def hstack(self, other: "DVRMatrix") -> "DVRMatrix":
-        return DVRMatrix(
-            [list(self.data[i]) + list(other.data[i]) for i in range(self.rows)],
-            self.trunc, cols=self.cols + other.cols)
+        return DVRMatrix._wrap(tuple([self.data[i] + other.data[i] for i in range(self.rows)]),
+                               self.cols + other.cols, self.trunc)
 
     def mod_t(self) -> list[list[Coeff]]:
         """Constant terms, as an exact rational matrix."""
@@ -291,8 +316,8 @@ class Smith:
 
         They span a saturated (direct summand) submodule.
         """
-        return DVRMatrix([row[self.npivots:] for row in self.V.data], self.trunc,
-                         cols=self.cols - self.npivots)
+        return DVRMatrix._wrap(tuple([row[self.npivots:] for row in self.V.data]),
+                               self.cols - self.npivots, self.trunc)
 
     def coordinates(self, vectors: DVRMatrix) -> DVRMatrix:
         """Coordinates in the ``kernel`` basis of each column of ``vectors``.
@@ -302,7 +327,7 @@ class Smith:
         y = self.V_inv @ vectors
         if any(not e.is_zero() for row in y.data[:self.npivots] for e in row):
             raise TruncationUnstable("vector is not in the kernel at working precision")
-        return DVRMatrix(y.data[self.npivots:], self.trunc, cols=vectors.cols)
+        return DVRMatrix._wrap(y.data[self.npivots:], vectors.cols, self.trunc)
 
     def solve(self, rhs: DVRMatrix) -> Optional[DVRMatrix]:
         """One X with A @ X == rhs, or None when some column has no solution.
@@ -323,7 +348,7 @@ class Smith:
                 y[i][j] = ValPoly._clean({d - e: c for d, c in entry.coeffs.items()}, trunc)
         if any(not e.is_zero() for row in ub.data[self.npivots:] for e in row):
             return None
-        return self.V @ DVRMatrix(y, trunc, cols=rhs.cols)
+        return self.V @ DVRMatrix._wrap(tuple(map(tuple, y)), rhs.cols, trunc)
 
 
 def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
@@ -332,7 +357,10 @@ def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
     Pivot selection takes the globally minimal valuation in the remaining
     block, breaking ties by the smallest (row, col) pair; that entry
     divides every other one, so each clearing step is exact modulo t^N.
-    Row transforms are skipped when the caller only needs kernels.
+    Row transforms are skipped when the caller only needs kernels.  Each
+    clearing step visits only the nonzero entries of the pivot row, the
+    pivot column, U[r], V[:, r] and V_inv's rows: against a zero it would
+    subtract g * 0 and leave the entry as it was.
     """
     m, p, trunc = matrix.rows, matrix.cols, matrix.trunc
     A = [list(row) for row in matrix.data]
@@ -345,12 +373,15 @@ def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
     while r < min(m, p):
         best: Optional[tuple[int, int, int]] = None
         for i in range(r, m):
+            row = A[i]
             for j in range(r, p):
-                v = A[i][j].valuation()
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
-                    if v == 0:
-                        break
+                coeffs = row[j].coeffs
+                if coeffs:
+                    v = min(coeffs)
+                    if best is None or v < best[0]:
+                        best = (v, i, j)
+                        if v == 0:
+                            break
             if best is not None and best[0] == 0:
                 break
         if best is None:
@@ -368,41 +399,47 @@ def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
             for row in V:
                 row[r], row[bj] = row[bj], row[r]
             Vi[r], Vi[bj] = Vi[bj], Vi[r]
-        pivot = A[r][r]
+        pivot_row = A[r]
         # normalise the pivot row so the pivot becomes exactly t^val
-        unit_inv = ValPoly._clean({d - val: c for d, c in pivot.coeffs.items()},
+        unit_inv = ValPoly._clean({d - val: c for d, c in pivot_row[r].coeffs.items()},
                                   trunc).unit_inverse()
-        for j in range(r, p):
-            A[r][j] = unit_inv * A[r][j]
-        if need_u:
-            for j in range(m):
-                U[r][j] = unit_inv * U[r][j]
-        pivot = A[r][r]
+        row_nz = [j for j in range(r, p) if pivot_row[j].coeffs]
+        for j in row_nz:
+            pivot_row[j] = unit_inv * pivot_row[j]
+        u_nz = [j for j in range(m) if U[r][j].coeffs] if need_u else []
+        for j in u_nz:
+            U[r][j] = unit_inv * U[r][j]
+        pivot = pivot_row[r]
         for i in range(r + 1, m):
-            if A[i][r].is_zero():
+            row = A[i]
+            if not row[r].coeffs:
                 continue
-            g = A[i][r].exact_div(pivot)
-            for j in range(r, p):
-                A[i][j] = A[i][j] - g * A[r][j]
+            g = row[r].exact_div(pivot)
+            for j in row_nz:
+                row[j] = row[j] - g * pivot_row[j]
             if need_u:
-                for j in range(m):
-                    U[i][j] = U[i][j] - g * U[r][j]
-        for j in range(r + 1, p):
-            if A[r][j].is_zero():
-                continue
-            g = A[r][j].exact_div(pivot)
-            for i in range(r, m):
+                u_row, u_pivot = U[i], U[r]
+                for j in u_nz:
+                    u_row[j] = u_row[j] - g * u_pivot[j]
+        col_nz = [i for i in range(r, m) if A[i][r].coeffs]
+        v_nz = [i for i in range(p) if V[i][r].coeffs]
+        vi_pivot = Vi[r]
+        for j in row_nz[1:]:
+            g = pivot_row[j].exact_div(pivot)
+            for i in col_nz:
                 A[i][j] = A[i][j] - g * A[i][r]
-            for i in range(p):
+            for i in v_nz:
                 V[i][j] = V[i][j] - g * V[i][r]
-            for l in range(p):
-                Vi[r][l] = Vi[r][l] + g * Vi[j][l]
+            for l, x in enumerate(Vi[j]):
+                if x.coeffs:
+                    vi_pivot[l] = vi_pivot[l] + g * x
         exponents.append(val)
         r += 1
     if any(exponents[i] > exponents[i + 1] for i in range(len(exponents) - 1)):
         raise AssertionError("invariant factors out of order; pivoting bug")
-    return Smith(exponents, DVRMatrix(U, trunc, cols=m) if need_u else None,
-                 DVRMatrix(V, trunc, cols=p), DVRMatrix(Vi, trunc, cols=p))
+    return Smith(exponents, DVRMatrix._wrap(tuple(map(tuple, U)), m, trunc) if need_u else None,
+                 DVRMatrix._wrap(tuple(map(tuple, V)), p, trunc),
+                 DVRMatrix._wrap(tuple(map(tuple, Vi)), p, trunc))
 
 
 def _dot(row: Sequence[ValPoly], col: Sequence[ValPoly], trunc: int) -> ValPoly:
@@ -416,7 +453,7 @@ def _dot(row: Sequence[ValPoly], col: Sequence[ValPoly], trunc: int) -> ValPoly:
                     d = d1 + d2
                     if d < trunc:
                         out[d] = get(d, 0) + c1 * c2
-    return ValPoly(out, trunc)
+    return ValPoly._clean({d: c for d, c in out.items() if c != 0}, trunc)
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:

@@ -176,11 +176,13 @@ def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModul
             raise ValueError("layers disagree on (k, n)")
     s = len(layers)
     N = trunc if trunc is not None else default_truncation(n)
+    # DVRMatrix is immutable, so every edge with the same r_i shares its pair
+    powers = [sigma_power(s, j, N) for j in range(s + 1)]
     x, y = {}, {}
     for i in range(1, n + 1):
         r_i = sum(1 for r in layers if i in r)
-        x[i] = sigma_power(s, s - r_i, N)
-        y[i] = sigma_power(s, r_i, N)
+        x[i] = powers[s - r_i]
+        y[i] = powers[r_i]
     return CMModuleRep(n, k, s, x, y, N,
                        rebuilder=lambda N2: build_layered(layers, N2),
                        rim=layers[0] if s == 1 else None)

@@ -144,6 +144,36 @@ class TestSmith:
                             row[i], row[j] = row[j], row[i]
             assert invariants(DVRMatrix(A, N, cols=cols)) == invariants(base)
 
+    @pytest.mark.parametrize("need_u", [True, False])
+    def test_transforms_on_sparse_matrices(self, need_u):
+        # mostly-zero matrices, some with a zero row or column, and the
+        # all-zero matrix: U A V is the padded diagonal of t^e, V V_inv = 1
+        rng = random.Random(29)
+        cases = [DVRMatrix.zeros(3, 2, N)]
+        for _ in range(60):
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            A = [list(row) for row in random_matrix(rng, rows, cols, density=0.3).data]
+            if rng.random() < 0.4:
+                A[rng.randrange(rows)] = [ValPoly.zero(N)] * cols
+            if rng.random() < 0.4:
+                j = rng.randrange(cols)
+                for row in A:
+                    row[j] = ValPoly.zero(N)
+            cases.append(DVRMatrix(A, N, cols=cols))
+        for A in cases:
+            sm = _smith(A, need_u=need_u)
+            assert sm.V @ sm.V_inv == DVRMatrix.identity(A.cols, N)
+            if need_u:
+                diagonal = DVRMatrix(
+                    [[tpow(sm.exponents[i]) if i == j and i < sm.npivots
+                      else ValPoly.zero(N) for j in range(A.cols)] for i in range(A.rows)],
+                    N, cols=A.cols)
+                assert sm.U @ A @ sm.V == diagonal
+            else:
+                assert sm.U is None
+                full = _smith(A)
+                assert (sm.exponents, sm.V, sm.V_inv) == (full.exponents, full.V, full.V_inv)
+
     def test_stability_across_truncations(self):
         rng = random.Random(11)
         for _ in range(15):
@@ -287,6 +317,7 @@ class TestDVRMatrixShape:
         assert empty + empty == empty and empty - empty == empty
         assert empty.scale(tpow(1)) == empty
         assert empty.transpose() == DVRMatrix.zeros(2, 0, N)
+        assert DVRMatrix.zeros(2, 0, N).transpose() == empty
 
 
 # -- exact arithmetic against a schoolbook reference ----------------------
@@ -332,7 +363,16 @@ class TestExactArithmetic:
         for got, want in [(p + q, ref_add(a, b)), (p - q, ref_add(a, b, -1)),
                           (p * q, ref_mul(a, b)), (-p, ref_add({}, a, -1))]:
             assert got.coeffs == want
+            assert got.trunc == TRUNC
             assert_clean(got)
+
+    def test_zero_operand_keeps_the_left_truncation(self):
+        # a shortcut for a zero operand gives what the general path gives
+        zero, p = ValPoly.zero(TRUNC), ValPoly({1: 2, TRUNC + 2: 3}, 2 * TRUNC)
+        assert zero + p == ValPoly({1: 2}, TRUNC)
+        assert zero - p == ValPoly({1: -2}, TRUNC)
+        assert p + zero is p and p - zero is p
+        assert zero * p == ValPoly.zero(TRUNC) and p * zero == ValPoly.zero(2 * TRUNC)
 
     @settings(max_examples=300, deadline=None)
     @given(terms, coefficients)

@@ -1,5 +1,6 @@
-"""Imports of grasscat modules sit at module top, in layer order, and
-every name the package defines is used.
+"""Imports of grasscat modules sit at module top, in layer order, every
+name the package defines is used, and the unchecked constructors stay in
+``dvr``.
 
 Two kinds of function-local import are allowed: the census <-> tubes pair,
 which is a genuine import cycle, and the CLI's per-subcommand imports,
@@ -119,3 +120,38 @@ def test_detects_an_unused_definition(tmp_path):
         "def helper():\n    return ValPoly()\n")
     (tests / "test_dvr.py").write_text("from grasscat.dvr import helper\n")
     assert unreferenced_definitions(package, tests) == ["dvr.retruncate"]
+
+
+# constructors that wrap data without validating it; only dvr.py, which
+# builds that data itself, can vouch for the invariants they skip
+UNCHECKED_CONSTRUCTORS = {"_clean", "_wrap"}  # ValPoly._clean, DVRMatrix._wrap
+
+
+def unchecked_constructor_uses(package: Path = PACKAGE, tests: Path = TESTS) -> list[str]:
+    """file:line of each reference to an unchecked constructor outside dvr.py."""
+    found = []
+    for path in sorted(package.glob("*.py")) + sorted(tests.glob("*.py")):
+        if path == package / "dvr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, (ast.Attribute, ast.Name)) and name in UNCHECKED_CONSTRUCTORS:
+                found.append(f"{path.parent.name}/{path.name}:{node.lineno}")
+    return found
+
+
+def test_unchecked_constructors_stay_in_dvr():
+    assert unchecked_constructor_uses() == []
+
+
+def test_detects_an_unchecked_constructor(tmp_path):
+    package, tests = tmp_path / "grasscat", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "dvr.py").write_text("def f(m):\n    return m._wrap\n")
+    (package / "homology.py").write_text(
+        "from .dvr import DVRMatrix, ValPoly\n"
+        "z = ValPoly._clean({}, 4)\nm = DVRMatrix._wrap((), 0, 4)\n")
+    (tests / "test_dvr.py").write_text("_wrap = 1\n")
+    assert unchecked_constructor_uses(package, tests) == [
+        "grasscat/homology.py:2", "grasscat/homology.py:3", "tests/test_dvr.py:1"]
