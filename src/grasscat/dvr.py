@@ -9,6 +9,16 @@ step exact modulo t^N.  ``_smith`` returns one factorisation object,
 coordinates and solutions for any number of right-hand sides are read off
 it, so each matrix is factored once however often it is solved against.
 
+Precision is tracked by one integer per computed object, its floor: a
+matrix with floor P <= N is correct modulo t^P, and its coefficients in
+degrees P .. N-1 carry no information.  The Smith form commutes with
+reduction modulo t^P, so every pivot exponent below the floor is a true
+elementary divisor, and the Schur complements of minimal-valuation
+pivoting are as precise as the matrix.  The transforms divide by the
+pivots, so each read of a factorisation (kernel, coordinates, solve)
+loses at most the largest pivot exponent, ``Smith.loss``.  Callers carry
+the floors; ``Smith.certify`` checks the exponents against one.
+
 ``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared,
 and arithmetic may return an operand unchanged (``p + 0`` is ``p``).  The
 kernels skip zero entries: products with a zero factor, elimination steps
@@ -154,10 +164,10 @@ class ValPoly:
         """Divide by other = t^a * unit; requires valuation(self) >= a.
 
         The top a coefficients of the result fall outside the window that
-        the inputs determine; they are reported as zero.  Only ``ext1``
-        guards this, by comparing its answer with one recomputed at a
-        higher truncation; every other result is taken at the working
-        truncation unchecked.
+        the inputs determine; they are reported as zero.  A quotient of a
+        value known modulo t^P is therefore known modulo t^(P - a); the
+        callers account for that loss in the floor of what they build
+        (see ``Smith.loss``).
         """
         a = other.valuation()
         if a is None:
@@ -250,12 +260,19 @@ class DVRMatrix:
         return DVRMatrix._wrap(tuple([tuple([_dot(row, col, trunc) for col in cols])
                                       for row in self.data]), other.cols, trunc)
 
+    def _check_shape(self, other: "DVRMatrix", op: str) -> None:
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} {op} "
+                             f"{other.rows}x{other.cols}")
+
     def __add__(self, other: "DVRMatrix") -> "DVRMatrix":
+        self._check_shape(other, "+")
         return DVRMatrix._wrap(tuple(
             [tuple([self.data[i][j] + other.data[i][j] for j in range(self.cols)])
              for i in range(self.rows)]), self.cols, self.trunc)
 
     def __sub__(self, other: "DVRMatrix") -> "DVRMatrix":
+        self._check_shape(other, "-")
         return DVRMatrix._wrap(tuple(
             [tuple([self.data[i][j] - other.data[i][j] for j in range(self.cols)])
              for i in range(self.rows)]), self.cols, self.trunc)
@@ -310,6 +327,29 @@ class Smith:
         self.exponents, self.npivots = exponents, len(exponents)
         self.U, self.V, self.V_inv = U, V, V_inv
         self.cols, self.trunc = V.rows, V.trunc
+
+    @property
+    def loss(self) -> int:
+        """Precision the transforms lose: the largest pivot exponent they divide by."""
+        return self.exponents[-1] if self.exponents else 0
+
+    def certify(self, floor: int, rank: int, what: str) -> list[int]:
+        """The exponents, proven exact for a matrix correct modulo t^floor.
+
+        ``rank`` is the rank that theory fixes; with that many exponents,
+        all below the floor, the Smith form is exact.  Otherwise
+        TruncationUnstable names the truncation, the floor and the
+        precision missing.
+        """
+        exps = self.exponents
+        top = exps[-1] if exps else -1
+        if self.npivots == rank and top < floor:
+            return exps
+        deficit = max(top + 1 - floor, 1)
+        raise TruncationUnstable(
+            f"{what}: {self.npivots} pivots (exponents {exps}) where {rank} are "
+            f"expected, at truncation {self.trunc} with floor {floor}; "
+            f"precision short by at least {deficit}")
 
     def kernel(self) -> DVRMatrix:
         """Free basis of the kernel of A, as columns: those of V past the pivots.

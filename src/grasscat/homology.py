@@ -18,6 +18,10 @@ step of the resolution is the cached syzygy of the syzygy.
 Writing out a Hom basis or an extension middle vertexwise does solve
 linear systems; each function factors every matrix it solves against once
 and solves all of its right-hand sides from that one factorisation.
+
+Every computed module and Hom basis carries a precision floor (see
+``dvr``), and every rank that theory fixes is checked with
+``Smith.certify``: a step short of precision raises TruncationUnstable.
 """
 
 from __future__ import annotations
@@ -33,9 +37,6 @@ from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
                       rep_a_vector)
 from .rims import (Rim, interlacing_degree, peaks, rim, shift as shift_rim,
                    two_layer_splits)
-
-TRUNCATION_STEP = 2
-
 
 def top_multiset(m: CMModuleRep) -> dict[int, int]:
     """Multiplicity of each vertex in the top of the module.
@@ -134,7 +135,9 @@ def syzygy_data(m: CMModuleRep) -> SyzygyData:
     """The syzygy as an explicit submodule of the cover.
 
     The result is cached on the module, which is immutable, so every
-    caller shares one computation per module object.
+    caller shares one computation per module object.  The cover map is
+    surjective, so its factorisations have unit pivots, lose no precision,
+    and the syzygy keeps the module's floor.
     """
     try:
         return m._syzygy
@@ -151,7 +154,7 @@ def syzygy_data(m: CMModuleRep) -> SyzygyData:
     r = c - m.s
     for w in range(1, n + 1):
         sm = smith[w] = _smith(cover.eps[w], need_u=False)
-        if sm.npivots != m.s:
+        if sm.npivots != m.s or sm.loss:
             raise AssertionError(f"cover map not surjective at vertex {w}")
         embed[w] = sm.kernel()
         if embed[w].cols != r:
@@ -161,7 +164,8 @@ def syzygy_data(m: CMModuleRep) -> SyzygyData:
         w = (v - 2) % n + 1
         x_omega[v] = _induced_map(m, cover, embed, smith, v, w, v, forward=True)
         y_omega[v] = _induced_map(m, cover, embed, smith, v, v, w, forward=False)
-    m._syzygy = SyzygyData(cover, CMModuleRep(n, m.k, r, x_omega, y_omega, trunc), embed)
+    m._syzygy = SyzygyData(cover, CMModuleRep(n, m.k, r, x_omega, y_omega, trunc, m.floor),
+                           embed)
     return m._syzygy
 
 
@@ -218,9 +222,10 @@ class ExtDecomp:
 
 @dataclass
 class HomBasis:
-    """Free basis of a Hom space, as vertexwise matrices."""
+    """Free basis of a Hom space, as vertexwise matrices correct modulo t^floor."""
 
     generators: list[dict[int, DVRMatrix]]
+    floor: int
 
     @property
     def z_rank(self) -> int:
@@ -251,6 +256,10 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     solved for from one factorisation of the transposed cover evaluation
     at that vertex.  The cover and the syzygy come from m's cached
     ``syzygy_data``.
+
+    The Hom space is free of rank rank(m) * rank(n): over the fraction
+    field a CM module of rank s is s copies of the one simple module
+    (Jensen-King-Su 2016).  That rank is certified against the floor.
     """
     if (m.n, m.k) != (n_rep.n, n_rep.k):
         raise ValueError("modules live over different ambients")
@@ -265,13 +274,15 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
         for j in range(emb.cols):
             rows += _hom_rows(emb.column(j), paths, sN)
     constraint = DVRMatrix(rows, trunc, cols=c * sN)
+    floor = min(m.floor, n_rep.floor)
+    sm = _smith(constraint, need_u=False)
+    sm.certify(floor, c * sN - sM * sN, f"Hom condition of ranks {sM}, {sN}")
     # column j: images of the cover generators under basis map j, generator
     # i's image in rows i*sN .. (i+1)*sN - 1
-    images = _smith(constraint, need_u=False).kernel()
+    images = sm.kernel()
+    floor -= sm.loss
     ngen = images.cols
     generators: list[dict[int, DVRMatrix]] = [{} for _ in range(ngen)]
-    if not ngen:
-        return HomBasis(generators)
     xi = [DVRMatrix(images.data[i * sN:(i + 1) * sN], trunc, cols=ngen) for i in range(c)]
     for w in range(1, m.n + 1):
         paths = _hom_target_blocks(n_rep, cover.vertices, w)
@@ -280,18 +291,23 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
         moved = [paths[i] @ xi[i] for i in range(c)]
         rhs = DVRMatrix([[moved[i].data[a][j] for j in range(ngen) for a in range(sN)]
                          for i in range(c)], trunc, cols=ngen * sN)
+        # the cover map has unit pivots (see syzygy_data): this loses nothing
         f_t = _smith(cover.eps[w].transpose()).solve(rhs)
         if f_t is None:
             raise TruncationUnstable(f"hom evaluation not solvable at vertex {w}")
         for j, gen in enumerate(generators):
             gen[w] = DVRMatrix([f_t.column(j * sN + a) for a in range(sN)], trunc, cols=sM)
-    return HomBasis(generators)
+    return HomBasis(generators, floor)
 
 
 def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
-    """Exponents of Ext^1(m, n) at the working truncation.
+    """Exponents of Ext^1(m, n), certified exact at the working truncation.
 
     The resolution is read from the cached syzygy of m and of its syzygy.
+    Ext^1 is the cokernel of ``coords``, Hom(P0, N) -> Hom(Omega, N) in a
+    basis of the kernel of E, which has rank rank(Omega) * rank(N).  Ext^1
+    between CM modules is torsion, so ``coords`` has full row rank; both
+    ranks are certified against the floor.
     """
     if (m.n, m.k) != (n_rep.n, n_rep.k) or m.trunc != n_rep.trunc:
         raise ValueError("modules must share ambient and truncation")
@@ -312,58 +328,46 @@ def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
         b1_rows += _hom_rows(omega_vec, _hom_target_blocks(n_rep, cover0.vertices, wj), sN)
     B1 = DVRMatrix(b1_rows, trunc, cols=c0 * sN)
 
-    # vanishing conditions on the second syzygy inside Hom(P1, N)
+    # vanishing conditions on the second syzygy inside Hom(P1, N); their
+    # kernel is Hom(Omega, N)
     e_rows: list[list[ValPoly]] = []
     for w, emb2 in syz2.embed.items():
         paths = _hom_target_blocks(n_rep, cover1.vertices, w)
         for j in range(emb2.cols):
             e_rows += _hom_rows(emb2.column(j), paths, sN)
     E = DVRMatrix(e_rows, trunc, cols=c1 * sN)
-    coords = _smith(E, need_u=False).coordinates(B1)
-    sm = _smith(coords, need_u=False)
-    free = coords.rows - sm.npivots
-    if free:
-        raise TruncationUnstable(
-            f"extension group shows free rank {free}; raise the truncation")
-    return tuple(sorted(e for e in sm.exponents if e > 0))
+    floor = min(m.floor, n_rep.floor)
+    sm_e = _smith(E, need_u=False)
+    sm_e.certify(floor, (c1 - syz1.omega.s) * sN, "Hom(syzygy, N) condition")
+    coords = sm_e.coordinates(B1)
+    exps = _smith(coords, need_u=False).certify(
+        floor - sm_e.loss, coords.rows, "Ext^1 presentation")
+    return tuple(e for e in exps if e > 0)
 
 
 def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     """Ext^1(m, n) as a product of cyclic modules over the centre.
 
-    When both inputs know how to rebuild themselves, the exponents are
-    computed once at the working truncation N and once more on the modules
-    rebuilt at N+2; the answer is accepted only when the two agree, and
-    TruncationUnstable is raised otherwise.  Without a rebuilder the
-    exponents at N are returned unchecked.
+    The exponents are computed once, at the working truncation, and
+    certified there by the precision floors (see ``_ext1_once``): the
+    answer is exact, or TruncationUnstable is raised.
 
     Rotating the quiver is an automorphism of the algebra, so when m is a
     rank-1 module with a recorded rim the pair is first rotated to make
     that rim the least of its rotation class.  The canonical module comes
     from a memo with one entry per rotation class and truncation, and its
     syzygy is cached on it, so it is resolved once per class and
-    truncation; the N+2 re-check still runs on every call.
+    truncation.
     """
-    same = m is n_rep
     if m.rim is not None:
         j = min(range(m.n), key=lambda i: shift_rim(m.rim, i).elements)
         canon = _canonical_rank1(shift_rim(m.rim, j), m.trunc)
-        if same:
+        if m is n_rep:
             n_rep = canon
         elif j:
             n_rep = n_rep.rotate(j)
         m = canon
-    first = _ext1_once(m, n_rep)
-    if m.rebuilder is None or n_rep.rebuilder is None:
-        return ExtDecomp(first)
-    N2 = m.trunc + TRUNCATION_STEP
-    m2 = m.rebuilder(N2)
-    second = _ext1_once(m2, m2 if same else n_rep.rebuilder(N2))
-    if first != second:
-        raise TruncationUnstable(
-            f"extension exponents {first} at truncation {m.trunc} "
-            f"differ from {second} at truncation {N2}")
-    return ExtDecomp(first)
+    return ExtDecomp(_ext1_once(m, n_rep))
 
 
 # rank-1 modules of rims that are least in their rotation class, one per
@@ -372,12 +376,11 @@ _CANONICAL_RANK1: dict[tuple[Rim, int], CMModuleRep] = {}
 
 
 def _canonical_rank1(r: Rim, trunc: int) -> CMModuleRep:
-    """The memoised rank-1 module of r at trunc; it rebuilds from the memo."""
+    """The memoised rank-1 module of r at trunc."""
     key = (r, trunc)
     m = _CANONICAL_RANK1.get(key)
     if m is None:
         m = _CANONICAL_RANK1[key] = build_rank1(r, trunc)
-        m.rebuilder = lambda N2: _canonical_rank1(r, N2)
     return m
 
 
@@ -445,8 +448,6 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     if (m.n, m.k, m.s) != (n_rep.n, n_rep.k, n_rep.s):
         return False
     basis = hom_space(m, n_rep).generators
-    if not basis:
-        return False
     for w in range(1, m.n + 1):
         blocks = [gen[w].mod_t() for gen in basis]
         if not _det_poly_mod_t(blocks, m.s):
@@ -455,8 +456,12 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
 
 
 def _ext_class_coordinates(m: CMModuleRep, n_rep: CMModuleRep,
-                           syz: SyzygyData, hom: HomBasis) -> Smith:
-    """Factorisation of Hom(P0, N) -> Hom(Omega, N) in the hom-basis coordinates."""
+                           syz: SyzygyData, hom: HomBasis) -> tuple[Smith, int]:
+    """Factorisation of Hom(P0, N) -> Hom(Omega, N) in the hom-basis coordinates.
+
+    Its exponents are certified as in ``_ext1_once``; the floor returned is
+    that of its transforms.
+    """
     trunc, sN = m.trunc, n_rep.s
     c0 = syz.cover.size
     omega = syz.omega
@@ -476,10 +481,16 @@ def _ext_class_coordinates(m: CMModuleRep, n_rep: CMModuleRep,
                     for j in range(omega.s):
                         col.append(path.data[a][b0] * emb.data[i][j])
             induced_cols.append(col)
-    coords = _smith(stack).solve(DVRMatrix.from_columns(induced_cols, stack.rows, trunc))
+    sm_stack = _smith(stack)
+    floor = hom.floor
+    sm_stack.certify(floor, stack.cols, "Hom basis")
+    coords = sm_stack.solve(DVRMatrix.from_columns(induced_cols, stack.rows, trunc))
     if coords is None:
         raise TruncationUnstable("cover-induced map escapes the hom space")
-    return _smith(coords)
+    floor -= sm_stack.loss
+    sm = _smith(coords)
+    sm.certify(floor, coords.rows, "Ext^1 class space")
+    return sm, floor - sm.loss
 
 
 def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
@@ -496,23 +507,23 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
     if (top.n, top.k) != (bottom.n, bottom.k):
         raise ValueError("rims disagree on (k, n)")
     N = trunc if trunc is not None else default_truncation(top.n)
-    out = _extension_middle(build_rank1(top, N), build_rank1(bottom, N), weights)
-    out.rebuilder = lambda N2: generic_extension(top, bottom, N2, weights)
-    return out
+    return _extension_middle(build_rank1(top, N), build_rank1(bottom, N), weights)
 
 
 def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep,
                       weights: Optional[tuple[int, ...]]) -> CMModuleRep:
-    """Pushout for the chosen extension class, or the direct sum when it is zero."""
+    """Pushout for the chosen extension class, or the direct sum when it is zero.
+
+    Ext^1 of CM modules is torsion and its presentation is certified, so
+    the classes are the cyclic factors with a positive exponent.
+    """
     n, N = top_rep.n, top_rep.trunc
     syz = syzygy_data(top_rep)
     if syz.omega is None:  # projective top: every extension splits
         return direct_sum(top_rep, bot_rep)
     hom = hom_space(syz.omega, bot_rep)
-    sm = _ext_class_coordinates(top_rep, bot_rep, syz, hom)
-    nonzero = [i for i, e in enumerate(sm.exponents) if e > 0]
-    free_tail = list(range(sm.npivots, len(hom.generators)))
-    targets = nonzero + free_tail
+    sm, floor = _ext_class_coordinates(top_rep, bot_rep, syz, hom)
+    targets = [i for i, e in enumerate(sm.exponents) if e > 0]
     if not targets:
         return direct_sum(top_rep, bot_rep)
     # class with chosen components in the cyclic factors: solve U y = indicator
@@ -520,6 +531,7 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep,
     indicator = [ValPoly.zero(N) for _ in range(len(hom.generators))]
     for pos, i in enumerate(targets):
         indicator[i] = ValPoly.monomial(w[pos % len(w)], 0, N)
+    # U is invertible, so this solve loses no precision
     y = _smith(sm.U).solve(DVRMatrix.from_columns([indicator], len(indicator), N))
     if y is None:
         raise TruncationUnstable("could not lift the extension class")
@@ -530,12 +542,18 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep,
         gen = hom.generators[j]
         for v in range(1, n + 1):
             f[v] = f[v] + gen[v].scale(coeff)
-    return _pushout_rank2(top_rep, bot_rep, syz, f)
+    return _pushout_rank2(top_rep, bot_rep, syz, f, floor)
 
 
-def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep,
-                   syz: SyzygyData, f: dict[int, DVRMatrix]) -> CMModuleRep:
-    """Quotient (bottom + cover) / antidiagonal image of the syzygy."""
+def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
+                   f: dict[int, DVRMatrix], floor: int) -> CMModuleRep:
+    """Quotient (bottom + cover) / antidiagonal image of the syzygy.
+
+    f is correct modulo t^floor, a floor no higher than those of the two
+    ends, and so is the quotient: splitting it off needs unit pivots, and
+    the projections onto it are rows of an invertible matrix, whose
+    factorisations have unit pivots too, so nothing is lost.
+    """
     n, k, N = top_rep.n, top_rep.k, top_rep.trunc
     amb = bot_rep
     for v_cov in syz.cover.vertices:
@@ -551,7 +569,7 @@ def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep,
             rows.append([ValPoly.zero(N) - emb.data[i][j] for j in range(r)])
         sub = DVRMatrix(rows, N, cols=r)
         sm = _smith(sub)
-        if sm.npivots != r or any(e > 0 for e in sm.exponents):
+        if sm.npivots != r or sm.loss:
             raise TruncationUnstable(
                 f"extension quotient not free at vertex {v}")
         projections[v] = DVRMatrix(sm.U.data[r:1 + c], N, cols=1 + c)
@@ -562,7 +580,7 @@ def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep,
         w = (v - 2) % n + 1
         x_new[v] = _induced_on_quotient(proj_t[w], projections[v], amb.x[v])
         y_new[v] = _induced_on_quotient(proj_t[v], projections[w], amb.y[v])
-    return CMModuleRep(n, k, 2, x_new, y_new, N)
+    return CMModuleRep(n, k, 2, x_new, y_new, N, floor)
 
 
 def _induced_on_quotient(proj_src_t: Smith, proj_dst: DVRMatrix,
@@ -627,9 +645,11 @@ def _rank2_walk(top: Rim, bottom: Rim,
     key = (top.n, top.k, top.elements, bottom.elements, N)
     if key in _RANK2_CACHE:
         return _RANK2_CACHE[key]
+    # built and resolved once, for every weight of the ladder
+    top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)
     first: Optional[CMModuleRep] = None
     for weights in WEIGHT_LADDER:
-        m = generic_extension(top, bottom, N, weights=weights)
+        m = _extension_middle(top_rep, bot_rep, weights)
         if is_rigid(m) and decomposition_rank2(m) is None:
             result = (m, True)
             break

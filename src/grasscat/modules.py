@@ -13,7 +13,7 @@ the classical rank-1 modules with scalar maps 1 and t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .dvr import DVRMatrix, ValPoly, _smith
 from .errors import EmbeddingFailure, NotRankOne
@@ -68,26 +68,27 @@ class CMModuleRep:
     """Quiver representation: rank-s free modules with 2n structure matrices.
 
     ``x[i]`` maps vertex i-1 to vertex i and ``y[i]`` maps vertex i back to
-    vertex i-1 (labels taken mod n in [1, n]).  Instances are treated as
-    immutable; ``rebuilder`` regenerates the same module at a different
-    truncation when the construction is known (layered builds and sums).
+    vertex i-1 (labels taken mod n in [1, n]).  Instances are plain,
+    immutable data.  ``floor`` <= ``trunc`` is the precision of the maps:
+    they are correct modulo t^floor.  A module built from rims is exact,
+    with floor = trunc; a computed one (a syzygy, an extension middle)
+    carries the floor its construction left.
     ``rim`` is the rim of a rank-1 module built from one, else None.
     Two caches hang off an instance: ``_paths`` holds the path matrices,
     and ``_syzygy`` holds the one ``homology.syzygy_data`` result, set on
     first use and read by Hom, Ext, extension middles and orbit steps.
     """
 
-    __slots__ = ("n", "k", "s", "x", "y", "trunc", "rebuilder", "rim",
+    __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "rim",
                  "_paths", "_syzygy")
 
     def __init__(self, n: int, k: int, s: int,
                  x: dict[int, DVRMatrix], y: dict[int, DVRMatrix],
-                 trunc: int,
-                 rebuilder: Optional[Callable[[int], "CMModuleRep"]] = None,
+                 trunc: int, floor: Optional[int] = None,
                  rim: Optional[Rim] = None):
         self.n, self.k, self.s, self.trunc = n, k, s, trunc
+        self.floor = trunc if floor is None else floor
         self.x, self.y = dict(x), dict(y)
-        self.rebuilder = rebuilder
         self.rim = rim
         self._paths: dict[tuple[int, int], DVRMatrix] = {}
 
@@ -100,11 +101,8 @@ class CMModuleRep:
         n = self.n
         x = {(v + j - 1) % n + 1: mat for v, mat in self.x.items()}
         y = {(v + j - 1) % n + 1: mat for v, mat in self.y.items()}
-        reb = self.rebuilder
-        return CMModuleRep(
-            n, self.k, self.s, x, y, self.trunc,
-            rebuilder=None if reb is None else lambda N2: reb(N2).rotate(j),
-            rim=None if self.rim is None else shift_rim(self.rim, j))
+        return CMModuleRep(n, self.k, self.s, x, y, self.trunc, self.floor,
+                           rim=None if self.rim is None else shift_rim(self.rim, j))
 
     def path_matrix(self, v: int, w: int) -> DVRMatrix:
         """Composite of structure maps along the canonical route v -> w.
@@ -183,9 +181,7 @@ def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModul
         r_i = sum(1 for r in layers if i in r)
         x[i] = powers[s - r_i]
         y[i] = powers[r_i]
-    return CMModuleRep(n, k, s, x, y, N,
-                       rebuilder=lambda N2: build_layered(layers, N2),
-                       rim=layers[0] if s == 1 else None)
+    return CMModuleRep(n, k, s, x, y, N, rim=layers[0] if s == 1 else None)
 
 
 def build_rank1(r: Rim, trunc: Optional[int] = None) -> CMModuleRep:
@@ -217,11 +213,7 @@ def direct_sum(a: CMModuleRep, b: CMModuleRep) -> CMModuleRep:
 
     x = {i: block(a.x[i], b.x[i]) for i in range(1, n + 1)}
     y = {i: block(a.y[i], b.y[i]) for i in range(1, n + 1)}
-    reb_a, reb_b = a.rebuilder, b.rebuilder
-    rebuilder = None
-    if reb_a is not None and reb_b is not None:
-        rebuilder = lambda N2: direct_sum(reb_a(N2), reb_b(N2))
-    return CMModuleRep(n, a.k, a.s + b.s, x, y, trunc, rebuilder=rebuilder)
+    return CMModuleRep(n, a.k, a.s + b.s, x, y, trunc, min(a.floor, b.floor))
 
 
 def validate_relations(m: CMModuleRep) -> list[str]:
@@ -389,7 +381,7 @@ def _cokernel_rank1(layered: CMModuleRep, injection: dict[int, DVRMatrix],
         x[v] = DVRMatrix([[project(v, col[0], col[1])]], N)
         col = layered.y[v].column(keep[v])
         y[v] = DVRMatrix([[project(w, col[0], col[1])]], N)
-    return CMModuleRep(n, layered.k, 1, x, y, N)
+    return CMModuleRep(n, layered.k, 1, x, y, N, layered.floor)
 
 
 def lattice_diagram_data(p: Profile, depth: int = 2) -> dict:

@@ -193,6 +193,73 @@ class TestSmith:
             assert invariants(build(N))[0] == invariants(build(N + 2))[0]
 
 
+def random_unimodular(rng, size):
+    """A random invertible matrix over the local ring: elementary operations on 1."""
+    A = [list(row) for row in DVRMatrix.identity(size, N).data]
+    for _ in range(3 * size):
+        i, j = rng.randrange(size), rng.randrange(size)
+        if i != j:
+            g = random_poly(rng)
+            A[i] = [a + g * b for a, b in zip(A[i], A[j])]
+        else:
+            u = random_poly(rng, constant=rng.choice([-3, -1, 2, Fraction(1, 2)]))
+            A[i] = [u * a for a in A[i]]
+        k = rng.randrange(size)
+        A[i], A[k] = A[k], A[i]
+    return DVRMatrix(A, N, cols=size)
+
+
+def min_valuation(matrix):
+    """Least valuation of an entry; N for the zero matrix."""
+    return min((e.valuation() for row in matrix.data for e in row if not e.is_zero()),
+               default=N)
+
+
+class TestCertify:
+    """A matrix known modulo t^P: exponents below P are exact, reads lose ``loss``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_perturbed_smith_form(self, seed):
+        rng = random.Random(seed)
+        rows, cols, P = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 8)
+        full = min(rows, cols)
+        rank = full if rng.random() < 0.7 else rng.randint(0, full)
+        true = sorted(rng.randint(0, P + 1) for _ in range(rank))
+        diagonal = DVRMatrix([[tpow(true[i]) if i == j and i < rank else ValPoly.zero(N)
+                               for j in range(cols)] for i in range(rows)], N, cols=cols)
+        A = random_unimodular(rng, rows) @ diagonal @ random_unimodular(rng, cols)
+        noise = random_matrix(rng, rows, cols).scale(tpow(P))
+        sm = _smith(A + noise)
+        try:
+            got = sm.certify(P, rank, "perturbed")
+        except TruncationUnstable as exc:
+            assert f"floor {P}" in str(exc)
+            # only a factor at or above the floor, true or spurious, may raise
+            assert true[-1:] >= [P] or sm.npivots != rank or sm.exponents[-1:] >= [P]
+            assert true[-1:] >= [P] or rank < min(rows, cols)
+            return
+        assert got == true
+        # the transforms of the exact matrix agree with these modulo t^(P - loss)
+        exact = _smith(A)
+        assert exact.exponents == true
+        for mine, theirs in ((sm.U, exact.U), (sm.V, exact.V), (sm.V_inv, exact.V_inv)):
+            assert min_valuation(mine - theirs) >= P - sm.loss
+
+    def test_loss_is_the_largest_exponent(self):
+        assert _smith(M([[tpow(3), tpow(5)], [tpow(4), tpow(1)]])).loss == 3
+        assert _smith(DVRMatrix.zeros(2, 2, N)).loss == 0
+
+    def test_message_names_truncation_floor_and_deficit(self):
+        sm = _smith(M([[tpow(0), ValPoly.zero(N)], [ValPoly.zero(N), tpow(5)]]))
+        assert sm.certify(6, 2, "diag") == [0, 5]
+        with pytest.raises(TruncationUnstable,
+                           match="truncation 16 with floor 4; precision short by at least 2"):
+            sm.certify(4, 2, "diag")
+        with pytest.raises(TruncationUnstable, match="short by at least 1"):
+            _smith(DVRMatrix.zeros(1, 1, N)).certify(4, 1, "zero")
+
+
 class TestKernel:
     def test_identity_has_no_kernel(self):
         assert _smith(DVRMatrix.identity(2, N)).kernel().cols == 0
@@ -310,6 +377,12 @@ class TestDVRMatrixShape:
         assert DVRMatrix.zeros(0, 2, N) != DVRMatrix.zeros(2, 0, N)
         assert DVRMatrix.zeros(0, 2, N) == DVRMatrix.zeros(0, 2, N)
         assert hash(DVRMatrix.zeros(0, 2, N)) == hash(DVRMatrix.zeros(0, 2, N))
+
+    def test_sum_and_difference_check_the_shape(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            DVRMatrix.zeros(1, 1, N) + DVRMatrix.identity(2, N)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            DVRMatrix.zeros(2, 1, N) - DVRMatrix.zeros(1, 2, N)
 
     def test_operations_keep_the_shape_of_empty_rows(self):
         empty = DVRMatrix.zeros(0, 2, N)

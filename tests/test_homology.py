@@ -1,3 +1,4 @@
+import pickle
 import random
 from itertools import combinations
 
@@ -14,7 +15,7 @@ from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_ri
                                is_rigid, projective_cover, rank2_extension,
                                rigid_indecomposable_rank2, syzygy, syzygy_data,
                                top_multiset, _ext1_once)
-from grasscat.modules import (build_layered, build_rank1, direct_sum,
+from grasscat.modules import (CMModuleRep, build_layered, build_rank1, direct_sum,
                               identify_rank1, rep_a_vector,
                               validate_relations)
 from grasscat.rims import (all_rims, crossing, interlacing_degree,
@@ -293,7 +294,7 @@ class TestExtensionConstruction:
         assert dec.exponents == (1, 1)
         # single-shot at two truncations agrees
         assert _ext1_once(ma, mb) == (1, 1)
-        assert _ext1_once(ma.rebuilder(14), mb.rebuilder(14)) == (1, 1)
+        assert _ext1_once(build_rank1(a, 14), build_rank1(b, 14)) == (1, 1)
 
 
 class TestRank2Walk:
@@ -307,12 +308,12 @@ class TestRank2Walk:
     @pytest.fixture
     def build_count(self, monkeypatch):
         calls = []
-        original = homology.generic_extension
+        original = homology._extension_middle
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
-        monkeypatch.setattr(homology, "generic_extension", counted)
+        monkeypatch.setattr(homology, "_extension_middle", counted)
         return calls
 
     @pytest.mark.parametrize("rigid_first", [False, True])
@@ -339,6 +340,15 @@ class TestRank2Walk:
         assert len(fresh_cache) == 1
         assert rank2_extension(a, b, 14) is not m
         assert len(fresh_cache) == 2
+
+    def test_walk_builds_its_ends_once(self, fresh_cache, build_count):
+        # no weight gives a rigid indecomposable middle, so the walk tries all
+        a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
+        assert rigid_indecomposable_rank2(a, b) is None
+        assert len(build_count) == len(WEIGHT_LADDER)
+        assert len({(id(top), id(bottom)) for top, bottom, _ in build_count}) == 1
+        top, bottom, _ = build_count[0]
+        assert (top.rim, bottom.rim) == (a, b)
 
     def test_no_rigid_middle_falls_back_to_first_weight(self, fresh_cache):
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
@@ -497,7 +507,7 @@ class TestCanonicalExt:
 
     def test_rank2_second_argument_is_rotated_too(self):
         n_rep = rank2_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
-        rebuilt = n_rep.rebuilder(14)
+        rebuilt = rank2_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6), 14)
         for a in all_rims(3, 6):
             want = _ext1_once(build_rank1(a, 12), n_rep)
             assert want == _ext1_once(build_rank1(a, 14), rebuilt)
@@ -522,13 +532,13 @@ class TestCanonicalExt:
             for b in rims_all[::5]:
                 ext1_rims(a, b)
         memo = homology._CANONICAL_RANK1
-        assert len(memo) == 2 * 5
-        assert {N for _, N in memo} == {14, 16}
+        assert len(memo) == 5
+        assert {N for _, N in memo} == {14}
         assert len({id(m) for m in memo.values()}) == len(memo)
         for (r, N), m in memo.items():
             assert (m.rim, m.trunc) == (r, N)
             assert r.elements == min(shift(r, j).elements for j in range(7))
-            assert m.rebuilder(N) is m
+            assert homology._canonical_rank1(r, N) is m
 
     def test_syzygy_is_cached_on_the_module(self):
         m = build_rank1(rim([1, 4, 5], 3, 9))
@@ -550,7 +560,7 @@ class TestCanonicalExt:
 
 
 class TestOneExtCheck:
-    """ext1 computes at N and at N + 2 once each, and never retries."""
+    """ext1 computes once, at N, and certifies that answer by its floor."""
 
     @staticmethod
     def count_calls(monkeypatch, fn):
@@ -562,19 +572,22 @@ class TestOneExtCheck:
         monkeypatch.setattr(homology, "_ext1_once", counted)
         return calls
 
-    def test_disagreement_at_n_plus_2_raises(self, monkeypatch):
+    def test_floor_below_the_ext_exponent_raises(self, monkeypatch):
         # 135 is the least rotation of its rim, so the pair is not rotated;
-        # the target rebuilds as a module it has no extensions with
+        # Ext^1(135, 246) = C + C needs a floor above exponent 1
         m = build_rank1(rim([1, 3, 5], 3, 6), 12)
-        n_rep = build_rank1(rim([2, 4, 6], 3, 6), 12)
-        n_rep.rebuilder = lambda N2: build_rank1(rim([1, 2, 3], 3, 6), N2)
+        exact = build_rank1(rim([2, 4, 6], 3, 6), 12)
+        coarse = CMModuleRep(6, 3, 1, exact.x, exact.y, 12, floor=1)
         calls = self.count_calls(monkeypatch, _ext1_once)
+        assert ext1(m, exact).exponents == (1, 1)
+        assert calls == [12]
         with pytest.raises(TruncationUnstable) as exc:
-            ext1(m, n_rep)
-        assert calls == [12, 14]
+            ext1(m, coarse)
+        assert calls == [12, 12]
         message = str(exc.value)
-        assert "(1, 1) at truncation 12" in message
-        assert "() at truncation 14" in message
+        assert "truncation 12" in message
+        assert "floor 1" in message
+        assert "short by at least 1" in message
 
     def test_instability_of_one_computation_propagates(self, monkeypatch):
         def unstable(*args, **kwargs):
@@ -583,3 +596,46 @@ class TestOneExtCheck:
         with pytest.raises(TruncationUnstable, match="free rank"):
             ext1_rims(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
         assert calls == [12]
+
+
+class TestHomRank:
+    """Hom over the centre is free of rank rank(M) * rank(N), or raises."""
+
+    def test_rank1_pairs_at_truncation_1(self):
+        rims_all = all_rims(3, 7)
+        reps = {r: build_rank1(r, 1) for r in rims_all}
+        answered = 0
+        for a in rims_all:
+            for b in rims_all:
+                try:
+                    hom = hom_space(reps[a], reps[b])
+                except TruncationUnstable:
+                    continue
+                assert hom.z_rank == 1, (a, b)
+                answered += 1
+        assert answered > 0
+
+    def test_census_rank2_modules_have_rank_4(self):
+        modules = [rigid_indecomposable_rank2(a, b) for a, b in rank2_candidates(3, 7)]
+        modules = [m for m in modules if m is not None]
+        assert modules
+        for m in modules:
+            assert hom_space(m, m).z_rank == 4
+            assert hom_space(m, modules[0]).z_rank == 4
+
+
+class TestPlainData:
+    """Modules are plain data: they pickle with equal maps."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: rigid_indecomposable_rank2(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)),
+        lambda: build_rank1(rim([1, 4, 5], 3, 8)).rotate(3),
+    ])
+    def test_round_trip(self, build):
+        m = build()
+        syzygy_data(m)   # the cached syzygy and path matrices travel too
+        back = pickle.loads(pickle.dumps(m))
+        assert (back.n, back.k, back.s, back.trunc, back.floor, back.rim) == \
+            (m.n, m.k, m.s, m.trunc, m.floor, m.rim)
+        assert (back.x, back.y) == (m.x, m.y)
+        assert ext1(back, back) == ext1(m, m)

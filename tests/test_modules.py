@@ -294,16 +294,13 @@ class TestRotate:
         assert (back.x, back.y, back.s, back.trunc) == \
             (module.x, module.y, module.s, module.trunc)
 
-    def test_rank1_rim_and_rebuilder_shift_with_the_module(self):
+    def test_rank1_rim_shifts_with_the_module(self):
         r = rim([1, 4, 5], 3, 8)
         for j in range(-8, 9):
             turned = build_rank1(r, 12).rotate(j)
             want = build_rank1(shift(r, j), 12)
             assert turned.rim == want.rim == shift(r, j)
             assert (turned.x, turned.y) == (want.x, want.y)
-            rebuilt, want = turned.rebuilder(14), build_rank1(shift(r, j), 14)
-            assert (rebuilt.trunc, rebuilt.rim) == (14, shift(r, j))
-            assert (rebuilt.x, rebuilt.y) == (want.x, want.y)
 
     def test_only_rank1_builds_record_a_rim(self):
         assert build_rank1(rim([1, 4, 5], 3, 8)).rim == rim([1, 4, 5], 3, 8)
