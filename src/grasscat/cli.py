@@ -1,9 +1,9 @@
 """Command-line interface tying the library together.
 
 Exit codes: 0 success, 2 usage error (argparse), 3 fixture mismatch in a
-full census or tube run, 4 truncation instability: an answer that changed
-when recomputed at a higher truncation, or a computation that could not be
-completed at the working one.
+full census or tube run, 4 truncation instability: an answer its precision
+floor cannot certify, or a step that cannot be completed at the working
+truncation.
 """
 
 from __future__ import annotations
@@ -337,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("census", help="rigid rank-2 census")
     s.add_argument("k", type=int)
     s.add_argument("n", type=int)
-    s.add_argument("--full", action="store_true", default=False,
-                   help="full run (default unless --sample)")
     s.add_argument("--sample", type=float, default=None,
                    help="probabilistic smoke run, e.g. 0.05")
     s.add_argument("--refresh", action="store_true",

@@ -25,8 +25,9 @@ class ProjectiveInput(GrasscatError):
 
 
 class TruncationUnstable(GrasscatError):
-    """A t-adic computation did not stabilise under the working truncation;
-    the caller should raise the truncation level and retry."""
+    """A t-adic answer its precision floor cannot certify, or a step that
+    cannot be completed at the working truncation; a higher truncation may
+    succeed."""
 
 
 class EmbeddingFailure(GrasscatError):

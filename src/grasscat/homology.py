@@ -15,6 +15,10 @@ P1 -> P0 is the cover of the syzygy followed by its embedding, so the
 syzygy of a module is computed once and cached on the module: Hom, Ext,
 extension middles and orbit steps all read that one cache, and the second
 step of the resolution is the cached syzygy of the syzygy.
+Ext^1 has one presentation, Hom(P0, N) -> Hom(Omega, N) with Hom(Omega, N)
+the kernel of the Hom condition on Omega's cover: ``ext1`` certifies its
+Smith form, and extension middles read their classes from the same
+factorisation.
 Writing out a Hom basis or an extension middle vertexwise does solve
 linear systems; each function factors every matrix it solves against once
 and solves all of its right-hand sides from that one factorisation.
@@ -90,7 +94,7 @@ class Cover:
     """Minimal projective cover data: one summand per chosen generator."""
 
     vertices: tuple[int, ...]            # cover vertex of each summand
-    generators: tuple[tuple[int, ...], ...]  # generator as a 0/1 vector in M_v
+    generators: tuple[int, ...]          # generator's index in the standard basis of M_v
     eps: dict[int, DVRMatrix]            # vertex w -> s x c evaluation matrix
 
     @property
@@ -101,14 +105,14 @@ class Cover:
 def projective_cover(m: CMModuleRep) -> Cover:
     """Minimal cover: projectives at the top vertices, mapped by evaluation."""
     vertices: list[int] = []
-    generators: list[tuple[int, ...]] = []
+    generators: list[int] = []
     for v in range(1, m.n + 1):
         for idx in _top_generators(m, v):
             vertices.append(v)
-            generators.append(tuple(1 if i == idx else 0 for i in range(m.s)))
+            generators.append(idx)
     eps = {w: DVRMatrix.from_columns(
-               [m.path_matrix(v, w).column(gen.index(1))
-                for v, gen in zip(vertices, generators)], m.s, m.trunc)
+               [m.path_matrix(v, w).column(idx) for v, idx in zip(vertices, generators)],
+               m.s, m.trunc)
            for w in range(1, m.n + 1)}
     return Cover(tuple(vertices), tuple(generators), eps)
 
@@ -246,102 +250,116 @@ def _hom_rows(u: Sequence[ValPoly], paths: list[DVRMatrix], sN: int) -> list[lis
             for a in range(sN)]
 
 
-def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
-    """Module maps m -> n as a free module over the centre.
+def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
+    """Factorisation of the condition for cover-generator images to define a
+    map m -> n, and the floor of its kernel.
 
-    A map is determined by the images of the cover generators; it descends
-    to m exactly when those images kill the syzygy, a vertexwise linear
-    condition solved over the centre.  The kernel of that condition gives
-    the generator images; each vertex matrix of every basis map is then
-    solved for from one factorisation of the transposed cover evaluation
-    at that vertex.  The cover and the syzygy come from m's cached
-    ``syzygy_data``.
-
-    The Hom space is free of rank rank(m) * rank(n): over the fraction
-    field a CM module of rank s is s copies of the one simple module
-    (Jensen-King-Su 2016).  That rank is certified against the floor.
+    A map is determined by the images in n of m's cover generators; it
+    descends to m exactly when those images kill the syzygy, one row per
+    syzygy basis vector, vertex and coordinate of n (see ``_hom_rows``).
+    The kernel is Hom(m, n), free of rank rank(m) * rank(n): over the
+    fraction field a CM module of rank s is s copies of the one simple
+    module (Jensen-King-Su 2016).  So the condition has rank
+    (c - rank(m)) * rank(n), which is certified against the floor.
     """
-    if (m.n, m.k) != (n_rep.n, n_rep.k):
-        raise ValueError("modules live over different ambients")
-    if m.trunc != n_rep.trunc:
-        raise ValueError("modules carry different truncation levels")
     syz = syzygy_data(m)
-    cover = syz.cover
-    c, sN, sM, trunc = cover.size, n_rep.s, m.s, m.trunc
+    cover, sN = syz.cover, n_rep.s
+    c = cover.size
     rows: list[list[ValPoly]] = []
     for w, emb in syz.embed.items():
         paths = _hom_target_blocks(n_rep, cover.vertices, w)
         for j in range(emb.cols):
             rows += _hom_rows(emb.column(j), paths, sN)
-    constraint = DVRMatrix(rows, trunc, cols=c * sN)
     floor = min(m.floor, n_rep.floor)
-    sm = _smith(constraint, need_u=False)
-    sm.certify(floor, c * sN - sM * sN, f"Hom condition of ranks {sM}, {sN}")
-    # column j: images of the cover generators under basis map j, generator
-    # i's image in rows i*sN .. (i+1)*sN - 1
-    images = sm.kernel()
-    floor -= sm.loss
+    sm = _smith(DVRMatrix(rows, m.trunc, cols=c * sN), need_u=False)
+    sm.certify(floor, (c - m.s) * sN, f"Hom condition of ranks {m.s}, {sN}")
+    return sm, floor - sm.loss
+
+
+def _vertex_maps(cover: Cover, n_rep: CMModuleRep,
+                 images: DVRMatrix) -> list[dict[int, DVRMatrix]]:
+    """Vertex matrices of the maps whose cover-generator images are the
+    columns of ``images``, generator i's image in rows i*sN .. (i+1)*sN - 1.
+
+    At each vertex w a map f satisfies f eps_w = (paths[i] @ xi_i)_i; its
+    transpose is solved for every map from one factorisation of the
+    transposed cover evaluation.  The cover map has unit pivots (see
+    ``syzygy_data``), so this loses nothing.
+    """
+    c, sN, trunc = cover.size, n_rep.s, n_rep.trunc
     ngen = images.cols
-    generators: list[dict[int, DVRMatrix]] = [{} for _ in range(ngen)]
+    maps: list[dict[int, DVRMatrix]] = [{} for _ in range(ngen)]
     xi = [DVRMatrix(images.data[i * sN:(i + 1) * sN], trunc, cols=ngen) for i in range(c)]
-    for w in range(1, m.n + 1):
+    for w, eps in cover.eps.items():
         paths = _hom_target_blocks(n_rep, cover.vertices, w)
-        # f eps_w = (paths[i] @ xi_i)_i for each map f; solve its transpose,
         # one column per (map j, row a of f)
         moved = [paths[i] @ xi[i] for i in range(c)]
         rhs = DVRMatrix([[moved[i].data[a][j] for j in range(ngen) for a in range(sN)]
                          for i in range(c)], trunc, cols=ngen * sN)
-        # the cover map has unit pivots (see syzygy_data): this loses nothing
-        f_t = _smith(cover.eps[w].transpose()).solve(rhs)
+        f_t = _smith(eps.transpose()).solve(rhs)
         if f_t is None:
             raise TruncationUnstable(f"hom evaluation not solvable at vertex {w}")
-        for j, gen in enumerate(generators):
-            gen[w] = DVRMatrix([f_t.column(j * sN + a) for a in range(sN)], trunc, cols=sM)
-    return HomBasis(generators, floor)
+        for j, f in enumerate(maps):
+            f[w] = DVRMatrix([f_t.column(j * sN + a) for a in range(sN)], trunc,
+                             cols=eps.rows)
+    return maps
 
 
-def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
-    """Exponents of Ext^1(m, n), certified exact at the working truncation.
+def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
+    """Module maps m -> n as a free module over the centre, of certified rank
+    rank(m) * rank(n).
 
-    The resolution is read from the cached syzygy of m and of its syzygy.
-    Ext^1 is the cokernel of ``coords``, Hom(P0, N) -> Hom(Omega, N) in a
-    basis of the kernel of E, which has rank rank(Omega) * rank(N).  Ext^1
-    between CM modules is torsion, so ``coords`` has full row rank; both
-    ranks are certified against the floor.
+    The kernel of the Hom condition (``_hom_condition``) gives the images of
+    the cover generators under each basis map, and ``_vertex_maps`` writes
+    the maps out vertexwise.  The cover and the syzygy come from m's cached
+    ``syzygy_data``.
+    """
+    if (m.n, m.k) != (n_rep.n, n_rep.k):
+        raise ValueError("modules live over different ambients")
+    if m.trunc != n_rep.trunc:
+        raise ValueError("modules carry different truncation levels")
+    sm, floor = _hom_condition(m, n_rep)
+    return HomBasis(_vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel()), floor)
+
+
+def _ext_presentation(m: CMModuleRep, n_rep: CMModuleRep
+                      ) -> Optional[tuple[SyzygyData, Smith, DVRMatrix, int]]:
+    """The presentation Hom(P0, N) -> Hom(Omega, N) of Ext^1(m, n), or None
+    when m is projective.
+
+    Returns m's syzygy data, the factorisation of the Hom condition on
+    Omega's cover-generator images (its kernel basis is a basis of
+    Hom(Omega, N)), the map in that basis as ``coords``, and the floor of
+    ``coords``.  The resolution is read from the cached syzygy of m and of
+    its syzygy; Ext^1 is the cokernel of ``coords``.
     """
     if (m.n, m.k) != (n_rep.n, n_rep.k) or m.trunc != n_rep.trunc:
         raise ValueError("modules must share ambient and truncation")
     syz1 = syzygy_data(m)
     if syz1.omega is None:
-        return ()
-    syz2 = syzygy_data(syz1.omega)
-    cover0, cover1 = syz1.cover, syz2.cover
-    trunc, sN = m.trunc, n_rep.s
-    c0, c1 = cover0.size, cover1.size
-
+        return None
+    cover0, cover1 = syz1.cover, syzygy_data(syz1.omega).cover
     # induced map Hom(P0, N) -> Hom(P1, N): evaluate at the generator images
     b1_rows: list[list[ValPoly]] = []
-    for j in range(c1):
-        wj = cover1.vertices[j]
-        # the generator is a standard basis vector of Omega at wj
-        omega_vec = syz1.embed[wj].column(cover1.generators[j].index(1))
-        b1_rows += _hom_rows(omega_vec, _hom_target_blocks(n_rep, cover0.vertices, wj), sN)
-    B1 = DVRMatrix(b1_rows, trunc, cols=c0 * sN)
+    for wj, idx in zip(cover1.vertices, cover1.generators):
+        b1_rows += _hom_rows(syz1.embed[wj].column(idx),
+                             _hom_target_blocks(n_rep, cover0.vertices, wj), n_rep.s)
+    B1 = DVRMatrix(b1_rows, m.trunc, cols=cover0.size * n_rep.s)
+    sm_e, floor = _hom_condition(syz1.omega, n_rep)
+    return syz1, sm_e, sm_e.coordinates(B1), floor
 
-    # vanishing conditions on the second syzygy inside Hom(P1, N); their
-    # kernel is Hom(Omega, N)
-    e_rows: list[list[ValPoly]] = []
-    for w, emb2 in syz2.embed.items():
-        paths = _hom_target_blocks(n_rep, cover1.vertices, w)
-        for j in range(emb2.cols):
-            e_rows += _hom_rows(emb2.column(j), paths, sN)
-    E = DVRMatrix(e_rows, trunc, cols=c1 * sN)
-    floor = min(m.floor, n_rep.floor)
-    sm_e = _smith(E, need_u=False)
-    sm_e.certify(floor, (c1 - syz1.omega.s) * sN, "Hom(syzygy, N) condition")
-    coords = sm_e.coordinates(B1)
-    exps = _smith(coords, need_u=False).certify(
-        floor - sm_e.loss, coords.rows, "Ext^1 presentation")
+
+def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
+    """Exponents of Ext^1(m, n), certified exact at the working truncation.
+
+    Ext^1 between CM modules is torsion, so the presentation (see
+    ``_ext_presentation``) has full row rank, certified against its floor.
+    """
+    pres = _ext_presentation(m, n_rep)
+    if pres is None:
+        return ()
+    _, _, coords, floor = pres
+    exps = _smith(coords, need_u=False).certify(floor, coords.rows, "Ext^1 presentation")
     return tuple(e for e in exps if e > 0)
 
 
@@ -455,44 +473,6 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     return True
 
 
-def _ext_class_coordinates(m: CMModuleRep, n_rep: CMModuleRep,
-                           syz: SyzygyData, hom: HomBasis) -> tuple[Smith, int]:
-    """Factorisation of Hom(P0, N) -> Hom(Omega, N) in the hom-basis coordinates.
-
-    Its exponents are certified as in ``_ext1_once``; the floor returned is
-    that of its transforms.
-    """
-    trunc, sN = m.trunc, n_rep.s
-    c0 = syz.cover.size
-    omega = syz.omega
-    # column per hom generator: all its vertex-matrix entries, flattened
-    stack = DVRMatrix.from_columns(
-        [[e for w in range(1, m.n + 1) for row in g[w].data for e in row]
-         for g in hom.generators], m.n * sN * omega.s, trunc)
-    induced_cols = []
-    for i in range(c0):
-        v = syz.cover.vertices[i]
-        for b0 in range(sN):
-            col = []
-            for w in range(1, m.n + 1):
-                path = n_rep.path_matrix(v, w)
-                emb = syz.embed[w]
-                for a in range(sN):
-                    for j in range(omega.s):
-                        col.append(path.data[a][b0] * emb.data[i][j])
-            induced_cols.append(col)
-    sm_stack = _smith(stack)
-    floor = hom.floor
-    sm_stack.certify(floor, stack.cols, "Hom basis")
-    coords = sm_stack.solve(DVRMatrix.from_columns(induced_cols, stack.rows, trunc))
-    if coords is None:
-        raise TruncationUnstable("cover-induced map escapes the hom space")
-    floor -= sm_stack.loss
-    sm = _smith(coords)
-    sm.certify(floor, coords.rows, "Ext^1 class space")
-    return sm, floor - sm.loss
-
-
 def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
                       weights: Optional[tuple[int, ...]] = None) -> CMModuleRep:
     """Middle term of a maximally nonsplit extension of the top rank-1
@@ -507,41 +487,53 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
     if (top.n, top.k) != (bottom.n, bottom.k):
         raise ValueError("rims disagree on (k, n)")
     N = trunc if trunc is not None else default_truncation(top.n)
-    return _extension_middle(build_rank1(top, N), build_rank1(bottom, N), weights)
+    top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)
+    return _extension_middle(top_rep, bot_rep, _extension_classes(top_rep, bot_rep),
+                             weights or (1,))
 
 
-def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep,
-                      weights: Optional[tuple[int, ...]]) -> CMModuleRep:
-    """Pushout for the chosen extension class, or the direct sum when it is zero.
+def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
+                       ) -> Optional[tuple[SyzygyData, list[dict[int, DVRMatrix]], int]]:
+    """The top's syzygy data, one map Omega -> bottom per nonzero cyclic
+    factor of Ext^1, and their floor; None when every extension splits.
 
     Ext^1 of CM modules is torsion and its presentation is certified, so
-    the classes are the cyclic factors with a positive exponent.
+    the factors are those with a positive exponent.  Map p has component 1
+    in the p-th of them and 0 in the others: it solves U y = indicator for
+    the row transform U of the presentation's Smith form, one solve for
+    every indicator.
     """
-    n, N = top_rep.n, top_rep.trunc
-    syz = syzygy_data(top_rep)
-    if syz.omega is None:  # projective top: every extension splits
-        return direct_sum(top_rep, bot_rep)
-    hom = hom_space(syz.omega, bot_rep)
-    sm, floor = _ext_class_coordinates(top_rep, bot_rep, syz, hom)
+    pres = _ext_presentation(top_rep, bot_rep)
+    if pres is None:  # projective top
+        return None
+    syz, sm_e, coords, floor = pres
+    sm = _smith(coords)
+    sm.certify(floor, coords.rows, "Ext^1 class space")
     targets = [i for i, e in enumerate(sm.exponents) if e > 0]
     if not targets:
-        return direct_sum(top_rep, bot_rep)
-    # class with chosen components in the cyclic factors: solve U y = indicator
-    w = weights if weights is not None else (1,) * len(targets)
-    indicator = [ValPoly.zero(N) for _ in range(len(hom.generators))]
-    for pos, i in enumerate(targets):
-        indicator[i] = ValPoly.monomial(w[pos % len(w)], 0, N)
+        return None
+    eye = DVRMatrix.identity(coords.rows, top_rep.trunc)
     # U is invertible, so this solve loses no precision
-    y = _smith(sm.U).solve(DVRMatrix.from_columns([indicator], len(indicator), N))
-    if y is None:
-        raise TruncationUnstable("could not lift the extension class")
-    f = {v: DVRMatrix.zeros(1, syz.omega.s, N) for v in range(1, n + 1)}
-    for j, coeff in enumerate(y.column(0)):
-        if coeff.is_zero():
-            continue
-        gen = hom.generators[j]
-        for v in range(1, n + 1):
-            f[v] = f[v] + gen[v].scale(coeff)
+    lifts = _smith(sm.U).solve(
+        DVRMatrix.from_columns([eye.column(i) for i in targets], coords.rows, top_rep.trunc))
+    if lifts is None:
+        raise TruncationUnstable("could not lift the extension classes")
+    maps = _vertex_maps(syzygy_data(syz.omega).cover, bot_rep, sm_e.kernel() @ lifts)
+    return syz, maps, floor - sm.loss
+
+
+def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
+                      weights: tuple[int, ...]) -> CMModuleRep:
+    """Pushout along the sum of the ``_extension_classes`` maps, the p-th
+    weighted by weights[p % len(weights)]; the direct sum when there are none."""
+    if classes is None:
+        return direct_sum(top_rep, bot_rep)
+    syz, maps, floor = classes
+    N = top_rep.trunc
+    scalars = [ValPoly.monomial(weights[p % len(weights)], 0, N) for p in range(len(maps))]
+    f = {v: sum((g[v].scale(c) for g, c in zip(maps, scalars)),
+                DVRMatrix.zeros(1, syz.omega.s, N))
+         for v in range(1, top_rep.n + 1)}
     return _pushout_rank2(top_rep, bot_rep, syz, f, floor)
 
 
@@ -645,11 +637,12 @@ def _rank2_walk(top: Rim, bottom: Rim,
     key = (top.n, top.k, top.elements, bottom.elements, N)
     if key in _RANK2_CACHE:
         return _RANK2_CACHE[key]
-    # built and resolved once, for every weight of the ladder
+    # built, resolved and their classes lifted once, for every weight of the ladder
     top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)
+    classes = _extension_classes(top_rep, bot_rep)
     first: Optional[CMModuleRep] = None
     for weights in WEIGHT_LADDER:
-        m = _extension_middle(top_rep, bot_rep, weights)
+        m = _extension_middle(top_rep, bot_rep, classes, weights)
         if is_rigid(m) and decomposition_rank2(m) is None:
             result = (m, True)
             break

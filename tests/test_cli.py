@@ -116,7 +116,7 @@ class TestDiagram:
 
 class TestCensusCommand:
     def test_census_36_full_table(self, capsys):
-        code, out = run_cli(["census", "3", "6", "--full"], capsys)
+        code, out = run_cli(["census", "3", "6"], capsys)
         assert code == 0
         assert "rank1: 20, rank2 rigid: 2" in out
 

@@ -169,6 +169,18 @@ class TestExt1:
             for b in rims_all[::7]:
                 assert ext1_rims(a, b).total_dim == ext1_rims(b, a).total_dim
 
+    def test_symmetric_total_dim_with_rank2_arguments(self):
+        # the stable category is 2-Calabi-Yau (JKS16), so dim Ext^1(M, N) =
+        # dim Ext^1(N, M); checked for every rigid (3,7) rank-2 module against
+        # every (3,7) rank-1 module and every other rigid rank-2 module
+        rigid = [m for m in (rigid_indecomposable_rank2(a, b)
+                             for a, b in rank2_candidates(3, 7)) if m is not None]
+        assert len(rigid) == 14
+        rank1 = [build_rank1(r) for r in all_rims(3, 7)]
+        for i, m in enumerate(rigid):
+            for other in rank1 + rigid[i + 1:]:
+                assert ext1(m, other).total_dim == ext1(other, m).total_dim
+
     def test_exponent_count_is_r_minus_1(self):
         rims_all = all_rims(3, 7)
         for a in rims_all[::4]:
@@ -305,16 +317,22 @@ class TestRank2Walk:
         monkeypatch.setattr(homology, "_RANK2_CACHE", {})
         return homology._RANK2_CACHE
 
+    @staticmethod
+    def record(monkeypatch, name):
+        """Replace homology.<name> by a wrapper logging (args, result) of each call."""
+        calls = []
+        original = getattr(homology, name)
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append((args, out))
+            return out
+        monkeypatch.setattr(homology, name, recorded)
+        return calls
+
     @pytest.fixture
     def build_count(self, monkeypatch):
-        calls = []
-        original = homology._extension_middle
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(homology, "_extension_middle", counted)
-        return calls
+        return self.record(monkeypatch, "_pushout_rank2")
 
     @pytest.mark.parametrize("rigid_first", [False, True])
     def test_entry_points_share_the_module(self, fresh_cache, rigid_first):
@@ -341,14 +359,26 @@ class TestRank2Walk:
         assert rank2_extension(a, b, 14) is not m
         assert len(fresh_cache) == 2
 
-    def test_walk_builds_its_ends_once(self, fresh_cache, build_count):
+    def test_walk_builds_its_ends_once(self, monkeypatch, fresh_cache, build_count):
         # no weight gives a rigid indecomposable middle, so the walk tries all
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
+        presented = self.record(monkeypatch, "_ext_presentation")
+        factored = self.record(monkeypatch, "_smith")
+        homs = self.record(monkeypatch, "hom_space")
         assert rigid_indecomposable_rank2(a, b) is None
         assert len(build_count) == len(WEIGHT_LADDER)
-        assert len({(id(top), id(bottom)) for top, bottom, _ in build_count}) == 1
-        top, bottom, _ = build_count[0]
+        assert len({(id(args[0]), id(args[1])) for args, _ in build_count}) == 1
+        top, bottom = build_count[0][0][:2]
         assert (top.rim, bottom.rim) == (a, b)
+        # the self-Ext checks of the middles present Ext^1 of rank-2 modules
+        ends = [(args, out) for args, out in presented if args[0].s == 1]
+        assert len(ends) == 1 and ends[0][0] == (top, bottom)
+        coords = ends[0][1][2]
+        # the class space is factored once, and its row transform U once
+        transforms = [sm.U for (matrix, *_), sm in factored if matrix is coords]
+        assert len(transforms) == 1
+        assert sum(matrix is transforms[0] for (matrix, *_), _ in factored) == 1
+        assert homs == []
 
     def test_no_rigid_middle_falls_back_to_first_weight(self, fresh_cache):
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
