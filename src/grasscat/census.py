@@ -214,7 +214,7 @@ def _attach_orbit_ids(report: CensusReport, trunc: int) -> None:
     from .tubes import tau_orbit  # deferred: tubes builds on the census
     for entry in report.rank2_rigid:
         orbit = tau_orbit(entry.profile, trunc=trunc)
-        report_labels = sorted(m.sort_key() for m in orbit.members)
+        report_labels = sorted(m.label() for m in orbit.members)
         entry.orbit_id = report_labels[0]
 
 

@@ -187,8 +187,13 @@ def cmd_orbit(args, cfg: Config) -> int:
 
 
 def cmd_tubes(args, cfg: Config) -> int:
+    from .census import run_census
     from .tubes import tube_census, write_tube_report
-    rep = tube_census(args.k, args.n, trunc=cfg.truncation_for(args.n))
+    N = cfg.truncation_for(args.n)
+    # a fresh census cache in the output directory is read, not recomputed
+    census = run_census(args.k, args.n, trunc=N, cache_dir=cfg.output_dir) \
+        if args.k >= 3 else None
+    rep = tube_census(args.k, args.n, trunc=N, census_report=census)
     path = write_tube_report(rep, cfg.output_dir)
     mism = [c for c in rep.fixture_checks if c.status == "MISMATCH"]
     payload = rep.to_json_dict()

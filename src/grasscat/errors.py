@@ -28,8 +28,3 @@ class TruncationUnstable(GrasscatError):
     """A t-adic answer its precision floor cannot certify, or a step that
     cannot be completed at the working truncation; a higher truncation may
     succeed."""
-
-
-class EmbeddingFailure(GrasscatError):
-    """No monomial placement of the bottom layer inside the two-layer module
-    yields a free cokernel.  Signals a construction bug for crossing pairs."""

@@ -39,8 +39,7 @@ from .dvr import Coeff, DVRMatrix, Smith, ValPoly, _reciprocal, _smith
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
                       rep_a_vector)
-from .rims import (Rim, interlacing_degree, peaks, rim, shift as shift_rim,
-                   two_layer_splits)
+from .rims import Rim, peaks, rim, shift as shift_rim, two_layer_splits
 
 def top_multiset(m: CMModuleRep) -> dict[int, int]:
     """Multiplicity of each vertex in the top of the module.
@@ -115,11 +114,6 @@ def projective_cover(m: CMModuleRep) -> Cover:
                m.s, m.trunc)
            for w in range(1, m.n + 1)}
     return Cover(tuple(vertices), tuple(generators), eps)
-
-
-def is_projective_rep(m: CMModuleRep) -> bool:
-    """A module is projective exactly when its minimal cover is an isomorphism."""
-    return projective_cover(m).size == m.s
 
 
 @dataclass
@@ -373,13 +367,12 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     Rotating the quiver is an automorphism of the algebra, so when m is a
     rank-1 module with a recorded rim the pair is first rotated to make
     that rim the least of its rotation class.  The canonical module comes
-    from a memo with one entry per rotation class and truncation, and its
-    syzygy is cached on it, so it is resolved once per class and
-    truncation.
+    from the rank-1 memo, and its syzygy is cached on it, so it is
+    resolved once per rotation class and truncation.
     """
     if m.rim is not None:
         j = min(range(m.n), key=lambda i: shift_rim(m.rim, i).elements)
-        canon = _canonical_rank1(shift_rim(m.rim, j), m.trunc)
+        canon = _rank1_module(shift_rim(m.rim, j), m.trunc)
         if m is n_rep:
             n_rep = canon
         elif j:
@@ -388,17 +381,18 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     return ExtDecomp(_ext1_once(m, n_rep))
 
 
-# rank-1 modules of rims that are least in their rotation class, one per
-# (rim, truncation); each carries its cached syzygy
-_CANONICAL_RANK1: dict[tuple[Rim, int], CMModuleRep] = {}
+# rank-1 modules read by ext1 and the ladder walks, one per (rim,
+# truncation), so at most C(n, k) per truncation; each carries its cached
+# syzygy
+_RANK1_MODULES: dict[tuple[Rim, int], CMModuleRep] = {}
 
 
-def _canonical_rank1(r: Rim, trunc: int) -> CMModuleRep:
+def _rank1_module(r: Rim, trunc: int) -> CMModuleRep:
     """The memoised rank-1 module of r at trunc."""
     key = (r, trunc)
-    m = _CANONICAL_RANK1.get(key)
+    m = _RANK1_MODULES.get(key)
     if m is None:
-        m = _CANONICAL_RANK1[key] = build_rank1(r, trunc)
+        m = _RANK1_MODULES[key] = build_rank1(r, trunc)
     return m
 
 
@@ -410,11 +404,6 @@ def ext1_rims(a: Rim, b: Rim, trunc: Optional[int] = None) -> ExtDecomp:
 def is_rigid(m: CMModuleRep) -> bool:
     """True when the module has no self-extensions."""
     return ext1(m, m).is_zero()
-
-
-def is_indecomposable_rank2(top: Rim, bottom: Rim) -> bool:
-    """Poset criterion: the two-layer module is indecomposable iff r >= 3."""
-    return interlacing_degree(top, bottom) >= 3
 
 
 def _det_poly_mod_t(blocks: list[list[list[Fraction]]], s: int) -> dict[tuple[int, ...], Fraction]:
@@ -532,14 +521,15 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
     N = top_rep.trunc
     scalars = [ValPoly.monomial(weights[p % len(weights)], 0, N) for p in range(len(maps))]
     f = {v: sum((g[v].scale(c) for g, c in zip(maps, scalars)),
-                DVRMatrix.zeros(1, syz.omega.s, N))
+                DVRMatrix.zeros(bot_rep.s, syz.omega.s, N))
          for v in range(1, top_rep.n + 1)}
-    return _pushout_rank2(top_rep, bot_rep, syz, f, floor)
+    return _pushout(top_rep, bot_rep, syz, f, floor)
 
 
-def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
-                   f: dict[int, DVRMatrix], floor: int) -> CMModuleRep:
-    """Quotient (bottom + cover) / antidiagonal image of the syzygy.
+def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
+             f: dict[int, DVRMatrix], floor: int) -> CMModuleRep:
+    """Quotient (bottom + cover) / antidiagonal image of the syzygy, a module
+    of rank rank(top) + rank(bottom): the cover has rank(top) + rank(Omega).
 
     f is correct modulo t^floor, a floor no higher than those of the two
     ends, and so is the quotient: splitting it off needs unit pivots, and
@@ -551,20 +541,16 @@ def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
     for v_cov in syz.cover.vertices:
         proj_rim = rim([(v_cov + i - 1) % n + 1 for i in range(1, k + 1)], k, n)
         amb = direct_sum(amb, build_rank1(proj_rim, N))
-    c = syz.cover.size
-    r = syz.omega.s
+    sb, c, r = bot_rep.s, syz.cover.size, syz.omega.s
     projections: dict[int, DVRMatrix] = {}
     for v in range(1, n + 1):
-        rows = [[f[v].data[0][j] for j in range(r)]]
-        emb = syz.embed[v]
-        for i in range(c):
-            rows.append([ValPoly.zero(N) - emb.data[i][j] for j in range(r)])
-        sub = DVRMatrix(rows, N, cols=r)
+        sub = DVRMatrix(f[v].data + tuple([-e for e in row] for row in syz.embed[v].data),
+                        N, cols=r)
         sm = _smith(sub)
         if sm.npivots != r or sm.loss:
             raise TruncationUnstable(
                 f"extension quotient not free at vertex {v}")
-        projections[v] = DVRMatrix(sm.U.data[r:1 + c], N, cols=1 + c)
+        projections[v] = DVRMatrix(sm.U.data[r:sb + c], N, cols=sb + c)
     # one factorisation per vertex, shared by the x and the y map out of it
     proj_t = {v: _smith(projections[v].transpose()) for v in range(1, n + 1)}
     x_new, y_new = {}, {}
@@ -572,7 +558,7 @@ def _pushout_rank2(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
         w = (v - 2) % n + 1
         x_new[v] = _induced_on_quotient(proj_t[w], projections[v], amb.x[v])
         y_new[v] = _induced_on_quotient(proj_t[v], projections[w], amb.y[v])
-    return CMModuleRep(n, k, 2, x_new, y_new, N, floor)
+    return CMModuleRep(n, k, top_rep.s + sb, x_new, y_new, N, floor)
 
 
 def _induced_on_quotient(proj_src_t: Smith, proj_dst: DVRMatrix,
@@ -637,8 +623,8 @@ def _rank2_walk(top: Rim, bottom: Rim,
     key = (top.n, top.k, top.elements, bottom.elements, N)
     if key in _RANK2_CACHE:
         return _RANK2_CACHE[key]
-    # built, resolved and their classes lifted once, for every weight of the ladder
-    top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)
+    # resolved and their classes lifted once, for every weight of the ladder
+    top_rep, bot_rep = _rank1_module(top, N), _rank1_module(bottom, N)
     classes = _extension_classes(top_rep, bot_rep)
     first: Optional[CMModuleRep] = None
     for weights in WEIGHT_LADDER:

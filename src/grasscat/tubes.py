@@ -48,9 +48,6 @@ class OrbitMember:
             return self.profiles[0].label()
         return f"rk{self.rank}[" + ",".join(str(c) for c in self.a_vec) + "]"
 
-    def sort_key(self) -> str:
-        return self.label()
-
     def key(self):
         if self.rim_label is not None:
             return ("rim", self.rim_label.elements)
@@ -249,10 +246,6 @@ class TubeCensusReport:
     fixture_checks: list[FixtureCheck] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    @property
-    def has_fixture_mismatch(self) -> bool:
-        return any(c.status == "MISMATCH" for c in self.fixture_checks)
-
     def to_json_dict(self) -> dict:
         return {
             "k": self.k, "n": self.n, "v": self.v, "banner": self.banner,
@@ -316,7 +309,7 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
                 seen_profiles.add(p.label())
         if progress and (idx + 1) % 20 == 0:
             print(f"  tubes ({k},{n}): {idx + 1}/{len(seeds)} seeds", file=sys.stderr)
-    orbits.sort(key=lambda o: min(m.sort_key() for m in o.members))
+    orbits.sort(key=lambda o: min(m.label() for m in o.members))
 
     periods: dict[int, int] = {}
     for o in orbits:
@@ -342,7 +335,7 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
 def _family_key(o: TauOrbit) -> str:
     best = None
     for m_rot in range(o.n):
-        labels = [mem.rotate(m_rot, o.n, o.k).sort_key() for mem in o.members]
+        labels = [mem.rotate(m_rot, o.n, o.k).label() for mem in o.members]
         for start in range(len(labels)):
             cyc = tuple(labels[(start + i) % len(labels)] for i in range(len(labels)))
             cand = "|".join(cyc)
@@ -428,17 +421,3 @@ def write_tube_report(report: TubeCensusReport, out_dir: Path) -> Path:
     path = out_dir / f"tubes-{report.k}-{report.n}.json"
     path.write_text(json.dumps(report.to_json_dict(), indent=1, sort_keys=True))
     return path
-
-
-def orbit_from_json(data: dict) -> TauOrbit:
-    """Reader for the orbit JSON document; inverse to ``to_json_dict``."""
-    k, n = data["k"], data["n"]
-    members = []
-    for m in data["members"]:
-        members.append(OrbitMember(
-            rank=m["rank"],
-            a_vec=tuple(m["a_vector"]),
-            rim_label=rim(m["rim"], k, n) if m.get("rim") else None,
-            profiles=tuple(Profile(tuple(rim(ls, k, n) for ls in prof))
-                           for prof in m.get("profiles", []))))
-    return TauOrbit(k, n, data["v"], members, data["period"])

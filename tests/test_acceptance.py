@@ -235,7 +235,7 @@ def test_criterion_7_cyclic_filtrations(census_reports):
         # swap closure on the real-root entries
         for e in real:
             p = next(q for q in e.profiles if classify_pair(*q.layers).tight)
-            assert p.swap().label() in tight_labels, p
+            assert Profile(p.layers[::-1]).label() in tight_labels, p
         # the multiplicity-vector fiber over every degree-2 real root is 2
         fibers = {}
         for e in real:
@@ -254,7 +254,7 @@ def test_criterion_8_periodicity_and_fixtures(tube_reports):
         rep = tube_reports[(k, n)]
         assert all(two_v % p == 0 for p in rep.periods), rep.periods
         assert rep.periods.get(two_v, 0) >= 1
-        assert not rep.has_fixture_mismatch
+        assert all(c.status != "MISMATCH" for c in rep.fixture_checks)
         matched = sum(1 for c in rep.fixture_checks
                       if c.status in ("matched", "membership-ok"))
         assert matched > 0

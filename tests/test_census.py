@@ -160,4 +160,4 @@ class TestClosures:
     def test_39_swap_closure_is_total(self, census_reports):
         rep = census_reports[(3, 9)]
         labels = {e.profile.label() for e in rep.rank2_rigid}
-        assert {e.profile.swap().label() for e in rep.rank2_rigid} == labels
+        assert {Profile(e.profile.layers[::-1]).label() for e in rep.rank2_rigid} == labels

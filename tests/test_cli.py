@@ -174,6 +174,25 @@ class TestTubesCommand:
         assert blob["banner"] == "non-tame: orbits only"
         assert all(4 % int(p) == 0 for p in blob["periods"])
 
+    def test_tubes_reads_a_fresh_census_cache(self, capsys, tmp_path, monkeypatch):
+        from grasscat import census, tubes
+        argv = ["--json", "--out", str(tmp_path), "tubes", "3", "6"]
+        code, first = run_cli(argv, capsys)
+        assert code == 0 and (tmp_path / "census-3-6.json").exists()
+        calls = []
+        original = census.rigid_indecomposable_rank2
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        for module in (census, tubes):
+            monkeypatch.setattr(module, "rigid_indecomposable_rank2", counted)
+        code, second = run_cli(argv, capsys)
+        assert code == 0 and calls == []
+        assert second == first
+        assert json.loads(second) == {**tubes.tube_census(3, 6).to_json_dict(),
+                                      "written": str(tmp_path / "tubes-3-6.json")}
+
 
 # sha256 of the --json output of each command, run with a fresh --out
 # directory.  Refactors must leave every byte unchanged; a deliberate output

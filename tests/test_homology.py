@@ -10,8 +10,7 @@ from grasscat.census import rank2_candidates
 from grasscat.dvr import rational_rank
 from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_rims,
-                               generic_extension, hom_space,
-                               is_indecomposable_rank2, is_isomorphic,
+                               generic_extension, hom_space, is_isomorphic,
                                is_rigid, projective_cover, rank2_extension,
                                rigid_indecomposable_rank2, syzygy, syzygy_data,
                                top_multiset, _ext1_once)
@@ -245,12 +244,20 @@ class TestRigidity:
 
     def test_sigma_module_of_alternating_pair_splits(self):
         # the order-symmetric layered construction cannot be the rigid
-        # module: over (3,6) it is isomorphic to the direct sum
-        a, b = rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)
+        # module: over (3,6) it is not rigid, and for every pair of
+        # interlacing degree >= 3 at (3,6) and (3,8) it is isomorphic to
+        # the direct sum of its layers
+        assert not is_rigid(build_layered([rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)]))
+        for a, b in rank2_candidates(3, 6) + rank2_candidates(3, 8):
+            L = build_layered([a, b])
+            S = direct_sum(build_rank1(a, L.trunc), build_rank1(b, L.trunc))
+            assert is_isomorphic(L, S), (a, b)
+
+    def test_layered_module_of_negative_control_does_not_split(self):
+        a, b = rim([1, 2, 4, 7], 4, 8), rim([3, 5, 6, 8], 4, 8)
         L = build_layered([a, b])
-        assert not is_rigid(L)
-        S = direct_sum(build_rank1(a, L.trunc), build_rank1(b, L.trunc))
-        assert is_isomorphic(L, S)
+        assert not is_isomorphic(L, direct_sum(build_rank1(a, L.trunc),
+                                               build_rank1(b, L.trunc)))
 
     def test_four_interlacing_not_rigid(self):
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
@@ -258,9 +265,10 @@ class TestRigidity:
         assert not is_rigid(build_layered([a, b]))
 
     def test_poset_criterion(self):
-        assert is_indecomposable_rank2(rim([2, 5, 7], 3, 8), rim([1, 3, 6], 3, 8))
-        assert not is_indecomposable_rank2(rim([1, 2, 3], 3, 8), rim([1, 2, 4], 3, 8))
-        assert is_indecomposable_rank2(rim([1, 2, 4, 6], 4, 8), rim([3, 5, 7, 8], 4, 8))
+        # the two-layer module is indecomposable exactly when r >= 3
+        assert interlacing_degree(rim([2, 5, 7], 3, 8), rim([1, 3, 6], 3, 8)) >= 3
+        assert interlacing_degree(rim([1, 2, 3], 3, 8), rim([1, 2, 4], 3, 8)) < 3
+        assert interlacing_degree(rim([1, 2, 4, 6], 4, 8), rim([3, 5, 7, 8], 4, 8)) >= 3
 
 
 class TestExtensionConstruction:
@@ -269,6 +277,19 @@ class TestExtensionConstruction:
         m = rank2_extension(a, b)
         assert validate_relations(m) == []
         assert rep_a_vector(m).entries == (1, 1, 1, 1, 1, 1, 0, 0, 0)
+
+    @pytest.mark.parametrize("rank2_on_top", [True, False])
+    def test_rank3_pushout_both_orders(self, rank2_on_top):
+        # the rigid 147|258 class extended by the rim 369, in either order
+        r2 = rank2_extension(rim([1, 4, 7], 3, 9), rim([2, 5, 8], 3, 9))
+        r1 = build_rank1(rim([3, 6, 9], 3, 9), r2.trunc)
+        top, bottom = (r2, r1) if rank2_on_top else (r1, r2)
+        classes = homology._extension_classes(top, bottom)
+        assert classes is not None  # a nonsplit extension, built by the pushout
+        m = homology._extension_middle(top, bottom, classes, WEIGHT_LADDER[0])
+        assert m.s == 3
+        assert validate_relations(m) == []
+        assert rep_a_vector(m).entries == (1,) * 9
 
     def test_split_for_noncrossing(self):
         a, b = rim([1, 2, 3], 3, 6), rim([4, 5, 6], 3, 6)
@@ -332,7 +353,7 @@ class TestRank2Walk:
 
     @pytest.fixture
     def build_count(self, monkeypatch):
-        return self.record(monkeypatch, "_pushout_rank2")
+        return self.record(monkeypatch, "_pushout")
 
     @pytest.mark.parametrize("rigid_first", [False, True])
     def test_entry_points_share_the_module(self, fresh_cache, rigid_first):
@@ -370,6 +391,9 @@ class TestRank2Walk:
         assert len({(id(args[0]), id(args[1])) for args, _ in build_count}) == 1
         top, bottom = build_count[0][0][:2]
         assert (top.rim, bottom.rim) == (a, b)
+        # the ends are the memoised rank-1 modules that ext1 reads too
+        assert (top, bottom) == (homology._rank1_module(a, top.trunc),
+                                 homology._rank1_module(b, top.trunc))
         # the self-Ext checks of the middles present Ext^1 of rank-2 modules
         ends = [(args, out) for args, out in presented if args[0].s == 1]
         assert len(ends) == 1 and ends[0][0] == (top, bottom)
@@ -443,14 +467,14 @@ class TestFactorOnce:
     def test_pushout_factors_each_vertex_once(self, monkeypatch):
         calls = self.count_smith(monkeypatch)
         inside = []
-        original = homology._pushout_rank2
+        original = homology._pushout
 
         def counted(*args):
             before = len(calls)
             out = original(*args)
             inside.append(len(calls) - before)
             return out
-        monkeypatch.setattr(homology, "_pushout_rank2", counted)
+        monkeypatch.setattr(homology, "_pushout", counted)
         generic_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
         # per vertex: one factorisation splits off the quotient and one
         # serves the solves of both structure maps out of it
@@ -556,19 +580,19 @@ class TestCanonicalExt:
             _ext1_once(build_rank1(a), build_rank1(b))
 
     def test_memo_holds_one_module_per_class_and_truncation(self, monkeypatch):
-        monkeypatch.setattr(homology, "_CANONICAL_RANK1", {})
+        monkeypatch.setattr(homology, "_RANK1_MODULES", {})
         rims_all = all_rims(3, 7)
         for a in rims_all:
             for b in rims_all[::5]:
                 ext1_rims(a, b)
-        memo = homology._CANONICAL_RANK1
+        memo = homology._RANK1_MODULES
         assert len(memo) == 5
         assert {N for _, N in memo} == {14}
         assert len({id(m) for m in memo.values()}) == len(memo)
         for (r, N), m in memo.items():
             assert (m.rim, m.trunc) == (r, N)
             assert r.elements == min(shift(r, j).elements for j in range(7))
-            assert homology._canonical_rank1(r, N) is m
+            assert homology._rank1_module(r, N) is m
 
     def test_syzygy_is_cached_on_the_module(self):
         m = build_rank1(rim([1, 4, 5], 3, 9))

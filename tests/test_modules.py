@@ -3,14 +3,13 @@ import random
 import pytest
 
 from grasscat.dvr import DVRMatrix, ValPoly
-from grasscat.errors import EmbeddingFailure, NotRankOne
+from grasscat.errors import NotRankOne
 from grasscat.homology import rank2_extension
 from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered,
-                              build_profile, build_rank1, diagonal_embedding,
-                              direct_sum, identify_rank1, lattice_diagram_data,
-                              parse_profile, profile, rep_a_vector,
-                              sigma_power, validate_relations)
-from grasscat.rims import all_rims, is_projective, parse_rim, rim, shift
+                              build_rank1, direct_sum, identify_rank1,
+                              lattice_diagram_data, parse_profile, profile,
+                              rep_a_vector, sigma_power, validate_relations)
+from grasscat.rims import all_rims, parse_rim, rim, shift
 
 N = 16
 
@@ -54,9 +53,9 @@ class TestBuildRank1:
 
     def test_projective_rim_is_projective_module(self):
         # the interval {6,7,8} over (3,8) is the projective at vertex 5
-        from grasscat.homology import is_projective_rep, top_multiset
+        from grasscat.homology import syzygy_data, top_multiset
         m = build_rank1(rim([6, 7, 8], 3, 8), N)
-        assert is_projective_rep(m)
+        assert syzygy_data(m).omega is None
         assert top_multiset(m) == {5: 1}
 
     def test_validates(self):
@@ -100,6 +99,16 @@ class TestBuildLayered:
         assert any("vertex 3" in line or "x_3" in line or "x_4" in line
                    for line in report)
 
+    @pytest.mark.parametrize("degree, violated", [(N - 2, False), (N - 4, True)])
+    def test_relations_are_compared_modulo_the_floor(self, degree, violated):
+        # a computed module is correct modulo t^floor: a perturbation at or
+        # above the floor carries no information, one below it is a violation
+        m = build_rank1(rim([1, 4, 5], 3, 8), N)
+        x = dict(m.x)
+        x[1] = DVRMatrix([[ValPoly({0: 1, degree: 1}, N)]], N)
+        perturbed = CMModuleRep(8, 3, 1, x, m.y, N, floor=N - 2)
+        assert bool(validate_relations(perturbed)) == violated
+
 
 class TestRankAndAVector:
     def test_ranks(self):
@@ -117,11 +126,11 @@ class TestRankAndAVector:
 
     def test_a_vector_order_independent(self):
         p = profile([[1, 2, 4, 6], [2, 3, 5, 7]], 4, 8)
-        assert a_vector(p).entries == a_vector(p.swap()).entries
+        assert a_vector(p).entries == a_vector(Profile(p.layers[::-1])).entries
 
     def test_rep_a_vector_matches(self):
         p = profile([[2, 5, 7], [1, 3, 6]], 3, 8)
-        assert rep_a_vector(build_profile(p)).entries == a_vector(p).entries
+        assert rep_a_vector(build_layered(p.layers)).entries == a_vector(p).entries
 
 
 class TestIdentifyRank1:
@@ -157,45 +166,6 @@ class TestIdentifyRank1:
         with pytest.raises(NotRankOne):
             identify_rank1(build_layered([rim([1, 3, 5], 3, 6),
                                           rim([2, 4, 6], 3, 6)]))
-
-
-class TestDiagonalEmbedding:
-    def test_parallel_rims(self):
-        r = rim([1, 4, 5], 3, 8)
-        e = diagonal_embedding(r, r)
-        assert e.cokernel_rim == r
-        assert all(v == (0, 0) for v in e.valuations.values())
-
-    def test_crossing_pair(self):
-        e = diagonal_embedding(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
-        assert e.cokernel_rim == rim([1, 3, 5], 3, 6)
-        assert validate_relations(e.cokernel) == []
-
-    def test_three_interlacing_pair(self):
-        e = diagonal_embedding(rim([2, 5, 7], 3, 8), rim([1, 3, 6], 3, 8))
-        assert e.cokernel_rim == rim([2, 5, 7], 3, 8)
-
-    def test_end_terms_for_interlacing_pairs(self):
-        # the layered module carries the claimed filtration for pairs of
-        # interlacing degree >= 3 (and trivially for parallel pairs)
-        from grasscat.rims import interlacing_degree
-        for k, n in [(3, 6), (3, 8)]:
-            rims_all = all_rims(k, n)
-            for a in rims_all:
-                for b in rims_all:
-                    if a == b or interlacing_degree(a, b) >= 3:
-                        e = diagonal_embedding(a, b)
-                        assert e.cokernel_rim == a
-
-    def test_two_interlacing_pair_can_work(self):
-        e = diagonal_embedding(rim([1, 3], 2, 4), rim([2, 4], 2, 4))
-        assert e.cokernel_rim == rim([1, 3], 2, 4)
-
-    def test_noncrossing_distinct_pair_fails(self):
-        # the two-layer module of a non-crossing pair splits with different
-        # layers, so no monomial placement leaves a free rank-1 cokernel
-        with pytest.raises(EmbeddingFailure):
-            diagonal_embedding(rim([1, 2], 2, 4), rim([3, 4], 2, 4))
 
 
 class TestLatticeDiagram:

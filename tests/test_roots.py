@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from grasscat.modules import classify_module_root, profile
+from grasscat.modules import Profile, a_vector, profile
 from grasscat.roots import (RootCoords, RootVector, classify_root_vector,
                             enumerate_degree2_real_roots,
                             expected_rigid_rank2_count, max_entry_bound,
@@ -93,14 +93,16 @@ class TestExpectedCounts:
 
 class TestClassify:
     def test_module_root_examples(self):
-        assert classify_module_root(profile([[1, 3, 5], [2, 4, 6]], 3, 6)) == "real"
-        assert classify_module_root(
-            profile([[2, 5, 6, 8], [1, 3, 4, 7]], 4, 8)) == "imaginary"
-        assert classify_module_root(profile([[1, 2, 3], [1, 2, 3]], 3, 6)) == "not-a-root"
+        def root(layers, k, n):
+            return classify_root_vector(a_vector(profile(layers, k, n)))
+        assert root([[1, 3, 5], [2, 4, 6]], 3, 6) == "real"
+        assert root([[2, 5, 6, 8], [1, 3, 4, 7]], 4, 8) == "imaginary"
+        assert root([[1, 2, 3], [1, 2, 3]], 3, 6) == "not-a-root"
 
     def test_swap_invariance(self):
         p = profile([[1, 2, 4, 6], [3, 5, 7, 8]], 4, 8)
-        assert classify_module_root(p) == classify_module_root(p.swap())
+        assert classify_root_vector(a_vector(p)) == \
+            classify_root_vector(a_vector(Profile(p.layers[::-1])))
 
     def test_vector_classifier(self):
         assert classify_root_vector(RootVector((2, 2, 2, 0, 0, 0), 3)) == "not-a-root"
