@@ -256,6 +256,10 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
     module (Jensen-King-Su 2016).  So the condition has rank
     (c - rank(m)) * rank(n), which is certified against the floor.
     """
+    if (m.n, m.k) != (n_rep.n, n_rep.k):
+        raise ValueError("modules live over different ambients")
+    if m.trunc != n_rep.trunc:
+        raise ValueError("modules carry different truncation levels")
     syz = syzygy_data(m)
     cover, sN = syz.cover, n_rep.s
     c = cover.size
@@ -270,10 +274,11 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
     return sm, floor - sm.loss
 
 
-def _vertex_maps(cover: Cover, n_rep: CMModuleRep,
-                 images: DVRMatrix) -> list[dict[int, DVRMatrix]]:
-    """Vertex matrices of the maps whose cover-generator images are the
-    columns of ``images``, generator i's image in rows i*sN .. (i+1)*sN - 1.
+def _vertex_maps(cover: Cover, n_rep: CMModuleRep, images: DVRMatrix,
+                 vertices: Sequence[int]) -> list[dict[int, DVRMatrix]]:
+    """Vertex matrices, at each of ``vertices``, of the maps whose
+    cover-generator images are the columns of ``images``, generator i's
+    image in rows i*sN .. (i+1)*sN - 1.
 
     At each vertex w a map f satisfies f eps_w = (paths[i] @ xi_i)_i; its
     transpose is solved for every map from one factorisation of the
@@ -284,7 +289,8 @@ def _vertex_maps(cover: Cover, n_rep: CMModuleRep,
     ngen = images.cols
     maps: list[dict[int, DVRMatrix]] = [{} for _ in range(ngen)]
     xi = [DVRMatrix(images.data[i * sN:(i + 1) * sN], trunc, cols=ngen) for i in range(c)]
-    for w, eps in cover.eps.items():
+    for w in vertices:
+        eps = cover.eps[w]
         paths = _hom_target_blocks(n_rep, cover.vertices, w)
         # one column per (map j, row a of f)
         moved = [paths[i] @ xi[i] for i in range(c)]
@@ -308,12 +314,9 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     the maps out vertexwise.  The cover and the syzygy come from m's cached
     ``syzygy_data``.
     """
-    if (m.n, m.k) != (n_rep.n, n_rep.k):
-        raise ValueError("modules live over different ambients")
-    if m.trunc != n_rep.trunc:
-        raise ValueError("modules carry different truncation levels")
     sm, floor = _hom_condition(m, n_rep)
-    return HomBasis(_vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel()), floor)
+    return HomBasis(_vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(),
+                                 range(1, m.n + 1)), floor)
 
 
 def _ext_presentation(m: CMModuleRep, n_rep: CMModuleRep
@@ -443,23 +446,27 @@ def _det_poly_mod_t(blocks: list[list[list[Fraction]]], s: int) -> dict[tuple[in
 
 
 def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
-    """Module isomorphism test for equal-rank representations.
+    """Module isomorphism test for equal-rank representations, exact on its own.
 
-    A generic element of the Hom space is an isomorphism iff, at every
-    vertex, the determinant of a generic combination of the basis maps is
-    a unit; mod t this is a polynomial in the combination coefficients,
-    nonzero at every vertex exactly when an isomorphism exists.  The test
-    is exact on its own; callers compare a-vectors first when that saves
-    work.
+    Tops and a-vectors are isomorphism invariants, so modules that differ in
+    either are not isomorphic; the top costs one echelon form mod t per
+    vertex, the a-vector one Smith form per structure map.  With equal
+    a-vectors, every map f: m -> n satisfies
+    det f_i * det x_i^m = det x_i^n * det f_{i-1}, and val det x_i = s - a_i
+    on both sides, so val det f_i is the same at every vertex.  A generic
+    map is then an isomorphism exactly when det f_w is a unit at one vertex
+    w: mod t, the determinant of a generic combination of the Hom basis maps
+    at w is a nonzero polynomial in the combination coefficients.  The Hom
+    condition is certified (see ``_hom_condition``), so its kernel is
+    correct mod t and only vertex 1 is written out.
     """
     if (m.n, m.k, m.s) != (n_rep.n, n_rep.k, n_rep.s):
         return False
-    basis = hom_space(m, n_rep).generators
-    for w in range(1, m.n + 1):
-        blocks = [gen[w].mod_t() for gen in basis]
-        if not _det_poly_mod_t(blocks, m.s):
-            return False
-    return True
+    if top_multiset(m) != top_multiset(n_rep) or rep_a_vector(m) != rep_a_vector(n_rep):
+        return False
+    sm, _ = _hom_condition(m, n_rep)
+    basis = _vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(), (1,))
+    return bool(_det_poly_mod_t([gen[1].mod_t() for gen in basis], m.s))
 
 
 def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
@@ -507,7 +514,8 @@ def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
         DVRMatrix.from_columns([eye.column(i) for i in targets], coords.rows, top_rep.trunc))
     if lifts is None:
         raise TruncationUnstable("could not lift the extension classes")
-    maps = _vertex_maps(syzygy_data(syz.omega).cover, bot_rep, sm_e.kernel() @ lifts)
+    maps = _vertex_maps(syzygy_data(syz.omega).cover, bot_rep, sm_e.kernel() @ lifts,
+                        range(1, top_rep.n + 1))
     return syz, maps, floor - sm.loss
 
 

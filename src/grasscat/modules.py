@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dvr import DVRMatrix, ValPoly, _smith
-from .errors import NotRankOne
+from .errors import NotRankOne, TruncationUnstable
 from .rims import Rim, parse_rim, rim, shift as shift_rim
 from .roots import RootVector
 
@@ -261,15 +261,13 @@ def rep_a_vector(m: CMModuleRep) -> RootVector:
 
     The t-valuation of det(x_i) equals s - r_i in any basis, so the
     multiplicity vector survives base change; valuations are read off the
-    Smith exponents of each x_i.
+    Smith exponents of each x_i, certified against the module's floor.
     """
     counts = []
     for i in range(1, m.n + 1):
-        sm = _smith(m.x[i], need_u=False)
-        if sm.npivots != m.s:
-            raise ValueError(f"x_{i} is singular at working precision")
-        counts.append(m.s - sum(sm.exponents))
-    if any(c < 0 or c > m.s for c in counts):
+        exps = _smith(m.x[i], need_u=False).certify(m.floor, m.s, f"x_{i}")
+        counts.append(m.s - sum(exps))
+    if any(c < 0 for c in counts):
         raise ValueError(f"multiplicity vector {counts} out of range")
     return RootVector(tuple(counts), m.k)
 
@@ -278,10 +276,13 @@ def identify_rank1(m: CMModuleRep) -> Rim:
     """The unique rim I with m isomorphic to the rank-1 module of I.
 
     Requires rank 1 with valid relations; the rim is the set of edges
-    whose forward map is a unit.
+    whose forward map is a unit.  Telling valuation 1 from higher ones
+    needs the maps correct modulo t^2.
     """
     if m.s != 1:
         raise NotRankOne(f"rank {m.s} module passed to rank-1 identification")
+    if m.floor < 2:
+        raise TruncationUnstable(f"floor {m.floor} cannot certify an x valuation of 1")
     if validate_relations(m):
         raise NotRankOne("relations fail; not a module")
     members = []

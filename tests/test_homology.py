@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscat import dvr, homology
+from grasscat import dvr, homology, modules
 from grasscat.census import rank2_candidates
 from grasscat.dvr import rational_rank
 from grasscat.errors import ProjectiveInput, TruncationUnstable
@@ -19,7 +19,7 @@ from grasscat.modules import (CMModuleRep, build_layered, build_rank1, direct_su
                               validate_relations)
 from grasscat.rims import (all_rims, crossing, interlacing_degree,
                            is_projective, peaks, rim, shift, slopes,
-                           syzygy_rim, two_peak_syzygy_rim)
+                           syzygy_rim, two_layer_splits, two_peak_syzygy_rim)
 
 
 class TestTop:
@@ -438,8 +438,8 @@ class TestFactorOnce:
         def counted(matrix, need_u=True):
             calls.append(matrix)
             return original(matrix, need_u)
-        monkeypatch.setattr(dvr, "_smith", counted)
-        monkeypatch.setattr(homology, "_smith", counted)
+        for module in (dvr, homology, modules):
+            monkeypatch.setattr(module, "_smith", counted)
         return calls
 
     def test_hom_space_factors_each_vertex_once(self, monkeypatch):
@@ -479,6 +479,33 @@ class TestFactorOnce:
         # per vertex: one factorisation splits off the quotient and one
         # serves the solves of both structure maps out of it
         assert len(inside) == 1 and inside[0] <= 2 * 6
+
+    def test_isomorphism_with_different_tops_factors_nothing(self, monkeypatch):
+        a, b = rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)
+        m_ab, m_ba = rank2_extension(a, b), rank2_extension(b, a)
+        assert top_multiset(m_ab) != top_multiset(m_ba)
+        calls = self.count_smith(monkeypatch)
+        assert not is_isomorphic(m_ab, m_ba)
+        assert calls == []
+
+    @pytest.mark.parametrize("m, other, verdict", [
+        # the (4,8) negative control and the rotation of 1246|3578 in its class
+        (lambda: rigid_indecomposable_rank2(rim([1, 2, 4, 7], 4, 8), rim([3, 5, 6, 8], 4, 8)),
+         lambda: rigid_indecomposable_rank2(rim([1, 4, 5, 7], 4, 8), rim([2, 3, 6, 8], 4, 8)),
+         True),
+        # a (3,7) module and a split of its a-vector with the same top
+        (lambda: rank2_extension(rim([1, 3, 5], 3, 7), rim([2, 4, 7], 3, 7)),
+         lambda: direct_sum(build_rank1(rim([1, 2, 5], 3, 7)), build_rank1(rim([3, 4, 7], 3, 7))),
+         False),
+    ], ids=["4-8-same-class", "3-7-split"])
+    def test_isomorphism_with_equal_tops_reads_one_vertex(self, monkeypatch, m, other, verdict):
+        m, other = m(), other()
+        assert top_multiset(m) == top_multiset(other)
+        syzygy_data(m)
+        calls = self.count_smith(monkeypatch)
+        assert is_isomorphic(m, other) is verdict
+        # the a-vectors of both modules, the Hom condition and one vertex
+        assert len(calls) <= 2 * m.n + 1 + 1
 
 
 class TestTwoPeakExtBound:
@@ -693,3 +720,56 @@ class TestPlainData:
             (m.n, m.k, m.s, m.trunc, m.floor, m.rim)
         assert (back.x, back.y) == (m.x, m.y)
         assert ext1(back, back) == ext1(m, m)
+
+
+def n_vertex_is_isomorphic(m, n_rep):
+    """Oracle: the isomorphism test that writes a generic map out at every vertex."""
+    if (m.n, m.k, m.s) != (n_rep.n, n_rep.k, n_rep.s):
+        return False
+    basis = hom_space(m, n_rep).generators
+    return all(homology._det_poly_mod_t([gen[w].mod_t() for gen in basis], m.s)
+               for w in range(1, m.n + 1))
+
+
+class TestOneVertexIsomorphism:
+    """is_isomorphic agrees with the n-vertex test and commutes with rotation."""
+
+    @staticmethod
+    def verdicts(pairs):
+        out = []
+        for m, other in pairs:
+            got = is_isomorphic(m, other)
+            assert got == n_vertex_is_isomorphic(m, other)
+            for j in range(1, m.n):
+                assert is_isomorphic(m.rotate(j), other.rotate(j)) == got, j
+            out.append(got)
+        return out
+
+    def test_3_7_candidates_sharing_an_a_vector(self):
+        by_avec = {}
+        for a, b in rank2_candidates(3, 7):
+            m = rank2_extension(a, b)
+            by_avec.setdefault(rep_a_vector(m), []).append(m)
+        pairs = [pair for group in by_avec.values() for pair in combinations(group, 2)]
+        assert len(pairs) == 7
+        self.verdicts(pairs)
+
+    def test_3_7_split_candidates_are_decided_by_the_determinant(self):
+        # the decomposition_rank2 candidates: same top and a-vector, not isomorphic
+        pairs = []
+        for a, b in rank2_candidates(3, 7):
+            m = rank2_extension(a, b)
+            for u, v in two_layer_splits(rep_a_vector(m).entries, 3, 7):
+                cand = direct_sum(build_rank1(u, m.trunc), build_rank1(v, m.trunc))
+                if u < v and top_multiset(cand) == top_multiset(m):
+                    assert rep_a_vector(cand) == rep_a_vector(m)
+                    pairs.append((m, cand))
+        assert len(pairs) == 7
+        assert self.verdicts(pairs) == [False] * 7
+
+    def test_4_8_negative_control_against_rotations(self):
+        m = rigid_indecomposable_rank2(rim([1, 2, 4, 7], 4, 8), rim([3, 5, 6, 8], 4, 8))
+        a, b = rim([1, 2, 4, 6], 4, 8), rim([3, 5, 7, 8], 4, 8)
+        pairs = [(m, rigid_indecomposable_rank2(shift(a, j), shift(b, j)))
+                 for j in range(8)]
+        assert self.verdicts(pairs) == [j == 3 for j in range(8)]

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from grasscat.dvr import DVRMatrix, ValPoly
-from grasscat.errors import NotRankOne
+from grasscat.errors import NotRankOne, TruncationUnstable
 from grasscat.homology import rank2_extension
 from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered,
                               build_rank1, direct_sum, identify_rank1,
@@ -166,6 +166,17 @@ class TestIdentifyRank1:
         with pytest.raises(NotRankOne):
             identify_rank1(build_layered([rim([1, 3, 5], 3, 6),
                                           rim([2, 4, 6], 3, 6)]))
+
+    @pytest.mark.parametrize("floor", [0, 1])
+    def test_floor_at_an_x_valuation_raises(self, floor):
+        # x_i is t off the rim: modulo t^floor with floor <= 1 it reads 0
+        m = build_rank1(rim([1, 4, 5], 3, 8), N)
+        coarse = CMModuleRep(8, 3, 1, m.x, m.y, N, floor=floor)
+        with pytest.raises(TruncationUnstable):
+            rep_a_vector(coarse)
+        with pytest.raises(TruncationUnstable):
+            identify_rank1(coarse)
+        assert rep_a_vector(CMModuleRep(8, 3, 1, m.x, m.y, N, floor=2)) == rep_a_vector(m)
 
 
 class TestLatticeDiagram:

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
 from grasscat.modules import Profile, a_vector, profile
+from grasscat.rims import all_rims
 from grasscat.roots import (RootCoords, RootVector, classify_root_vector,
                             enumerate_degree2_real_roots,
                             expected_rigid_rank2_count, max_entry_bound,
@@ -99,10 +101,17 @@ class TestClassify:
         assert root([[2, 5, 6, 8], [1, 3, 4, 7]], 4, 8) == "imaginary"
         assert root([[1, 2, 3], [1, 2, 3]], 3, 6) == "not-a-root"
 
-    def test_swap_invariance(self):
-        p = profile([[1, 2, 4, 6], [3, 5, 7, 8]], 4, 8)
-        assert classify_root_vector(a_vector(p)) == \
-            classify_root_vector(a_vector(Profile(p.layers[::-1])))
+    @pytest.mark.parametrize("k, n", [(3, 8), (4, 8)])
+    def test_rotation_and_reversal_invariance(self, k, n):
+        # the dihedral symmetries of the circle preserve the class; a_vector
+        # ignores the order of the layers, so each unordered pair is one profile
+        for a, b in combinations_with_replacement(all_rims(k, n), 2):
+            v = a_vector(Profile((a, b)))
+            want = classify_root_vector(v)
+            reversed_v = RootVector(v.entries[::-1], k)
+            for j in range(n):
+                assert classify_root_vector(v.rotate(j)) == want, (a, b, j)
+                assert classify_root_vector(reversed_v.rotate(j)) == want, (a, b, j)
 
     def test_vector_classifier(self):
         assert classify_root_vector(RootVector((2, 2, 2, 0, 0, 0), 3)) == "not-a-root"
