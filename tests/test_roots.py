@@ -101,6 +101,14 @@ class TestClassify:
         assert root([[2, 5, 6, 8], [1, 3, 4, 7]], 4, 8) == "imaginary"
         assert root([[1, 2, 3], [1, 2, 3]], 3, 6) == "not-a-root"
 
+    def test_swap_invariance(self):
+        # swapping the two layers gives the same a-vector, hence the same class
+        p = profile([[1, 2, 4, 6], [3, 5, 7, 8]], 4, 8)
+        swapped = Profile(p.layers[::-1])
+        assert a_vector(swapped) == a_vector(p)
+        assert classify_root_vector(a_vector(p)) == \
+            classify_root_vector(a_vector(swapped))
+
     @pytest.mark.parametrize("k, n", [(3, 8), (4, 8)])
     def test_rotation_and_reversal_invariance(self, k, n):
         # the dihedral symmetries of the circle preserve the class; a_vector
