@@ -130,7 +130,7 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
     """
     if not 3 <= k <= n // 2:
         raise ValueError(f"need 3 <= k <= n/2, got k={k}, n={n}")
-    N = trunc if trunc is not None else default_truncation(n)
+    N = default_truncation(n, trunc)
 
     cache_path = None
     if cache_dir is not None and sample is None:

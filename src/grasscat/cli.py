@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .config import Config
 from .errors import GrasscatError, TruncationUnstable
 from .modules import (Profile, a_vector, build_layered, build_rank1,
-                      parse_profile, validate_relations)
+                      default_truncation, parse_profile, validate_relations)
 from .rims import (almost_consecutive_decompositions, is_projective,
                    parse_rim, peaks, projective_index, slopes, syzygy_rim)
 from .roots import (classify_root_vector, enumerate_degree2_real_roots,
@@ -34,6 +34,13 @@ def _emit(args, payload: dict, table: str) -> None:
         print(table)
 
 
+def _truncation(args, n: int) -> int:
+    """The working truncation for an ambient of size n: --trunc, or 2n."""
+    if args.trunc is not None and args.trunc < n:
+        raise ValueError(f"truncation {args.trunc} below ambient size {n}")
+    return default_truncation(n, args.trunc)
+
+
 def _module_for(profile: Profile, trunc: int):
     from .homology import rank2_extension
     if len(profile.layers) == 1:
@@ -43,7 +50,7 @@ def _module_for(profile: Profile, trunc: int):
     return build_layered(profile.layers, trunc)
 
 
-def cmd_rim(args, cfg: Config) -> int:
+def cmd_rim(args) -> int:
     r = parse_rim(args.rim)
     sl = slopes(r)
     payload = {
@@ -71,9 +78,9 @@ def cmd_rim(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_module(args, cfg: Config) -> int:
+def cmd_module(args) -> int:
     p = parse_profile(args.profile)
-    rep = _module_for(p, cfg.truncation_for(p.n))
+    rep = _module_for(p, _truncation(args, p.n))
     report = validate_relations(rep)
     av = a_vector(p)
     payload = {
@@ -93,10 +100,10 @@ def cmd_module(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_hom(args, cfg: Config) -> int:
+def cmd_hom(args) -> int:
     from .homology import hom_space
     a, b = parse_profile(args.source), parse_profile(args.target)
-    N = cfg.truncation_for(a.n)
+    N = _truncation(args, a.n)
     ha = hom_space(_module_for(a, N), _module_for(b, N))
     gens = []
     for g in ha.generators:
@@ -109,10 +116,10 @@ def cmd_hom(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_ext(args, cfg: Config) -> int:
+def cmd_ext(args) -> int:
     from .homology import ext1
     a, b = parse_profile(args.source), parse_profile(args.target)
-    N = cfg.truncation_for(a.n)
+    N = _truncation(args, a.n)
     dec = ext1(_module_for(a, N), _module_for(b, N))
     payload = {"source": a.label(), "target": b.label(),
                "exponents": list(dec.exponents), "total_dim": dec.total_dim}
@@ -121,11 +128,11 @@ def cmd_ext(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_syzygy(args, cfg: Config) -> int:
+def cmd_syzygy(args) -> int:
     from .tubes import tau_orbit
     p = parse_profile(args.profile)
     start = p.layers[0] if len(p.layers) == 1 else p
-    orbit = tau_orbit(start, trunc=cfg.truncation_for(p.n))
+    orbit = tau_orbit(start, trunc=_truncation(args, p.n))
     member = orbit.members[1 % len(orbit.members)]
     payload = {"input": p.label(), "syzygy": member.label(),
                "rank": member.rank, "a_vector": list(member.a_vec)}
@@ -133,10 +140,10 @@ def cmd_syzygy(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_rigid(args, cfg: Config) -> int:
+def cmd_rigid(args) -> int:
     from .homology import is_rigid, rigid_indecomposable_rank2
     p = parse_profile(args.profile)
-    N = cfg.truncation_for(p.n)
+    N = _truncation(args, p.n)
     rep = _module_for(p, N)
     rigid = is_rigid(rep)
     payload = {"profile": p.label(), "rigid": rigid}
@@ -150,10 +157,10 @@ def cmd_rigid(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_ar_seq(args, cfg: Config) -> int:
+def cmd_ar_seq(args) -> int:
     from .tubes import ar_sequence
     r = parse_rim(args.rim)
-    seq = ar_sequence(r, trunc=cfg.truncation_for(r.n))
+    seq = ar_sequence(r, trunc=_truncation(args, r.n))
     payload = {
         "left": str(seq.left), "middle": seq.middle_label(), "right": str(seq.right),
         "middle_rigid": seq.middle_rigid,
@@ -167,16 +174,16 @@ def cmd_ar_seq(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_orbit(args, cfg: Config) -> int:
+def cmd_orbit(args) -> int:
     from .tubes import tau_orbit
     from .diagrams import orbit_dot, orbit_tikz
     p = parse_profile(args.profile)
     start = p.layers[0] if len(p.layers) == 1 else p
-    orbit = tau_orbit(start, trunc=cfg.truncation_for(p.n))
-    if cfg.fmt == "dot":
+    orbit = tau_orbit(start, trunc=_truncation(args, p.n))
+    if args.fmt == "dot":
         print(orbit_dot(orbit), end="")
         return 0
-    if cfg.fmt == "tikz":
+    if args.fmt == "tikz":
         print(orbit_tikz(orbit), end="")
         return 0
     payload = orbit.to_json_dict()
@@ -186,15 +193,15 @@ def cmd_orbit(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_tubes(args, cfg: Config) -> int:
+def cmd_tubes(args) -> int:
     from .census import run_census
     from .tubes import tube_census, write_tube_report
-    N = cfg.truncation_for(args.n)
+    N = _truncation(args, args.n)
     # a fresh census cache in the output directory is read, not recomputed
-    census = run_census(args.k, args.n, trunc=N, cache_dir=cfg.output_dir) \
+    census = run_census(args.k, args.n, trunc=N, cache_dir=args.out) \
         if args.k >= 3 else None
     rep = tube_census(args.k, args.n, trunc=N, census_report=census)
-    path = write_tube_report(rep, cfg.output_dir)
+    path = write_tube_report(rep, args.out)
     mism = [c for c in rep.fixture_checks if c.status == "MISMATCH"]
     payload = rep.to_json_dict()
     payload["written"] = str(path)
@@ -215,7 +222,7 @@ def cmd_tubes(args, cfg: Config) -> int:
     return EXIT_FIXTURE_MISMATCH if mism else 0
 
 
-def cmd_roots(args, cfg: Config) -> int:
+def cmd_roots(args) -> int:
     if args.degree != 2:
         print("only degree 2 enumeration is implemented", file=sys.stderr)
         return 2
@@ -235,14 +242,14 @@ def cmd_roots(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_census(args, cfg: Config) -> int:
+def cmd_census(args) -> int:
     from .census import run_census, verify_conjectures
     sample = args.sample if args.sample is not None else None
     full = sample is None
-    rep = run_census(args.k, args.n, trunc=cfg.truncation_for(args.n),
+    rep = run_census(args.k, args.n, trunc=_truncation(args, args.n),
                      sample=sample,
                      with_orbits=args.orbits and full,
-                     cache_dir=cfg.output_dir if full else None,
+                     cache_dir=args.out if full else None,
                      refresh=args.refresh, progress=not args.json)
     counts = rep.counts()
     payload = rep.to_json_dict()
@@ -264,14 +271,14 @@ def cmd_census(args, cfg: Config) -> int:
     return 0
 
 
-def cmd_diagram(args, cfg: Config) -> int:
+def cmd_diagram(args) -> int:
     from .diagrams import lattice_svg, lattice_tikz
     p = parse_profile(args.profile)
-    fmt = cfg.fmt if cfg.fmt in ("svg", "tikz") else "svg"
+    fmt = args.fmt if args.fmt in ("svg", "tikz") else "svg"
     text = lattice_svg(p) if fmt == "svg" else lattice_tikz(p)
     if args.write:
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        path = cfg.output_dir / f"diagram-{p.label().replace('|', '_')}.{fmt}"
+        args.out.mkdir(parents=True, exist_ok=True)
+        path = args.out / f"diagram-{p.label().replace('|', '_')}.{fmt}"
         path.write_text(text)
         print(f"written {path}")
     else:
@@ -286,10 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "circular boundary algebra")
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--json", action="store_true", help="machine-readable output")
-    ap.add_argument("--trunc", type=int, default=None,
-                    help="working t-adic truncation (default 2n)")
-    ap.add_argument("--out", type=Path, default=None, help="output directory")
-    ap.add_argument("--format", dest="fmt", default=None,
+    # argparse converts a string default with the option's type
+    ap.add_argument("--trunc", type=int, default=os.environ.get("GRASSCAT_TRUNCATION") or None,
+                    help="working t-adic truncation (default $GRASSCAT_TRUNCATION, else 2n)")
+    ap.add_argument("--out", type=Path, default=os.environ.get("GRASSCAT_OUT") or "out",
+                    help="output directory (default $GRASSCAT_OUT, else out)")
+    ap.add_argument("--format", dest="fmt", default="table",
                     choices=["table", "svg", "tikz", "dot"])
     ap.add_argument("--verbose", action="store_true")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -360,15 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = Config.from_env()
-    if args.trunc is not None:
-        cfg.truncation = args.trunc
-    if args.out is not None:
-        cfg.output_dir = args.out
-    if args.fmt is not None:
-        cfg.fmt = args.fmt
     try:
-        return args.fn(args, cfg)
+        return args.fn(args)
     except TruncationUnstable as exc:
         print(f"truncation instability: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION

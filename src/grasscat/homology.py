@@ -30,6 +30,7 @@ Every computed module and Hom basis carries a precision floor (see
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -369,34 +370,19 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
 
     Rotating the quiver is an automorphism of the algebra, so when m is a
     rank-1 module with a recorded rim the pair is first rotated to make
-    that rim the least of its rotation class.  The canonical module comes
-    from the rank-1 memo, and its syzygy is cached on it, so it is
+    that rim the least of its rotation class.  The canonical module is the
+    shared ``build_rank1`` module, and its syzygy is cached on it, so it is
     resolved once per rotation class and truncation.
     """
     if m.rim is not None:
         j = min(range(m.n), key=lambda i: shift_rim(m.rim, i).elements)
-        canon = _rank1_module(shift_rim(m.rim, j), m.trunc)
+        canon = build_rank1(shift_rim(m.rim, j), m.trunc)
         if m is n_rep:
             n_rep = canon
         elif j:
             n_rep = n_rep.rotate(j)
         m = canon
     return ExtDecomp(_ext1_once(m, n_rep))
-
-
-# rank-1 modules read by ext1 and the ladder walks, one per (rim,
-# truncation), so at most C(n, k) per truncation; each carries its cached
-# syzygy
-_RANK1_MODULES: dict[tuple[Rim, int], CMModuleRep] = {}
-
-
-def _rank1_module(r: Rim, trunc: int) -> CMModuleRep:
-    """The memoised rank-1 module of r at trunc."""
-    key = (r, trunc)
-    m = _RANK1_MODULES.get(key)
-    if m is None:
-        m = _RANK1_MODULES[key] = build_rank1(r, trunc)
-    return m
 
 
 def ext1_rims(a: Rim, b: Rim, trunc: Optional[int] = None) -> ExtDecomp:
@@ -450,8 +436,20 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
 
     Tops and a-vectors are isomorphism invariants, so modules that differ in
     either are not isomorphic; the top costs one echelon form mod t per
-    vertex, the a-vector one Smith form per structure map.  With equal
-    a-vectors, every map f: m -> n satisfies
+    vertex, the a-vector one Smith form per structure map.  Modules that
+    agree in both go to ``_isomorphic_given_a_vectors``.
+    """
+    if (m.n, m.k, m.s) != (n_rep.n, n_rep.k, n_rep.s):
+        return False
+    if top_multiset(m) != top_multiset(n_rep) or rep_a_vector(m) != rep_a_vector(n_rep):
+        return False
+    return _isomorphic_given_a_vectors(m, n_rep)
+
+
+def _isomorphic_given_a_vectors(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
+    """Isomorphism test for modules of equal rank and equal a-vectors.
+
+    With equal a-vectors, every map f: m -> n satisfies
     det f_i * det x_i^m = det x_i^n * det f_{i-1}, and val det x_i = s - a_i
     on both sides, so val det f_i is the same at every vertex.  A generic
     map is then an isomorphism exactly when det f_w is a unit at one vertex
@@ -460,10 +458,6 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     condition is certified (see ``_hom_condition``), so its kernel is
     correct mod t and only vertex 1 is written out.
     """
-    if (m.n, m.k, m.s) != (n_rep.n, n_rep.k, n_rep.s):
-        return False
-    if top_multiset(m) != top_multiset(n_rep) or rep_a_vector(m) != rep_a_vector(n_rep):
-        return False
     sm, _ = _hom_condition(m, n_rep)
     basis = _vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(), (1,))
     return bool(_det_poly_mod_t([gen[1].mod_t() for gen in basis], m.s))
@@ -482,7 +476,7 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
     """
     if (top.n, top.k) != (bottom.n, bottom.k):
         raise ValueError("rims disagree on (k, n)")
-    N = trunc if trunc is not None else default_truncation(top.n)
+    N = default_truncation(top.n, trunc)
     top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)
     return _extension_middle(top_rep, bot_rep, _extension_classes(top_rep, bot_rep),
                              weights or (1,))
@@ -596,7 +590,8 @@ def decomposition_rank2(m: CMModuleRep) -> Optional[tuple[Rim, Rim]]:
 
     Any decomposition must be a pair of rank-1 modules whose multiplicity
     vectors add to that of m, so the finitely many candidate pairs are
-    compared by explicit isomorphism.
+    compared by explicit isomorphism.  Every candidate has m's a-vector
+    by construction and is filtered to m's top, so only the Hom test runs.
     """
     if m.s != 2:
         raise ValueError("decomposition test is for rank-2 modules")
@@ -610,42 +605,31 @@ def decomposition_rank2(m: CMModuleRep) -> Optional[tuple[Rim, Rim]]:
         if expected_top != tops:
             continue
         cand = direct_sum(build_rank1(u, m.trunc), build_rank1(v, m.trunc))
-        if is_isomorphic(m, cand):
+        if _isomorphic_given_a_vectors(m, cand):
             return (u, v)
     return None
 
 
-# one ladder walk per (n, k, top, bottom, resolved truncation)
-_RANK2_CACHE: dict = {}
-
-
-def _rank2_walk(top: Rim, bottom: Rim,
-                trunc: Optional[int]) -> tuple[CMModuleRep, bool]:
+@functools.cache
+def _rank2_walk(top: Rim, bottom: Rim, N: int) -> tuple[CMModuleRep, bool]:
     """Walk the weight ladder once: the module and its rigid-indecomposable verdict.
 
     The module is the first extension middle that is rigid and
     indecomposable (the unique such module when one exists), and
-    otherwise the first middle, which is the generic extension.
+    otherwise the first middle, which is the generic extension.  One walk
+    per (top, bottom, resolved truncation); ``cache_clear()`` frees them.
     """
-    N = trunc if trunc is not None else default_truncation(top.n)
-    key = (top.n, top.k, top.elements, bottom.elements, N)
-    if key in _RANK2_CACHE:
-        return _RANK2_CACHE[key]
     # resolved and their classes lifted once, for every weight of the ladder
-    top_rep, bot_rep = _rank1_module(top, N), _rank1_module(bottom, N)
+    top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)
     classes = _extension_classes(top_rep, bot_rep)
     first: Optional[CMModuleRep] = None
     for weights in WEIGHT_LADDER:
         m = _extension_middle(top_rep, bot_rep, classes, weights)
         if is_rigid(m) and decomposition_rank2(m) is None:
-            result = (m, True)
-            break
+            return m, True
         if first is None:
             first = m
-    else:
-        result = (first, False)
-    _RANK2_CACHE[key] = result
-    return result
+    return first, False
 
 
 def rank2_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None) -> CMModuleRep:
@@ -654,11 +638,11 @@ def rank2_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None) -> CMMod
     This is the rigid indecomposable module when one exists, and otherwise
     the generic extension (see ``_rank2_walk``).
     """
-    return _rank2_walk(top, bottom, trunc)[0]
+    return _rank2_walk(top, bottom, default_truncation(top.n, trunc))[0]
 
 
 def rigid_indecomposable_rank2(top: Rim, bottom: Rim,
                                trunc: Optional[int] = None) -> Optional[CMModuleRep]:
     """The rigid indecomposable module with profile top|bottom, or None."""
-    module, verdict = _rank2_walk(top, bottom, trunc)
+    module, verdict = _rank2_walk(top, bottom, default_truncation(top.n, trunc))
     return module if verdict else None

@@ -12,6 +12,7 @@ the classical rank-1 modules with scalar maps 1 and t.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -152,8 +153,9 @@ def sigma_power(s: int, j: int, trunc: int) -> DVRMatrix:
     return DVRMatrix(rows, trunc, cols=s)
 
 
-def default_truncation(n: int) -> int:
-    return 2 * n
+def default_truncation(n: int, trunc: Optional[int] = None) -> int:
+    """The working truncation: trunc, or 2n when it is None."""
+    return 2 * n if trunc is None else trunc
 
 
 def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModuleRep:
@@ -175,7 +177,7 @@ def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModul
         if (r.n, r.k) != (n, k):
             raise ValueError("layers disagree on (k, n)")
     s = len(layers)
-    N = trunc if trunc is not None else default_truncation(n)
+    N = default_truncation(n, trunc)
     # DVRMatrix is immutable, so every edge with the same r_i shares its pair
     powers = [sigma_power(s, j, N) for j in range(s + 1)]
     x, y = {}, {}
@@ -187,7 +189,17 @@ def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModul
 
 
 def build_rank1(r: Rim, trunc: Optional[int] = None) -> CMModuleRep:
-    """Rank-1 module of a rim: x_i is 1 on the rim and t off it, y_i opposite."""
+    """Rank-1 module of a rim: x_i is 1 on the rim and t off it, y_i opposite.
+
+    There is one shared module per (rim, resolved truncation), so its cached
+    syzygy and path matrices serve every caller; ``_rank1.cache_clear()``
+    frees them all.
+    """
+    return _rank1(r, default_truncation(r.n, trunc))
+
+
+@functools.cache
+def _rank1(r: Rim, trunc: int) -> CMModuleRep:
     return build_layered([r], trunc)
 
 

@@ -138,7 +138,7 @@ def tau_orbit(start: Seed, trunc: Optional[int] = None) -> TauOrbit:
     sequence repeats.
     """
     n, k = start.n, start.k
-    N = trunc if trunc is not None else default_truncation(n)
+    N = default_truncation(n, trunc)
     v = lcm(n, k) // k
     rep, first = _seed_rep(start, N)
     members = [first]
@@ -193,7 +193,7 @@ def ar_sequence(r: Rim, trunc: Optional[int] = None) -> ARSequence:
         raise ProjectiveInput(f"{r} is projective")
     if is_almost_consecutive(r) is None:
         raise NotAlmostConsecutive(f"{r} is not almost consecutive")
-    N = trunc if trunc is not None else default_truncation(r.n)
+    N = default_truncation(r.n, trunc)
     right = syzygy_rim(r)
     middle = ar_middle_profile(r)
     total = [x + y for x, y in zip(a_vector(Profile((r,))).entries,
@@ -281,7 +281,7 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
     golden tube tables; other parameters are served with orbits only.
     Orbit periods must divide 2v.
     """
-    N = trunc if trunc is not None else default_truncation(n)
+    N = default_truncation(n, trunc)
     v = lcm(n, k) // k
     banner = None if (k, n) in TAME_PAIRS else "non-tame: orbits only"
     seeds: list[Seed] = [r for r in all_rims(k, n) if not is_projective(r)]

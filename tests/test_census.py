@@ -1,8 +1,9 @@
 import json
 
+from grasscat import homology, modules
 from grasscat.census import (CENSUS_TABLE, RANK3_LITERATURE, negative_control_48,
                              rank2_candidates, run_census, verify_conjectures)
-from grasscat.modules import Profile
+from grasscat.modules import Profile, build_rank1
 from grasscat.rims import classify_pair, rim, shift
 from grasscat.roots import enumerate_degree2_real_roots
 
@@ -161,3 +162,23 @@ class TestClosures:
         rep = census_reports[(3, 9)]
         labels = {e.profile.label() for e in rep.rank2_rigid}
         assert {Profile(e.profile.layers[::-1]).label() for e in rep.rank2_rigid} == labels
+
+
+def test_census_leaves_the_shared_rank1_modules_intact(monkeypatch):
+    # one module per (rim, truncation) serves the whole run, so a census
+    # that changed one in place would corrupt every later computation
+    modules._rank1.cache_clear()
+    homology._rank2_walk.cache_clear()
+    built = []
+    original = modules.build_layered
+
+    def recorded(layers, trunc=None):
+        built.append(original(layers, trunc))
+        return built[-1]
+    monkeypatch.setattr(modules, "build_layered", recorded)
+    run_census(3, 7)
+    assert len(built) == modules._rank1.cache_info().currsize > 0
+    for m in built:
+        assert build_rank1(m.rim, m.trunc) is m
+        fresh = original([m.rim], m.trunc)
+        assert (m.x, m.y, m.floor) == (fresh.x, fresh.y, fresh.floor), m.rim

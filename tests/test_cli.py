@@ -151,6 +151,12 @@ class TestUsageErrors:
         code, out = run_cli(["ext", "135@(3,6)", "246@(3,6)"], capsys)
         assert code == 0
         assert "[1, 1]" in out
+        # the variable is read: 4 is below n = 6, and --trunc overrides it
+        monkeypatch.setenv("GRASSCAT_TRUNCATION", "4")
+        assert main(["ext", "135@(3,6)", "246@(3,6)"]) == 2
+        code, out = run_cli(["--trunc", "12", "ext", "135@(3,6)", "246@(3,6)"], capsys)
+        assert code == 0
+        assert "[1, 1]" in out
 
     def test_trunc_flag_below_n_rejected(self, capsys):
         code = main(["--trunc", "4", "ext", "135@(3,6)", "246@(3,6)"])

@@ -334,9 +334,10 @@ class TestRank2Walk:
     """Both rank-2 entry points read one cached ladder walk."""
 
     @pytest.fixture
-    def fresh_cache(self, monkeypatch):
-        monkeypatch.setattr(homology, "_RANK2_CACHE", {})
-        return homology._RANK2_CACHE
+    def fresh_cache(self):
+        """The walk cache, emptied; the result reports how many walks it holds."""
+        homology._rank2_walk.cache_clear()
+        return lambda: homology._rank2_walk.cache_info().currsize
 
     @staticmethod
     def record(monkeypatch, name):
@@ -365,7 +366,7 @@ class TestRank2Walk:
             canonical = rank2_extension(a, b)
             rigid = rigid_indecomposable_rank2(a, b)
         assert rigid is not None and rigid is canonical
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
 
     def test_default_and_explicit_truncation_share_an_entry(self, fresh_cache,
                                                             build_count):
@@ -376,9 +377,9 @@ class TestRank2Walk:
         assert rank2_extension(a, b, 12) is m
         assert rigid_indecomposable_rank2(a, b, 12) is m
         assert len(build_count) == builds
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
         assert rank2_extension(a, b, 14) is not m
-        assert len(fresh_cache) == 2
+        assert fresh_cache() == 2
 
     def test_walk_builds_its_ends_once(self, monkeypatch, fresh_cache, build_count):
         # no weight gives a rigid indecomposable middle, so the walk tries all
@@ -390,10 +391,9 @@ class TestRank2Walk:
         assert len(build_count) == len(WEIGHT_LADDER)
         assert len({(id(args[0]), id(args[1])) for args, _ in build_count}) == 1
         top, bottom = build_count[0][0][:2]
-        assert (top.rim, bottom.rim) == (a, b)
-        # the ends are the memoised rank-1 modules that ext1 reads too
-        assert (top, bottom) == (homology._rank1_module(a, top.trunc),
-                                 homology._rank1_module(b, top.trunc))
+        # the ends are the shared rank-1 modules that ext1 reads too
+        assert top.trunc == 16
+        assert top is build_rank1(a, 16) and bottom is build_rank1(b, 16)
         # the self-Ext checks of the middles present Ext^1 of rank-2 modules
         ends = [(args, out) for args, out in presented if args[0].s == 1]
         assert len(ends) == 1 and ends[0][0] == (top, bottom)
@@ -410,7 +410,7 @@ class TestRank2Walk:
         m = rank2_extension(a, b)
         first = generic_extension(a, b, weights=WEIGHT_LADDER[0])
         assert (m.s, m.trunc, m.x, m.y) == (first.s, first.trunc, first.x, first.y)
-        assert len(fresh_cache) == 1
+        assert fresh_cache() == 1
 
 
 class TestRank2Rotation:
@@ -479,6 +479,23 @@ class TestFactorOnce:
         # per vertex: one factorisation splits off the quotient and one
         # serves the solves of both structure maps out of it
         assert len(inside) == 1 and inside[0] <= 2 * 6
+
+    @pytest.mark.parametrize("m", [
+        lambda: rank2_extension(rim([1, 3, 5], 3, 7), rim([2, 4, 7], 3, 7)),
+        lambda: direct_sum(build_rank1(rim([1, 2, 5], 3, 7)), build_rank1(rim([3, 4, 7], 3, 7))),
+    ], ids=["indecomposable", "split"])
+    def test_decomposition_computes_one_a_vector(self, monkeypatch, m):
+        # every candidate has m's top and a-vector, so neither is recomputed
+        m = m()
+        calls = []
+        original = homology.rep_a_vector
+
+        def counted(rep):
+            calls.append(rep)
+            return original(rep)
+        monkeypatch.setattr(homology, "rep_a_vector", counted)
+        decomposition_rank2(m)
+        assert calls == [m]
 
     def test_isomorphism_with_different_tops_factors_nothing(self, monkeypatch):
         a, b = rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)
@@ -607,19 +624,26 @@ class TestCanonicalExt:
             _ext1_once(build_rank1(a), build_rank1(b))
 
     def test_memo_holds_one_module_per_class_and_truncation(self, monkeypatch):
-        monkeypatch.setattr(homology, "_RANK1_MODULES", {})
+        # fresh rank-1 modules, so every one below is resolved here
+        modules._rank1.cache_clear()
+        covered = []
+        original = homology.projective_cover
+
+        def counted(m):
+            covered.append(m)
+            return original(m)
+        # the cover is computed exactly when a module's syzygy is
+        monkeypatch.setattr(homology, "projective_cover", counted)
         rims_all = all_rims(3, 7)
         for a in rims_all:
-            for b in rims_all[::5]:
+            for b in rims_all:
                 ext1_rims(a, b)
-        memo = homology._RANK1_MODULES
-        assert len(memo) == 5
-        assert {N for _, N in memo} == {14}
-        assert len({id(m) for m in memo.values()}) == len(memo)
-        for (r, N), m in memo.items():
-            assert (m.rim, m.trunc) == (r, N)
-            assert r.elements == min(shift(r, j).elements for j in range(7))
-            assert homology._rank1_module(r, N) is m
+        resolved = [m for m in covered if m.rim is not None]
+        assert len(resolved) == 5
+        for m in resolved:
+            assert m.trunc == 14
+            assert m.rim.elements == min(shift(m.rim, j).elements for j in range(7))
+            assert build_rank1(m.rim) is m
 
     def test_syzygy_is_cached_on_the_module(self):
         m = build_rank1(rim([1, 4, 5], 3, 9))

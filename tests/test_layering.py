@@ -183,3 +183,40 @@ def test_detects_an_unchecked_constructor(tmp_path):
     (tests / "test_dvr.py").write_text("_wrap = 1\n")
     assert unchecked_constructor_uses(package, tests) == [
         "grasscat/homology.py:2", "grasscat/homology.py:3", "tests/test_dvr.py:1"]
+
+
+# an empty module-level container is state that fills up as the package
+# runs; caches are functools.cache'd functions, which a caller can clear
+EMPTY_CALLS = {"dict", "list", "set"}
+
+
+def _is_empty_container(node) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in EMPTY_CALLS and not node.args and not node.keywords)
+
+
+def module_level_empty_containers(package: Path = PACKAGE) -> list[str]:
+    """module:line of each module-level assignment of an empty container."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_container(node.value):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_module_level_empty_containers():
+    assert module_level_empty_containers() == []
+
+
+def test_detects_a_module_level_empty_container(tmp_path):
+    (tmp_path / "homology.py").write_text(
+        "_CACHE: dict = {}\nSEEN = set()\nORDER = []\nBY_KEY = dict()\n"
+        "LADDER = [(1, 2)]\nNAMES = {'a': 1}\nx: int\n"
+        "def f():\n    local = {}\n    return local\n")
+    assert module_level_empty_containers(tmp_path) == [
+        "homology:1", "homology:2", "homology:3", "homology:4"]

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from grasscat import homology
+from grasscat import homology, modules
 from grasscat.errors import NotAlmostConsecutive, ProjectiveInput
 from grasscat.modules import profile
 from grasscat.rims import all_rims, is_almost_consecutive, is_projective, rim
@@ -61,8 +61,8 @@ class TestTauOrbit:
 class TestOrbitSharesSyzygies:
     def test_each_module_is_resolved_once(self, monkeypatch):
         # fresh ladder and rank-1 memos, so every module below is resolved here
-        monkeypatch.setattr(homology, "_RANK2_CACHE", {})
-        monkeypatch.setattr(homology, "_RANK1_MODULES", {})
+        homology._rank2_walk.cache_clear()
+        modules._rank1.cache_clear()
         covered = []   # keeps every module alive, so that ids stay distinct
         original = homology.projective_cover
 
