@@ -17,7 +17,8 @@ elementary divisor, and the Schur complements of minimal-valuation
 pivoting are as precise as the matrix.  The transforms divide by the
 pivots, so each read of a factorisation (kernel, coordinates, solve)
 loses at most the largest pivot exponent, ``Smith.loss``.  Callers carry
-the floors; ``Smith.certify`` checks the exponents against one.
+the floors; ``Smith.certify`` checks the exponents against one, and
+``coordinates`` and ``solve`` decide membership modulo t^(floor - loss).
 
 ``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared,
 and arithmetic may return an operand unchanged (``p + 0`` is ``p``).  The
@@ -359,23 +360,27 @@ class Smith:
         return DVRMatrix._wrap(tuple([row[self.npivots:] for row in self.V.data]),
                                self.cols - self.npivots, self.trunc)
 
-    def coordinates(self, vectors: DVRMatrix) -> DVRMatrix:
+    def coordinates(self, vectors: DVRMatrix, floor: int) -> DVRMatrix:
         """Coordinates in the ``kernel`` basis of each column of ``vectors``.
 
-        Raises TruncationUnstable when a column is not in the kernel.
+        A and ``vectors`` are correct modulo t^floor, so the pivot rows of
+        V_inv @ vectors are known modulo t^(floor - loss); TruncationUnstable
+        is raised when one is nonzero there, a column not in the kernel.
         """
-        y = self.V_inv @ vectors
-        if any(not e.is_zero() for row in y.data[:self.npivots] for e in row):
+        y, known = self.V_inv @ vectors, floor - self.loss
+        if any(e.coeffs and min(e.coeffs) < known for row in y.data[:self.npivots] for e in row):
             raise TruncationUnstable("vector is not in the kernel at working precision")
         return DVRMatrix._wrap(y.data[self.npivots:], vectors.cols, self.trunc)
 
-    def solve(self, rhs: DVRMatrix) -> Optional[DVRMatrix]:
-        """One X with A @ X == rhs, or None when some column has no solution.
+    def solve(self, rhs: DVRMatrix, floor: int) -> Optional[DVRMatrix]:
+        """One X with A @ X == rhs modulo t^(floor - loss), for A and ``rhs``
+        correct modulo t^floor, or None when some column has no solution.
 
         Column j of X is V y for the y with S y = U rhs[:, j], each pivot
-        coordinate divided by its t^e and every other coordinate zero.
+        coordinate divided by its t^e and every other coordinate zero.  Terms
+        of U rhs from degree floor - loss on carry no information: ignored.
         """
-        trunc = self.trunc
+        trunc, known = self.trunc, floor - self.loss
         ub = self.U @ rhs
         z = ValPoly.zero(trunc)
         y = [[z] * rhs.cols for _ in range(self.cols)]
@@ -383,10 +388,11 @@ class Smith:
             for j, entry in enumerate(ub.data[i]):
                 if entry.is_zero():
                     continue
-                if entry.valuation() < e:
+                if entry.valuation() < min(e, known):
                     return None
-                y[i][j] = ValPoly._clean({d - e: c for d, c in entry.coeffs.items()}, trunc)
-        if any(not e.is_zero() for row in ub.data[self.npivots:] for e in row):
+                y[i][j] = ValPoly._clean({d - e: c for d, c in entry.coeffs.items() if d >= e},
+                                         trunc)
+        if any(e.coeffs and min(e.coeffs) < known for row in ub.data[self.npivots:] for e in row):
             return None
         return self.V @ DVRMatrix._wrap(tuple(map(tuple, y)), rhs.cols, trunc)
 

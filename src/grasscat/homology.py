@@ -40,7 +40,7 @@ from .dvr import Coeff, DVRMatrix, Smith, ValPoly, _reciprocal, _smith
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
                       rep_a_vector)
-from .rims import Rim, peaks, rim, shift as shift_rim, two_layer_splits
+from .rims import Rim, least_shift, peaks, rim, shift as shift_rim, two_layer_splits
 
 def top_multiset(m: CMModuleRep) -> dict[int, int]:
     """Multiplicity of each vertex in the top of the module.
@@ -129,6 +129,14 @@ class SyzygyData:
     omega: Optional[CMModuleRep]      # kernel, in its own coordinates
     embed: dict[int, DVRMatrix]      # vertex -> cover-size x omega-rank basis
 
+    def rotate(self, j: int, n: int) -> "SyzygyData":
+        """The syzygy data of the module rotated by j: every label moved by j."""
+        turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
+        cover = Cover(tuple(turn[v] for v in self.cover.vertices), self.cover.generators,
+                      {turn[w]: e for w, e in self.cover.eps.items()})
+        return SyzygyData(cover, None if self.omega is None else self.omega.rotate(j),
+                          {turn[w]: e for w, e in self.embed.items()})
+
 
 def syzygy_data(m: CMModuleRep) -> SyzygyData:
     """The syzygy as an explicit submodule of the cover.
@@ -188,7 +196,7 @@ def _induced_map(m: CMModuleRep, cover: Cover, embed, smith, edge: int,
     moved = DVRMatrix(
         [[scalars[i] * src_mat.data[i][j] for j in range(src_mat.cols)]
          for i in range(src_mat.rows)], m.trunc, cols=src_mat.cols)
-    return smith[dst].coordinates(moved)
+    return smith[dst].coordinates(moved, m.floor)
 
 
 def syzygy(m: CMModuleRep) -> CMModuleRep:
@@ -247,7 +255,7 @@ def _hom_rows(u: Sequence[ValPoly], paths: list[DVRMatrix], sN: int) -> list[lis
 
 def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
     """Factorisation of the condition for cover-generator images to define a
-    map m -> n, and the floor of its kernel.
+    map m -> n, and the condition's floor; its kernel's is ``loss`` less.
 
     A map is determined by the images in n of m's cover generators; it
     descends to m exactly when those images kill the syzygy, one row per
@@ -272,14 +280,14 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
     floor = min(m.floor, n_rep.floor)
     sm = _smith(DVRMatrix(rows, m.trunc, cols=c * sN), need_u=False)
     sm.certify(floor, (c - m.s) * sN, f"Hom condition of ranks {m.s}, {sN}")
-    return sm, floor - sm.loss
+    return sm, floor
 
 
 def _vertex_maps(cover: Cover, n_rep: CMModuleRep, images: DVRMatrix,
-                 vertices: Sequence[int]) -> list[dict[int, DVRMatrix]]:
+                 vertices: Sequence[int], floor: int) -> list[dict[int, DVRMatrix]]:
     """Vertex matrices, at each of ``vertices``, of the maps whose
     cover-generator images are the columns of ``images``, generator i's
-    image in rows i*sN .. (i+1)*sN - 1.
+    image in rows i*sN .. (i+1)*sN - 1, all correct modulo t^floor.
 
     At each vertex w a map f satisfies f eps_w = (paths[i] @ xi_i)_i; its
     transpose is solved for every map from one factorisation of the
@@ -297,7 +305,7 @@ def _vertex_maps(cover: Cover, n_rep: CMModuleRep, images: DVRMatrix,
         moved = [paths[i] @ xi[i] for i in range(c)]
         rhs = DVRMatrix([[moved[i].data[a][j] for j in range(ngen) for a in range(sN)]
                          for i in range(c)], trunc, cols=ngen * sN)
-        f_t = _smith(eps.transpose()).solve(rhs)
+        f_t = _smith(eps.transpose()).solve(rhs, floor)
         if f_t is None:
             raise TruncationUnstable(f"hom evaluation not solvable at vertex {w}")
         for j, f in enumerate(maps):
@@ -316,8 +324,9 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     ``syzygy_data``.
     """
     sm, floor = _hom_condition(m, n_rep)
+    floor -= sm.loss
     return HomBasis(_vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(),
-                                 range(1, m.n + 1)), floor)
+                                 range(1, m.n + 1), floor), floor)
 
 
 def _ext_presentation(m: CMModuleRep, n_rep: CMModuleRep
@@ -344,7 +353,7 @@ def _ext_presentation(m: CMModuleRep, n_rep: CMModuleRep
                              _hom_target_blocks(n_rep, cover0.vertices, wj), n_rep.s)
     B1 = DVRMatrix(b1_rows, m.trunc, cols=cover0.size * n_rep.s)
     sm_e, floor = _hom_condition(syz1.omega, n_rep)
-    return syz1, sm_e, sm_e.coordinates(B1), floor
+    return syz1, sm_e, sm_e.coordinates(B1, floor), floor - sm_e.loss
 
 
 def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
@@ -375,7 +384,7 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     resolved once per rotation class and truncation.
     """
     if m.rim is not None:
-        j = min(range(m.n), key=lambda i: shift_rim(m.rim, i).elements)
+        j = least_shift(m.rim)
         canon = build_rank1(shift_rim(m.rim, j), m.trunc)
         if m is n_rep:
             n_rep = canon
@@ -458,8 +467,8 @@ def _isomorphic_given_a_vectors(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     condition is certified (see ``_hom_condition``), so its kernel is
     correct mod t and only vertex 1 is written out.
     """
-    sm, _ = _hom_condition(m, n_rep)
-    basis = _vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(), (1,))
+    sm, floor = _hom_condition(m, n_rep)
+    basis = _vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(), (1,), floor - sm.loss)
     return bool(_det_poly_mod_t([gen[1].mod_t() for gen in basis], m.s))
 
 
@@ -499,18 +508,20 @@ def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
     syz, sm_e, coords, floor = pres
     sm = _smith(coords)
     sm.certify(floor, coords.rows, "Ext^1 class space")
+    floor -= sm.loss
     targets = [i for i, e in enumerate(sm.exponents) if e > 0]
     if not targets:
         return None
     eye = DVRMatrix.identity(coords.rows, top_rep.trunc)
     # U is invertible, so this solve loses no precision
     lifts = _smith(sm.U).solve(
-        DVRMatrix.from_columns([eye.column(i) for i in targets], coords.rows, top_rep.trunc))
+        DVRMatrix.from_columns([eye.column(i) for i in targets], coords.rows, top_rep.trunc),
+        floor)
     if lifts is None:
         raise TruncationUnstable("could not lift the extension classes")
     maps = _vertex_maps(syzygy_data(syz.omega).cover, bot_rep, sm_e.kernel() @ lifts,
-                        range(1, top_rep.n + 1))
-    return syz, maps, floor - sm.loss
+                        range(1, top_rep.n + 1), floor)
+    return syz, maps, floor
 
 
 def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
@@ -558,16 +569,16 @@ def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
     x_new, y_new = {}, {}
     for v in range(1, n + 1):
         w = (v - 2) % n + 1
-        x_new[v] = _induced_on_quotient(proj_t[w], projections[v], amb.x[v])
-        y_new[v] = _induced_on_quotient(proj_t[v], projections[w], amb.y[v])
+        x_new[v] = _induced_on_quotient(proj_t[w], projections[v], amb.x[v], floor)
+        y_new[v] = _induced_on_quotient(proj_t[v], projections[w], amb.y[v], floor)
     return CMModuleRep(n, k, top_rep.s + sb, x_new, y_new, N, floor)
 
 
 def _induced_on_quotient(proj_src_t: Smith, proj_dst: DVRMatrix,
-                         amb_map: DVRMatrix) -> DVRMatrix:
+                         amb_map: DVRMatrix, floor: int) -> DVRMatrix:
     """Solve induced * proj_src = proj_dst * amb_map on the quotient, given the
-    factorisation of proj_src transposed."""
-    induced_t = proj_src_t.solve((proj_dst @ amb_map).transpose())
+    factorisation of proj_src transposed, all correct modulo t^floor."""
+    induced_t = proj_src_t.solve((proj_dst @ amb_map).transpose(), floor)
     if induced_t is None:
         raise TruncationUnstable("quotient map not defined over the centre")
     return induced_t.transpose()
@@ -612,12 +623,27 @@ def decomposition_rank2(m: CMModuleRep) -> Optional[tuple[Rim, Rim]]:
 
 @functools.cache
 def _rank2_walk(top: Rim, bottom: Rim, N: int) -> tuple[CMModuleRep, bool]:
+    """The canonical module of top|bottom and its rigid-indecomposable verdict.
+
+    Rotating the quiver is an automorphism, so only the least rotation of
+    the pair walks the ladder; every other pair gets its verdict and its
+    module rotated back, caches and all (without a rigid middle, the rotated
+    generic extension of the canonical pair).  One memo entry per (top,
+    bottom, resolved truncation); ``cache_clear()`` frees them.
+    """
+    j = least_shift(top, bottom)
+    if j:
+        module, verdict = _rank2_walk(shift_rim(top, j), shift_rim(bottom, j), N)
+        return module.rotate(top.n - j), verdict
+    return _ladder_walk(top, bottom, N)
+
+
+def _ladder_walk(top: Rim, bottom: Rim, N: int) -> tuple[CMModuleRep, bool]:
     """Walk the weight ladder once: the module and its rigid-indecomposable verdict.
 
     The module is the first extension middle that is rigid and
     indecomposable (the unique such module when one exists), and
-    otherwise the first middle, which is the generic extension.  One walk
-    per (top, bottom, resolved truncation); ``cache_clear()`` frees them.
+    otherwise the first middle, which is the generic extension.
     """
     # resolved and their classes lifted once, for every weight of the ladder
     top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)

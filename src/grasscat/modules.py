@@ -75,6 +75,7 @@ class CMModuleRep:
     Two caches hang off an instance: ``_paths`` holds the path matrices,
     and ``_syzygy`` holds the one ``homology.syzygy_data`` result, set on
     first use and read by Hom, Ext, extension middles and orbit steps.
+    ``rotate`` carries both, relabelled, to the rotated module.
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "rim",
@@ -94,13 +95,19 @@ class CMModuleRep:
         """The same module with every vertex label v moved to v + j (mod n).
 
         Rotating the quiver is an automorphism of the algebra, so this only
-        relabels the structure maps; a recorded rim is shifted by j.
+        relabels the structure maps; a recorded rim is shifted by j.  Cached
+        path matrices keep their values (a canonical route depends only on
+        (w - v) mod n), and a cached syzygy is rotated with the module.
         """
         n = self.n
-        x = {(v + j - 1) % n + 1: mat for v, mat in self.x.items()}
-        y = {(v + j - 1) % n + 1: mat for v, mat in self.y.items()}
-        return CMModuleRep(n, self.k, self.s, x, y, self.trunc, self.floor,
-                           rim=None if self.rim is None else shift_rim(self.rim, j))
+        turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
+        out = CMModuleRep(n, self.k, self.s, {turn[v]: mat for v, mat in self.x.items()},
+                          {turn[v]: mat for v, mat in self.y.items()}, self.trunc, self.floor,
+                          rim=None if self.rim is None else shift_rim(self.rim, j))
+        out._paths = {(turn[v], turn[w]): mat for (v, w), mat in self._paths.items()}
+        if hasattr(self, "_syzygy"):
+            out._syzygy = self._syzygy.rotate(j, n)
+        return out
 
     def path_matrix(self, v: int, w: int) -> DVRMatrix:
         """Composite of structure maps along the canonical route v -> w.

@@ -76,6 +76,14 @@ def shift(r: Rim, m: int) -> Rim:
     return rim((_mod(e + m, r.n) for e in r.elements), r.k, r.n)
 
 
+def least_shift(*rims: Rim) -> int:
+    """The least j in [0, n) whose shift makes the rims least, compared as
+    one tuple of sorted element tuples; no Rim is built."""
+    n = rims[0].n
+    return min(range(n), key=lambda j: tuple(
+        tuple(sorted(_mod(e + j, n) for e in r.elements)) for r in rims))
+
+
 def peaks(r: Rim) -> frozenset[int]:
     """Vertices i with i not in the rim and i+1 in the rim (cyclically)."""
     return frozenset(

@@ -1,10 +1,12 @@
 import json
 
+import pytest
+
 from grasscat import homology, modules
 from grasscat.census import (CENSUS_TABLE, RANK3_LITERATURE, negative_control_48,
                              rank2_candidates, run_census, verify_conjectures)
 from grasscat.modules import Profile, build_rank1
-from grasscat.rims import classify_pair, rim, shift
+from grasscat.rims import classify_pair, least_shift, rim, shift
 from grasscat.roots import enumerate_degree2_real_roots
 
 
@@ -182,3 +184,22 @@ def test_census_leaves_the_shared_rank1_modules_intact(monkeypatch):
         assert build_rank1(m.rim, m.trunc) is m
         fresh = original([m.rim], m.trunc)
         assert (m.x, m.y, m.floor) == (fresh.x, fresh.y, fresh.floor), m.rim
+
+
+@pytest.mark.parametrize("k, n, classes", [(3, 6, 1), (3, 7, 2), (3, 8, 7)])
+def test_census_walks_once_per_rotation_class(monkeypatch, k, n, classes):
+    homology._rank2_walk.cache_clear()
+    walked = []
+    original = homology._ladder_walk
+
+    def counted(top, bottom, N):
+        walked.append((top, bottom))
+        return original(top, bottom, N)
+    monkeypatch.setattr(homology, "_ladder_walk", counted)
+    run_census(k, n)
+    assert len(walked) == classes
+    # one walk per class, on its least rotation
+    least = {min((shift(a, j), shift(b, j)) for j in range(n))
+             for a, b in rank2_candidates(k, n)}
+    assert set(walked) == least
+    assert all(least_shift(*pair) == 0 for pair in walked)

@@ -54,7 +54,7 @@ def column(entries, trunc=N):
 
 def solve_column(matrix, rhs):
     """The one-column solve of matrix * x = rhs, as a list, or None."""
-    sol = _smith(matrix).solve(column(rhs, matrix.trunc))
+    sol = _smith(matrix).solve(column(rhs, matrix.trunc), matrix.trunc)
     return None if sol is None else list(sol.column(0))
 
 
@@ -294,14 +294,14 @@ class TestKernel:
         basis = sm.kernel()
         coeffs = random_matrix(rng, basis.cols, rng.randint(0, 3))
         members = basis @ coeffs
-        coords = sm.coordinates(members)
+        coords = sm.coordinates(members, N)
         assert coords == coeffs
         assert basis @ coords == members
         if sm.npivots:
             # the first pivot column of V maps to a unit vector: not in the kernel
             outside = members.hstack(DVRMatrix([[e] for e in sm.V.column(0)], N, cols=1))
             with pytest.raises(TruncationUnstable):
-                sm.coordinates(outside)
+                sm.coordinates(outside, N)
 
 
 class TestSolve:
@@ -327,7 +327,7 @@ class TestSolve:
         rows, cols, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
         A = random_matrix(rng, rows, cols)
         B = A @ random_matrix(rng, cols, k)
-        sol = _smith(A).solve(B)
+        sol = _smith(A).solve(B, N)
         assert sol is not None and (sol.rows, sol.cols) == (cols, k)
         assert A @ sol == B
         for j in range(k):
@@ -339,8 +339,48 @@ class TestSolve:
         at = rng.randint(0, k)
         mixed = DVRMatrix([row[:at] + u + row[at:] for row, u in zip(tB.data, unit.data)],
                           N, cols=k + 1)
-        assert _smith(tA).solve(tB) is not None
-        assert _smith(tA).solve(mixed) is None
+        assert _smith(tA).solve(tB, N) is not None
+        assert _smith(tA).solve(mixed, N) is None
+
+
+class TestFloorReads:
+    """coordinates and solve decide membership modulo t^(floor - loss): a
+    perturbation from that degree on carries no information and must not
+    decide, one below it must."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_coordinates(self, seed):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 4), rng.randint(2, 4)
+        sm = _smith(random_matrix(rng, rows, cols), need_u=False)
+        floor = sm.loss + rng.randint(1, 6)
+        known = floor - sm.loss
+        basis = sm.kernel()
+        coeffs = random_matrix(rng, basis.cols, rng.randint(1, 3))
+        members = basis @ coeffs
+        noise = random_matrix(rng, cols, members.cols).scale(tpow(known + rng.randint(0, 2)))
+        coords = sm.coordinates(members + noise, floor)
+        assert min_valuation(coords - coeffs) >= known
+        if sm.npivots:
+            # the first pivot column of V has pivot coordinate 1, so t^q times it has t^q
+            q = rng.randrange(known)
+            off = DVRMatrix([[e] * members.cols for e in sm.V.column(0)], N,
+                            cols=members.cols).scale(tpow(q))
+            with pytest.raises(TruncationUnstable):
+                sm.coordinates(members + off, floor)
+
+    def test_solve(self):
+        # A = [t^2; 0] has loss 2: at floor 5, U rhs is known modulo t^3
+        sm = _smith(M([[tpow(2)], [ValPoly.zero(N)]]))
+        zero = ValPoly.zero(N)
+        assert sm.solve(column([tpow(2), tpow(3)]), N) is None
+        assert sm.solve(column([tpow(2), tpow(3)]), 5) == column([tpow(0)])
+        assert sm.solve(column([tpow(2), tpow(2)]), 5) is None
+        assert sm.solve(column([tpow(1), zero]), 5) is None
+        # at floor 3 only the t^0 term is known: t^1 no longer obstructs the division
+        assert sm.solve(column([tpow(1) + tpow(2), zero]), 3) == column([tpow(0)])
+        assert sm.solve(column([tpow(0) + tpow(2), zero]), 3) is None
 
 
 def test_rational_rank():

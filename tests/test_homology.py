@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasscat import dvr, homology, modules
-from grasscat.census import rank2_candidates
+from grasscat.census import rank2_candidates, run_census
 from grasscat.dvr import rational_rank
 from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_rims,
@@ -18,7 +18,7 @@ from grasscat.modules import (CMModuleRep, build_layered, build_rank1, direct_su
                               identify_rank1, rep_a_vector,
                               validate_relations)
 from grasscat.rims import (all_rims, crossing, interlacing_degree,
-                           is_projective, peaks, rim, shift, slopes,
+                           is_projective, least_shift, peaks, rim, shift, slopes,
                            syzygy_rim, two_layer_splits, two_peak_syzygy_rim)
 
 
@@ -414,17 +414,70 @@ class TestRank2Walk:
 
 
 class TestRank2Rotation:
+    """The memo walks the least rotation of a pair; the uncached walk on
+    every rotation is its oracle."""
+
     def test_verdicts_and_self_ext_are_rotation_invariant(self):
         # rotating the quiver is an automorphism of the algebra
         for a, b in rank2_candidates(3, 7):
-            rep = rigid_indecomposable_rank2(a, b)
-            for j in range(1, 7):
-                turned = rigid_indecomposable_rank2(shift(a, j), shift(b, j))
-                assert (turned is None) == (rep is None), (a, b, j)
-                if rep is not None:
-                    rotated = rep.rotate(j)
-                    assert ext1(rotated, rotated).is_zero(), (a, b, j)
-                    assert is_isomorphic(rotated, turned), (a, b, j)
+            for j in range(7):
+                pair = shift(a, j), shift(b, j)
+                walked, verdict = homology._ladder_walk(*pair, 14)
+                turned, memo_verdict = homology._rank2_walk(*pair, 14)
+                assert verdict == memo_verdict, (a, b, j)
+                if verdict:
+                    assert ext1(turned, turned).is_zero(), (a, b, j)
+                    assert is_isomorphic(walked, turned), (a, b, j)
+
+    def test_uncached_walks_give_the_3_8_census_verdicts(self):
+        walked = {(a, b): homology._ladder_walk(a, b, 16)[1]
+                  for a, b in rank2_candidates(3, 8)}
+        assert len(walked) == 56
+        assert walked == run_census(3, 8).candidate_verdicts
+
+    def test_non_canonical_pair_returns_one_object(self):
+        homology._rank2_walk.cache_clear()
+        a, b = rim([2, 4, 6], 3, 6), rim([1, 3, 5], 3, 6)
+        assert least_shift(a, b) == 1
+        m = rank2_extension(a, b)
+        assert rank2_extension(a, b) is m
+        assert rigid_indecomposable_rank2(a, b) is m
+        # the pair's entry and its canonical rotation's
+        assert homology._rank2_walk.cache_info().currsize == 2
+
+
+class TestRotatedCaches:
+    """A rotated copy carries its path matrices and syzygy, equal to what a
+    fresh module with the same maps computes."""
+
+    @pytest.fixture(params=[(3, 6), (3, 7)])
+    def pair(self, request):
+        """A rigid census module of a pair that is not its least rotation,
+        and a copy of its maps with no caches."""
+        k, n = request.param
+        homology._rank2_walk.cache_clear()
+        a, b = next((a, b) for a, b in rank2_candidates(k, n)
+                    if least_shift(a, b) and rigid_indecomposable_rank2(a, b) is not None)
+        m = rigid_indecomposable_rank2(a, b)
+        return m, CMModuleRep(m.n, m.k, m.s, m.x, m.y, m.trunc, m.floor)
+
+    def test_carried_paths_equal_fresh_ones(self, pair):
+        m, fresh = pair
+        assert len(m._paths) > m.n
+        for (v, w), mat in m._paths.items():
+            assert fresh.path_matrix(v, w) == mat, (v, w)
+
+    def test_carried_syzygy_matches_a_fresh_one(self, pair):
+        m, fresh = pair
+        carried = m._syzygy   # set by the rotation, not computed here
+        assert syzygy_data(m) is carried
+        for w in range(1, m.n + 1):
+            assert (carried.cover.eps[w] @ carried.embed[w]).is_zero(), w
+        omega, fresh_omega = carried.omega, syzygy(fresh)
+        assert validate_relations(omega) == []
+        assert omega.floor == fresh_omega.floor
+        assert rep_a_vector(omega) == rep_a_vector(fresh_omega)
+        assert is_isomorphic(omega, fresh_omega)
 
 
 class TestFactorOnce:

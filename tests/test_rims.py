@@ -7,8 +7,8 @@ from grasscat.errors import MismatchedAmbient, NotAlmostConsecutive
 from grasscat.rims import (Rim, all_rims, almost_consecutive_decompositions,
                            ar_middle_profile, classify_pair, crossing,
                            interlacing_degree, is_almost_consecutive,
-                           is_projective, peaks, projective_index, rim, runs,
-                           shift, slopes, syzygy_rim, parse_rim,
+                           is_projective, least_shift, peaks, projective_index,
+                           rim, runs, shift, slopes, syzygy_rim, parse_rim,
                            two_layer_splits)
 
 
@@ -80,6 +80,19 @@ class TestShift:
             for m in (1, 3, 5):
                 assert peaks(shift(r, m)) == frozenset(
                     (p + m - 1) % 8 + 1 for p in peaks(r))
+
+    def test_least_shift_matches_shifted_rims(self):
+        # the least j making (shift(a, j), shift(b, j)) least, ties to the smallest j
+        for n, k in ((7, 3), (8, 4)):
+            rims_all = all_rims(k, n)
+            for a in rims_all:
+                assert least_shift(a) == min(range(n), key=lambda j: shift(a, j).elements)
+            for a, b in product(rims_all[::3], rims_all[::2]):
+                assert least_shift(a, b) == min(
+                    range(n), key=lambda j: (shift(a, j).elements, shift(b, j).elements))
+        periodic = R([1, 3, 5, 7], 4, 8), R([2, 4, 6, 8], 4, 8)
+        assert least_shift(*periodic) == 0
+        assert least_shift(*periodic[::-1]) == 1
 
 
 class TestProjective:
