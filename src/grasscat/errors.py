@@ -21,7 +21,8 @@ class NotRankOne(GrasscatError):
 
 class ProjectiveInput(GrasscatError):
     """Syzygy or orbit stepping was asked for a projective module, whose
-    syzygy vanishes in the stable category."""
+    syzygy vanishes in the stable category, or an orbit was asked for a
+    module with a projective summand, which no syzygy returns to."""
 
 
 class TruncationUnstable(GrasscatError):

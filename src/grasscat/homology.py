@@ -46,13 +46,13 @@ def top_multiset(m: CMModuleRep) -> dict[int, int]:
     """Multiplicity of each vertex in the top of the module.
 
     At vertex v the top is the cokernel of [x_v | y_{v+1}] taken modulo t.
+    The multiplicities are cached on the module.
     """
-    out = {}
-    for v in range(1, m.n + 1):
-        dim = len(_top_generators(m, v))
-        if dim:
-            out[v] = dim
-    return out
+    top = getattr(m, "_top", None)
+    if top is None:
+        top = m._top = tuple((v, dim) for v in range(1, m.n + 1)
+                             if (dim := len(_top_generators(m, v))))
+    return dict(top)
 
 
 def _top_generators(m: CMModuleRep, v: int) -> list[int]:
@@ -445,9 +445,12 @@ def is_isomorphic(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
 
     Tops and a-vectors are isomorphism invariants, so modules that differ in
     either are not isomorphic; the top costs one echelon form mod t per
-    vertex, the a-vector one Smith form per structure map.  Modules that
-    agree in both go to ``_isomorphic_given_a_vectors``.
+    vertex, the a-vector one Smith form per structure map, and both are
+    cached on the module.  Modules that agree in both go to
+    ``_isomorphic_given_a_vectors``.
     """
+    if m is n_rep:
+        return True
     if (m.n, m.k, m.s) != (n_rep.n, n_rep.k, n_rep.s):
         return False
     if top_multiset(m) != top_multiset(n_rep) or rep_a_vector(m) != rep_a_vector(n_rep):

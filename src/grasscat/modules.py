@@ -75,11 +75,14 @@ class CMModuleRep:
     Two caches hang off an instance: ``_paths`` holds the path matrices,
     and ``_syzygy`` holds the one ``homology.syzygy_data`` result, set on
     first use and read by Hom, Ext, extension middles and orbit steps.
-    ``rotate`` carries both, relabelled, to the rotated module.
+    ``rotate`` carries both, relabelled, to the rotated module.  Two
+    isomorphism invariants are cached as well, set on first use and not
+    carried by ``rotate``: ``_avec`` (``rep_a_vector``) and ``_top``
+    (``homology.top_multiset``).
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "rim",
-                 "_paths", "_syzygy")
+                 "_paths", "_syzygy", "_avec", "_top")
 
     def __init__(self, n: int, k: int, s: int,
                  x: dict[int, DVRMatrix], y: dict[int, DVRMatrix],
@@ -281,14 +284,18 @@ def rep_a_vector(m: CMModuleRep) -> RootVector:
     The t-valuation of det(x_i) equals s - r_i in any basis, so the
     multiplicity vector survives base change; valuations are read off the
     Smith exponents of each x_i, certified against the module's floor.
+    The result is cached on the module.
     """
-    counts = []
-    for i in range(1, m.n + 1):
-        exps = _smith(m.x[i], need_u=False).certify(m.floor, m.s, f"x_{i}")
-        counts.append(m.s - sum(exps))
-    if any(c < 0 for c in counts):
-        raise ValueError(f"multiplicity vector {counts} out of range")
-    return RootVector(tuple(counts), m.k)
+    avec = getattr(m, "_avec", None)
+    if avec is None:
+        counts = []
+        for i in range(1, m.n + 1):
+            exps = _smith(m.x[i], need_u=False).certify(m.floor, m.s, f"x_{i}")
+            counts.append(m.s - sum(exps))
+        if any(c < 0 for c in counts):
+            raise ValueError(f"multiplicity vector {counts} out of range")
+        avec = m._avec = RootVector(tuple(counts), m.k)
+    return avec
 
 
 def identify_rank1(m: CMModuleRep) -> Rim:

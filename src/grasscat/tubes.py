@@ -20,14 +20,14 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .errors import NotAlmostConsecutive, ProjectiveInput
-from .homology import (is_isomorphic, is_rigid, rank2_extension,
+from .homology import (decomposition_rank2, is_isomorphic, is_rigid, rank2_extension,
                        rigid_indecomposable_rank2, syzygy)
 from .modules import (CMModuleRep, Profile, a_vector, build_rank1,
                       default_truncation, direct_sum, identify_rank1,
                       rep_a_vector)
 from .rims import (Rim, all_rims, ar_middle_profile, interlacing_degree,
-                   is_almost_consecutive, is_projective, rim, shift,
-                   syzygy_rim, two_layer_splits)
+                   is_almost_consecutive, is_projective, least_shift, rim,
+                   shift, syzygy_rim, two_layer_splits)
 
 Seed = Union[Rim, Profile]
 
@@ -80,6 +80,12 @@ class TauOrbit:
     members: list[OrbitMember]
     period: int
 
+    def rotate(self, m: int) -> "TauOrbit":
+        """The orbit of the seed rotated by m: every member rotated."""
+        return TauOrbit(self.k, self.n, self.v,
+                        [mem.rotate(m, self.n, self.k) for mem in self.members],
+                        self.period)
+
     def to_json_dict(self) -> dict:
         return {
             "k": self.k, "n": self.n, "v": self.v, "period": self.period,
@@ -110,10 +116,22 @@ def _seed_rep(seed: Seed, trunc: int) -> tuple[CMModuleRep, OrbitMember]:
         raise ValueError("orbit seeds are rank-1 rims or rank-2 profiles")
     rep = rank2_extension(layers[0], layers[1], trunc)
     member = _identify(rep, trunc)
+    if not member.profiles:
+        # a projective summand drops out of every syzygy, so the orbit
+        # would never return to the seed
+        split = decomposition_rank2(rep)
+        if split and any(is_projective(r) for r in split):
+            raise ProjectiveInput(f"{seed} splits as {split[0]} ⊕ {split[1]}, "
+                                  f"which has a projective summand")
     return rep, member
 
 
 def _identify(rep: CMModuleRep, trunc: int) -> OrbitMember:
+    """Name rep as far as its rank allows.
+
+    A rank-2 module is compared with the canonical module of every split of
+    its a-vector of interlacing degree at least 3.
+    """
     avec = rep_a_vector(rep).entries
     if rep.s == 1:
         return OrbitMember(1, avec, rim_label=identify_rank1(rep))
@@ -130,22 +148,38 @@ def _identify(rep: CMModuleRep, trunc: int) -> OrbitMember:
     return OrbitMember(rep.s, avec)
 
 
+def _canonical(rep: CMModuleRep, member: OrbitMember, trunc: int) -> CMModuleRep:
+    """The shared module of an identified member, else rep itself."""
+    if member.rim_label is not None:
+        return build_rank1(member.rim_label, trunc)
+    if member.profiles:
+        return rank2_extension(*member.profiles[0].layers, trunc)
+    return rep
+
+
 def tau_orbit(start: Seed, trunc: Optional[int] = None) -> TauOrbit:
     """Orbit of a rank-1 rim or rank-2 profile under the syzygy.
 
     Computes 2v consecutive syzygies, verifies the orbit closes, and
     reports the least period dividing 2v at which the identified member
     sequence repeats.
+
+    Each step takes the syzygy of an identified member's shared module
+    (``build_rank1`` of its rim, ``rank2_extension`` of its first profile),
+    whose syzygy is cached on it, rather than of the module just computed.
+    This is exact: identification proves the two modules isomorphic, and
+    isomorphic modules have isomorphic syzygies.  Members of rank 3 or more
+    are not identified and step from the computed module.
     """
     n, k = start.n, start.k
     N = default_truncation(n, trunc)
     v = lcm(n, k) // k
     rep, first = _seed_rep(start, N)
     members = [first]
-    for _ in range(2 * v - 1):
-        rep = syzygy(rep)
+    for _ in range(2 * v):
+        rep = syzygy(_canonical(rep, members[-1], N))
         members.append(_identify(rep, N))
-    closing = _identify(syzygy(rep), N)
+    closing = members.pop()
     if closing.key() != members[0].key():
         raise AssertionError(
             f"orbit of {members[0].label()} did not close after {2 * v} steps")
@@ -277,9 +311,11 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
                 census_report=None, progress: bool = False) -> TubeCensusReport:
     """Group rank-1 rims and rigid rank-2 classes into syzygy orbits.
 
-    For the tame pairs the computed orbits are compared against the
-    golden tube tables; other parameters are served with orbits only.
-    Orbit periods must divide 2v.
+    Rotating the quiver is an automorphism, so the orbit of a seed is the
+    orbit of its least rotation (``rims.least_shift``) rotated back: each
+    rotation class is walked once.  For the tame pairs the computed orbits
+    are compared against the golden tube tables; other parameters are
+    served with orbits only.  Orbit periods must divide 2v.
     """
     N = default_truncation(n, trunc)
     v = lcm(n, k) // k
@@ -292,15 +328,23 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
         for entry in census_report.rank2_rigid:
             seeds.append(entry.profile)
     orbits: list[TauOrbit] = []
+    walked: dict[Seed, TauOrbit] = {}   # least rotation of a seed -> its orbit
     seen_rims: set[tuple[int, ...]] = set()
     seen_profiles: set[str] = set()
     for idx, seed in enumerate(seeds):
         if isinstance(seed, Rim):
             if seed.elements in seen_rims:
                 continue
+            j = least_shift(seed)
+            least = shift(seed, j)
         elif seed.label() in seen_profiles:
             continue
-        orbit = tau_orbit(seed, trunc=N)
+        else:
+            j = least_shift(*seed.layers)
+            least = seed.shift(j)
+        if least not in walked:
+            walked[least] = tau_orbit(least, trunc=N)
+        orbit = walked[least].rotate(n - j)
         orbits.append(orbit)
         for member in orbit.members:
             if member.rim_label is not None:

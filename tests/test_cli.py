@@ -168,6 +168,21 @@ class TestUsageErrors:
         assert code == 2
         assert any(line.startswith("error:") for line in err.splitlines())
 
+    @pytest.mark.parametrize("command", ["orbit", "syzygy"])
+    def test_profile_with_a_projective_summand_is_an_error(self, command, capsys):
+        code = main([command, "136|245@(3,7)"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "projective summand" in err
+
+    def test_profiles_of_low_interlacing_degree_keep_their_orbits(self, capsys):
+        code, out = run_cli(["orbit", "135|135@(3,6)"], capsys)        # degree 0
+        assert code == 0 and "period 4" in out
+        code, out = run_cli(["syzygy", "146|235@(3,6)"], capsys)       # degree 2
+        assert code == 0 and "= 246 (rank 1)" in out
+        code, out = run_cli(["orbit", "1247|3568@(4,8)"], capsys)      # not rigid
+        assert code == 0 and "period 4" in out
+
 
 class TestTubesCommand:
     def test_tubes_nontame_writes_json(self, capsys, tmp_path):

@@ -1,12 +1,49 @@
 from collections import Counter
+from math import lcm
 
 import pytest
 
-from grasscat import homology, modules
+from grasscat import dvr, homology, modules, tubes
+from grasscat.census import rank2_candidates, run_census
 from grasscat.errors import NotAlmostConsecutive, ProjectiveInput
-from grasscat.modules import profile
-from grasscat.rims import all_rims, is_almost_consecutive, is_projective, rim
-from grasscat.tubes import ar_sequence, tau_orbit, tube_census
+from grasscat.homology import is_isomorphic, rank2_extension, syzygy
+from grasscat.modules import (Profile, a_vector, build_rank1, default_truncation,
+                              identify_rank1, profile, rep_a_vector)
+from grasscat.rims import (Rim, all_rims, interlacing_degree, is_almost_consecutive,
+                           is_projective, least_shift, rim, shift, two_layer_splits)
+from grasscat.tubes import OrbitMember, ar_sequence, tau_orbit, tube_census
+
+
+def chain_orbit(seed):
+    """Members and period of a seed's orbit by the direct algorithm: every
+    step resolves the module just computed, and every split of a rank-2
+    member's a-vector is tested with the full ``is_isomorphic``."""
+    n, k = seed.n, seed.k
+    N, v = default_truncation(n), lcm(n, k) // k
+
+    def identify(rep):
+        avec = rep_a_vector(rep).entries
+        if rep.s == 1:
+            return OrbitMember(1, avec, rim_label=identify_rank1(rep))
+        matches = sorted((Profile((a, b)) for a, b in two_layer_splits(avec, k, n)
+                          if rep.s == 2 and interlacing_degree(a, b) >= 3
+                          and is_isomorphic(rep, rank2_extension(a, b, N))),
+                         key=Profile.label)
+        return OrbitMember(rep.s, avec, profiles=tuple(matches))
+
+    rep = build_rank1(seed, N) if isinstance(seed, Rim) else rank2_extension(*seed.layers, N)
+    keys = [identify(rep).key()]
+    for _ in range(2 * v):
+        rep = syzygy(rep)
+        keys.append(identify(rep).key())
+    assert keys.pop() == keys[0]
+    period = min(d for d in range(1, 2 * v + 1)
+                 if all(keys[i] == keys[(i + d) % (2 * v)] for i in range(2 * v)))
+    return keys[:period], period
+
+
+def rigid_classes(k, n):
+    return [e.profile for e in run_census(k, n).rank2_rigid]
 
 
 class TestTauOrbit:
@@ -56,6 +93,103 @@ class TestTauOrbit:
                 continue
             orbit = tau_orbit(r)
             assert 4 % orbit.period == 0
+
+
+class TestCanonicalSteps:
+    """Orbit steps from the shared module of each identified member agree
+    with the direct algorithm (``chain_orbit``)."""
+
+    @pytest.mark.parametrize("kn", [(3, 6), (3, 7)])
+    def test_every_rim_and_rigid_class_matches_the_chain(self, kn):
+        seeds = [r for r in all_rims(*kn) if not is_projective(r)] + rigid_classes(*kn)
+        for seed in seeds:
+            orbit = tau_orbit(seed)
+            assert ([m.key() for m in orbit.members], orbit.period) == chain_orbit(seed), \
+                seed
+
+    def test_rank3_member_matches_the_chain(self):
+        seed = rim([1, 3, 5, 7], 4, 8)
+        orbit = tau_orbit(seed)
+        assert max(m.rank for m in orbit.members) == 3
+        assert ([m.key() for m in orbit.members], orbit.period) == chain_orbit(seed)
+
+    def test_extension_a_vector_is_the_profile_sum(self):
+        # the premise of comparing a rank-2 member only with the splits of its a-vector
+        for a, b in rank2_candidates(3, 7):
+            assert rep_a_vector(rank2_extension(a, b)) == a_vector(Profile((a, b))), (a, b)
+
+    def test_seed_identified_against_itself_factors_nothing(self, monkeypatch):
+        seed = profile([[1, 3, 5], [2, 4, 6]], 3, 6)
+        rep, member = tubes._seed_rep(seed, 12)   # builds every candidate once
+        calls = []
+        original = dvr._smith
+
+        def counted(matrix, need_u=True):
+            calls.append(matrix)
+            return original(matrix, need_u)
+        for module in (dvr, homology, modules):
+            monkeypatch.setattr(module, "_smith", counted)
+        assert tubes._seed_rep(seed, 12) == (rep, member)
+        assert member.profiles == (seed,) and calls == []
+
+    def test_seed_with_a_projective_summand_is_refused(self):
+        # 136|245 @(3,7) is 126 ⊕ 345, and 345 drops out of every syzygy
+        with pytest.raises(ProjectiveInput, match="126 ⊕ 345"):
+            tau_orbit(profile([[1, 3, 6], [2, 4, 5]], 3, 7))
+
+    @pytest.mark.parametrize("layers, kn", [
+        ([[1, 3, 5], [1, 3, 5]], (3, 6)),            # degree 0: 135 ⊕ 135
+        ([[1, 4, 6], [2, 3, 5]], (3, 6)),            # degree 2: 246|135
+        ([[1, 2, 4, 7], [3, 5, 6, 8]], (4, 8))])     # degree 3, not rigid
+    def test_other_seeds_keep_their_orbits(self, layers, kn):
+        seed = profile(layers, *kn)
+        orbit = tau_orbit(seed)
+        assert ([m.key() for m in orbit.members], orbit.period) == chain_orbit(seed)
+        assert orbit.period == 4
+
+
+class TestTubeCensusPerRotationClass:
+    @staticmethod
+    def seedwise(k, n):
+        """The orbits of every seed not yet seen, each walked by tau_orbit,
+        in the report's order, and the seeds walked."""
+        seeds = [r for r in all_rims(k, n) if not is_projective(r)] + rigid_classes(k, n)
+        seen, orbits, walked = set(), [], []
+        for seed in seeds:
+            if seed in seen:
+                continue
+            orbit = tau_orbit(seed)
+            orbits.append(orbit)
+            walked.append(seed)
+            for m in orbit.members:
+                if m.rim_label is not None:
+                    seen.add(m.rim_label)
+                seen.update(m.profiles)
+        orbits.sort(key=lambda o: min(m.label() for m in o.members))
+        return [o.to_json_dict() for o in orbits], walked
+
+    @pytest.mark.parametrize("kn", [(3, 6), (3, 7), (3, 8)])
+    def test_orbits_match_a_walk_per_seed(self, kn, monkeypatch):
+        want, walked = self.seedwise(*kn)
+        homology._rank2_walk.cache_clear()
+        modules._rank1.cache_clear()
+        calls = []
+
+        def counted(start, trunc=None):
+            calls.append(start)
+            return tau_orbit(start, trunc)
+        monkeypatch.setattr(tubes, "tau_orbit", counted)
+        report = tube_census(*kn)
+        assert [o.to_json_dict() for o in report.orbits] == want
+        # one walk per rotation class of the walked seeds, on its least rotation
+        def least(seed):
+            layers = (seed,) if isinstance(seed, Rim) else seed.layers
+            j = least_shift(*layers)
+            return shift(seed, j) if isinstance(seed, Rim) else seed.shift(j)
+        assert sorted(map(str, calls)) == sorted({str(least(s)) for s in walked})
+        # an orbit holds the shift by k of each member, so when gcd(k, n) = 1
+        # it meets every rotation of its seed and there is nothing to save
+        assert len(calls) < len(walked) if kn == (3, 6) else len(calls) == len(walked)
 
 
 class TestOrbitSharesSyzygies:
