@@ -119,14 +119,14 @@ def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
 
 def run_census(k: int, n: int, *, trunc: Optional[int] = None,
                sample: Optional[float] = None, seed: int = 0,
-               with_orbits: bool = False,
                cache_dir: Optional[Path] = None,
                refresh: bool = False,
                progress: bool = False) -> CensusReport:
     """Full (or sampled) rigid rank-2 census over one ambient.
 
-    A sampled run only certifies the tested candidates; class grouping,
-    orbit ids and fixture comparison are reserved for full runs.
+    A sampled run only certifies the tested candidates; class grouping and
+    fixture comparison are reserved for full runs.  Orbit ids are left
+    unset, so the cache never holds them.
     """
     if not 3 <= k <= n // 2:
         raise ValueError(f"need 3 <= k <= n/2, got k={k}, n={n}")
@@ -138,10 +138,6 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
         if cache_path.exists() and not refresh:
             cached = _load_cache(cache_path, k, n, N)
             if cached is not None:
-                if with_orbits and any(e.orbit_id is None for e in cached.rank2_rigid):
-                    _attach_orbit_ids(cached, N)
-                    cache_path.write_text(json.dumps(
-                        cached.to_json_dict(), indent=1, sort_keys=True))
                 return cached
 
     rims = all_rims(k, n)
@@ -173,8 +169,6 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
     if not sampled:
         report.rank2_rigid = _group_classes(k, rigid)
         report.fixture_diffs = _fixture_diffs(report)
-        if with_orbits:
-            _attach_orbit_ids(report, N)
     if cache_path is not None and not sampled:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         previous = None
@@ -208,14 +202,6 @@ def _group_classes(k: int, rigid: list[tuple[Profile, CMModuleRep]]) -> list[Cen
                 classification=classify_root_vector(RootVector(avec, k))))
     entries.sort(key=lambda e: e.profile.label())
     return entries
-
-
-def _attach_orbit_ids(report: CensusReport, trunc: int) -> None:
-    from .tubes import tau_orbit  # deferred: tubes builds on the census
-    for entry in report.rank2_rigid:
-        orbit = tau_orbit(entry.profile, trunc=trunc)
-        report_labels = sorted(m.label() for m in orbit.members)
-        entry.orbit_id = report_labels[0]
 
 
 def _fixture_diffs(report: CensusReport) -> list[str]:
@@ -318,7 +304,7 @@ def _load_cache(path: Path, k: int, n: int, trunc: int) -> Optional[CensusReport
             for prof in e["profiles"])
         entries.append(CensusEntry(
             profiles=profiles, a_vec=tuple(e["a_vector"]),
-            classification=e["classification"], orbit_id=e.get("orbit_id")))
+            classification=e["classification"]))
     return CensusReport(
         k=k, n=n, truncation=trunc,
         rank1_count=data["rank1_count"],

@@ -131,8 +131,7 @@ def cmd_ext(args) -> int:
 def cmd_syzygy(args) -> int:
     from .tubes import tau_orbit
     p = parse_profile(args.profile)
-    start = p.layers[0] if len(p.layers) == 1 else p
-    orbit = tau_orbit(start, trunc=_truncation(args, p.n))
+    orbit = tau_orbit(p, trunc=_truncation(args, p.n))
     member = orbit.members[1 % len(orbit.members)]
     payload = {"input": p.label(), "syzygy": member.label(),
                "rank": member.rank, "a_vector": list(member.a_vec)}
@@ -178,8 +177,7 @@ def cmd_orbit(args) -> int:
     from .tubes import tau_orbit
     from .diagrams import orbit_dot, orbit_tikz
     p = parse_profile(args.profile)
-    start = p.layers[0] if len(p.layers) == 1 else p
-    orbit = tau_orbit(start, trunc=_truncation(args, p.n))
+    orbit = tau_orbit(p, trunc=_truncation(args, p.n))
     if args.fmt == "dot":
         print(orbit_dot(orbit), end="")
         return 0
@@ -248,9 +246,11 @@ def cmd_census(args) -> int:
     full = sample is None
     rep = run_census(args.k, args.n, trunc=_truncation(args, args.n),
                      sample=sample,
-                     with_orbits=args.orbits and full,
                      cache_dir=args.out if full else None,
                      refresh=args.refresh, progress=not args.json)
+    if args.orbits and full:
+        from .tubes import attach_orbit_ids
+        attach_orbit_ids(rep)
     counts = rep.counts()
     payload = rep.to_json_dict()
     lines = [f"census (k,n)=({args.k},{args.n})"

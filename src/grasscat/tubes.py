@@ -12,13 +12,13 @@ vector only.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from math import lcm
 from pathlib import Path
 from typing import Optional, Union
 
+from .census import CensusReport, run_census
 from .errors import NotAlmostConsecutive, ProjectiveInput
 from .homology import (decomposition_rank2, is_isomorphic, is_rigid, rank2_extension,
                        rigid_indecomposable_rank2, syzygy)
@@ -55,7 +55,7 @@ class OrbitMember:
             return ("class", tuple(p.label() for p in self.profiles))
         return ("opaque", self.rank, self.a_vec)
 
-    def rotate(self, m: int, n: int, k: int) -> "OrbitMember":
+    def rotate(self, m: int, n: int) -> "OrbitMember":
         avec = tuple(self.a_vec[(i - m) % n] for i in range(n))
         return OrbitMember(
             rank=self.rank, a_vec=avec,
@@ -83,7 +83,7 @@ class TauOrbit:
     def rotate(self, m: int) -> "TauOrbit":
         """The orbit of the seed rotated by m: every member rotated."""
         return TauOrbit(self.k, self.n, self.v,
-                        [mem.rotate(m, self.n, self.k) for mem in self.members],
+                        [mem.rotate(m, self.n) for mem in self.members],
                         self.period)
 
     def to_json_dict(self) -> dict:
@@ -307,52 +307,61 @@ def _load_fixture(k: int, n: int) -> Optional[dict]:
         return None
 
 
+def walk_orbits(seeds: list[Profile], trunc: int) -> list[TauOrbit]:
+    """The syzygy orbits of the seeds, in seed order, each orbit once.
+
+    A seed already met as a member of an earlier orbit is skipped.  Rotating
+    the quiver is an automorphism, so the orbit of a seed is the orbit of its
+    least rotation (``rims.least_shift``) rotated back: each rotation class
+    is walked once.
+    """
+    orbits: list[TauOrbit] = []
+    walked: dict[Profile, TauOrbit] = {}   # least rotation of a seed -> its orbit
+    seen: set[Profile] = set()
+    for seed in seeds:
+        if seed in seen:
+            continue
+        j = least_shift(*seed.layers)
+        least = seed.shift(j)
+        if least not in walked:
+            walked[least] = tau_orbit(least, trunc=trunc)
+        orbit = walked[least].rotate(seed.n - j)
+        orbits.append(orbit)
+        for member in orbit.members:
+            if member.rim_label is not None:
+                seen.add(Profile((member.rim_label,)))
+            seen.update(member.profiles)
+    return orbits
+
+
+def attach_orbit_ids(report: CensusReport) -> None:
+    """Give each census class the least member label of its syzygy orbit,
+    walked at the census truncation."""
+    ids: dict[Profile, str] = {}
+    for orbit in walk_orbits([e.profile for e in report.rank2_rigid], report.truncation):
+        least = min(m.label() for m in orbit.members)
+        ids.update((p, least) for m in orbit.members for p in m.profiles)
+    for entry in report.rank2_rigid:
+        entry.orbit_id = ids[entry.profile]
+
+
 def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
-                census_report=None, progress: bool = False) -> TubeCensusReport:
+                census_report: Optional[CensusReport] = None) -> TubeCensusReport:
     """Group rank-1 rims and rigid rank-2 classes into syzygy orbits.
 
-    Rotating the quiver is an automorphism, so the orbit of a seed is the
-    orbit of its least rotation (``rims.least_shift``) rotated back: each
-    rotation class is walked once.  For the tame pairs the computed orbits
-    are compared against the golden tube tables; other parameters are
-    served with orbits only.  Orbit periods must divide 2v.
+    For the tame pairs the computed orbits are compared against the golden
+    tube tables; other parameters are served with orbits only.  Orbit
+    periods must divide 2v.
     """
     N = default_truncation(n, trunc)
     v = lcm(n, k) // k
     banner = None if (k, n) in TAME_PAIRS else "non-tame: orbits only"
-    seeds: list[Seed] = [r for r in all_rims(k, n) if not is_projective(r)]
+    seeds = [Profile((r,)) for r in all_rims(k, n) if not is_projective(r)]
     if k >= 3:
         if census_report is None:
-            from .census import run_census
             census_report = run_census(k, n, trunc=N)
-        for entry in census_report.rank2_rigid:
-            seeds.append(entry.profile)
-    orbits: list[TauOrbit] = []
-    walked: dict[Seed, TauOrbit] = {}   # least rotation of a seed -> its orbit
-    seen_rims: set[tuple[int, ...]] = set()
-    seen_profiles: set[str] = set()
-    for idx, seed in enumerate(seeds):
-        if isinstance(seed, Rim):
-            if seed.elements in seen_rims:
-                continue
-            j = least_shift(seed)
-            least = shift(seed, j)
-        elif seed.label() in seen_profiles:
-            continue
-        else:
-            j = least_shift(*seed.layers)
-            least = seed.shift(j)
-        if least not in walked:
-            walked[least] = tau_orbit(least, trunc=N)
-        orbit = walked[least].rotate(n - j)
-        orbits.append(orbit)
-        for member in orbit.members:
-            if member.rim_label is not None:
-                seen_rims.add(member.rim_label.elements)
-            for p in member.profiles:
-                seen_profiles.add(p.label())
-        if progress and (idx + 1) % 20 == 0:
-            print(f"  tubes ({k},{n}): {idx + 1}/{len(seeds)} seeds", file=sys.stderr)
+        seeds += [entry.profile for entry in census_report.rank2_rigid]
+    orbits = walk_orbits(seeds, N)
     orbits.sort(key=lambda o: min(m.label() for m in o.members))
 
     periods: dict[int, int] = {}
@@ -379,7 +388,7 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
 def _family_key(o: TauOrbit) -> str:
     best = None
     for m_rot in range(o.n):
-        labels = [mem.rotate(m_rot, o.n, o.k).label() for mem in o.members]
+        labels = [mem.rotate(m_rot, o.n).label() for mem in o.members]
         for start in range(len(labels)):
             cyc = tuple(labels[(start + i) % len(labels)] for i in range(len(labels)))
             cand = "|".join(cyc)

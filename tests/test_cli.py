@@ -125,6 +125,15 @@ class TestCensusCommand:
         assert code == 0
         assert "[sampled]" in out
 
+    def test_orbit_ids_stay_out_of_the_census_cache(self, capsys, tmp_path):
+        argv = ["--json", "--out", str(tmp_path), "census", "3", "6"]
+        first = json.loads(run_cli(argv + ["--orbits"], capsys)[1])
+        second = json.loads(run_cli(argv + ["--refresh"], capsys)[1])
+        third = json.loads(run_cli(argv + ["--orbits"], capsys)[1])
+        assert not any("cache diff" in note for note in second["notes"])
+        assert all(e["orbit_id"] is None for e in second["rank2_rigid"])
+        assert third["rank2_rigid"] == first["rank2_rigid"]
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
@@ -221,6 +230,8 @@ class TestTubesCommand:
 PINNED_JSON = {
     "census-3-7": (["census", "3", "7", "--refresh"],
                    "ca4ebfe91993c61e2e989bc340e034b0ecd815eab39d9bea8ba8198c519ed21f"),
+    "census-3-7-orbits": (["census", "3", "7", "--refresh", "--orbits"],
+                          "e7bfe8c9ebe3ca8318d6880fd81ff3e3821db31f4c7a32968d6e85db6cfbbde5"),
     "orbit-3-6": (["orbit", "135|246@(3,6)"],
                   "6dbb709a15cd5dadd7bed3509a95f71ad892b68807b378913f8903b202eb6246"),
     "orbit-4-8": (["orbit", "1246|3578@(4,8)"],

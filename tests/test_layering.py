@@ -2,9 +2,9 @@
 name the package defines is used, and used by the package itself unless it
 is on an allow-list, and the unchecked constructors stay in ``dvr``.
 
-Two kinds of function-local import are allowed: the census <-> tubes pair,
-which is a genuine import cycle, and the CLI's per-subcommand imports,
-which keep ``import grasscat.cli`` from loading the computational layers.
+One kind of function-local import is allowed: the CLI's per-subcommand
+imports, which keep ``import grasscat.cli`` from loading the computational
+layers.
 """
 
 import ast
@@ -14,16 +14,9 @@ from typing import Optional
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "grasscat"
 TESTS = Path(__file__).resolve().parent
 
-ALLOWED = {
-    ("census", "_attach_orbit_ids", "tubes"),
-    ("tubes", "tube_census", "census"),
-}
 
-
-def _allowed(module: str, function: str, target: str) -> bool:
-    if module == "cli":
-        return function.startswith("cmd_") or function == "_module_for"
-    return (module, function, target) in ALLOWED
+def _allowed(module: str, function: str) -> bool:
+    return module == "cli" and (function.startswith("cmd_") or function == "_module_for")
 
 
 def _grasscat_targets(node) -> list[str]:
@@ -58,13 +51,8 @@ def local_imports(package: Path = PACKAGE) -> list[tuple[str, str, str]]:
 
 def test_no_function_local_grasscat_imports_outside_the_allow_list():
     stray = [f"{m}.{fn} imports {t}" for m, fn, t in local_imports()
-             if not _allowed(m, fn, t)]
+             if not _allowed(m, fn)]
     assert stray == []
-
-
-def test_allow_list_is_still_needed():
-    # a cycle that has gone away should take its allow-list entry with it
-    assert ALLOWED <= set(local_imports())
 
 
 def test_detects_a_local_import(tmp_path):

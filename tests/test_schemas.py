@@ -49,6 +49,7 @@ def test_every_schema_is_valid():
     ("ext", ["ext", "135@(3,6)", "246@(3,6)"]),
     ("roots", ["roots", "3", "6"]),
     ("tubes", ["tubes", "3", "6"]),
+    ("census", ["census", "3", "6", "--orbits"]),
 ])
 def test_document_validates(schema, args, tmp_path, capsys):
     doc = emit(["--out", str(tmp_path), *args], capsys)

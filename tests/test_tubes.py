@@ -192,6 +192,24 @@ class TestTubeCensusPerRotationClass:
         assert len(calls) < len(walked) if kn == (3, 6) else len(calls) == len(walked)
 
 
+class TestOrbitIds:
+    @pytest.mark.parametrize("kn, walks", [((3, 6), 1), ((3, 7), 2), ((3, 8), 5)])
+    def test_ids_match_a_walk_per_class(self, kn, walks, monkeypatch):
+        report = run_census(*kn)
+        # the least member label of each class's own orbit
+        want = [min(m.label() for m in tau_orbit(e.profile).members)
+                for e in report.rank2_rigid]
+        calls = []
+
+        def counted(start, trunc=None):
+            calls.append(start)
+            return tau_orbit(start, trunc)
+        monkeypatch.setattr(tubes, "tau_orbit", counted)
+        tubes.attach_orbit_ids(report)
+        assert [e.orbit_id for e in report.rank2_rigid] == want
+        assert len(calls) == walks
+
+
 class TestOrbitSharesSyzygies:
     def test_each_module_is_resolved_once(self, monkeypatch):
         # fresh ladder and rank-1 memos, so every module below is resolved here
