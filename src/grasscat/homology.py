@@ -46,13 +46,14 @@ def top_multiset(m: CMModuleRep) -> dict[int, int]:
     """Multiplicity of each vertex in the top of the module.
 
     At vertex v the top is the cokernel of [x_v | y_{v+1}] taken modulo t.
-    The multiplicities are cached on the module.
+    The multiplicities are cached on the root; a view relabels its root's.
     """
-    top = getattr(m, "_top", None)
+    root, j = m._root or m, m._turn
+    top = getattr(root, "_top", None)
     if top is None:
-        top = m._top = tuple((v, dim) for v in range(1, m.n + 1)
-                             if (dim := len(_top_generators(m, v))))
-    return dict(top)
+        top = root._top = tuple((v, dim) for v in range(1, m.n + 1)
+                                if (dim := len(_top_generators(root, v))))
+    return {(v + j - 1) % m.n + 1: dim for v, dim in top}
 
 
 def _top_generators(m: CMModuleRep, v: int) -> list[int]:
@@ -130,7 +131,7 @@ class SyzygyData:
     embed: dict[int, DVRMatrix]      # vertex -> cover-size x omega-rank basis
 
     def rotate(self, j: int, n: int) -> "SyzygyData":
-        """The syzygy data of the module rotated by j: every label moved by j."""
+        """The syzygy data of the module rotated by j: labels moved, omega a view."""
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
         cover = Cover(tuple(turn[v] for v in self.cover.vertices), self.cover.generators,
                       {turn[w]: e for w, e in self.cover.eps.items()})
@@ -142,14 +143,18 @@ def syzygy_data(m: CMModuleRep) -> SyzygyData:
     """The syzygy as an explicit submodule of the cover.
 
     The result is cached on the module, which is immutable, so every
-    caller shares one computation per module object.  The cover map is
-    surjective, so its factorisations have unit pivots, lose no precision,
-    and the syzygy keeps the module's floor.
+    caller shares one computation per module object; a view (see
+    ``CMModuleRep.rotate``) caches its root's, relabelled.  The cover map
+    is surjective, so its factorisations have unit pivots, lose no
+    precision, and the syzygy keeps the module's floor.
     """
     try:
         return m._syzygy
     except AttributeError:
         pass
+    if m._root is not None:
+        m._syzygy = syzygy_data(m._root).rotate(m._turn, m.n)
+        return m._syzygy
     cover = projective_cover(m)
     c = cover.size
     if c == m.s:
@@ -375,22 +380,11 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
 
     The exponents are computed once, at the working truncation, and
     certified there by the precision floors (see ``_ext1_once``): the
-    answer is exact, or TruncationUnstable is raised.
-
-    Rotating the quiver is an automorphism of the algebra, so when m is a
-    rank-1 module with a recorded rim the pair is first rotated to make
-    that rim the least of its rotation class.  The canonical module is the
-    shared ``build_rank1`` module, and its syzygy is cached on it, so it is
-    resolved once per rotation class and truncation.
+    answer is exact, or TruncationUnstable is raised.  The resolution of m
+    and the path matrices of n are read from their root modules' caches,
+    so the rank-1 modules of ``build_rank1`` are resolved once per rotation
+    class and truncation.
     """
-    if m.rim is not None:
-        j = least_shift(m.rim)
-        canon = build_rank1(shift_rim(m.rim, j), m.trunc)
-        if m is n_rep:
-            n_rep = canon
-        elif j:
-            n_rep = n_rep.rotate(j)
-        m = canon
     return ExtDecomp(_ext1_once(m, n_rep))
 
 
@@ -630,9 +624,9 @@ def _rank2_walk(top: Rim, bottom: Rim, N: int) -> tuple[CMModuleRep, bool]:
 
     Rotating the quiver is an automorphism, so only the least rotation of
     the pair walks the ladder; every other pair gets its verdict and its
-    module rotated back, caches and all (without a rigid middle, the rotated
-    generic extension of the canonical pair).  One memo entry per (top,
-    bottom, resolved truncation); ``cache_clear()`` frees them.
+    module rotated back, a view sharing its caches (without a rigid middle,
+    the rotated generic extension of the canonical pair).  One memo entry
+    per (top, bottom, resolved truncation); ``cache_clear()`` frees them.
     """
     j = least_shift(top, bottom)
     if j:

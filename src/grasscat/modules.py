@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .dvr import DVRMatrix, ValPoly, _smith
 from .errors import NotRankOne, TruncationUnstable
-from .rims import Rim, parse_rim, rim, shift as shift_rim
+from .rims import Rim, least_shift, parse_rim, rim, shift as shift_rim
 from .roots import RootVector
 
 
@@ -72,17 +72,18 @@ class CMModuleRep:
     with floor = trunc; a computed one (a syzygy, an extension middle)
     carries the floor its construction left.
     ``rim`` is the rim of a rank-1 module built from one, else None.
-    Two caches hang off an instance: ``_paths`` holds the path matrices,
-    and ``_syzygy`` holds the one ``homology.syzygy_data`` result, set on
-    first use and read by Hom, Ext, extension middles and orbit steps.
-    ``rotate`` carries both, relabelled, to the rotated module.  Two
-    isomorphism invariants are cached as well, set on first use and not
-    carried by ``rotate``: ``_avec`` (``rep_a_vector``) and ``_top``
-    (``homology.top_multiset``).
+    ``rotate`` returns a view: relabelled ``x``/``y`` maps, the unrotated
+    root ``_root`` and the shift ``_turn`` (None and 0 on a root).  Four
+    caches hang off a root, each set on first use: ``_paths``
+    (``path_matrix``), ``_syzygy`` (the one ``homology.syzygy_data``
+    result, read by Hom, Ext, extension middles and orbit steps), ``_avec``
+    (``rep_a_vector``) and ``_top`` (``homology.top_multiset``).  A view
+    computes none of them: it reads its root's, filling them if needed,
+    and relabels the result, so every rotation shares them.
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "rim",
-                 "_paths", "_syzygy", "_avec", "_top")
+                 "_root", "_turn", "_paths", "_syzygy", "_avec", "_top")
 
     def __init__(self, n: int, k: int, s: int,
                  x: dict[int, DVRMatrix], y: dict[int, DVRMatrix],
@@ -92,24 +93,27 @@ class CMModuleRep:
         self.floor = trunc if floor is None else floor
         self.x, self.y = dict(x), dict(y)
         self.rim = rim
+        self._root: Optional[CMModuleRep] = None
+        self._turn = 0
         self._paths: dict[tuple[int, int], DVRMatrix] = {}
 
     def rotate(self, j: int) -> "CMModuleRep":
         """The same module with every vertex label v moved to v + j (mod n).
 
         Rotating the quiver is an automorphism of the algebra, so this only
-        relabels the structure maps; a recorded rim is shifted by j.  Cached
-        path matrices keep their values (a canonical route depends only on
-        (w - v) mod n), and a cached syzygy is rotated with the module.
+        relabels the structure maps; a recorded rim is shifted by j.  The
+        result is a view of the root: rotating a view rotates its root by
+        the sum of the shifts, and a shift of 0 (mod n) gives the root.
         """
-        n = self.n
+        root, n = self._root or self, self.n
+        j = (self._turn + j) % n
+        if not j:
+            return root
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
-        out = CMModuleRep(n, self.k, self.s, {turn[v]: mat for v, mat in self.x.items()},
-                          {turn[v]: mat for v, mat in self.y.items()}, self.trunc, self.floor,
-                          rim=None if self.rim is None else shift_rim(self.rim, j))
-        out._paths = {(turn[v], turn[w]): mat for (v, w), mat in self._paths.items()}
-        if hasattr(self, "_syzygy"):
-            out._syzygy = self._syzygy.rotate(j, n)
+        out = CMModuleRep(n, root.k, root.s, {turn[v]: mat for v, mat in root.x.items()},
+                          {turn[v]: mat for v, mat in root.y.items()}, root.trunc, root.floor,
+                          rim=None if root.rim is None else shift_rim(root.rim, j))
+        out._root, out._turn = root, j
         return out
 
     def path_matrix(self, v: int, w: int) -> DVRMatrix:
@@ -119,25 +123,29 @@ class CMModuleRep:
         otherwise; on the projective at v these routes carry the generator
         to the canonical basis vector of every vertex component.  The
         route extends its longest cached prefix one map at a time, and
-        every prefix is cached on the way.
+        every prefix is cached on the way.  A view reads its root's cache
+        at both labels moved back by its shift: a canonical route depends
+        only on (w - v) mod n.
         """
-        paths = self._paths
+        m, n = self._root or self, self.n
+        if m is not self:
+            v, w = (v - self._turn - 1) % n + 1, (w - self._turn - 1) % n + 1
+        paths = m._paths
         cached = paths.get((v, w))
         if cached is not None:
             return cached
-        n = self.n
         d = (w - v) % n
         # (end vertex, structure map) of each step; every prefix of a
         # canonical route is the canonical route to its end vertex
-        if d <= self.k:
-            route = [((v + j - 1) % n + 1, self.x[(v + j - 1) % n + 1])
+        if d <= m.k:
+            route = [((v + j - 1) % n + 1, m.x[(v + j - 1) % n + 1])
                      for j in range(1, d + 1)]
         else:
-            route = [((v - j - 1) % n + 1, self.y[(v - j) % n + 1])
+            route = [((v - j - 1) % n + 1, m.y[(v - j) % n + 1])
                      for j in range(1, n - d + 1)]
         mat = paths.get((v, v))
         if mat is None:
-            mat = paths[(v, v)] = DVRMatrix.identity(self.s, self.trunc)
+            mat = paths[(v, v)] = DVRMatrix.identity(m.s, m.trunc)
         for end, step in route:
             nxt = paths.get((v, end))
             if nxt is None:
@@ -201,15 +209,19 @@ def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModul
 def build_rank1(r: Rim, trunc: Optional[int] = None) -> CMModuleRep:
     """Rank-1 module of a rim: x_i is 1 on the rim and t off it, y_i opposite.
 
-    There is one shared module per (rim, resolved truncation), so its cached
-    syzygy and path matrices serve every caller; ``_rank1.cache_clear()``
-    frees them all.
+    There is one shared module per (rim, resolved truncation).  Only the
+    least rotation of a rim (``rims.least_shift``) is built, and the other
+    rims of its class get views of it (``CMModuleRep.rotate``), so one
+    syzygy and path cache serve the class; ``_rank1.cache_clear()`` frees all.
     """
     return _rank1(r, default_truncation(r.n, trunc))
 
 
 @functools.cache
 def _rank1(r: Rim, trunc: int) -> CMModuleRep:
+    j = least_shift(r)
+    if j:
+        return _rank1(shift_rim(r, j), trunc).rotate(r.n - j)
     return build_layered([r], trunc)
 
 
@@ -284,18 +296,19 @@ def rep_a_vector(m: CMModuleRep) -> RootVector:
     The t-valuation of det(x_i) equals s - r_i in any basis, so the
     multiplicity vector survives base change; valuations are read off the
     Smith exponents of each x_i, certified against the module's floor.
-    The result is cached on the module.
+    The result is cached on the root module; a view rotates its root's.
     """
-    avec = getattr(m, "_avec", None)
+    root = m._root or m
+    avec = getattr(root, "_avec", None)
     if avec is None:
         counts = []
-        for i in range(1, m.n + 1):
-            exps = _smith(m.x[i], need_u=False).certify(m.floor, m.s, f"x_{i}")
-            counts.append(m.s - sum(exps))
+        for i in range(1, root.n + 1):
+            exps = _smith(root.x[i], need_u=False).certify(root.floor, root.s, f"x_{i}")
+            counts.append(root.s - sum(exps))
         if any(c < 0 for c in counts):
             raise ValueError(f"multiplicity vector {counts} out of range")
-        avec = m._avec = RootVector(tuple(counts), m.k)
-    return avec
+        avec = root._avec = RootVector(tuple(counts), root.k)
+    return avec.rotate(m._turn)
 
 
 def identify_rank1(m: CMModuleRep) -> Rim:

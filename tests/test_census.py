@@ -167,19 +167,29 @@ class TestClosures:
 
 
 def test_census_leaves_the_shared_rank1_modules_intact(monkeypatch):
-    # one module per (rim, truncation) serves the whole run, so a census
-    # that changed one in place would corrupt every later computation
+    # one module per rotation class and truncation serves the whole run, so
+    # a census that changed one in place would corrupt every later computation
     modules._rank1.cache_clear()
     homology._rank2_walk.cache_clear()
-    built = []
-    original = modules.build_layered
+    built, requested = [], set()
+    original, memo = modules.build_layered, modules._rank1
 
     def recorded(layers, trunc=None):
         built.append(original(layers, trunc))
         return built[-1]
+
+    def requested_from_memo(r, trunc):
+        requested.add((r, trunc))
+        return memo(r, trunc)
     monkeypatch.setattr(modules, "build_layered", recorded)
+    monkeypatch.setattr(modules, "_rank1", requested_from_memo)
     run_census(3, 7)
-    assert len(built) == modules._rank1.cache_info().currsize > 0
+    assert len(requested) == memo.cache_info().currsize
+    # one build per rotation class in the memo, each of its least rotation
+    classes = {(shift(r, least_shift(r)), trunc) for r, trunc in requested}
+    assert sorted((m.rim.elements, m.trunc) for m in built) == \
+        sorted((r.elements, trunc) for r, trunc in classes)
+    assert all(least_shift(m.rim) == 0 for m in built)
     for m in built:
         assert build_rank1(m.rim, m.trunc) is m
         fresh = original([m.rim], m.trunc)

@@ -447,37 +447,125 @@ class TestRank2Rotation:
 
 
 class TestRotatedCaches:
-    """A rotated copy carries its path matrices and syzygy, equal to what a
-    fresh module with the same maps computes."""
+    """A rotated module reads its root's path matrices and syzygy, and both
+    equal what a module with the same maps and no caches computes."""
 
-    @pytest.fixture(params=[(3, 6), (3, 7)])
+    @pytest.fixture(params=[(3, 6), (3, 7), "rank1"])
     def pair(self, request):
-        """A rigid census module of a pair that is not its least rotation,
-        and a copy of its maps with no caches."""
-        k, n = request.param
-        homology._rank2_walk.cache_clear()
-        a, b = next((a, b) for a, b in rank2_candidates(k, n)
-                    if least_shift(a, b) and rigid_indecomposable_rank2(a, b) is not None)
-        m = rigid_indecomposable_rank2(a, b)
+        """A rigid census module of a pair that is not its least rotation, or
+        the rank-1 module of a rim that is not, and a cache-free copy of its
+        maps."""
+        if request.param == "rank1":
+            a = rim([1, 4, 5], 3, 8)
+            assert least_shift(a)
+            m = build_rank1(a)
+        else:
+            k, n = request.param
+            homology._rank2_walk.cache_clear()
+            a, b = next((a, b) for a, b in rank2_candidates(k, n)
+                        if least_shift(a, b) and rigid_indecomposable_rank2(a, b) is not None)
+            m = rigid_indecomposable_rank2(a, b)
         return m, CMModuleRep(m.n, m.k, m.s, m.x, m.y, m.trunc, m.floor)
 
     def test_carried_paths_equal_fresh_ones(self, pair):
         m, fresh = pair
-        assert len(m._paths) > m.n
-        for (v, w), mat in m._paths.items():
-            assert fresh.path_matrix(v, w) == mat, (v, w)
+        for v in range(1, m.n + 1):
+            for w in range(1, m.n + 1):
+                assert m.path_matrix(v, w) == fresh.path_matrix(v, w), (v, w)
 
     def test_carried_syzygy_matches_a_fresh_one(self, pair):
         m, fresh = pair
-        carried = m._syzygy   # set by the rotation, not computed here
-        assert syzygy_data(m) is carried
+        data = syzygy_data(m)
+        assert syzygy_data(m) is data
         for w in range(1, m.n + 1):
-            assert (carried.cover.eps[w] @ carried.embed[w]).is_zero(), w
-        omega, fresh_omega = carried.omega, syzygy(fresh)
+            assert (data.cover.eps[w] @ data.embed[w]).is_zero(), w
+        omega, fresh_omega = data.omega, syzygy(fresh)
         assert validate_relations(omega) == []
         assert omega.floor == fresh_omega.floor
         assert rep_a_vector(omega) == rep_a_vector(fresh_omega)
         assert is_isomorphic(omega, fresh_omega)
+
+
+class TestRotationsShareTheRoot:
+    """Every rotation of a module is a view that resolves from its root."""
+
+    @pytest.fixture(params=["rank1", "rank2"])
+    def rotations(self, request):
+        """A resolved root and every module that must share its resolution:
+        the memo's modules of the rotated rims or pairs, and every rotation of
+        a rotation."""
+        if request.param == "rank1":
+            modules._rank1.cache_clear()
+            a = rim([1, 2, 6], 3, 8)
+            assert least_shift(a) == 0
+            root = build_rank1(a)
+            memo = [build_rank1(shift(a, j)) for j in range(1, 8)]
+        else:
+            homology._rank2_walk.cache_clear()
+            a, b = rim([1, 3, 5], 3, 7), rim([2, 4, 6], 3, 7)
+            assert least_shift(a, b) == 0
+            root = rank2_extension(a, b)
+            memo = [rank2_extension(shift(a, j), shift(b, j)) for j in range(1, 7)]
+        syzygy_data(syzygy(root))
+        n = root.n
+        return root, memo + [root.rotate(i).rotate(j) for i in range(n) for j in range(n)]
+
+    def test_rotations_make_no_cover(self, rotations, monkeypatch):
+        root, turned = rotations
+        covered = []
+        original = homology.projective_cover
+
+        def counted(m):
+            covered.append(m)
+            return original(m)
+        monkeypatch.setattr(homology, "projective_cover", counted)
+        for m in turned:
+            syzygy_data(syzygy(m))
+            assert ext1(m, m) == ext1(root, root)
+        assert covered == []
+
+    def test_rotating_twice_is_one_rotation(self, rotations):
+        root, _ = rotations
+        n = root.n
+        for i in range(-n, n + 1):
+            for j in range(-2, n + 2):
+                twice, once = root.rotate(i).rotate(j), root.rotate(i + j)
+                assert (twice.x, twice.y, twice.rim, twice.floor, twice.trunc) == \
+                    (once.x, once.y, once.rim, once.floor, once.trunc), (i, j)
+
+
+class TestExtRotationEquivariance:
+    """Ext^1 of every rotation of a rank-1 pair, from the shared rotation
+    views, equals Ext^1 on cache-free copies of the pair's rims."""
+
+    @staticmethod
+    def check(pairs, N):
+        n = pairs[0][0].n
+        fresh = {}
+
+        def copy(r):
+            # built directly, so it shares no cache with any rotation
+            if r not in fresh:
+                fresh[r] = build_layered([r], N)
+            return fresh[r]
+        for a, b in pairs:
+            want = ext1(copy(a), copy(b))
+            for j in range(n):
+                turned = shift(a, j), shift(b, j)
+                assert ext1(copy(turned[0]), copy(turned[1])) == want, (a, b, j)
+                assert ext1(*(build_rank1(r, N) for r in turned)) == want, (a, b, j)
+
+    def test_every_ordered_3_7_pair(self):
+        rims_all = all_rims(3, 7)
+        # one pair per rotation class: the shifts run through the rest
+        classes = {min((shift(a, j), shift(b, j)) for j in range(7))
+                   for a in rims_all for b in rims_all}
+        self.check(sorted(classes, key=lambda p: (p[0].elements, p[1].elements)), 14)
+
+    def test_fixed_4_9_sample(self):
+        rims_all = all_rims(4, 9)
+        rng = random.Random(4909)
+        self.check([tuple(rng.sample(rims_all, 2)) for _ in range(12)], 18)
 
 
 class TestFactorOnce:

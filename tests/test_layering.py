@@ -208,3 +208,43 @@ def test_detects_a_module_level_empty_container(tmp_path):
         "def f():\n    local = {}\n    return local\n")
     assert module_level_empty_containers(tmp_path) == [
         "homology:1", "homology:2", "homology:3", "homology:4"]
+
+
+# a module's caches and its view slots are implementation; tests reach
+# them through path_matrix, syzygy_data, top_multiset and rep_a_vector
+PRIVATE_MODULE_SLOTS = {"_paths", "_syzygy", "_avec", "_top", "_root", "_turn"}
+REFLECTION = {"getattr", "hasattr", "setattr", "delattr"}
+
+
+def private_slot_reads(tests: Path = TESTS) -> list[str]:
+    """file:line of each test that names a private CMModuleRep slot, as an
+    attribute or as the name string of getattr and its kin."""
+    found = []
+    for path in sorted(tests.glob("*.py")):
+        lines = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in REFLECTION):
+                names = [a.value for a in node.args if isinstance(a, ast.Constant)]
+            else:
+                continue
+            if PRIVATE_MODULE_SLOTS.intersection(names):
+                lines.add(node.lineno)
+        found += [f"{path.name}:{line}" for line in sorted(lines)]
+    return found
+
+
+def test_no_test_reads_a_private_module_slot():
+    assert private_slot_reads() == []
+
+
+def test_detects_a_private_module_slot_read(tmp_path):
+    (tmp_path / "test_homology.py").write_text(
+        "def test_a(m):\n    assert m._paths\n"
+        "def test_b(m):\n    assert getattr(m, '_syzygy', None) is None\n"
+        "def test_c(m):\n    assert m._top_generators and m.rim and '_avec'\n"
+        "def test_d(m):\n    m._turn = 0\n")
+    assert private_slot_reads(tmp_path) == [
+        "test_homology.py:2", "test_homology.py:4", "test_homology.py:8"]
