@@ -48,7 +48,7 @@ def top_multiset(m: CMModuleRep) -> dict[int, int]:
     At vertex v the top is the cokernel of [x_v | y_{v+1}] taken modulo t.
     The multiplicities are cached on the root; a view relabels its root's.
     """
-    root, j = m._root or m, m._turn
+    root, j = m.unrotated()
     top = getattr(root, "_top", None)
     if top is None:
         top = root._top = tuple((v, dim) for v in range(1, m.n + 1)
@@ -152,8 +152,9 @@ def syzygy_data(m: CMModuleRep) -> SyzygyData:
         return m._syzygy
     except AttributeError:
         pass
-    if m._root is not None:
-        m._syzygy = syzygy_data(m._root).rotate(m._turn, m.n)
+    root, j = m.unrotated()
+    if j:
+        m._syzygy = syzygy_data(root).rotate(j, m.n)
         return m._syzygy
     cover = projective_cover(m)
     c = cover.size

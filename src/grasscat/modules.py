@@ -78,8 +78,8 @@ class CMModuleRep:
     (``path_matrix``), ``_syzygy`` (the one ``homology.syzygy_data``
     result, read by Hom, Ext, extension middles and orbit steps), ``_avec``
     (``rep_a_vector``) and ``_top`` (``homology.top_multiset``).  A view
-    computes none of them: it reads its root's, filling them if needed,
-    and relabels the result, so every rotation shares them.
+    reads its root's (``unrotated``), filling them if needed, relabels
+    the result and stores only its relabelled copy of the root's syzygy.
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "rim",
@@ -92,10 +92,12 @@ class CMModuleRep:
         self.n, self.k, self.s, self.trunc = n, k, s, trunc
         self.floor = trunc if floor is None else floor
         self.x, self.y = dict(x), dict(y)
-        self.rim = rim
-        self._root: Optional[CMModuleRep] = None
-        self._turn = 0
+        self.rim, self._root, self._turn = rim, None, 0
         self._paths: dict[tuple[int, int], DVRMatrix] = {}
+
+    def unrotated(self) -> tuple["CMModuleRep", int]:
+        """The root module and the shift that carries it to this one."""
+        return (self, 0) if self._root is None else (self._root, self._turn)
 
     def rotate(self, j: int) -> "CMModuleRep":
         """The same module with every vertex label v moved to v + j (mod n).
@@ -105,8 +107,8 @@ class CMModuleRep:
         result is a view of the root: rotating a view rotates its root by
         the sum of the shifts, and a shift of 0 (mod n) gives the root.
         """
-        root, n = self._root or self, self.n
-        j = (self._turn + j) % n
+        root, turned = self.unrotated()
+        n, j = self.n, (turned + j) % self.n
         if not j:
             return root
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
@@ -127,9 +129,9 @@ class CMModuleRep:
         at both labels moved back by its shift: a canonical route depends
         only on (w - v) mod n.
         """
-        m, n = self._root or self, self.n
-        if m is not self:
-            v, w = (v - self._turn - 1) % n + 1, (w - self._turn - 1) % n + 1
+        (m, turned), n = self.unrotated(), self.n
+        if turned:
+            v, w = (v - turned - 1) % n + 1, (w - turned - 1) % n + 1
         paths = m._paths
         cached = paths.get((v, w))
         if cached is not None:
@@ -298,7 +300,7 @@ def rep_a_vector(m: CMModuleRep) -> RootVector:
     Smith exponents of each x_i, certified against the module's floor.
     The result is cached on the root module; a view rotates its root's.
     """
-    root = m._root or m
+    root, j = m.unrotated()
     avec = getattr(root, "_avec", None)
     if avec is None:
         counts = []
@@ -308,7 +310,7 @@ def rep_a_vector(m: CMModuleRep) -> RootVector:
         if any(c < 0 for c in counts):
             raise ValueError(f"multiplicity vector {counts} out of range")
         avec = root._avec = RootVector(tuple(counts), root.k)
-    return avec.rotate(m._turn)
+    return avec.rotate(j)
 
 
 def identify_rank1(m: CMModuleRep) -> Rim:

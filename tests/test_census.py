@@ -184,7 +184,7 @@ def test_census_leaves_the_shared_rank1_modules_intact(monkeypatch):
     monkeypatch.setattr(modules, "build_layered", recorded)
     monkeypatch.setattr(modules, "_rank1", requested_from_memo)
     run_census(3, 7)
-    assert len(requested) == memo.cache_info().currsize
+    assert built and len(requested) == memo.cache_info().currsize
     # one build per rotation class in the memo, each of its least rotation
     classes = {(shift(r, least_shift(r)), trunc) for r, trunc in requested}
     assert sorted((m.rim.elements, m.trunc) for m in built) == \

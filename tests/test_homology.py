@@ -563,9 +563,11 @@ class TestExtRotationEquivariance:
         self.check(sorted(classes, key=lambda p: (p[0].elements, p[1].elements)), 14)
 
     def test_fixed_4_9_sample(self):
+        # the seeded 60-pair sample of TestCanonicalExt, diagonal pairs too
         rims_all = all_rims(4, 9)
-        rng = random.Random(4909)
-        self.check([tuple(rng.sample(rims_all, 2)) for _ in range(12)], 18)
+        rng = random.Random(4109)
+        pairs = [tuple(rng.sample(rims_all, 2)) for _ in range(58)]
+        self.check(pairs + [(rims_all[7], rims_all[7]), (rims_all[40], rims_all[40])], 18)
 
 
 class TestFactorOnce:
