@@ -15,10 +15,12 @@ P1 -> P0 is the cover of the syzygy followed by its embedding, so the
 syzygy of a module is computed once and cached on the module: Hom, Ext,
 extension middles and orbit steps all read that one cache, and the second
 step of the resolution is the cached syzygy of the syzygy.
-Ext^1 has one presentation, Hom(P0, N) -> Hom(Omega, N) with Hom(Omega, N)
-the kernel of the Hom condition on Omega's cover: ``ext1`` certifies its
-Smith form, and extension middles read their classes from the same
-factorisation.
+Hom(M, N) is the kernel of the map Hom(P0, N) -> Hom(P1, N): the Hom
+condition, imposed only at the syzygy's top generators, which generate
+it.  Ext^1 has one presentation: that same matrix, written in the kernel
+basis of the syzygy's own Hom condition, Hom(Omega, N).  ``ext1``
+certifies its Smith form, and extension middles read their classes from
+the same factorisation.
 Writing out a Hom basis or an extension middle vertexwise does solve
 linear systems; each function factors every matrix it solves against once
 and solves all of its right-hand sides from that one factorisation.
@@ -31,6 +33,7 @@ Every computed module and Hom basis carries a precision floor (see
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -42,18 +45,25 @@ from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
                       rep_a_vector)
 from .rims import Rim, least_shift, peaks, rim, shift as shift_rim, two_layer_splits
 
-def top_multiset(m: CMModuleRep) -> dict[int, int]:
-    """Multiplicity of each vertex in the top of the module.
+def top_generators(m: CMModuleRep) -> tuple[tuple[int, int], ...]:
+    """The standard basis vectors spanning the top, as (vertex, index) pairs.
 
-    At vertex v the top is the cokernel of [x_v | y_{v+1}] taken modulo t.
-    The multiplicities are cached on the root; a view relabels its root's.
+    At vertex v the top is the cokernel of [x_v | y_{v+1}] taken modulo t
+    (see ``_top_generators``).  The list is cached on the root, by vertex; a
+    view relabels its root's and keeps its order, which is the order of the
+    cover its syzygy data relabels (``SyzygyData.rotate``).
     """
     root, j = m.unrotated()
     top = getattr(root, "_top", None)
     if top is None:
-        top = root._top = tuple((v, dim) for v in range(1, m.n + 1)
-                                if (dim := len(_top_generators(root, v))))
-    return {(v + j - 1) % m.n + 1: dim for v, dim in top}
+        top = root._top = tuple((v, idx) for v in range(1, m.n + 1)
+                                for idx in _top_generators(root, v))
+    return tuple(((v + j - 1) % m.n + 1, idx) for v, idx in top)
+
+
+def top_multiset(m: CMModuleRep) -> dict[int, int]:
+    """Multiplicity of each vertex in the top of the module."""
+    return dict(Counter(v for v, _ in top_generators(m)))
 
 
 def _top_generators(m: CMModuleRep, v: int) -> list[int]:
@@ -92,10 +102,9 @@ def _top_generators(m: CMModuleRep, v: int) -> list[int]:
 
 @dataclass
 class Cover:
-    """Minimal projective cover data: one summand per chosen generator."""
+    """Minimal projective cover data: one summand per top generator."""
 
     vertices: tuple[int, ...]            # cover vertex of each summand
-    generators: tuple[int, ...]          # generator's index in the standard basis of M_v
     eps: dict[int, DVRMatrix]            # vertex w -> s x c evaluation matrix
 
     @property
@@ -104,18 +113,13 @@ class Cover:
 
 
 def projective_cover(m: CMModuleRep) -> Cover:
-    """Minimal cover: projectives at the top vertices, mapped by evaluation."""
-    vertices: list[int] = []
-    generators: list[int] = []
-    for v in range(1, m.n + 1):
-        for idx in _top_generators(m, v):
-            vertices.append(v)
-            generators.append(idx)
-    eps = {w: DVRMatrix.from_columns(
-               [m.path_matrix(v, w).column(idx) for v, idx in zip(vertices, generators)],
-               m.s, m.trunc)
+    """Minimal cover: projectives at the top vertices, in ascending order,
+    mapped by evaluation."""
+    gens = sorted(top_generators(m))
+    eps = {w: DVRMatrix.from_columns([m.path_matrix(v, w).column(idx) for v, idx in gens],
+                                     m.s, m.trunc)
            for w in range(1, m.n + 1)}
-    return Cover(tuple(vertices), tuple(generators), eps)
+    return Cover(tuple(v for v, _ in gens), eps)
 
 
 @dataclass
@@ -133,7 +137,7 @@ class SyzygyData:
     def rotate(self, j: int, n: int) -> "SyzygyData":
         """The syzygy data of the module rotated by j: labels moved, omega a view."""
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
-        cover = Cover(tuple(turn[v] for v in self.cover.vertices), self.cover.generators,
+        cover = Cover(tuple(turn[v] for v in self.cover.vertices),
                       {turn[w]: e for w, e in self.cover.eps.items()})
         return SyzygyData(cover, None if self.omega is None else self.omega.rotate(j),
                           {turn[w]: e for w, e in self.embed.items()})
@@ -245,47 +249,48 @@ class HomBasis:
         return len(self.generators)
 
 
-def _hom_target_blocks(n_rep: CMModuleRep, sources: tuple[int, ...], w: int) -> list[DVRMatrix]:
-    return [n_rep.path_matrix(v, w) for v in sources]
+def _relation_rows(m: CMModuleRep, n_rep: CMModuleRep) -> DVRMatrix:
+    """The map Hom(P0, N) -> Hom(P1, N) of m's resolution P1 -> P0 -> m.
 
-
-def _hom_rows(u: Sequence[ValPoly], paths: list[DVRMatrix], sN: int) -> list[list[ValPoly]]:
-    """Rows of the condition sum_i u_i * paths[i] @ xi_i = 0 on generator images.
-
-    One row per coordinate of the target; the columns run over the pairs
-    (i, b), the b-th coordinate of the image xi_i of cover generator i.
+    Columns run over the pairs (i, b), coordinate b of the image xi_i in N
+    of cover generator i.  Each top generator g of the syzygy, at vertex w,
+    gives the rank(N) rows of sum_i g_i * paths[i] @ xi_i, with paths[i]
+    N's path matrix from cover vertex i to w.
     """
-    return [[u[i] * paths[i].data[a][b] for i in range(len(u)) for b in range(sN)]
-            for a in range(sN)]
+    if (m.n, m.k) != (n_rep.n, n_rep.k) or m.trunc != n_rep.trunc:
+        raise ValueError("modules must share ambient and truncation")
+    syz, sN = syzygy_data(m), n_rep.s
+    rows: list[list[ValPoly]] = []
+    for w, idx in () if syz.omega is None else top_generators(syz.omega):
+        g = syz.embed[w].column(idx)
+        paths = [n_rep.path_matrix(v, w) for v in syz.cover.vertices]
+        rows += [[g[i] * paths[i].data[a][b] for i in range(len(g)) for b in range(sN)]
+                 for a in range(sN)]
+    return DVRMatrix(rows, m.trunc, cols=syz.cover.size * sN)
 
 
 def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
     """Factorisation of the condition for cover-generator images to define a
     map m -> n, and the condition's floor; its kernel's is ``loss`` less.
 
-    A map is determined by the images in n of m's cover generators; it
-    descends to m exactly when those images kill the syzygy, one row per
-    syzygy basis vector, vertex and coordinate of n (see ``_hom_rows``).
-    The kernel is Hom(m, n), free of rank rank(m) * rank(n): over the
-    fraction field a CM module of rank s is s copies of the one simple
-    module (Jensen-King-Su 2016).  So the condition has rank
-    (c - rank(m)) * rank(n), which is certified against the floor.
+    A map is determined by the images in n of m's cover generators, and it
+    descends to m exactly when they kill the syzygy Omega, that is, when
+    they kill Omega's top generators, which generate it (Nakayama).  So the
+    condition is ``_relation_rows``: one block of rank(n) rows per top
+    generator.  The block of p.g, for p a path from g's vertex v to w, is
+    N's path matrix v -> w times g's block, as every path v -> w in the
+    algebra is t^e times the canonical one; so the blocks of every basis
+    vector of Omega at every vertex span the same row module as the
+    generators', with the same Smith exponents and kernel.  The kernel is
+    Hom(m, n), free of rank rank(m) * rank(n): over the fraction field a CM
+    module of rank s is s copies of the one simple module (Jensen-King-Su
+    2016).  So the condition has rank (c - rank(m)) * rank(n), certified
+    against the floor: rows short of that rank raise TruncationUnstable.
     """
-    if (m.n, m.k) != (n_rep.n, n_rep.k):
-        raise ValueError("modules live over different ambients")
-    if m.trunc != n_rep.trunc:
-        raise ValueError("modules carry different truncation levels")
-    syz = syzygy_data(m)
-    cover, sN = syz.cover, n_rep.s
-    c = cover.size
-    rows: list[list[ValPoly]] = []
-    for w, emb in syz.embed.items():
-        paths = _hom_target_blocks(n_rep, cover.vertices, w)
-        for j in range(emb.cols):
-            rows += _hom_rows(emb.column(j), paths, sN)
+    rows = _relation_rows(m, n_rep)
     floor = min(m.floor, n_rep.floor)
-    sm = _smith(DVRMatrix(rows, m.trunc, cols=c * sN), need_u=False)
-    sm.certify(floor, (c - m.s) * sN, f"Hom condition of ranks {m.s}, {sN}")
+    sm = _smith(rows, need_u=False)
+    sm.certify(floor, rows.cols - m.s * n_rep.s, f"Hom condition of ranks {m.s}, {n_rep.s}")
     return sm, floor
 
 
@@ -306,7 +311,7 @@ def _vertex_maps(cover: Cover, n_rep: CMModuleRep, images: DVRMatrix,
     xi = [DVRMatrix(images.data[i * sN:(i + 1) * sN], trunc, cols=ngen) for i in range(c)]
     for w in vertices:
         eps = cover.eps[w]
-        paths = _hom_target_blocks(n_rep, cover.vertices, w)
+        paths = [n_rep.path_matrix(v, w) for v in cover.vertices]
         # one column per (map j, row a of f)
         moved = [paths[i] @ xi[i] for i in range(c)]
         rhs = DVRMatrix([[moved[i].data[a][j] for j in range(ngen) for a in range(sN)]
@@ -343,21 +348,14 @@ def _ext_presentation(m: CMModuleRep, n_rep: CMModuleRep
     Returns m's syzygy data, the factorisation of the Hom condition on
     Omega's cover-generator images (its kernel basis is a basis of
     Hom(Omega, N)), the map in that basis as ``coords``, and the floor of
-    ``coords``.  The resolution is read from the cached syzygy of m and of
-    its syzygy; Ext^1 is the cokernel of ``coords``.
+    ``coords``.  The map is B1 = ``_relation_rows(m, N)``, the matrix whose
+    kernel is Hom(m, N), one step earlier in the resolution than Omega's
+    Hom condition; Ext^1 is the cokernel of ``coords``.
     """
-    if (m.n, m.k) != (n_rep.n, n_rep.k) or m.trunc != n_rep.trunc:
-        raise ValueError("modules must share ambient and truncation")
+    B1 = _relation_rows(m, n_rep)
     syz1 = syzygy_data(m)
     if syz1.omega is None:
         return None
-    cover0, cover1 = syz1.cover, syzygy_data(syz1.omega).cover
-    # induced map Hom(P0, N) -> Hom(P1, N): evaluate at the generator images
-    b1_rows: list[list[ValPoly]] = []
-    for wj, idx in zip(cover1.vertices, cover1.generators):
-        b1_rows += _hom_rows(syz1.embed[wj].column(idx),
-                             _hom_target_blocks(n_rep, cover0.vertices, wj), n_rep.s)
-    B1 = DVRMatrix(b1_rows, m.trunc, cols=cover0.size * n_rep.s)
     sm_e, floor = _hom_condition(syz1.omega, n_rep)
     return syz1, sm_e, sm_e.coordinates(B1, floor), floor - sm_e.loss
 

@@ -77,9 +77,11 @@ class CMModuleRep:
     caches hang off a root, each set on first use: ``_paths``
     (``path_matrix``), ``_syzygy`` (the one ``homology.syzygy_data``
     result, read by Hom, Ext, extension middles and orbit steps), ``_avec``
-    (``rep_a_vector``) and ``_top`` (``homology.top_multiset``).  A view
-    reads its root's (``unrotated``), filling them if needed, relabels
-    the result and stores only its relabelled copy of the root's syzygy.
+    (``rep_a_vector``) and ``_top`` (``homology.top_generators``: the
+    (vertex, basis index) pairs spanning the top, which the cover, the
+    top multiset and the Hom condition read).  A view reads its root's
+    (``unrotated``), filling them if needed, relabels the result and stores
+    only its relabelled copy of the root's syzygy.
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "rim",

@@ -70,9 +70,11 @@ def test_criterion_2_syzygy_identities():
 def _ext_sweep(k, n):
     """Exponent table for all ordered rim pairs, stability-checked.
 
-    The modules are built here at N and at N + 2, independently of ext1's
-    own check; each caches its syzygy, so every rim is resolved once per
-    truncation.
+    The modules come from the ``build_rank1`` memo at N and at N + 2, so
+    each rotation class is resolved once per truncation and the other rims
+    of the class are views of it; the two truncations check stability, not
+    the memo.  Modules that never touched the memo are the oracle of
+    ``test_homology.TestCanonicalExt`` and ``TestExtRotationEquivariance``.
     """
     N = 2 * n
     rims_all = all_rims(k, n)

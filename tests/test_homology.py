@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from grasscat import dvr, homology, modules
 from grasscat.census import rank2_candidates, run_census
-from grasscat.dvr import rational_rank
+from grasscat.dvr import DVRMatrix, rational_rank
 from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_rims,
                                generic_extension, hom_space, is_isomorphic,
                                is_rigid, projective_cover, rank2_extension,
                                rigid_indecomposable_rank2, syzygy, syzygy_data,
-                               top_multiset, _ext1_once)
+                               top_generators, top_multiset, _ext1_once)
 from grasscat.modules import (CMModuleRep, build_layered, build_rank1, direct_sum,
                               identify_rank1, rep_a_vector,
                               validate_relations)
@@ -593,6 +593,19 @@ class TestFactorOnce:
         # then one factorisation per vertex for every basis map's solves
         assert len(calls) <= 8 + 1 + 8
 
+    def test_hom_condition_has_one_block_per_syzygy_generator(self, monkeypatch):
+        m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        one = build_rank1(rim([1, 3, 5, 7], 4, 8))
+        calls = self.count_smith(monkeypatch)
+        for source, target in ((m, m), (m, one), (one, m), (m.rotate(3), m)):
+            syzygy_data(syzygy(source))
+            before = len(calls)
+            hom_space(source, target)
+            # the vertex solves factor matrices of rank(source) < width columns
+            width = syzygy_data(source).cover.size * target.s
+            rows = [mat.rows for mat in calls[before:] if mat.cols == width]
+            assert rows == [len(top_generators(syzygy(source))) * target.s]
+
     def test_syzygy_is_factored_once_per_module(self, monkeypatch):
         top, bottom = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
         m, other = generic_extension(top, bottom), generic_extension(bottom, top)
@@ -668,6 +681,60 @@ class TestFactorOnce:
         assert len(calls) <= 2 * m.n + 1 + 1
 
 
+def all_vertex_rows(m, n_rep):
+    """Oracle: the Hom condition at every syzygy basis vector of every
+    vertex, one block of rank(n) rows each, in ``_relation_rows`` columns."""
+    syz, sN = syzygy_data(m), n_rep.s
+    rows = []
+    for w, emb in syz.embed.items():
+        paths = [n_rep.path_matrix(v, w) for v in syz.cover.vertices]
+        for j in range(emb.cols):
+            u = emb.column(j)
+            rows += [[u[i] * paths[i].data[a][b] for i in range(len(u)) for b in range(sN)]
+                     for a in range(sN)]
+    return DVRMatrix(rows, m.trunc, cols=syz.cover.size * sN)
+
+
+class TestHomConditionAtGenerators:
+    """The Hom condition at the syzygy's top generators has the Smith form
+    and the kernel of the condition at every basis vector of every vertex."""
+
+    @staticmethod
+    def check(pairs, turns):
+        smaller = 0
+        for m, n_rep in pairs:
+            for j in turns:
+                src, dst = m.rotate(j), n_rep.rotate(j)
+                sm, floor = homology._hom_condition(src, dst)
+                full = all_vertex_rows(src, dst)
+                old = dvr._smith(full, need_u=False)
+                assert sm.exponents == old.exponents, (src.s, dst.s, j)
+                kernel = sm.kernel()
+                assert kernel.cols == old.kernel().cols == src.s * dst.s
+                residue = full @ kernel
+                assert all(d >= floor - sm.loss
+                           for row in residue.data for e in row for d in e.coeffs), j
+                smaller += homology._relation_rows(src, dst).rows < full.rows
+        assert smaller
+
+    def test_every_ordered_3_7_rank1_pair(self):
+        reps = [build_rank1(r) for r in all_rims(3, 7)]
+        # build_rank1 hands most rims views of their class's root; turn 3 relabels all
+        self.check([(a, b) for a in reps for b in reps], (0, 3))
+
+    def test_rigid_3_7_classes_with_themselves_and_a_rank1_module(self):
+        rigid = [rigid_indecomposable_rank2(a, b) for a, b in rank2_candidates(3, 7)]
+        rigid = [m for m in rigid if m is not None]
+        assert len(rigid) == 14
+        one = build_rank1(rim([1, 3, 6], 3, 7))
+        pairs = [p for m in rigid for p in ((m, m), (m, one), (one, m))]
+        self.check(pairs, range(7))
+
+    def test_rank2_4_8_extension_with_itself(self):
+        m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        self.check([(m, m)], range(8))
+
+
 class TestTwoPeakExtBound:
     def test_single_cyclic_factor_bounded_by_min_slope(self):
         # two-peak source: one cyclic factor, exponent at most the minimal
@@ -710,12 +777,16 @@ def test_top_generators_match_rank_based_choice():
 
 
 class TestCanonicalExt:
-    """ext1 of a rank-1 module runs on the least rotation of its rim."""
+    """Rank-1 modules of one rotation class share one resolution:
+    ``build_rank1`` builds the least rotation of a rim and hands the other
+    rims of its class views of it, and ``ext1`` takes its arguments as they
+    come.  Ext on those shared modules matches Ext on fresh modules."""
 
     @staticmethod
     def oracle(rims_all, N):
-        """Single-shot exponents on fresh, unrotated modules at N and N + 2."""
-        fresh = {N2: {r: build_rank1(r, N2) for r in rims_all} for N2 in (N, N + 2)}
+        """Single-shot exponents at N and N + 2 on modules built directly,
+        unrotated and sharing no cache with the ``build_rank1`` memo."""
+        fresh = {N2: {r: build_layered([r], N2) for r in rims_all} for N2 in (N, N + 2)}
 
         def exps(a, b):
             got = [_ext1_once(reps[a], reps[b]) for reps in fresh.values()]
@@ -747,6 +818,8 @@ class TestCanonicalExt:
             assert ext1(ma, mb).exponents == exps(a, b), (a, b)
 
     def test_rank2_second_argument_is_rotated_too(self):
+        # a rank-1 view against a rank-2 module: the view's resolution is its
+        # root's, relabelled, and the rank-2 module is taken as it comes
         n_rep = rank2_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
         rebuilt = rank2_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6), 14)
         for a in all_rims(3, 6):
@@ -763,7 +836,8 @@ class TestCanonicalExt:
         a, b, j = case
         turned = (shift(a, j), shift(b, j))
         assert ext1_rims(*turned) == ext1_rims(a, b)
-        assert _ext1_once(*map(build_rank1, turned)) == \
+        # the rotated pair built directly, sharing no cache with the memo's views
+        assert _ext1_once(*(build_layered([r]) for r in turned)) == \
             _ext1_once(build_rank1(a), build_rank1(b))
 
     def test_memo_holds_one_module_per_class_and_truncation(self, monkeypatch):
