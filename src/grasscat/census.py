@@ -102,7 +102,8 @@ class CensusReport:
             ],
             "rank3_literature_unverified": RANK3_LITERATURE.get((self.k, self.n)),
             "fixture_diffs": self.fixture_diffs,
-            "notes": self.notes,
+            # a copy: a note added after the cache record is built stays out of it
+            "notes": list(self.notes),
         }
 
 
@@ -126,7 +127,9 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
 
     A sampled run only certifies the tested candidates; class grouping and
     fixture comparison are reserved for full runs.  Orbit ids are left
-    unset, so the cache never holds them.
+    unset, so the cache never holds them.  The cache file is the printed
+    payload plus every candidate's verdict, which the conjecture checks
+    read.
     """
     if not 3 <= k <= n // 2:
         raise ValueError(f"need 3 <= k <= n/2, got k={k}, n={n}")
@@ -171,13 +174,16 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
         report.fixture_diffs = _fixture_diffs(report)
     if cache_path is not None and not sampled:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        previous = None
+        record = report.to_json_dict()
+        record["candidate_verdicts"] = [[list(a.elements), list(b.elements), ok]
+                                        for (a, b), ok in verdicts.items()]
         if cache_path.exists():
             previous = json.loads(cache_path.read_text())
-        payload = report.to_json_dict()
-        if previous is not None and previous != payload:
-            report.notes.append("cache diff: recomputed census differs from cache")
-        cache_path.write_text(json.dumps(payload, indent=1, sort_keys=True))
+            # a cache written before verdicts were recorded compares its payload only
+            previous.setdefault("candidate_verdicts", record["candidate_verdicts"])
+            if previous != record:
+                report.notes.append("cache diff: recomputed census differs from cache")
+        cache_path.write_text(json.dumps(record, indent=1, sort_keys=True))
     return report
 
 
@@ -297,6 +303,8 @@ def _load_cache(path: Path, k: int, n: int, trunc: int) -> Optional[CensusReport
         return None
     if data.get("truncation") != trunc or data.get("version") != _pkg_version:
         return None
+    if "candidate_verdicts" not in data:   # written before verdicts were recorded
+        return None
     entries = []
     for e in data.get("rank2_rigid", []):
         profiles = tuple(
@@ -309,6 +317,8 @@ def _load_cache(path: Path, k: int, n: int, trunc: int) -> Optional[CensusReport
         k=k, n=n, truncation=trunc,
         rank1_count=data["rank1_count"],
         candidates_tested=data["candidates_tested"],
-        candidate_verdicts={}, rank2_rigid=entries,
+        candidate_verdicts={(rim(a, k, n), rim(b, k, n)): ok
+                            for a, b, ok in data["candidate_verdicts"]},
+        rank2_rigid=entries,
         sampled=False, fixture_diffs=data.get("fixture_diffs", []),
         notes=["loaded from cache"])

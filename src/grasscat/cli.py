@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import GrasscatError, TruncationUnstable
-from .modules import (Profile, a_vector, build_layered, build_rank1,
-                      default_truncation, parse_profile, validate_relations)
+from .modules import (Profile, a_vector, build_layered, default_truncation,
+                      parse_profile, validate_relations)
 from .rims import (almost_consecutive_decompositions, is_projective,
                    parse_rim, peaks, projective_index, slopes, syzygy_rim)
 from .roots import (classify_root_vector, enumerate_degree2_real_roots,
@@ -42,12 +42,11 @@ def _truncation(args, n: int) -> int:
 
 
 def _module_for(profile: Profile, trunc: int):
-    from .homology import rank2_extension
-    if len(profile.layers) == 1:
-        return build_rank1(profile.layers[0], trunc)
-    if len(profile.layers) == 2:
-        return rank2_extension(profile.layers[0], profile.layers[1], trunc)
-    return build_layered(profile.layers, trunc)
+    """The profile's canonical module, or its layered module past two layers."""
+    if len(profile.layers) > 2:
+        return build_layered(profile.layers, trunc)
+    from .homology import canonical_module
+    return canonical_module(profile, trunc)
 
 
 def cmd_rim(args) -> int:

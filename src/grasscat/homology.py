@@ -41,8 +41,8 @@ from typing import Optional, Sequence
 
 from .dvr import Coeff, DVRMatrix, Smith, ValPoly, _reciprocal, _smith
 from .errors import ProjectiveInput, TruncationUnstable
-from .modules import (CMModuleRep, build_rank1, default_truncation, direct_sum,
-                      rep_a_vector)
+from .modules import (CMModuleRep, Profile, build_rank1, default_truncation,
+                      direct_sum, rep_a_vector)
 from .rims import Rim, least_shift, peaks, rim, shift as shift_rim, two_layer_splits
 
 def top_generators(m: CMModuleRep) -> tuple[tuple[int, int], ...]:
@@ -113,9 +113,9 @@ class Cover:
 
 
 def projective_cover(m: CMModuleRep) -> Cover:
-    """Minimal cover: projectives at the top vertices, in ascending order,
-    mapped by evaluation."""
-    gens = sorted(top_generators(m))
+    """Minimal cover: projectives at the top vertices, in ``top_generators``
+    order, mapped by evaluation."""
+    gens = top_generators(m)
     eps = {w: DVRMatrix.from_columns([m.path_matrix(v, w).column(idx) for v, idx in gens],
                                      m.s, m.trunc)
            for w in range(1, m.n + 1)}
@@ -668,3 +668,13 @@ def rigid_indecomposable_rank2(top: Rim, bottom: Rim,
     """The rigid indecomposable module with profile top|bottom, or None."""
     module, verdict = _rank2_walk(top, bottom, default_truncation(top.n, trunc))
     return module if verdict else None
+
+
+def canonical_module(p: Profile, trunc: Optional[int] = None) -> CMModuleRep:
+    """The shared module a profile names: ``build_rank1`` of a one-layer
+    profile, ``rank2_extension`` of a two-layer one."""
+    if len(p.layers) == 1:
+        return build_rank1(p.layers[0], trunc)
+    if len(p.layers) == 2:
+        return rank2_extension(*p.layers, trunc)
+    raise ValueError(f"{p} has {len(p.layers)} layers; only 1 or 2 name a module")

@@ -4,9 +4,9 @@ The translate on the stable category is inverse to the syzygy, so orbits
 are computed by repeated syzygy steps.  Every orbit of a non-projective
 rank-1 module or rigid rank-2 module is periodic with period dividing
 2v, v = lcm(n, k)/k; members of rank at most two are identified exactly
-(rims directly, rank-2 members by isomorphism against the canonical
-extension modules), higher ranks are reported by rank and multiplicity
-vector only.
+by their profiles (rims directly, rank-2 members by isomorphism against
+the canonical extension modules), higher ranks are reported by rank and
+multiplicity vector only.
 """
 
 from __future__ import annotations
@@ -20,54 +20,38 @@ from typing import Optional, Union
 
 from .census import CensusReport, run_census
 from .errors import NotAlmostConsecutive, ProjectiveInput
-from .homology import (decomposition_rank2, is_isomorphic, is_rigid, rank2_extension,
+from .homology import (canonical_module, decomposition_rank2, is_isomorphic, is_rigid,
                        rigid_indecomposable_rank2, syzygy)
 from .modules import (CMModuleRep, Profile, a_vector, build_rank1,
                       default_truncation, direct_sum, identify_rank1,
                       rep_a_vector)
 from .rims import (Rim, all_rims, ar_middle_profile, interlacing_degree,
                    is_almost_consecutive, is_projective, least_shift, rim,
-                   shift, syzygy_rim, two_layer_splits)
-
-Seed = Union[Rim, Profile]
+                   syzygy_rim, two_layer_splits)
 
 
 @dataclass(frozen=True)
 class OrbitMember:
-    """One module in a syzygy orbit, identified as far as its rank allows."""
+    """One module in a syzygy orbit, named by its profiles as far as its
+    rank allows: a rank-1 member by the one-layer profile of its rim, a
+    rank-2 member by every two-layer profile it has (sorted by label), and
+    a member that is not identified by none.  A member is its own key:
+    identified members are equal exactly when their modules are
+    isomorphic, the others when their ranks and a-vectors agree."""
 
     rank: int
     a_vec: tuple[int, ...]
-    rim_label: Optional[Rim] = None
     profiles: tuple[Profile, ...] = ()
 
     def label(self) -> str:
-        if self.rim_label is not None:
-            return self.rim_label.label()
         if self.profiles:
             return self.profiles[0].label()
         return f"rk{self.rank}[" + ",".join(str(c) for c in self.a_vec) + "]"
 
-    def key(self):
-        if self.rim_label is not None:
-            return ("rim", self.rim_label.elements)
-        if self.profiles:
-            return ("class", tuple(p.label() for p in self.profiles))
-        return ("opaque", self.rank, self.a_vec)
-
     def rotate(self, m: int, n: int) -> "OrbitMember":
         avec = tuple(self.a_vec[(i - m) % n] for i in range(n))
-        return OrbitMember(
-            rank=self.rank, a_vec=avec,
-            rim_label=shift(self.rim_label, m) if self.rim_label else None,
-            profiles=tuple(sorted((p.shift(m) for p in self.profiles),
-                                  key=lambda p: p.label())))
-
-    def matches_rim(self, r: Rim) -> bool:
-        return self.rim_label == r
-
-    def matches_profile(self, p: Profile) -> bool:
-        return any(q == p for q in self.profiles)
+        return OrbitMember(self.rank, avec,
+                           tuple(sorted((p.shift(m) for p in self.profiles), key=Profile.label)))
 
 
 @dataclass
@@ -93,9 +77,9 @@ class TauOrbit:
                 {
                     "rank": m.rank,
                     "a_vector": list(m.a_vec),
-                    "rim": list(m.rim_label.elements) if m.rim_label else None,
+                    "rim": list(m.profiles[0].layers[0].elements) if m.rank == 1 else None,
                     "profiles": [[list(r.elements) for r in p.layers]
-                                 for p in m.profiles],
+                                 for p in m.profiles if m.rank > 1],
                     "label": m.label(),
                 }
                 for m in self.members
@@ -103,18 +87,12 @@ class TauOrbit:
         }
 
 
-def _seed_rep(seed: Seed, trunc: int) -> tuple[CMModuleRep, OrbitMember]:
-    if isinstance(seed, Rim):
-        if is_projective(seed):
+def _seed_rep(seed: Profile, trunc: int) -> tuple[CMModuleRep, OrbitMember]:
+    rep = canonical_module(seed, trunc)
+    if rep.s == 1:
+        if is_projective(seed.layers[0]):
             raise ProjectiveInput(f"{seed} is projective; its orbit is empty")
-        rep = build_rank1(seed, trunc)
-        return rep, OrbitMember(1, a_vector(Profile((seed,))).entries, rim_label=seed)
-    layers = seed.layers
-    if len(layers) == 1:
-        return _seed_rep(layers[0], trunc)
-    if len(layers) != 2:
-        raise ValueError("orbit seeds are rank-1 rims or rank-2 profiles")
-    rep = rank2_extension(layers[0], layers[1], trunc)
+        return rep, OrbitMember(1, a_vector(seed).entries, (seed,))
     member = _identify(rep, trunc)
     if not member.profiles:
         # a projective summand drops out of every syzygy, so the orbit
@@ -134,30 +112,18 @@ def _identify(rep: CMModuleRep, trunc: int) -> OrbitMember:
     """
     avec = rep_a_vector(rep).entries
     if rep.s == 1:
-        return OrbitMember(1, avec, rim_label=identify_rank1(rep))
+        return OrbitMember(1, avec, (Profile((identify_rank1(rep),)),))
     if rep.s == 2:
-        matches = []
-        for top, bottom in two_layer_splits(avec, rep.k, rep.n):
-            if interlacing_degree(top, bottom) < 3:
-                continue
-            if is_isomorphic(rep, rank2_extension(top, bottom, trunc)):
-                matches.append(Profile((top, bottom)))
+        splits = map(Profile, two_layer_splits(avec, rep.k, rep.n))
+        matches = sorted((p for p in splits if interlacing_degree(*p.layers) >= 3
+                          and is_isomorphic(rep, canonical_module(p, trunc))),
+                         key=Profile.label)
         if matches:
-            matches.sort(key=lambda p: p.label())
-            return OrbitMember(2, avec, profiles=tuple(matches))
+            return OrbitMember(2, avec, tuple(matches))
     return OrbitMember(rep.s, avec)
 
 
-def _canonical(rep: CMModuleRep, member: OrbitMember, trunc: int) -> CMModuleRep:
-    """The shared module of an identified member, else rep itself."""
-    if member.rim_label is not None:
-        return build_rank1(member.rim_label, trunc)
-    if member.profiles:
-        return rank2_extension(*member.profiles[0].layers, trunc)
-    return rep
-
-
-def tau_orbit(start: Seed, trunc: Optional[int] = None) -> TauOrbit:
+def tau_orbit(start: Union[Rim, Profile], trunc: Optional[int] = None) -> TauOrbit:
     """Orbit of a rank-1 rim or rank-2 profile under the syzygy.
 
     Computes 2v consecutive syzygies, verifies the orbit closes, and
@@ -165,8 +131,8 @@ def tau_orbit(start: Seed, trunc: Optional[int] = None) -> TauOrbit:
     sequence repeats.
 
     Each step takes the syzygy of an identified member's shared module
-    (``build_rank1`` of its rim, ``rank2_extension`` of its first profile),
-    whose syzygy is cached on it, rather than of the module just computed.
+    (``canonical_module`` of its first profile), whose syzygy is cached on
+    it, rather than of the module just computed.
     This is exact: identification proves the two modules isomorphic, and
     isomorphic modules have isomorphic syzygies.  Members of rank 3 or more
     are not identified and step from the computed module.
@@ -174,19 +140,18 @@ def tau_orbit(start: Seed, trunc: Optional[int] = None) -> TauOrbit:
     n, k = start.n, start.k
     N = default_truncation(n, trunc)
     v = lcm(n, k) // k
-    rep, first = _seed_rep(start, N)
+    rep, first = _seed_rep(start if isinstance(start, Profile) else Profile((start,)), N)
     members = [first]
     for _ in range(2 * v):
-        rep = syzygy(_canonical(rep, members[-1], N))
+        named = members[-1].profiles
+        rep = syzygy(canonical_module(named[0], N) if named else rep)
         members.append(_identify(rep, N))
-    closing = members.pop()
-    if closing.key() != members[0].key():
+    if members.pop() != members[0]:
         raise AssertionError(
             f"orbit of {members[0].label()} did not close after {2 * v} steps")
     period = 2 * v
     for d in sorted(_divisors(2 * v)):
-        if all(members[i].key() == members[(i + d) % (2 * v)].key()
-               for i in range(2 * v)):
+        if all(members[i] == members[(i + d) % (2 * v)] for i in range(2 * v)):
             period = d
             break
     return TauOrbit(k, n, v, members[:period], period)
@@ -230,29 +195,25 @@ def ar_sequence(r: Rim, trunc: Optional[int] = None) -> ARSequence:
     N = default_truncation(r.n, trunc)
     right = syzygy_rim(r)
     middle = ar_middle_profile(r)
-    total = [x + y for x, y in zip(a_vector(Profile((r,))).entries,
-                                   a_vector(Profile((right,))).entries)]
+    total = a_vector(Profile((r, right)))
     if middle.decomposes:
         proj = rim([(middle.proj_vertex + i) % r.n + 1 for i in range(r.k)],
                    r.k, r.n)
         rep = direct_sum(build_rank1(proj, N), build_rank1(middle.u, N))
-        mid_avec = [x + y for x, y in zip(a_vector(Profile((proj,))).entries,
-                                          a_vector(Profile((middle.u,))).entries)]
         return ARSequence(
             left=r, right=right, middle_profile=None,
             middle_projective_vertex=middle.proj_vertex,
             middle_extra_layer=middle.u,
             middle_rigid=is_rigid(rep),
             middle_indecomposable=False,
-            exact=mid_avec == total)
+            exact=a_vector(Profile((proj, middle.u))) == total)
     prof = Profile((middle.x, middle.y))
-    mid_avec = list(a_vector(prof).entries)
     return ARSequence(
         left=r, right=right, middle_profile=prof,
         middle_projective_vertex=None, middle_extra_layer=None,
         middle_rigid=rigid_indecomposable_rank2(middle.x, middle.y, N) is not None,
         middle_indecomposable=interlacing_degree(middle.x, middle.y) >= 3,
-        exact=mid_avec == total)
+        exact=a_vector(prof) == total)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +289,6 @@ def walk_orbits(seeds: list[Profile], trunc: int) -> list[TauOrbit]:
         orbit = walked[least].rotate(seed.n - j)
         orbits.append(orbit)
         for member in orbit.members:
-            if member.rim_label is not None:
-                seen.add(Profile((member.rim_label,)))
             seen.update(member.profiles)
     return orbits
 
@@ -399,10 +358,9 @@ def _family_key(o: TauOrbit) -> str:
 
 def _entry_matches(entry: dict, member: OrbitMember, k: int, n: int) -> bool:
     if "rim" in entry:
-        return member.matches_rim(rim(entry["rim"], k, n))
+        return Profile((rim(entry["rim"], k, n),)) in member.profiles
     if "profile" in entry:
-        p = Profile(tuple(rim(ls, k, n) for ls in entry["profile"]))
-        return member.matches_profile(p)
+        return Profile(tuple(rim(ls, k, n) for ls in entry["profile"])) in member.profiles
     if "rank" in entry:
         if member.rank != entry["rank"]:
             return False

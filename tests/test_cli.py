@@ -134,6 +134,21 @@ class TestCensusCommand:
         assert all(e["orbit_id"] is None for e in second["rank2_rigid"])
         assert third["rank2_rigid"] == first["rank2_rigid"]
 
+    def test_cache_hit_checks_the_recorded_verdicts(self, capsys, tmp_path):
+        from grasscat.rims import classify_pair, rim
+        argv = ["--json", "--out", str(tmp_path), "census", "3", "6"]
+        first = json.loads(run_cli(argv, capsys)[1])
+        assert all(first["conjectures"].values())
+        path = tmp_path / "census-3-6.json"
+        blob = json.loads(path.read_text())
+        tight = next(row for row in blob["candidate_verdicts"]
+                     if classify_pair(rim(row[0], 3, 6), rim(row[1], 3, 6)).tight)
+        tight[2] = not tight[2]
+        path.write_text(json.dumps(blob))
+        second = json.loads(run_cli(argv, capsys)[1])
+        assert "loaded from cache" in second["notes"]
+        assert second["conjectures"]["tight_3_interlacing_pairs_are_rigid"] is False
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):

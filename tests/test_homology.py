@@ -9,13 +9,14 @@ from grasscat import dvr, homology, modules
 from grasscat.census import rank2_candidates, run_census
 from grasscat.dvr import DVRMatrix, rational_rank
 from grasscat.errors import ProjectiveInput, TruncationUnstable
-from grasscat.homology import (WEIGHT_LADDER, decomposition_rank2, ext1, ext1_rims,
+from grasscat.homology import (WEIGHT_LADDER, canonical_module, decomposition_rank2,
+                               ext1, ext1_rims,
                                generic_extension, hom_space, is_isomorphic,
                                is_rigid, projective_cover, rank2_extension,
                                rigid_indecomposable_rank2, syzygy, syzygy_data,
                                top_generators, top_multiset, _ext1_once)
-from grasscat.modules import (CMModuleRep, build_layered, build_rank1, direct_sum,
-                              identify_rank1, rep_a_vector,
+from grasscat.modules import (CMModuleRep, Profile, build_layered, build_rank1,
+                              direct_sum, identify_rank1, rep_a_vector,
                               validate_relations)
 from grasscat.rims import (all_rims, crossing, interlacing_degree,
                            is_projective, least_shift, peaks, rim, shift, slopes,
@@ -47,10 +48,13 @@ class TestTop:
 
 class TestCoverAndSyzygy:
     def test_cover_at_peaks(self):
-        m = build_rank1(rim([1, 4, 5], 3, 9))
-        assert projective_cover(m).vertices == (3, 9)
-        m = build_rank1(rim([1, 4, 7], 3, 9))
-        assert projective_cover(m).vertices == (3, 6, 9)
+        # every rotation: the views' covers list their roots' order, relabelled
+        for r in (rim([1, 4, 5], 3, 9), rim([1, 4, 7], 3, 9)):
+            for j in range(r.n):
+                m = build_rank1(shift(r, j))
+                vertices = projective_cover(m).vertices
+                assert sorted(vertices) == sorted(peaks(shift(r, j)))
+                assert vertices == syzygy_data(m).cover.vertices
 
     def test_syzygy_of_ac_rim(self):
         m = build_rank1(rim([1, 4, 5], 3, 9))
@@ -444,6 +448,23 @@ class TestRank2Rotation:
         assert rigid_indecomposable_rank2(a, b) is m
         # the pair's entry and its canonical rotation's
         assert homology._rank2_walk.cache_info().currsize == 2
+
+
+class TestCanonicalModule:
+    """A profile of one or two layers names one shared module."""
+
+    def test_one_layer_is_the_rank1_module(self):
+        r = rim([1, 4, 5], 3, 9)
+        assert canonical_module(Profile((r,)), 18) is build_rank1(r, 18)
+
+    def test_two_layers_are_the_rank2_extension(self):
+        a, b = rim([2, 4, 6], 3, 6), rim([1, 3, 5], 3, 6)
+        assert canonical_module(Profile((a, b)), 12) is rank2_extension(a, b, 12)
+
+    def test_three_layers_name_no_module(self):
+        layers = (rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6), rim([1, 3, 5], 3, 6))
+        with pytest.raises(ValueError, match="3 layers"):
+            canonical_module(Profile(layers), 12)
 
 
 class TestRotatedCaches:

@@ -50,6 +50,14 @@ def test_every_schema_is_valid():
     ("roots", ["roots", "3", "6"]),
     ("tubes", ["tubes", "3", "6"]),
     ("census", ["census", "3", "6", "--orbits"]),
+    ("module", ["module", "246|135@(3,9)"]),
+    ("hom", ["hom", "135@(3,6)", "246@(3,6)"]),
+    ("hom", ["--verbose", "hom", "135@(3,6)", "246@(3,6)"]),
+    ("syzygy", ["syzygy", "147@(3,9)"]),
+    ("rigid", ["rigid", "135|246@(3,6)"]),
+    ("rigid", ["rigid", "135@(3,6)"]),
+    ("ar-seq", ["ar-seq", "145@(3,8)"]),
+    ("ar-seq", ["ar-seq", "134@(3,8)"]),
 ])
 def test_document_validates(schema, args, tmp_path, capsys):
     doc = emit(["--out", str(tmp_path), *args], capsys)

@@ -24,22 +24,22 @@ def chain_orbit(seed):
     def identify(rep):
         avec = rep_a_vector(rep).entries
         if rep.s == 1:
-            return OrbitMember(1, avec, rim_label=identify_rank1(rep))
+            return OrbitMember(1, avec, (Profile((identify_rank1(rep),)),))
         matches = sorted((Profile((a, b)) for a, b in two_layer_splits(avec, k, n)
                           if rep.s == 2 and interlacing_degree(a, b) >= 3
                           and is_isomorphic(rep, rank2_extension(a, b, N))),
                          key=Profile.label)
-        return OrbitMember(rep.s, avec, profiles=tuple(matches))
+        return OrbitMember(rep.s, avec, tuple(matches))
 
     rep = build_rank1(seed, N) if isinstance(seed, Rim) else rank2_extension(*seed.layers, N)
-    keys = [identify(rep).key()]
+    members = [identify(rep)]
     for _ in range(2 * v):
         rep = syzygy(rep)
-        keys.append(identify(rep).key())
-    assert keys.pop() == keys[0]
+        members.append(identify(rep))
+    assert members.pop() == members[0]
     period = min(d for d in range(1, 2 * v + 1)
-                 if all(keys[i] == keys[(i + d) % (2 * v)] for i in range(2 * v)))
-    return keys[:period], period
+                 if all(members[i] == members[(i + d) % (2 * v)] for i in range(2 * v)))
+    return members[:period], period
 
 
 def rigid_classes(k, n):
@@ -63,7 +63,7 @@ class TestTauOrbit:
         assert orbit.period == 2
         labels = [m.label() for m in orbit.members]
         assert labels[0] == "147"
-        assert orbit.members[1].matches_profile(profile([[2, 5, 8], [3, 6, 9]], 3, 9))
+        assert profile([[2, 5, 8], [3, 6, 9]], 3, 9) in orbit.members[1].profiles
 
     def test_rank2_seed_period2(self):
         orbit = tau_orbit(profile([[2, 5, 8], [1, 4, 7]], 3, 9))
@@ -80,7 +80,15 @@ class TestTauOrbit:
     def test_membership_independent_of_representative(self):
         a = tau_orbit(rim([1, 4, 5], 3, 9))
         b = tau_orbit(rim([4, 7, 8], 3, 9))
-        assert {m.key() for m in a.members} == {m.key() for m in b.members}
+        assert set(a.members) == set(b.members)
+
+    def test_rim_and_its_one_layer_profile_share_an_orbit(self):
+        r = rim([1, 4, 5], 3, 9)
+        assert tau_orbit(r) == tau_orbit(Profile((r,)))
+
+    def test_rank1_member_emits_its_rim(self):
+        member = tau_orbit(rim([1, 4, 7], 3, 9)).to_json_dict()["members"][0]
+        assert member["rim"] == [1, 4, 7] and member["profiles"] == []
 
     def test_projective_seed_rejected(self):
         with pytest.raises(ProjectiveInput):
@@ -104,14 +112,13 @@ class TestCanonicalSteps:
         seeds = [r for r in all_rims(*kn) if not is_projective(r)] + rigid_classes(*kn)
         for seed in seeds:
             orbit = tau_orbit(seed)
-            assert ([m.key() for m in orbit.members], orbit.period) == chain_orbit(seed), \
-                seed
+            assert (orbit.members, orbit.period) == chain_orbit(seed), seed
 
     def test_rank3_member_matches_the_chain(self):
         seed = rim([1, 3, 5, 7], 4, 8)
         orbit = tau_orbit(seed)
         assert max(m.rank for m in orbit.members) == 3
-        assert ([m.key() for m in orbit.members], orbit.period) == chain_orbit(seed)
+        assert (orbit.members, orbit.period) == chain_orbit(seed)
 
     def test_extension_a_vector_is_the_profile_sum(self):
         # the premise of comparing a rank-2 member only with the splits of its a-vector
@@ -144,7 +151,7 @@ class TestCanonicalSteps:
     def test_other_seeds_keep_their_orbits(self, layers, kn):
         seed = profile(layers, *kn)
         orbit = tau_orbit(seed)
-        assert ([m.key() for m in orbit.members], orbit.period) == chain_orbit(seed)
+        assert (orbit.members, orbit.period) == chain_orbit(seed)
         assert orbit.period == 4
 
 
@@ -156,14 +163,12 @@ class TestTubeCensusPerRotationClass:
         seeds = [r for r in all_rims(k, n) if not is_projective(r)] + rigid_classes(k, n)
         seen, orbits, walked = set(), [], []
         for seed in seeds:
-            if seed in seen:
+            if (Profile((seed,)) if isinstance(seed, Rim) else seed) in seen:
                 continue
             orbit = tau_orbit(seed)
             orbits.append(orbit)
             walked.append(seed)
             for m in orbit.members:
-                if m.rim_label is not None:
-                    seen.add(m.rim_label)
                 seen.update(m.profiles)
         orbits.sort(key=lambda o: min(m.label() for m in o.members))
         return [o.to_json_dict() for o in orbits], walked
@@ -280,8 +285,8 @@ class TestTubeCensusSmall:
         rims_seen = set()
         for orbit in report.orbits:
             for m in orbit.members:
-                if m.rim_label is not None:
-                    rims_seen.add(m.rim_label)
+                if m.rank == 1:
+                    rims_seen.add(m.profiles[0].layers[0])
         expected = {r for r in all_rims(3, 6) if not is_projective(r)}
         assert rims_seen == expected
 
@@ -322,12 +327,8 @@ class TestDoubleSyzygyShift:
                 p = orbit.period
                 for i, m in enumerate(orbit.members):
                     target = orbit.members[(i + 2) % p]
-                    if m.rim_label is not None:
-                        assert target.rim_label is not None
-                        from grasscat.rims import shift
-                        assert target.rim_label == shift(m.rim_label, k)
-                        checked += 1
-                    elif m.profiles and target.profiles:
+                    # a rim's target is a rim: a rank-1 member always counts
+                    if m.profiles and (m.rank == 1 or target.profiles):
                         shifted = {q.shift(k).label() for q in m.profiles}
                         assert shifted == {q.label() for q in target.profiles}
                         checked += 1
