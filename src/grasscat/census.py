@@ -295,30 +295,30 @@ def negative_control_48(trunc: Optional[int] = None) -> dict:
 
 
 def _load_cache(path: Path, k: int, n: int, trunc: int) -> Optional[CensusReport]:
+    """The cached report, or None when the cache is stale or cannot be rebuilt into one."""
     try:
         data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+        stamp = (data.get("k"), data.get("n"), data.get("truncation"), data.get("version"))
+        # a cache written before verdicts were recorded is stale too
+        if stamp != (k, n, trunc, _pkg_version) or "candidate_verdicts" not in data:
+            return None
+        entries = []
+        for e in data.get("rank2_rigid", []):
+            profiles = tuple(
+                Profile(tuple(rim(layer, k, n) for layer in prof))
+                for prof in e["profiles"])
+            entries.append(CensusEntry(
+                profiles=profiles, a_vec=tuple(e["a_vector"]),
+                classification=e["classification"]))
+        verdicts = {(rim(a, k, n), rim(b, k, n)): ok for a, b, ok in data["candidate_verdicts"]}
+        if not all(isinstance(ok, bool) for ok in verdicts.values()):
+            return None
+        return CensusReport(
+            k=k, n=n, truncation=trunc,
+            rank1_count=data["rank1_count"],
+            candidates_tested=data["candidates_tested"],
+            candidate_verdicts=verdicts, rank2_rigid=entries,
+            sampled=False, fixture_diffs=data.get("fixture_diffs", []),
+            notes=["loaded from cache"])
+    except (OSError, AttributeError, KeyError, TypeError, ValueError):
         return None
-    if (data.get("k"), data.get("n")) != (k, n):
-        return None
-    if data.get("truncation") != trunc or data.get("version") != _pkg_version:
-        return None
-    if "candidate_verdicts" not in data:   # written before verdicts were recorded
-        return None
-    entries = []
-    for e in data.get("rank2_rigid", []):
-        profiles = tuple(
-            Profile(tuple(rim(layer, k, n) for layer in prof))
-            for prof in e["profiles"])
-        entries.append(CensusEntry(
-            profiles=profiles, a_vec=tuple(e["a_vector"]),
-            classification=e["classification"]))
-    return CensusReport(
-        k=k, n=n, truncation=trunc,
-        rank1_count=data["rank1_count"],
-        candidates_tested=data["candidates_tested"],
-        candidate_verdicts={(rim(a, k, n), rim(b, k, n)): ok
-                            for a, b, ok in data["candidate_verdicts"]},
-        rank2_rigid=entries,
-        sampled=False, fixture_diffs=data.get("fixture_diffs", []),
-        notes=["loaded from cache"])

@@ -13,14 +13,13 @@ generator: no linear systems are needed to write the induced maps between
 Hom(P_i, N), only to extract kernels and cokernels over the centre.
 P1 -> P0 is the cover of the syzygy followed by its embedding, so the
 syzygy of a module is computed once and cached on the module: Hom, Ext,
-extension middles and orbit steps all read that one cache, and the second
-step of the resolution is the cached syzygy of the syzygy.
+extension middles and orbit steps all read that one cache.
 Hom(M, N) is the kernel of the map Hom(P0, N) -> Hom(P1, N): the Hom
 condition, imposed only at the syzygy's top generators, which generate
-it.  Ext^1 has one presentation: that same matrix, written in the kernel
-basis of the syzygy's own Hom condition, Hom(Omega, N).  ``ext1``
-certifies its Smith form, and extension middles read their classes from
-the same factorisation.
+it.  Ext^1(M, N) is the torsion of its cokernel, read off the one
+certified Smith form that ``hom_space`` and ``is_isomorphic`` factor too;
+only extension middles resolve a second step, to lift their classes
+through Hom(Omega, N).
 Writing out a Hom basis or an extension middle vertexwise does solve
 linear systems; each function factors every matrix it solves against once
 and solves all of its right-hand sides from that one factorisation.
@@ -286,6 +285,7 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
     module of rank s is s copies of the one simple module (Jensen-King-Su
     2016).  So the condition has rank (c - rank(m)) * rank(n), certified
     against the floor: rows short of that rank raise TruncationUnstable.
+    Its cokernel's torsion is Ext^1(m, n) (see ``_ext1_once``).
     """
     rows = _relation_rows(m, n_rep)
     floor = min(m.floor, n_rep.floor)
@@ -342,15 +342,14 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
 
 def _ext_presentation(m: CMModuleRep, n_rep: CMModuleRep
                       ) -> Optional[tuple[SyzygyData, Smith, DVRMatrix, int]]:
-    """The presentation Hom(P0, N) -> Hom(Omega, N) of Ext^1(m, n), or None
-    when m is projective.
+    """The class space that extension middles lift from: the map
+    Hom(P0, N) -> Hom(Omega, N) whose cokernel is Ext^1(m, n), or None when
+    m is projective.
 
     Returns m's syzygy data, the factorisation of the Hom condition on
     Omega's cover-generator images (its kernel basis is a basis of
-    Hom(Omega, N)), the map in that basis as ``coords``, and the floor of
-    ``coords``.  The map is B1 = ``_relation_rows(m, N)``, the matrix whose
-    kernel is Hom(m, N), one step earlier in the resolution than Omega's
-    Hom condition; Ext^1 is the cokernel of ``coords``.
+    Hom(Omega, N)), the map B1 = ``_relation_rows(m, N)`` in that basis as
+    ``coords``, and the floor of ``coords``; ``ext1`` reads B1 alone.
     """
     B1 = _relation_rows(m, n_rep)
     syz1 = syzygy_data(m)
@@ -361,28 +360,28 @@ def _ext_presentation(m: CMModuleRep, n_rep: CMModuleRep
 
 
 def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
-    """Exponents of Ext^1(m, n), certified exact at the working truncation.
+    """Exponents of Ext^1(m, n): the positive exponents of the Hom
+    condition's Smith form, certified exact at the working truncation.
 
-    Ext^1 between CM modules is torsion, so the presentation (see
-    ``_ext_presentation``) has full row rank, certified against its floor.
+    The condition maps Hom(P0, N) into F = Hom(P1, N), P1 the cover of
+    Omega.  Hom(Omega, N) is the kernel of a map of free modules, so it is
+    saturated in F.  It holds the image L, whose certified rank
+    (c - rank m) * rank N is its own, so it is L's saturation and
+    tors(F / L) = Hom(Omega, N) / L = Ext^1(m, n).  ``_hom_condition``
+    certifies every exponent below the floor, with no ``loss`` subtracted.
     """
-    pres = _ext_presentation(m, n_rep)
-    if pres is None:
-        return ()
-    _, _, coords, floor = pres
-    exps = _smith(coords, need_u=False).certify(floor, coords.rows, "Ext^1 presentation")
-    return tuple(e for e in exps if e > 0)
+    sm, _ = _hom_condition(m, n_rep)
+    return tuple(e for e in sm.exponents if e > 0)
 
 
 def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     """Ext^1(m, n) as a product of cyclic modules over the centre.
 
-    The exponents are computed once, at the working truncation, and
-    certified there by the precision floors (see ``_ext1_once``): the
-    answer is exact, or TruncationUnstable is raised.  The resolution of m
-    and the path matrices of n are read from their root modules' caches,
-    so the rank-1 modules of ``build_rank1`` are resolved once per rotation
-    class and truncation.
+    The exponents are read once, at the working truncation, off the Hom
+    condition's Smith form, and certified there (see ``_ext1_once``): the
+    answer is exact, or TruncationUnstable is raised.  Only m's first
+    syzygy is needed; it and n's path matrices come from their roots'
+    caches, shared by every rotation of a ``build_rank1`` module.
     """
     return ExtDecomp(_ext1_once(m, n_rep))
 

@@ -149,6 +149,28 @@ class TestCensusCommand:
         assert "loaded from cache" in second["notes"]
         assert second["conjectures"]["tight_3_interlacing_pairs_are_rigid"] is False
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda blob: blob.pop("rank1_count"),
+        lambda blob: blob["candidate_verdicts"][0].pop(),
+        lambda blob: blob["candidate_verdicts"][0].__setitem__(2, "false"),
+    ], ids=["missing-field", "bad-verdict-triple", "verdict-not-a-bool"])
+    def test_a_cache_that_cannot_be_read_back_is_recomputed(self, capsys, tmp_path, corrupt):
+        argv = ["--json", "--out", str(tmp_path), "census", "3", "6"]
+        code, out = run_cli(argv + ["--refresh"], capsys)
+        assert code == 0
+        refreshed = json.loads(out)
+        path = tmp_path / "census-3-6.json"
+        blob = json.loads(path.read_text())
+        corrupt(blob)
+        path.write_text(json.dumps(blob))
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        again = json.loads(out)
+        assert "loaded from cache" not in again["notes"]
+        assert again["counts"] == refreshed["counts"]
+        assert again["candidates_tested"] == refreshed["candidates_tested"]
+        assert json.loads(path.read_text())["rank1_count"] == 20
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grasscat import dvr, homology, modules
 from grasscat.census import rank2_candidates, run_census
-from grasscat.dvr import DVRMatrix, rational_rank
+from grasscat.dvr import DVRMatrix, ValPoly, rational_rank
 from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, canonical_module, decomposition_rank2,
                                ext1, ext1_rims,
@@ -398,10 +398,10 @@ class TestRank2Walk:
         # the ends are the shared rank-1 modules that ext1 reads too
         assert top.trunc == 16
         assert top is build_rank1(a, 16) and bottom is build_rank1(b, 16)
-        # the self-Ext checks of the middles present Ext^1 of rank-2 modules
-        ends = [(args, out) for args, out in presented if args[0].s == 1]
-        assert len(ends) == 1 and ends[0][0] == (top, bottom)
-        coords = ends[0][1][2]
+        # the class space is presented once, on the ends: the self-Ext
+        # checks of the middles read their Hom conditions alone
+        assert len(presented) == 1 and presented[0][0] == (top, bottom)
+        coords = presented[0][1][2]
         # the class space is factored once, and its row transform U once
         transforms = [sm.U for (matrix, *_), sm in factored if matrix is coords]
         assert len(transforms) == 1
@@ -640,6 +640,31 @@ class TestFactorOnce:
         before = len(calls)
         assert syzygy(m) is syzygy_data(m).omega
         assert len(calls) == before
+
+    @pytest.mark.parametrize("other", [
+        lambda m: m,
+        lambda m: build_rank1(rim([1, 3, 5, 7], 4, 8)),
+    ], ids=["self", "rank1"])
+    def test_ext_factors_the_hom_condition_alone(self, monkeypatch, other):
+        m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        other = other(m)
+        syzygy_data(m)
+        calls = self.count_smith(monkeypatch)
+        ext1(m, other)
+        assert len(calls) == 1
+
+    def test_rigidity_resolves_the_module_once(self, monkeypatch):
+        m = generic_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        covered = []
+        original = homology.projective_cover
+
+        def counted(rep):
+            covered.append(rep)
+            return original(rep)
+        monkeypatch.setattr(homology, "projective_cover", counted)
+        is_rigid(m)
+        # the middle's cover, never one of its syzygy
+        assert covered == [m]
 
     def test_pushout_factors_each_vertex_once(self, monkeypatch):
         calls = self.count_smith(monkeypatch)
@@ -900,6 +925,85 @@ class TestCanonicalExt:
         with pytest.raises(ValueError):
             ext1(build_rank1(rim([1, 3, 5], 3, 6), 12),
                  build_rank1(rim([2, 4, 6], 3, 6), 14))
+
+
+def two_step_ext(m, n_rep):
+    """Oracle: Ext^1 from the second resolution step, the cokernel of the
+    Hom condition written in the kernel basis of the syzygy's own Hom
+    condition, Hom(Omega, N), with its own certificate."""
+    pres = homology._ext_presentation(m, n_rep)
+    if pres is None:
+        return ()
+    _, _, coords, floor = pres
+    exps = dvr._smith(coords, need_u=False).certify(floor, coords.rows, "two-step Ext^1")
+    return tuple(e for e in exps if e > 0)
+
+
+class TestTwoStepExtOracle:
+    """ext1 reads Ext^1 off the Hom condition's Smith form; the two-step
+    presentation through Hom(Omega, N) gives the same exponents."""
+
+    @staticmethod
+    def check(pairs):
+        for m, n_rep in pairs:
+            assert ext1(m, n_rep).exponents == two_step_ext(m, n_rep), (m.s, n_rep.s)
+
+    def test_every_ordered_3_7_rank1_pair(self):
+        reps = [build_rank1(r) for r in all_rims(3, 7)]
+        self.check([(a, b) for a in reps for b in reps])
+
+    def test_seeded_4_9_sample(self):
+        # the sample of TestCanonicalExt
+        rims_all = all_rims(4, 9)
+        rng = random.Random(4109)
+        pairs = [tuple(rng.sample(rims_all, 2)) for _ in range(58)]
+        pairs += [(rims_all[7], rims_all[7]), (rims_all[40], rims_all[40])]
+        self.check([(build_rank1(a), build_rank1(b)) for a, b in pairs])
+
+    def test_rigid_3_7_classes_with_themselves_and_rims(self):
+        rigid = [rigid_indecomposable_rank2(a, b) for a, b in rank2_candidates(3, 7)]
+        rigid = [m for m in rigid if m is not None]
+        assert len(rigid) == 14
+        ones = [build_rank1(r) for r in all_rims(3, 7)[::9]]
+        assert len(ones) == 4
+        self.check([p for m in rigid for one in ones for p in ((m, m), (m, one), (one, m))])
+
+    def test_rank3_syzygy_against_rank1_modules(self):
+        omega = syzygy(build_rank1(rim([1, 3, 5, 7], 4, 8)))
+        assert omega.s == 3
+        ones = [build_rank1(r) for r in all_rims(4, 8)]
+        self.check([p for one in ones for p in ((omega, one), (one, omega))])
+
+    @pytest.mark.parametrize("floor", [1, 2, 3, 4])
+    def test_coarse_floors_answer_exactly_or_raise(self, floor):
+        # every (3,6) rank-1 pair with both maps cut to degrees below floor:
+        # ext1 raises or gives the exact answer, and it answers wherever the
+        # two-step certificate does, since it subtracts no loss
+        rims_all = all_rims(3, 6)
+        exact = {r: build_rank1(r, 12) for r in rims_all}
+
+        def cut(maps):
+            return {v: DVRMatrix([[ValPoly({d: c for d, c in e.coeffs.items() if d < floor}, 12)
+                                   for e in row] for row in mat.data], 12, cols=mat.cols)
+                    for v, mat in maps.items()}
+        coarse = {r: CMModuleRep(6, 3, 1, cut(m.x), cut(m.y), 12, floor=floor)
+                  for r, m in exact.items()}
+
+        def attempt(fn, a, b):
+            try:
+                return fn(coarse[a], coarse[b])
+            except TruncationUnstable:
+                return None
+        answered = 0
+        for a in rims_all:
+            for b in rims_all:
+                got = attempt(lambda m, n_rep: ext1(m, n_rep).exponents, a, b)
+                two_step = attempt(two_step_ext, a, b)
+                assert two_step is None or got is not None, (a, b)
+                if got is not None:
+                    assert got == ext1(exact[a], exact[b]).exponents, (a, b)
+                    answered += 1
+        assert answered > 0
 
 
 class TestOneExtCheck:
