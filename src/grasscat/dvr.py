@@ -250,6 +250,16 @@ class DVRMatrix:
         return cls([[col[i] for col in columns] for i in range(rows)], trunc,
                    cols=len(columns))
 
+    @classmethod
+    def block(cls, a: "DVRMatrix", b: "DVRMatrix", d: "DVRMatrix") -> "DVRMatrix":
+        """The block upper triangular matrix [[a, b], [0, d]]."""
+        if (a.rows, b.cols) != (b.rows, d.cols):
+            raise ValueError(f"shape mismatch [[{a.rows}x{a.cols}, {b.rows}x{b.cols}], "
+                             f"[0, {d.rows}x{d.cols}]]")
+        left = (ValPoly.zero(a.trunc),) * a.cols
+        return cls._wrap(tuple([r + s for r, s in zip(a.data, b.data)])
+                         + tuple([left + r for r in d.data]), a.cols + d.cols, a.trunc)
+
     def __getitem__(self, idx: tuple[int, int]) -> ValPoly:
         return self.data[idx[0]][idx[1]]
 
@@ -359,6 +369,16 @@ class Smith:
         """
         return DVRMatrix._wrap(tuple([row[self.npivots:] for row in self.V.data]),
                                self.cols - self.npivots, self.trunc)
+
+    def splitting(self) -> tuple[DVRMatrix, DVRMatrix]:
+        """For a surjective A with a unit pivot per row (S = [I | 0], so U A
+        is V_inv's pivot rows): the section V_piv @ U, a right inverse of A,
+        and the retraction, V_inv's rows past the pivots, a left inverse of
+        ``kernel``; section @ A + kernel @ retraction is the identity.
+        """
+        p = self.npivots
+        pivots = DVRMatrix._wrap(tuple([row[:p] for row in self.V.data]), p, self.trunc)
+        return pivots @ self.U, DVRMatrix._wrap(self.V_inv.data[p:], self.cols, self.trunc)
 
     def coordinates(self, vectors: DVRMatrix, floor: int) -> DVRMatrix:
         """Coordinates in the ``kernel`` basis of each column of ``vectors``.

@@ -18,8 +18,7 @@ Hom(M, N) is the kernel of the map Hom(P0, N) -> Hom(P1, N): the Hom
 condition, imposed only at the syzygy's top generators, which generate
 it.  Ext^1(M, N) is the torsion of its cokernel, read off the one
 certified Smith form that ``hom_space`` and ``is_isomorphic`` factor too;
-only extension middles resolve a second step, to lift their classes
-through Hom(Omega, N).
+an extension's classes are lifted off its row transform, with no second step.
 Writing out a Hom basis or an extension middle vertexwise does solve
 linear systems; each function factors every matrix it solves against once
 and solves all of its right-hand sides from that one factorisation.
@@ -42,7 +41,7 @@ from .dvr import Coeff, DVRMatrix, Smith, ValPoly, _reciprocal, _smith
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, Profile, build_rank1, default_truncation,
                       direct_sum, rep_a_vector)
-from .rims import Rim, least_shift, peaks, rim, shift as shift_rim, two_layer_splits
+from .rims import Rim, least_shift, peaks, shift as shift_rim, two_layer_splits
 
 def top_generators(m: CMModuleRep) -> tuple[tuple[int, int], ...]:
     """The standard basis vectors spanning the top, as (vertex, index) pairs.
@@ -110,6 +109,20 @@ class Cover:
     def size(self) -> int:
         return len(self.vertices)
 
+    def rotate(self, j: int, n: int) -> "Cover":
+        """The cover of the module rotated by j: the same summands, relabelled."""
+        turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
+        return Cover(tuple(turn[v] for v in self.vertices),
+                     {turn[w]: e for w, e in self.eps.items()})
+
+
+def _root_cover(m: CMModuleRep) -> Cover:
+    """m's ``projective_cover``, computed once per root and cached there."""
+    root, j = m.unrotated()
+    if getattr(root, "_cover", None) is None:
+        root._cover = projective_cover(root)
+    return root._cover.rotate(j, m.n) if j else root._cover
+
 
 def projective_cover(m: CMModuleRep) -> Cover:
     """Minimal cover: projectives at the top vertices, in ``top_generators``
@@ -136,9 +149,8 @@ class SyzygyData:
     def rotate(self, j: int, n: int) -> "SyzygyData":
         """The syzygy data of the module rotated by j: labels moved, omega a view."""
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
-        cover = Cover(tuple(turn[v] for v in self.cover.vertices),
-                      {turn[w]: e for w, e in self.cover.eps.items()})
-        return SyzygyData(cover, None if self.omega is None else self.omega.rotate(j),
+        return SyzygyData(self.cover.rotate(j, n),
+                          None if self.omega is None else self.omega.rotate(j),
                           {turn[w]: e for w, e in self.embed.items()})
 
 
@@ -159,7 +171,7 @@ def syzygy_data(m: CMModuleRep) -> SyzygyData:
     if j:
         m._syzygy = syzygy_data(root).rotate(j, m.n)
         return m._syzygy
-    cover = projective_cover(m)
+    cover = _root_cover(m)
     c = cover.size
     if c == m.s:
         m._syzygy = SyzygyData(cover, None, {})
@@ -268,9 +280,11 @@ def _relation_rows(m: CMModuleRep, n_rep: CMModuleRep) -> DVRMatrix:
     return DVRMatrix(rows, m.trunc, cols=syz.cover.size * sN)
 
 
-def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
+def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep,
+                   need_u: bool = False) -> tuple[Smith, int]:
     """Factorisation of the condition for cover-generator images to define a
     map m -> n, and the condition's floor; its kernel's is ``loss`` less.
+    The row transform U is kept only on request (see ``_extension_classes``).
 
     A map is determined by the images in n of m's cover generators, and it
     descends to m exactly when they kill the syzygy Omega, that is, when
@@ -289,7 +303,7 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int]:
     """
     rows = _relation_rows(m, n_rep)
     floor = min(m.floor, n_rep.floor)
-    sm = _smith(rows, need_u=False)
+    sm = _smith(rows, need_u)
     sm.certify(floor, rows.cols - m.s * n_rep.s, f"Hom condition of ranks {m.s}, {n_rep.s}")
     return sm, floor
 
@@ -338,25 +352,6 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     floor -= sm.loss
     return HomBasis(_vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(),
                                  range(1, m.n + 1), floor), floor)
-
-
-def _ext_presentation(m: CMModuleRep, n_rep: CMModuleRep
-                      ) -> Optional[tuple[SyzygyData, Smith, DVRMatrix, int]]:
-    """The class space that extension middles lift from: the map
-    Hom(P0, N) -> Hom(Omega, N) whose cokernel is Ext^1(m, n), or None when
-    m is projective.
-
-    Returns m's syzygy data, the factorisation of the Hom condition on
-    Omega's cover-generator images (its kernel basis is a basis of
-    Hom(Omega, N)), the map B1 = ``_relation_rows(m, N)`` in that basis as
-    ``coords``, and the floor of ``coords``; ``ext1`` reads B1 alone.
-    """
-    B1 = _relation_rows(m, n_rep)
-    syz1 = syzygy_data(m)
-    if syz1.omega is None:
-        return None
-    sm_e, floor = _hom_condition(syz1.omega, n_rep)
-    return syz1, sm_e, sm_e.coordinates(B1, floor), floor - sm_e.loss
 
 
 def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
@@ -474,9 +469,9 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
 
     The extension class is chosen with a unit component in every nonzero
     cyclic factor of the extension group (deterministically, from the
-    Smith transform); when the group vanishes this is the direct sum.
-    The result is the pushout of the cover presentation of the top module
-    along the chosen map, assembled vertexwise with free quotients.
+    Smith transform of the Hom condition, see ``_extension_classes``); when
+    the group vanishes this is the direct sum.  The middle is written on
+    bottom + top at every vertex (see ``_pushout``).
     """
     if (top.n, top.k) != (bottom.n, bottom.k):
         raise ValueError("rims disagree on (k, n)")
@@ -491,31 +486,29 @@ def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
     """The top's syzygy data, one map Omega -> bottom per nonzero cyclic
     factor of Ext^1, and their floor; None when every extension splits.
 
-    Ext^1 of CM modules is torsion and its presentation is certified, so
-    the factors are those with a positive exponent.  Map p has component 1
-    in the p-th of them and 0 in the others: it solves U y = indicator for
-    the row transform U of the presentation's Smith form, one solve for
-    every indicator.
+    Ext^1 is the torsion of the cokernel of the Hom condition R, which maps
+    into F = Hom(P1, N) (see ``_ext1_once``), so its factors are the
+    positive exponents e_i of the certified Smith form U R V = S.  Factor i
+    is generated by U^-1 e_i, which lies in Hom(Omega, N): t^e_i U^-1 e_i =
+    R V e_i lies in the image of R, and Hom(Omega, N) is saturated in F.
+    Its entries are the images of Omega's top generators, written out by
+    ``_vertex_maps`` over Omega's cover (Omega is not resolved); every lift
+    is solved from one factorisation of the invertible U, losing nothing.
     """
-    pres = _ext_presentation(top_rep, bot_rep)
-    if pres is None:  # projective top
+    syz = syzygy_data(top_rep)
+    if syz.omega is None:  # projective top
         return None
-    syz, sm_e, coords, floor = pres
-    sm = _smith(coords)
-    sm.certify(floor, coords.rows, "Ext^1 class space")
-    floor -= sm.loss
+    sm, floor = _hom_condition(top_rep, bot_rep, need_u=True)
     targets = [i for i, e in enumerate(sm.exponents) if e > 0]
     if not targets:
         return None
-    eye = DVRMatrix.identity(coords.rows, top_rep.trunc)
-    # U is invertible, so this solve loses no precision
-    lifts = _smith(sm.U).solve(
-        DVRMatrix.from_columns([eye.column(i) for i in targets], coords.rows, top_rep.trunc),
-        floor)
+    floor -= sm.loss
+    eye = DVRMatrix.identity(sm.U.rows, top_rep.trunc)
+    lifts = _smith(sm.U).solve(DVRMatrix.from_columns(
+        [eye.column(i) for i in targets], eye.rows, eye.trunc), floor)
     if lifts is None:
         raise TruncationUnstable("could not lift the extension classes")
-    maps = _vertex_maps(syzygy_data(syz.omega).cover, bot_rep, sm_e.kernel() @ lifts,
-                        range(1, top_rep.n + 1), floor)
+    maps = _vertex_maps(_root_cover(syz.omega), bot_rep, lifts, range(1, top_rep.n + 1), floor)
     return syz, maps, floor
 
 
@@ -536,47 +529,37 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
 
 def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
              f: dict[int, DVRMatrix], floor: int) -> CMModuleRep:
-    """Quotient (bottom + cover) / antidiagonal image of the syzygy, a module
-    of rank rank(top) + rank(bottom): the cover has rank(top) + rank(Omega).
+    """The middle E of the extension of top by bottom with class f: Omega ->
+    bottom, on the basis of bottom, then top, correct modulo t^floor.
 
-    f is correct modulo t^floor, a floor no higher than those of the two
-    ends, and so is the quotient: splitting it off needs unit pivots, and
-    the projections onto it are rows of an invertible matrix, whose
-    factorisations have unit pivots too, so nothing is lost.
+    E is the pushout (bottom + P0) / {(f w, -w)} of the top's cover P0.  At
+    vertex v, the section sigma_v and retraction rho_v of the cover map
+    eps_v (``Smith.splitting``) split P0 as Omega + top, and (b, p) ->
+    (b + f_v rho_v p, eps_v p) identifies E_v with bottom_v + top_v.  A
+    cover map A (``_cover_edge_scalars``) from v to u becomes [[bottom's
+    map, f_u rho_u A sigma_v], [0, top's map]], since eps_u A sigma_v is
+    top's.  The cover map has unit pivots, so nothing is lost.
     """
-    n, k, N = top_rep.n, top_rep.k, top_rep.trunc
-    amb = bot_rep
-    for v_cov in syz.cover.vertices:
-        proj_rim = rim([(v_cov + i - 1) % n + 1 for i in range(1, k + 1)], k, n)
-        amb = direct_sum(amb, build_rank1(proj_rim, N))
-    sb, c, r = bot_rep.s, syz.cover.size, syz.omega.s
-    projections: dict[int, DVRMatrix] = {}
+    n, N, s = top_rep.n, top_rep.trunc, top_rep.s
+    # syzygy_data's factorisations again, now with U: the same V, so each
+    # retraction is a left inverse of syz.embed
+    section, retract = {}, {}
     for v in range(1, n + 1):
-        sub = DVRMatrix(f[v].data + tuple([-e for e in row] for row in syz.embed[v].data),
-                        N, cols=r)
-        sm = _smith(sub)
-        if sm.npivots != r or sm.loss:
-            raise TruncationUnstable(
-                f"extension quotient not free at vertex {v}")
-        projections[v] = DVRMatrix(sm.U.data[r:sb + c], N, cols=sb + c)
-    # one factorisation per vertex, shared by the x and the y map out of it
-    proj_t = {v: _smith(projections[v].transpose()) for v in range(1, n + 1)}
+        section[v], retract[v] = _smith(syz.cover.eps[v]).splitting()
+
+    def structure_map(edge: int, src: int, dst: int, forward: bool,
+                      bot_map: DVRMatrix, top_map: DVRMatrix) -> DVRMatrix:
+        scalars = _cover_edge_scalars(top_rep, syz.cover, edge, forward)
+        moved = DVRMatrix([[a * e for e in row] for a, row in zip(scalars, section[src].data)],
+                          N, cols=s)
+        return DVRMatrix.block(bot_map, f[dst] @ (retract[dst] @ moved), top_map)
+
     x_new, y_new = {}, {}
     for v in range(1, n + 1):
         w = (v - 2) % n + 1
-        x_new[v] = _induced_on_quotient(proj_t[w], projections[v], amb.x[v], floor)
-        y_new[v] = _induced_on_quotient(proj_t[v], projections[w], amb.y[v], floor)
-    return CMModuleRep(n, k, top_rep.s + sb, x_new, y_new, N, floor)
-
-
-def _induced_on_quotient(proj_src_t: Smith, proj_dst: DVRMatrix,
-                         amb_map: DVRMatrix, floor: int) -> DVRMatrix:
-    """Solve induced * proj_src = proj_dst * amb_map on the quotient, given the
-    factorisation of proj_src transposed, all correct modulo t^floor."""
-    induced_t = proj_src_t.solve((proj_dst @ amb_map).transpose(), floor)
-    if induced_t is None:
-        raise TruncationUnstable("quotient map not defined over the centre")
-    return induced_t.transpose()
+        x_new[v] = structure_map(v, w, v, True, bot_rep.x[v], top_rep.x[v])
+        y_new[v] = structure_map(v, v, w, False, bot_rep.y[v], top_rep.y[v])
+    return CMModuleRep(n, top_rep.k, s + bot_rep.s, x_new, y_new, N, floor)
 
 
 # deterministic ladder of extension-class weightings; geometric sequences with

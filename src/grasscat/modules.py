@@ -73,19 +73,21 @@ class CMModuleRep:
     carries the floor its construction left.
     ``rim`` is the rim of a rank-1 module built from one, else None.
     ``rotate`` returns a view: relabelled ``x``/``y`` maps, the unrotated
-    root ``_root`` and the shift ``_turn`` (None and 0 on a root).  Four
+    root ``_root`` and the shift ``_turn`` (None and 0 on a root).  Five
     caches hang off a root, each set on first use: ``_paths``
     (``path_matrix``), ``_syzygy`` (the one ``homology.syzygy_data``
-    result, read by Hom, Ext, extension middles and orbit steps), ``_avec``
-    (``rep_a_vector``) and ``_top`` (``homology.top_generators``: the
-    (vertex, basis index) pairs spanning the top, which the cover, the
-    top multiset and the Hom condition read).  A view reads its root's
+    result, read by Hom, Ext, extension middles and orbit steps), ``_cover``
+    (its projective cover, which extension classes read off the top's
+    syzygy without resolving it), ``_avec`` (``rep_a_vector``) and ``_top``
+    (``homology.top_generators``: the (vertex, basis index) pairs spanning
+    the top, which the cover, the top multiset and the Hom condition
+    read).  A view reads its root's
     (``unrotated``), filling them if needed, relabels the result and stores
     only its relabelled copy of the root's syzygy.
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "rim",
-                 "_root", "_turn", "_paths", "_syzygy", "_avec", "_top")
+                 "_root", "_turn", "_paths", "_syzygy", "_avec", "_top", "_cover")
 
     def __init__(self, n: int, k: int, s: int,
                  x: dict[int, DVRMatrix], y: dict[int, DVRMatrix],
@@ -234,21 +236,9 @@ def direct_sum(a: CMModuleRep, b: CMModuleRep) -> CMModuleRep:
     if (a.n, a.k) != (b.n, b.k) or a.trunc != b.trunc:
         raise ValueError("direct sum needs matching ambient and truncation")
     n, trunc = a.n, a.trunc
-
-    def block(ma: DVRMatrix, mb: DVRMatrix) -> DVRMatrix:
-        size = ma.rows + mb.rows
-        z = ValPoly.zero(trunc)
-        rows = [[z] * size for _ in range(size)]
-        for i in range(ma.rows):
-            for j in range(ma.cols):
-                rows[i][j] = ma.data[i][j]
-        for i in range(mb.rows):
-            for j in range(mb.cols):
-                rows[ma.rows + i][ma.cols + j] = mb.data[i][j]
-        return DVRMatrix(rows, trunc, cols=size)
-
-    x = {i: block(a.x[i], b.x[i]) for i in range(1, n + 1)}
-    y = {i: block(a.y[i], b.y[i]) for i in range(1, n + 1)}
+    zero = DVRMatrix.zeros(a.s, b.s, trunc)
+    x = {i: DVRMatrix.block(a.x[i], zero, b.x[i]) for i in range(1, n + 1)}
+    y = {i: DVRMatrix.block(a.y[i], zero, b.y[i]) for i in range(1, n + 1)}
     return CMModuleRep(n, a.k, a.s + b.s, x, y, trunc, min(a.floor, b.floor))
 
 

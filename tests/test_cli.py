@@ -278,7 +278,7 @@ PINNED_JSON = {
     "rigid-4-8": (["rigid", "1357|2468@(4,8)"],
                   "932ff278717c184012a282e370ad51cb43531745eec74db82cca58c4a6dbb228"),
     "hom-verbose-3-6": (["--verbose", "hom", "135|246@(3,6)", "135|246@(3,6)"],
-                        "59f0f5ad20b5489171c0e86d17a0d9315b051d5f43ebe136e4feb6eba1a2a7df"),
+                        "53a716996d7ef8d2c2988584e4813c145fc21f02e12a32fde9530a65f8ea3651"),
     "ext-3-6": (["ext", "135@(3,6)", "246@(3,6)"],
                 "00540a20c7d0f7c81368f739ab6c9fc76997fd021d4f82c0d6e88621d4b4c972"),
 }

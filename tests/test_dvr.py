@@ -304,6 +304,30 @@ class TestKernel:
                 sm.coordinates(outside, N)
 
 
+class TestSplitting:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_section_and_retraction_split_a_surjection(self, seed):
+        rng = random.Random(seed)
+        rows, extra = rng.randint(1, 3), rng.randint(0, 3)
+        cols = rows + extra
+        # a unit block on shuffled columns makes the matrix surjective
+        order = rng.sample(range(cols), cols)
+        rand = random_matrix(rng, rows, cols)
+        unit = [[tpow(0) if order[j] == i else ValPoly.zero(N) for j in range(cols)]
+                for i in range(rows)]
+        mat = M([[u + tpow(1) * e if order[j] < rows else e
+                  for j, (u, e) in enumerate(zip(urow, rrow))]
+                 for urow, rrow in zip(unit, rand.data)])
+        sm = _smith(mat)
+        assert sm.npivots == rows and sm.loss == 0
+        section, retraction = sm.splitting()
+        kernel = sm.kernel()
+        assert mat @ section == DVRMatrix.identity(rows, N)
+        assert retraction @ kernel == DVRMatrix.identity(extra, N)
+        assert section @ mat + kernel @ retraction == DVRMatrix.identity(cols, N)
+
+
 class TestSolve:
     def test_identity(self):
         rhs = [tpow(2), tpow(0, 5)]
@@ -423,6 +447,17 @@ class TestDVRMatrixShape:
             DVRMatrix.zeros(1, 1, N) + DVRMatrix.identity(2, N)
         with pytest.raises(ValueError, match="shape mismatch"):
             DVRMatrix.zeros(2, 1, N) - DVRMatrix.zeros(1, 2, N)
+
+    def test_block_places_the_blocks_and_checks_the_shape(self):
+        a, b, d = M([[tpow(0)]]), M([[tpow(1), tpow(2)]]), M([[tpow(3), tpow(0, 2)]] * 2)
+        z = ValPoly.zero(N)
+        assert DVRMatrix.block(a, b, d) == M([[tpow(0), tpow(1), tpow(2)],
+                                              [z, tpow(3), tpow(0, 2)],
+                                              [z, tpow(3), tpow(0, 2)]])
+        with pytest.raises(ValueError, match="shape mismatch"):
+            DVRMatrix.block(a, b, DVRMatrix.identity(3, N))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            DVRMatrix.block(DVRMatrix.identity(2, N), b, d)
 
     def test_operations_keep_the_shape_of_empty_rows(self):
         empty = DVRMatrix.zeros(0, 2, N)

@@ -334,6 +334,115 @@ class TestExtensionConstruction:
         assert _ext1_once(build_rank1(a, 14), build_rank1(b, 14)) == (1, 1)
 
 
+def quotient_pushout(top_rep, bot_rep, syz, f, floor):
+    """Oracle: the extension middle as the quotient (bottom + cover) / {(f w, -w)},
+    split off by one factorisation per vertex, with the structure maps
+    solved for on the quotient."""
+    n, k, N = top_rep.n, top_rep.k, top_rep.trunc
+    amb = bot_rep
+    for v_cov in syz.cover.vertices:
+        proj_rim = rim([(v_cov + i - 1) % n + 1 for i in range(1, k + 1)], k, n)
+        amb = direct_sum(amb, build_rank1(proj_rim, N))
+    sb, c, r = bot_rep.s, syz.cover.size, syz.omega.s
+    projections, proj_t = {}, {}
+    for v in range(1, n + 1):
+        sub = DVRMatrix(f[v].data + tuple([-e for e in row] for row in syz.embed[v].data),
+                        N, cols=r)
+        sm = dvr._smith(sub)
+        assert sm.npivots == r and not sm.loss, v
+        projections[v] = DVRMatrix(sm.U.data[r:sb + c], N, cols=sb + c)
+        proj_t[v] = dvr._smith(projections[v].transpose())
+
+    def induced(src, dst, amb_map):
+        # the map q with q @ projections[src] == projections[dst] @ amb_map
+        q_t = proj_t[src].solve((projections[dst] @ amb_map).transpose(), floor)
+        assert q_t is not None
+        return q_t.transpose()
+    x = {v: induced((v - 2) % n + 1, v, amb.x[v]) for v in range(1, n + 1)}
+    y = {v: induced(v, (v - 2) % n + 1, amb.y[v]) for v in range(1, n + 1)}
+    return CMModuleRep(n, k, top_rep.s + sb, x, y, N, floor)
+
+
+class TestPushoutOnTheEnds:
+    """``_pushout`` writes the middle on bottom + top; the quotient of bottom +
+    cover by the syzygy, built from the same class maps, is its oracle."""
+
+    @pytest.fixture
+    def pushouts(self, monkeypatch):
+        """(arguments, middle) of every ``_pushout`` call."""
+        calls = []
+        original = homology._pushout
+
+        def recorded(*args):
+            out = original(*args)
+            calls.append((args, out))
+            return out
+        monkeypatch.setattr(homology, "_pushout", recorded)
+        return calls
+
+    @staticmethod
+    def check(pushouts, top, bottom, ladder):
+        classes = homology._extension_classes(top, bottom)
+        assert classes is not None
+        pushouts.clear()
+        for weights in ladder:
+            homology._extension_middle(top, bottom, classes, weights)
+        assert len(pushouts) == len(ladder)
+        for args, middle in pushouts:
+            assert middle.s == top.s + bottom.s
+            assert validate_relations(middle) == []
+            # bottom is a submodule: no map sends it into the top's coordinates
+            for maps in (middle.x, middle.y):
+                for v, mat in maps.items():
+                    assert all(e.is_zero() for row in mat.data[bottom.s:]
+                               for e in row[:bottom.s]), v
+            assert is_isomorphic(middle, quotient_pushout(*args))
+
+    def test_every_3_7_candidate_at_every_weight(self, pushouts):
+        candidates = rank2_candidates(3, 7)
+        assert len(candidates) == 14
+        for a, b in candidates:
+            self.check(pushouts, build_rank1(a, 14), build_rank1(b, 14), WEIGHT_LADDER)
+
+    @pytest.mark.parametrize("rank2_on_top", [True, False])
+    def test_rank3_middles_both_orders(self, pushouts, rank2_on_top):
+        # the cases of TestExtensionConstruction.test_rank3_pushout_both_orders
+        r2 = rank2_extension(rim([1, 4, 7], 3, 9), rim([2, 5, 8], 3, 9))
+        r1 = build_rank1(rim([3, 6, 9], 3, 9), r2.trunc)
+        top, bottom = (r2, r1) if rank2_on_top else (r1, r2)
+        self.check(pushouts, top, bottom, WEIGHT_LADDER[:2])
+
+
+class TestHomGeneratorsAreModuleMaps:
+    """Every Hom basis map commutes with both structure maps modulo t^floor:
+    f_v x_v = x_v f_(v-1) and f_(v-1) y_v = y_v f_v."""
+
+    @staticmethod
+    def check(m, other):
+        basis = hom_space(m, other)
+        assert basis.z_rank == m.s * other.s
+        n = m.n
+        for g, f in enumerate(basis.generators):
+            for v in range(1, n + 1):
+                w = (v - 2) % n + 1
+                for lhs, rhs in ((f[v] @ m.x[v], other.x[v] @ f[w]),
+                                 (f[w] @ m.y[v], other.y[v] @ f[v])):
+                    assert not any(d < basis.floor for row in (lhs - rhs).data
+                                   for e in row for d in e.coeffs), (g, v)
+
+    @pytest.mark.parametrize("k, n", [(3, 6), (3, 7)])
+    def test_extension_middles(self, k, n):
+        one = build_rank1(all_rims(k, n)[1])
+        for a, b in rank2_candidates(k, n):
+            m = rank2_extension(a, b)
+            for source, target in ((m, m), (m, one), (one, m)):
+                self.check(source, target)
+
+    def test_1357_2468_at_4_8(self):
+        m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        self.check(m, m)
+
+
 class TestRank2Walk:
     """Both rank-2 entry points read one cached ladder walk."""
 
@@ -388,9 +497,10 @@ class TestRank2Walk:
     def test_walk_builds_its_ends_once(self, monkeypatch, fresh_cache, build_count):
         # no weight gives a rigid indecomposable middle, so the walk tries all
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
-        presented = self.record(monkeypatch, "_ext_presentation")
+        conditions = self.record(monkeypatch, "_hom_condition")
         factored = self.record(monkeypatch, "_smith")
         homs = self.record(monkeypatch, "hom_space")
+        resolved = self.record(monkeypatch, "syzygy_data")
         assert rigid_indecomposable_rank2(a, b) is None
         assert len(build_count) == len(WEIGHT_LADDER)
         assert len({(id(args[0]), id(args[1])) for args, _ in build_count}) == 1
@@ -398,14 +508,17 @@ class TestRank2Walk:
         # the ends are the shared rank-1 modules that ext1 reads too
         assert top.trunc == 16
         assert top is build_rank1(a, 16) and bottom is build_rank1(b, 16)
-        # the class space is presented once, on the ends: the self-Ext
-        # checks of the middles read their Hom conditions alone
-        assert len(presented) == 1 and presented[0][0] == (top, bottom)
-        coords = presented[0][1][2]
-        # the class space is factored once, and its row transform U once
-        transforms = [sm.U for (matrix, *_), sm in factored if matrix is coords]
-        assert len(transforms) == 1
-        assert sum(matrix is transforms[0] for (matrix, *_), _ in factored) == 1
+        # the classes are lifted off the ends' Hom condition, factored once
+        # with its row transform U; the self-Ext checks of the middles read
+        # their Hom conditions without it
+        lifted = [(args, sm) for args, (sm, _) in conditions if sm.U is not None]
+        assert len(lifted) == 1 and lifted[0][0][:2] == (top, bottom)
+        # U is factored once, for every lift
+        transform = lifted[0][1].U
+        assert sum(matrix is transform for (matrix, *_), _ in factored) == 1
+        # the top's syzygy is never resolved: its cover alone writes the classes out
+        omega = syzygy_data(top).omega
+        assert not any(args[0] in (omega, omega.unrotated()[0]) for args, _ in resolved)
         assert homs == []
 
     def test_no_rigid_middle_falls_back_to_first_weight(self, fresh_cache):
@@ -505,6 +618,18 @@ class TestRotatedCaches:
         assert omega.floor == fresh_omega.floor
         assert rep_a_vector(omega) == rep_a_vector(fresh_omega)
         assert is_isomorphic(omega, fresh_omega)
+
+
+    def test_carried_splitting_splits_the_cover(self, pair):
+        # the cover map's splitting completes the carried embedding
+        m, _ = pair
+        data = syzygy_data(m)
+        for w in range(1, m.n + 1):
+            eps, emb = data.cover.eps[w], data.embed[w]
+            sec, ret = dvr._smith(eps).splitting()
+            assert eps @ sec == DVRMatrix.identity(m.s, m.trunc), w
+            assert ret @ emb == DVRMatrix.identity(emb.cols, m.trunc), w
+            assert sec @ eps + emb @ ret == DVRMatrix.identity(eps.cols, m.trunc), w
 
 
 class TestRotationsShareTheRoot:
@@ -678,9 +803,9 @@ class TestFactorOnce:
             return out
         monkeypatch.setattr(homology, "_pushout", counted)
         generic_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
-        # per vertex: one factorisation splits off the quotient and one
-        # serves the solves of both structure maps out of it
-        assert len(inside) == 1 and inside[0] <= 2 * 6
+        # the middle is written on bottom + top from the splitting of the
+        # top's cover map: one factorisation per vertex, no solve
+        assert inside == [6]
 
     @pytest.mark.parametrize("m", [
         lambda: rank2_extension(rim([1, 3, 5], 3, 7), rim([2, 4, 7], 3, 7)),
@@ -931,11 +1056,13 @@ def two_step_ext(m, n_rep):
     """Oracle: Ext^1 from the second resolution step, the cokernel of the
     Hom condition written in the kernel basis of the syzygy's own Hom
     condition, Hom(Omega, N), with its own certificate."""
-    pres = homology._ext_presentation(m, n_rep)
-    if pres is None:
+    omega = syzygy_data(m).omega
+    if omega is None:
         return ()
-    _, _, coords, floor = pres
-    exps = dvr._smith(coords, need_u=False).certify(floor, coords.rows, "two-step Ext^1")
+    sm_e, floor = homology._hom_condition(omega, n_rep)
+    coords = sm_e.coordinates(homology._relation_rows(m, n_rep), floor)
+    exps = dvr._smith(coords, need_u=False).certify(floor - sm_e.loss, coords.rows,
+                                                     "two-step Ext^1")
     return tuple(e for e in exps if e > 0)
 
 

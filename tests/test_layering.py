@@ -212,7 +212,7 @@ def test_detects_a_module_level_empty_container(tmp_path):
 
 # a module's caches and its view slots are implementation; tests reach
 # them through path_matrix, syzygy_data, top_multiset and rep_a_vector
-PRIVATE_MODULE_SLOTS = {"_paths", "_syzygy", "_avec", "_top", "_root", "_turn"}
+PRIVATE_MODULE_SLOTS = {"_paths", "_syzygy", "_cover", "_avec", "_top", "_root", "_turn"}
 REFLECTION = {"getattr", "hasattr", "setattr", "delattr"}
 
 
