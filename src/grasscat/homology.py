@@ -30,7 +30,6 @@ Every computed module and Hom basis carries a precision floor (see
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,8 +39,8 @@ from typing import Optional, Sequence
 from .dvr import Coeff, DVRMatrix, Smith, ValPoly, _reciprocal, _smith
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, Profile, build_rank1, default_truncation,
-                      direct_sum, rep_a_vector)
-from .rims import Rim, least_shift, peaks, shift as shift_rim, two_layer_splits
+                      direct_sum, per_rotation_class, rep_a_vector)
+from .rims import Rim, peaks, two_layer_splits
 
 def top_generators(m: CMModuleRep) -> tuple[tuple[int, int], ...]:
     """The standard basis vectors spanning the top, as (vertex, index) pairs.
@@ -482,9 +481,11 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
 
 
 def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
-                       ) -> Optional[tuple[SyzygyData, list[dict[int, DVRMatrix]], int]]:
+                       ) -> Optional[tuple[SyzygyData, list[dict[int, DVRMatrix]], int,
+                                           dict[int, tuple[DVRMatrix, DVRMatrix]]]]:
     """The top's syzygy data, one map Omega -> bottom per nonzero cyclic
-    factor of Ext^1, and their floor; None when every extension splits.
+    factor of Ext^1, their floor, and the splitting of the top's cover map
+    at each vertex (see ``_pushout``); None when every extension splits.
 
     Ext^1 is the torsion of the cokernel of the Hom condition R, which maps
     into F = Hom(P1, N) (see ``_ext1_once``), so its factors are the
@@ -509,7 +510,9 @@ def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
     if lifts is None:
         raise TruncationUnstable("could not lift the extension classes")
     maps = _vertex_maps(_root_cover(syz.omega), bot_rep, lifts, range(1, top_rep.n + 1), floor)
-    return syz, maps, floor
+    # syzygy_data's factorisations again, now with U: the same V, so each
+    # retraction is a left inverse of syz.embed
+    return syz, maps, floor, {v: _smith(eps).splitting() for v, eps in syz.cover.eps.items()}
 
 
 def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
@@ -518,41 +521,37 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
     weighted by weights[p % len(weights)]; the direct sum when there are none."""
     if classes is None:
         return direct_sum(top_rep, bot_rep)
-    syz, maps, floor = classes
+    syz, maps, floor, splits = classes
     N = top_rep.trunc
     scalars = [ValPoly.monomial(weights[p % len(weights)], 0, N) for p in range(len(maps))]
     f = {v: sum((g[v].scale(c) for g, c in zip(maps, scalars)),
                 DVRMatrix.zeros(bot_rep.s, syz.omega.s, N))
          for v in range(1, top_rep.n + 1)}
-    return _pushout(top_rep, bot_rep, syz, f, floor)
+    return _pushout(top_rep, bot_rep, syz, f, floor, splits)
 
 
 def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
-             f: dict[int, DVRMatrix], floor: int) -> CMModuleRep:
+             f: dict[int, DVRMatrix], floor: int,
+             splits: dict[int, tuple[DVRMatrix, DVRMatrix]]) -> CMModuleRep:
     """The middle E of the extension of top by bottom with class f: Omega ->
     bottom, on the basis of bottom, then top, correct modulo t^floor.
 
     E is the pushout (bottom + P0) / {(f w, -w)} of the top's cover P0.  At
     vertex v, the section sigma_v and retraction rho_v of the cover map
-    eps_v (``Smith.splitting``) split P0 as Omega + top, and (b, p) ->
-    (b + f_v rho_v p, eps_v p) identifies E_v with bottom_v + top_v.  A
-    cover map A (``_cover_edge_scalars``) from v to u becomes [[bottom's
-    map, f_u rho_u A sigma_v], [0, top's map]], since eps_u A sigma_v is
-    top's.  The cover map has unit pivots, so nothing is lost.
+    eps_v (``splits[v]``) split P0 as Omega + top, and (b, p) -> (b + f_v
+    rho_v p, eps_v p) identifies E_v with bottom_v + top_v.  A cover map A
+    (``_cover_edge_scalars``) from v to u becomes [[bottom's map, f_u rho_u
+    A sigma_v], [0, top's map]], since eps_u A sigma_v is top's.  The cover
+    map has unit pivots, so nothing is lost.
     """
     n, N, s = top_rep.n, top_rep.trunc, top_rep.s
-    # syzygy_data's factorisations again, now with U: the same V, so each
-    # retraction is a left inverse of syz.embed
-    section, retract = {}, {}
-    for v in range(1, n + 1):
-        section[v], retract[v] = _smith(syz.cover.eps[v]).splitting()
 
     def structure_map(edge: int, src: int, dst: int, forward: bool,
                       bot_map: DVRMatrix, top_map: DVRMatrix) -> DVRMatrix:
         scalars = _cover_edge_scalars(top_rep, syz.cover, edge, forward)
-        moved = DVRMatrix([[a * e for e in row] for a, row in zip(scalars, section[src].data)],
+        moved = DVRMatrix([[a * e for e in row] for a, row in zip(scalars, splits[src][0].data)],
                           N, cols=s)
-        return DVRMatrix.block(bot_map, f[dst] @ (retract[dst] @ moved), top_map)
+        return DVRMatrix.block(bot_map, f[dst] @ (splits[dst][1] @ moved), top_map)
 
     x_new, y_new = {}, {}
     for v in range(1, n + 1):
@@ -599,56 +598,50 @@ def decomposition_rank2(m: CMModuleRep) -> Optional[tuple[Rim, Rim]]:
     return None
 
 
-@functools.cache
-def _rank2_walk(top: Rim, bottom: Rim, N: int) -> tuple[CMModuleRep, bool]:
-    """The canonical module of top|bottom and its rigid-indecomposable verdict.
+class Walk(tuple):
+    """A ladder walk's module and its rigid-indecomposable verdict, as a pair."""
 
-    Rotating the quiver is an automorphism, so only the least rotation of
-    the pair walks the ladder; every other pair gets its verdict and its
-    module rotated back, a view sharing its caches (without a rigid middle,
-    the rotated generic extension of the canonical pair).  One memo entry
-    per (top, bottom, resolved truncation); ``cache_clear()`` frees them.
-    """
-    j = least_shift(top, bottom)
-    if j:
-        module, verdict = _rank2_walk(shift_rim(top, j), shift_rim(bottom, j), N)
-        return module.rotate(top.n - j), verdict
-    return _ladder_walk(top, bottom, N)
+    def rotate(self, j: int) -> "Walk":
+        return Walk((self[0].rotate(j), self[1]))
 
 
-def _ladder_walk(top: Rim, bottom: Rim, N: int) -> tuple[CMModuleRep, bool]:
-    """Walk the weight ladder once: the module and its rigid-indecomposable verdict.
+def _ladder_walk(p: Profile, N: int) -> Walk:
+    """Walk the weight ladder once for the two-layer profile top|bottom.
 
     The module is the first extension middle that is rigid and
     indecomposable (the unique such module when one exists), and
     otherwise the first middle, which is the generic extension.
     """
     # resolved and their classes lifted once, for every weight of the ladder
-    top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)
+    top_rep, bot_rep = (build_rank1(r, N) for r in p.layers)
     classes = _extension_classes(top_rep, bot_rep)
     first: Optional[CMModuleRep] = None
     for weights in WEIGHT_LADDER:
         m = _extension_middle(top_rep, bot_rep, classes, weights)
         if is_rigid(m) and decomposition_rank2(m) is None:
-            return m, True
+            return Walk((m, True))
         if first is None:
             first = m
-    return first, False
+    return Walk((first, False))
+
+
+# a lambda, so that a replaced _ladder_walk is reached
+_rank2_walk = per_rotation_class(lambda p, N: _ladder_walk(p, N))
 
 
 def rank2_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None) -> CMModuleRep:
     """The canonical rank-2 module with the given ordered profile.
 
     This is the rigid indecomposable module when one exists, and otherwise
-    the generic extension (see ``_rank2_walk``).
+    the generic extension (see ``_ladder_walk``).
     """
-    return _rank2_walk(top, bottom, default_truncation(top.n, trunc))[0]
+    return _rank2_walk(Profile((top, bottom)), default_truncation(top.n, trunc))[0]
 
 
 def rigid_indecomposable_rank2(top: Rim, bottom: Rim,
                                trunc: Optional[int] = None) -> Optional[CMModuleRep]:
     """The rigid indecomposable module with profile top|bottom, or None."""
-    module, verdict = _rank2_walk(top, bottom, default_truncation(top.n, trunc))
+    module, verdict = _rank2_walk(Profile((top, bottom)), default_truncation(top.n, trunc))
     return module if verdict else None
 
 

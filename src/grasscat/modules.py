@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dvr import DVRMatrix, ValPoly, _smith
 from .errors import NotRankOne, TruncationUnstable
@@ -71,7 +71,6 @@ class CMModuleRep:
     they are correct modulo t^floor.  A module built from rims is exact,
     with floor = trunc; a computed one (a syzygy, an extension middle)
     carries the floor its construction left.
-    ``rim`` is the rim of a rank-1 module built from one, else None.
     ``rotate`` returns a view: relabelled ``x``/``y`` maps, the unrotated
     root ``_root`` and the shift ``_turn`` (None and 0 on a root).  Five
     caches hang off a root, each set on first use: ``_paths``
@@ -86,17 +85,16 @@ class CMModuleRep:
     only its relabelled copy of the root's syzygy.
     """
 
-    __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "rim",
+    __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor",
                  "_root", "_turn", "_paths", "_syzygy", "_avec", "_top", "_cover")
 
     def __init__(self, n: int, k: int, s: int,
                  x: dict[int, DVRMatrix], y: dict[int, DVRMatrix],
-                 trunc: int, floor: Optional[int] = None,
-                 rim: Optional[Rim] = None):
+                 trunc: int, floor: Optional[int] = None):
         self.n, self.k, self.s, self.trunc = n, k, s, trunc
         self.floor = trunc if floor is None else floor
         self.x, self.y = dict(x), dict(y)
-        self.rim, self._root, self._turn = rim, None, 0
+        self._root, self._turn = None, 0
         self._paths: dict[tuple[int, int], DVRMatrix] = {}
 
     def unrotated(self) -> tuple["CMModuleRep", int]:
@@ -107,9 +105,9 @@ class CMModuleRep:
         """The same module with every vertex label v moved to v + j (mod n).
 
         Rotating the quiver is an automorphism of the algebra, so this only
-        relabels the structure maps; a recorded rim is shifted by j.  The
-        result is a view of the root: rotating a view rotates its root by
-        the sum of the shifts, and a shift of 0 (mod n) gives the root.
+        relabels the structure maps.  The result is a view of the root:
+        rotating a view rotates its root by the sum of the shifts, and a
+        shift of 0 (mod n) gives the root.
         """
         root, turned = self.unrotated()
         n, j = self.n, (turned + j) % self.n
@@ -117,8 +115,7 @@ class CMModuleRep:
             return root
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
         out = CMModuleRep(n, root.k, root.s, {turn[v]: mat for v, mat in root.x.items()},
-                          {turn[v]: mat for v, mat in root.y.items()}, root.trunc, root.floor,
-                          rim=None if root.rim is None else shift_rim(root.rim, j))
+                          {turn[v]: mat for v, mat in root.y.items()}, root.trunc, root.floor)
         out._root, out._turn = root, j
         return out
 
@@ -209,26 +206,36 @@ def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModul
         r_i = sum(1 for r in layers if i in r)
         x[i] = powers[s - r_i]
         y[i] = powers[r_i]
-    return CMModuleRep(n, k, s, x, y, N, rim=layers[0] if s == 1 else None)
+    return CMModuleRep(n, k, s, x, y, N)
+
+
+def per_rotation_class(build: Callable[[Profile, int], object]):
+    """``build(p, trunc)`` memoised per (profile, truncation) and run only on
+    a profile's least rotation (``rims.least_shift``): rotating the quiver is
+    an automorphism, so that profile rotated by m gets the result's
+    ``rotate(m)``.  ``cache_clear()`` frees every entry.
+    """
+    @functools.cache
+    def memo(p: Profile, trunc: int):
+        j = least_shift(*p.layers)
+        if j:
+            return memo(p.shift(j), trunc).rotate(p.n - j)
+        return build(p, trunc)
+    return memo
+
+
+# a lambda, so that a replaced build_layered is reached
+_rank1 = per_rotation_class(lambda p, trunc: build_layered(p.layers, trunc))
 
 
 def build_rank1(r: Rim, trunc: Optional[int] = None) -> CMModuleRep:
     """Rank-1 module of a rim: x_i is 1 on the rim and t off it, y_i opposite.
 
-    There is one shared module per (rim, resolved truncation).  Only the
-    least rotation of a rim (``rims.least_shift``) is built, and the other
-    rims of its class get views of it (``CMModuleRep.rotate``), so one
-    syzygy and path cache serve the class; ``_rank1.cache_clear()`` frees all.
+    There is one shared module per (rim, resolved truncation), built once
+    per rotation class (``per_rotation_class``): the other rims of a class
+    get views of it, so one syzygy and path cache serve the class.
     """
-    return _rank1(r, default_truncation(r.n, trunc))
-
-
-@functools.cache
-def _rank1(r: Rim, trunc: int) -> CMModuleRep:
-    j = least_shift(r)
-    if j:
-        return _rank1(shift_rim(r, j), trunc).rotate(r.n - j)
-    return build_layered([r], trunc)
+    return _rank1(Profile((r,)), default_truncation(r.n, trunc))
 
 
 def direct_sum(a: CMModuleRep, b: CMModuleRep) -> CMModuleRep:

@@ -24,10 +24,10 @@ from .homology import (canonical_module, decomposition_rank2, is_isomorphic, is_
                        rigid_indecomposable_rank2, syzygy)
 from .modules import (CMModuleRep, Profile, a_vector, build_rank1,
                       default_truncation, direct_sum, identify_rank1,
-                      rep_a_vector)
+                      per_rotation_class, rep_a_vector)
 from .rims import (Rim, all_rims, ar_middle_profile, interlacing_degree,
-                   is_almost_consecutive, is_projective, least_shift, rim,
-                   syzygy_rim, two_layer_splits)
+                   is_almost_consecutive, is_projective, rim, syzygy_rim,
+                   two_layer_splits)
 
 
 @dataclass(frozen=True)
@@ -272,21 +272,16 @@ def walk_orbits(seeds: list[Profile], trunc: int) -> list[TauOrbit]:
     """The syzygy orbits of the seeds, in seed order, each orbit once.
 
     A seed already met as a member of an earlier orbit is skipped.  Rotating
-    the quiver is an automorphism, so the orbit of a seed is the orbit of its
-    least rotation (``rims.least_shift``) rotated back: each rotation class
-    is walked once.
+    the quiver is an automorphism, so each rotation class is walked once
+    (``modules.per_rotation_class``); the memo lives for this call only.
     """
+    walk = per_rotation_class(lambda p, N: tau_orbit(p, trunc=N))
     orbits: list[TauOrbit] = []
-    walked: dict[Profile, TauOrbit] = {}   # least rotation of a seed -> its orbit
     seen: set[Profile] = set()
     for seed in seeds:
         if seed in seen:
             continue
-        j = least_shift(*seed.layers)
-        least = seed.shift(j)
-        if least not in walked:
-            walked[least] = tau_orbit(least, trunc=trunc)
-        orbit = walked[least].rotate(seed.n - j)
+        orbit = walk(seed, trunc)
         orbits.append(orbit)
         for member in orbit.members:
             seen.update(member.profiles)

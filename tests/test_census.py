@@ -194,29 +194,30 @@ def test_census_leaves_the_shared_rank1_modules_intact(monkeypatch):
     # a census that changed one in place would corrupt every later computation
     modules._rank1.cache_clear()
     homology._rank2_walk.cache_clear()
-    built, requested = [], set()
+    built, requested = [], set()   # (rim, module) per build, (profile, trunc) per request
     original, memo = modules.build_layered, modules._rank1
 
     def recorded(layers, trunc=None):
-        built.append(original(layers, trunc))
-        return built[-1]
+        (r,) = layers
+        built.append((r, original(layers, trunc)))
+        return built[-1][1]
 
-    def requested_from_memo(r, trunc):
-        requested.add((r, trunc))
-        return memo(r, trunc)
+    def requested_from_memo(p, trunc):
+        requested.add((p, trunc))
+        return memo(p, trunc)
     monkeypatch.setattr(modules, "build_layered", recorded)
     monkeypatch.setattr(modules, "_rank1", requested_from_memo)
     run_census(3, 7)
     assert built and len(requested) == memo.cache_info().currsize
     # one build per rotation class in the memo, each of its least rotation
-    classes = {(shift(r, least_shift(r)), trunc) for r, trunc in requested}
-    assert sorted((m.rim.elements, m.trunc) for m in built) == \
-        sorted((r.elements, trunc) for r, trunc in classes)
-    assert all(least_shift(m.rim) == 0 for m in built)
-    for m in built:
-        assert build_rank1(m.rim, m.trunc) is m
-        fresh = original([m.rim], m.trunc)
-        assert (m.x, m.y, m.floor) == (fresh.x, fresh.y, fresh.floor), m.rim
+    classes = {(p.shift(least_shift(*p.layers)), trunc) for p, trunc in requested}
+    assert sorted((r.elements, m.trunc) for r, m in built) == \
+        sorted((p.layers[0].elements, trunc) for p, trunc in classes)
+    assert all(least_shift(r) == 0 for r, _ in built)
+    for r, m in built:
+        assert build_rank1(r, m.trunc) is m
+        fresh = original([r], m.trunc)
+        assert (m.x, m.y, m.floor) == (fresh.x, fresh.y, fresh.floor), r
 
 
 @pytest.mark.parametrize("k, n, classes", [(3, 6, 1), (3, 7, 2), (3, 8, 7)])
@@ -225,9 +226,9 @@ def test_census_walks_once_per_rotation_class(monkeypatch, k, n, classes):
     walked = []
     original = homology._ladder_walk
 
-    def counted(top, bottom, N):
-        walked.append((top, bottom))
-        return original(top, bottom, N)
+    def counted(p, N):
+        walked.append(p.layers)
+        return original(p, N)
     monkeypatch.setattr(homology, "_ladder_walk", counted)
     run_census(k, n)
     assert len(walked) == classes

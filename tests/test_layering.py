@@ -248,3 +248,39 @@ def test_detects_a_private_module_slot_read(tmp_path):
         "def test_d(m):\n    m._turn = 0\n")
     assert private_slot_reads(tmp_path) == [
         "test_homology.py:2", "test_homology.py:4", "test_homology.py:8"]
+
+
+# rotation classes are built by one memo, modules.per_rotation_class; any
+# other caller of least_shift would be a hand-written copy of it
+ROTATION_MEMO = "modules.per_rotation_class"
+
+
+def least_shift_callers(package: Path = PACKAGE) -> list[str]:
+    """module.definition (top-level) of each call of least_shift, by name or
+    as an attribute; '<module>' for a call at module level."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "least_shift" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_least_shift_is_called_only_by_the_rotation_memo():
+    assert least_shift_callers() == [ROTATION_MEMO]
+
+
+def test_detects_a_hand_written_rotation_memo(tmp_path):
+    (tmp_path / "modules.py").write_text(
+        "from .rims import least_shift\n"
+        "def per_rotation_class(build):\n"
+        "    def memo(p):\n        return least_shift(*p.layers)\n    return memo\n")
+    (tmp_path / "tubes.py").write_text(
+        "from . import rims\nfrom .rims import least_shift\n"
+        "def walk_orbits(seeds):\n    return [rims.least_shift(*s.layers) for s in seeds]\n"
+        "J = least_shift(SEED)\n"
+        "class TauOrbit:\n    def rotate(self, p):\n        return least_shift(p), least_shift\n")
+    assert least_shift_callers(tmp_path) == [
+        ROTATION_MEMO, "tubes.walk_orbits", "tubes.<module>", "tubes.TauOrbit"]

@@ -7,9 +7,9 @@ from grasscat.errors import NotRankOne, TruncationUnstable
 from grasscat.homology import rank2_extension
 from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered,
                               build_rank1, direct_sum, identify_rank1,
-                              lattice_diagram_data, parse_profile, profile,
-                              rep_a_vector, sigma_power, validate_relations)
-from grasscat.rims import all_rims, parse_rim, rim, shift
+                              lattice_diagram_data, parse_profile, per_rotation_class,
+                              profile, rep_a_vector, sigma_power, validate_relations)
+from grasscat.rims import all_rims, least_shift, parse_rim, rim, shift
 
 N = 16
 
@@ -281,10 +281,52 @@ class TestRotate:
             turned = build_rank1(r, 12).rotate(j)
             # built directly, so it is not a view of the memo's module
             want = build_layered([shift(r, j)], 12)
-            assert turned.rim == want.rim == shift(r, j)
+            assert identify_rank1(turned) == identify_rank1(want) == shift(r, j)
             assert (turned.x, turned.y) == (want.x, want.y)
 
-    def test_only_rank1_builds_record_a_rim(self):
-        assert build_rank1(rim([1, 4, 5], 3, 8)).rim == rim([1, 4, 5], 3, 8)
-        two = build_layered([rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)])
-        assert two.rim is None and two.rotate(2).rim is None
+
+class TestPerRotationClass:
+    """The rotation memo builds each class once, on its least rotation, and
+    rotates that result for every other member of the class."""
+
+    class Turned:
+        """A stub result: the profile it was built for and how far it was rotated."""
+
+        def __init__(self, p, turn=0):
+            self.p, self.turn = p, turn
+
+        def rotate(self, j):
+            return type(self)(self.p, self.turn + j)
+
+    @pytest.mark.parametrize("token, size", [
+        ("1357|2468@(4,8)", 2),   # fixed by rotation by 2
+        ("145@(3,8)", 8),         # fixed by no rotation
+    ])
+    def test_one_build_per_class(self, token, size):
+        built = []
+
+        def build(p, trunc):
+            built.append((p, trunc))
+            return self.Turned(p)
+        memo = per_rotation_class(build)
+        p = parse_profile(token)
+        n = p.n
+        rotations = {p.shift(j) for j in range(n)}
+        assert len(rotations) == size
+        results = {q: memo(q, 7) for q in rotations}
+        least = min(rotations, key=lambda q: [r.elements for r in q.layers])
+        assert built == [(least, 7)]
+        for q, out in results.items():
+            j = least_shift(*q.layers)
+            assert q.shift(j) == least
+            # the least rotation gets the build itself, any other its rotate(n - j)
+            assert out.p == least and out.turn == (n - j if j else 0), q
+            assert least.shift(out.turn) == q
+            assert memo(q, 7) is out
+        assert len(built) == 1
+        memo(p, 9)
+        assert built[1:] == [(least, 9)]
+        memo.cache_clear()
+        assert memo.cache_info().currsize == 0
+        memo(p, 7)
+        assert built[2:] == [(least, 7)]
