@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from math import comb
 from pathlib import Path
 from typing import Optional
@@ -43,32 +42,38 @@ RANK3_LITERATURE = {(3, 9): 117, (4, 8): 82}
 NEGATIVE_CONTROL_48 = ((1, 2, 4, 7), (3, 5, 6, 8))
 
 
-@dataclass
 class CensusEntry:
     """One isomorphism class of rigid indecomposable rank-2 modules."""
 
-    profiles: tuple[Profile, ...]       # all r >= 3 filtrations found
-    a_vec: tuple[int, ...]
-    classification: str                  # real / imaginary
-    orbit_id: Optional[str] = None
+    __slots__ = ("profiles", "a_vec", "classification", "orbit_id")
+
+    def __init__(self, profiles: tuple[Profile, ...], a_vec: tuple[int, ...],
+                 classification: str, orbit_id: Optional[str] = None) -> None:
+        self.profiles = profiles              # all r >= 3 filtrations found
+        self.a_vec = a_vec
+        self.classification = classification  # real / imaginary
+        self.orbit_id = orbit_id
 
     @property
     def profile(self) -> Profile:
         return self.profiles[0]
 
 
-@dataclass
 class CensusReport:
-    k: int
-    n: int
-    truncation: int
-    rank1_count: int
-    candidates_tested: int
-    candidate_verdicts: dict[tuple[Rim, Rim], bool]
-    rank2_rigid: list[CensusEntry]
-    sampled: bool
-    fixture_diffs: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("k", "n", "truncation", "rank1_count", "candidates_tested",
+                 "candidate_verdicts", "rank2_rigid", "sampled", "fixture_diffs", "notes")
+
+    def __init__(self, k: int, n: int, truncation: int, rank1_count: int,
+                 candidates_tested: int, candidate_verdicts: dict[tuple[Rim, Rim], bool],
+                 rank2_rigid: list[CensusEntry], sampled: bool,
+                 fixture_diffs: Optional[list[str]] = None,
+                 notes: Optional[list[str]] = None) -> None:
+        self.k, self.n, self.truncation = k, n, truncation
+        self.rank1_count, self.candidates_tested = rank1_count, candidates_tested
+        self.candidate_verdicts, self.rank2_rigid = candidate_verdicts, rank2_rigid
+        self.sampled = sampled
+        self.fixture_diffs = [] if fixture_diffs is None else fixture_diffs
+        self.notes = [] if notes is None else notes
 
     def counts(self) -> dict[str, int]:
         real = sum(1 for e in self.rank2_rigid if e.classification == "real")
@@ -224,17 +229,21 @@ def _fixture_diffs(report: CensusReport) -> list[str]:
     return diffs
 
 
-@dataclass
 class ConjectureReport:
-    k: int
-    n: int
-    tight_pairs_all_rigid: bool
-    tight_pair_failures: list[str]
-    r_ge_4_all_nonrigid: bool
-    r_ge_4_failures: list[str]
-    real_count_matches_formula: bool
-    real_count: int
-    formula_count: int
+    __slots__ = ("k", "n", "tight_pairs_all_rigid", "tight_pair_failures",
+                 "r_ge_4_all_nonrigid", "r_ge_4_failures", "real_count_matches_formula",
+                 "real_count", "formula_count")
+
+    def __init__(self, k: int, n: int, tight_pairs_all_rigid: bool,
+                 tight_pair_failures: list[str], r_ge_4_all_nonrigid: bool,
+                 r_ge_4_failures: list[str], real_count_matches_formula: bool,
+                 real_count: int, formula_count: int) -> None:
+        self.k, self.n = k, n
+        self.tight_pairs_all_rigid = tight_pairs_all_rigid
+        self.tight_pair_failures = tight_pair_failures
+        self.r_ge_4_all_nonrigid, self.r_ge_4_failures = r_ge_4_all_nonrigid, r_ge_4_failures
+        self.real_count_matches_formula = real_count_matches_formula
+        self.real_count, self.formula_count = real_count, formula_count
 
     def verdicts(self) -> dict[str, bool]:
         return {

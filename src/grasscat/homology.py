@@ -31,7 +31,6 @@ Every computed module and Hom basis carries a precision floor (see
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
@@ -97,12 +96,14 @@ def _top_generators(m: CMModuleRep, v: int) -> list[int]:
     return chosen
 
 
-@dataclass
 class Cover:
     """Minimal projective cover data: one summand per top generator."""
 
-    vertices: tuple[int, ...]            # cover vertex of each summand
-    eps: dict[int, DVRMatrix]            # vertex w -> s x c evaluation matrix
+    __slots__ = ("vertices", "eps")
+
+    def __init__(self, vertices: tuple[int, ...], eps: dict[int, DVRMatrix]) -> None:
+        self.vertices = vertices  # cover vertex of each summand
+        self.eps = eps            # vertex w -> s x c evaluation matrix
 
     @property
     def size(self) -> int:
@@ -133,7 +134,6 @@ def projective_cover(m: CMModuleRep) -> Cover:
     return Cover(tuple(v for v, _ in gens), eps)
 
 
-@dataclass
 class SyzygyData:
     """Kernel of the cover map with its embedding into the cover.
 
@@ -141,9 +141,13 @@ class SyzygyData:
     None and ``embed`` is empty.
     """
 
-    cover: Cover
-    omega: Optional[CMModuleRep]      # kernel, in its own coordinates
-    embed: dict[int, DVRMatrix]      # vertex -> cover-size x omega-rank basis
+    __slots__ = ("cover", "omega", "embed")
+
+    def __init__(self, cover: Cover, omega: Optional[CMModuleRep],
+                 embed: dict[int, DVRMatrix]) -> None:
+        self.cover = cover
+        self.omega = omega  # kernel, in its own coordinates
+        self.embed = embed  # vertex -> cover-size x omega-rank basis
 
     def rotate(self, j: int, n: int) -> "SyzygyData":
         """The syzygy data of the module rotated by j: labels moved, omega a view."""
@@ -227,11 +231,22 @@ def syzygy(m: CMModuleRep) -> CMModuleRep:
     return omega
 
 
-@dataclass(frozen=True)
 class ExtDecomp:
-    """Cyclic decomposition of an extension group over the centre."""
+    """Cyclic decomposition of an extension group over the centre; equal and
+    hashed on its exponents."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple[int, ...]) -> None:
+        self.exponents = exponents
+
+    def __eq__(self, other):
+        if other.__class__ is not ExtDecomp:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self) -> int:
+        return hash(self.exponents)
 
     @property
     def total_dim(self) -> int:
@@ -247,12 +262,13 @@ class ExtDecomp:
         return " ⊕ ".join(parts)
 
 
-@dataclass
 class HomBasis:
     """Free basis of a Hom space, as vertexwise matrices correct modulo t^floor."""
 
-    generators: list[dict[int, DVRMatrix]]
-    floor: int
+    __slots__ = ("generators", "floor")
+
+    def __init__(self, generators: list[dict[int, DVRMatrix]], floor: int) -> None:
+        self.generators, self.floor = generators, floor
 
     @property
     def z_rank(self) -> int:

@@ -13,7 +13,6 @@ the classical rank-1 modules with scalar maps 1 and t.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .dvr import DVRMatrix, ValPoly, _smith
@@ -22,16 +21,25 @@ from .rims import Rim, least_shift, parse_rim, rim, shift as shift_rim
 from .roots import RootVector
 
 
-@dataclass(frozen=True)
 class Profile:
-    """Ordered filtration data, top (quotient) layer first."""
+    """Ordered filtration data, top (quotient) layer first; equal and hashed
+    on its layers."""
 
-    layers: tuple[Rim, ...]
+    __slots__ = ("layers",)
 
-    def __post_init__(self) -> None:
-        ambients = {(r.n, r.k) for r in self.layers}
+    def __init__(self, layers: tuple[Rim, ...]) -> None:
+        ambients = {(r.n, r.k) for r in layers}
         if len(ambients) > 1:
             raise ValueError(f"profile layers disagree on (k, n): {ambients}")
+        self.layers = layers
+
+    def __eq__(self, other):
+        if other.__class__ is not Profile:
+            return NotImplemented
+        return self.layers == other.layers
+
+    def __hash__(self) -> int:
+        return hash(self.layers)
 
     @property
     def n(self) -> int:

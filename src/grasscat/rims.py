@@ -9,33 +9,49 @@ almost consecutive rims.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
 from .errors import MismatchedAmbient, NotAlmostConsecutive
 
 
-@dataclass(frozen=True, order=True)
 class Rim:
-    """A k-subset of Z_n, stored sorted ascending in [1, n]."""
+    """A k-subset of Z_n, stored sorted ascending in [1, n]; equal, hashed
+    and ordered on (n, k, elements)."""
 
-    n: int
-    k: int
-    elements: tuple[int, ...]
+    __slots__ = ("n", "k", "elements")
 
-    def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ValueError(f"ambient size n must be >= 4, got {self.n}")
-        if not 2 <= self.k <= self.n // 2:
-            raise ValueError(f"need 2 <= k <= n/2, got k={self.k}, n={self.n}")
-        elems = self.elements
-        if len(elems) != self.k:
-            raise ValueError(f"expected {self.k} elements, got {len(elems)}")
-        if list(elems) != sorted(set(elems)):
-            raise ValueError(f"elements must be strictly sorted, got {elems}")
-        if elems and not (1 <= elems[0] and elems[-1] <= self.n):
-            raise ValueError(f"elements must lie in [1, {self.n}], got {elems}")
+    def __init__(self, n: int, k: int, elements: tuple[int, ...]) -> None:
+        if n < 4:
+            raise ValueError(f"ambient size n must be >= 4, got {n}")
+        if not 2 <= k <= n // 2:
+            raise ValueError(f"need 2 <= k <= n/2, got k={k}, n={n}")
+        if len(elements) != k:
+            raise ValueError(f"expected {k} elements, got {len(elements)}")
+        if list(elements) != sorted(set(elements)):
+            raise ValueError(f"elements must be strictly sorted, got {elements}")
+        if elements and not (1 <= elements[0] and elements[-1] <= n):
+            raise ValueError(f"elements must lie in [1, {n}], got {elements}")
+        self.n, self.k, self.elements = n, k, elements
+
+    def __eq__(self, other):
+        if other.__class__ is not Rim:
+            return NotImplemented
+        return (self.n, self.k, self.elements) == (other.n, other.k, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.k, self.elements))
+
+    # a > b and a >= b fall back to the reflected b < a and b <= a
+    def __lt__(self, other):
+        if other.__class__ is not Rim:
+            return NotImplemented
+        return (self.n, self.k, self.elements) < (other.n, other.k, other.elements)
+
+    def __le__(self, other):
+        if other.__class__ is not Rim:
+            return NotImplemented
+        return (self.n, self.k, self.elements) <= (other.n, other.k, other.elements)
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self.elements
@@ -110,13 +126,15 @@ def _runs_of(members: set[int], n: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
-@dataclass(frozen=True)
 class SlopeData:
     """Downward slopes (rim runs) and upward slopes (complement runs)."""
 
-    down_intervals: tuple[tuple[int, int], ...]
-    up_intervals: tuple[tuple[int, int], ...]
-    min_slope: int
+    __slots__ = ("down_intervals", "up_intervals", "min_slope")
+
+    def __init__(self, down_intervals: tuple[tuple[int, int], ...],
+                 up_intervals: tuple[tuple[int, int], ...], min_slope: int) -> None:
+        self.down_intervals, self.up_intervals = down_intervals, up_intervals
+        self.min_slope = min_slope
 
 
 def slopes(r: Rim) -> SlopeData:
@@ -240,15 +258,15 @@ def crossing(a: Rim, b: Rim) -> bool:
     return interlacing_degree(a, b) >= 2
 
 
-@dataclass(frozen=True)
 class PairClass:
     """Classification of a rim pair: intersection, interlacing, tightness."""
 
-    intersection_size: int
-    interlacing_degree: int
-    crossing: bool
-    tight: bool
-    poset: Optional[str]
+    __slots__ = ("intersection_size", "interlacing_degree", "crossing", "tight", "poset")
+
+    def __init__(self, intersection_size: int, interlacing_degree: int, crossing: bool,
+                 tight: bool, poset: Optional[str]) -> None:
+        self.intersection_size, self.interlacing_degree = intersection_size, interlacing_degree
+        self.crossing, self.tight, self.poset = crossing, tight, poset
 
 
 def classify_pair(a: Rim, b: Rim) -> PairClass:
@@ -265,7 +283,6 @@ def classify_pair(a: Rim, b: Rim) -> PairClass:
     return PairClass(inter, r, r >= 2, tight, poset)
 
 
-@dataclass(frozen=True)
 class ArMiddle:
     """Middle term of the rim-level AR sequence.
 
@@ -274,10 +291,11 @@ class ArMiddle:
     rank-1 layer ``u``.
     """
 
-    x: Optional[Rim] = None
-    y: Optional[Rim] = None
-    proj_vertex: Optional[int] = None
-    u: Optional[Rim] = None
+    __slots__ = ("x", "y", "proj_vertex", "u")
+
+    def __init__(self, x: Optional[Rim] = None, y: Optional[Rim] = None,
+                 proj_vertex: Optional[int] = None, u: Optional[Rim] = None) -> None:
+        self.x, self.y, self.proj_vertex, self.u = x, y, proj_vertex, u
 
     @property
     def decomposes(self) -> bool:

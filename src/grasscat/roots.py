@@ -8,24 +8,30 @@ and real roots (q = 2); the degree of a root is sum(a)/k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 from typing import Optional
 
 
-@dataclass(frozen=True)
 class RootVector:
-    """Integer vector in the sublattice of Z^n whose coordinate sum k divides."""
+    """Integer vector in the sublattice of Z^n whose coordinate sum k divides;
+    equal and hashed on (entries, k)."""
 
-    entries: tuple[int, ...]
-    k: int
+    __slots__ = ("entries", "k")
 
-    def __post_init__(self) -> None:
-        if sum(self.entries) % self.k != 0:
-            raise ValueError(
-                f"coordinate sum {sum(self.entries)} not divisible by k={self.k}")
+    def __init__(self, entries: tuple[int, ...], k: int) -> None:
+        if sum(entries) % k != 0:
+            raise ValueError(f"coordinate sum {sum(entries)} not divisible by k={k}")
+        self.entries, self.k = entries, k
+
+    def __eq__(self, other):
+        if other.__class__ is not RootVector:
+            return NotImplemented
+        return (self.entries, self.k) == (other.entries, other.k)
+
+    def __hash__(self) -> int:
+        return hash((self.entries, self.k))
 
     @property
     def n(self) -> int:
@@ -40,12 +46,22 @@ class RootVector:
         return RootVector(tuple(self.entries[(i - m) % n] for i in range(n)), self.k)
 
 
-@dataclass(frozen=True)
 class RootCoords:
-    """Coefficients over the simple roots: c_i at node i, d at the extra node."""
+    """Coefficients over the simple roots: c_i at node i, d at the extra node;
+    equal and hashed on (c, d)."""
 
-    c: tuple[int, ...]
-    d: int
+    __slots__ = ("c", "d")
+
+    def __init__(self, c: tuple[int, ...], d: int) -> None:
+        self.c, self.d = c, d
+
+    def __eq__(self, other):
+        if other.__class__ is not RootCoords:
+            return NotImplemented
+        return (self.c, self.d) == (other.c, other.d)
+
+    def __hash__(self) -> int:
+        return hash((self.c, self.d))
 
 
 def q_form(a: RootVector) -> Fraction:

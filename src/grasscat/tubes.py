@@ -12,8 +12,6 @@ multiplicity vector only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib import resources
 from math import lcm
 from pathlib import Path
 from typing import Optional, Union
@@ -30,7 +28,6 @@ from .rims import (Rim, all_rims, ar_middle_profile, interlacing_degree,
                    two_layer_splits)
 
 
-@dataclass(frozen=True)
 class OrbitMember:
     """One module in a syzygy orbit, named by its profiles as far as its
     rank allows: a rank-1 member by the one-layer profile of its rim, a
@@ -39,9 +36,20 @@ class OrbitMember:
     identified members are equal exactly when their modules are
     isomorphic, the others when their ranks and a-vectors agree."""
 
-    rank: int
-    a_vec: tuple[int, ...]
-    profiles: tuple[Profile, ...] = ()
+    __slots__ = ("rank", "a_vec", "profiles")
+
+    def __init__(self, rank: int, a_vec: tuple[int, ...],
+                 profiles: tuple[Profile, ...] = ()) -> None:
+        self.rank, self.a_vec, self.profiles = rank, a_vec, profiles
+
+    def __eq__(self, other):
+        if other.__class__ is not OrbitMember:
+            return NotImplemented
+        return (self.rank, self.a_vec, self.profiles) == (other.rank, other.a_vec,
+                                                          other.profiles)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.a_vec, self.profiles))
 
     def label(self) -> str:
         if self.profiles:
@@ -54,15 +62,21 @@ class OrbitMember:
                            tuple(sorted((p.shift(m) for p in self.profiles), key=Profile.label)))
 
 
-@dataclass
 class TauOrbit:
-    """Members of one syzygy orbit, in translation order."""
+    """Members of one syzygy orbit, in translation order; equal when their
+    ambients, members and periods are."""
 
-    k: int
-    n: int
-    v: int
-    members: list[OrbitMember]
-    period: int
+    __slots__ = ("k", "n", "v", "members", "period")
+
+    def __init__(self, k: int, n: int, v: int, members: list[OrbitMember],
+                 period: int) -> None:
+        self.k, self.n, self.v, self.members, self.period = k, n, v, members, period
+
+    def __eq__(self, other):
+        if other.__class__ is not TauOrbit:
+            return NotImplemented
+        return ((self.k, self.n, self.v, self.members, self.period)
+                == (other.k, other.n, other.v, other.members, other.period))
 
     def rotate(self, m: int) -> "TauOrbit":
         """The orbit of the seed rotated by m: every member rotated."""
@@ -161,18 +175,20 @@ def _divisors(m: int) -> list[int]:
     return [d for d in range(1, m + 1) if m % d == 0]
 
 
-@dataclass
 class ARSequence:
     """Verified data of the AR sequence starting at an a.c. rim."""
 
-    left: Rim
-    right: Rim
-    middle_profile: Optional[Profile]
-    middle_projective_vertex: Optional[int]
-    middle_extra_layer: Optional[Rim]
-    middle_rigid: bool
-    middle_indecomposable: bool
-    exact: bool
+    __slots__ = ("left", "right", "middle_profile", "middle_projective_vertex",
+                 "middle_extra_layer", "middle_rigid", "middle_indecomposable", "exact")
+
+    def __init__(self, left: Rim, right: Rim, middle_profile: Optional[Profile],
+                 middle_projective_vertex: Optional[int], middle_extra_layer: Optional[Rim],
+                 middle_rigid: bool, middle_indecomposable: bool, exact: bool) -> None:
+        self.left, self.right, self.middle_profile = left, right, middle_profile
+        self.middle_projective_vertex = middle_projective_vertex
+        self.middle_extra_layer = middle_extra_layer
+        self.middle_rigid, self.middle_indecomposable = middle_rigid, middle_indecomposable
+        self.exact = exact
 
     def middle_label(self) -> str:
         if self.middle_profile is not None:
@@ -220,26 +236,29 @@ def ar_sequence(r: Rim, trunc: Optional[int] = None) -> ARSequence:
 # tube census with figure fixtures
 
 
-@dataclass
 class FixtureCheck:
-    tube: str
-    row: int
-    status: str          # matched / membership-ok / skipped-unseeded / MISMATCH
-    detail: str = ""
+    __slots__ = ("tube", "row", "status", "detail")
+
+    def __init__(self, tube: str, row: int, status: str, detail: str = "") -> None:
+        self.tube, self.row = tube, row
+        self.status = status  # matched / membership-ok / skipped-unseeded / MISMATCH
+        self.detail = detail
 
 
-@dataclass
 class TubeCensusReport:
-    k: int
-    n: int
-    v: int
-    banner: Optional[str]
-    orbits: list[TauOrbit]
-    families: dict[str, list[int]]        # canonical family key -> orbit indices
-    periods: dict[int, int]               # period -> orbit count
-    mouth_family_periods: dict[int, int]  # from fixture-matched mouth rows
-    fixture_checks: list[FixtureCheck] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("k", "n", "v", "banner", "orbits", "families", "periods",
+                 "mouth_family_periods", "fixture_checks", "notes")
+
+    def __init__(self, k: int, n: int, v: int, banner: Optional[str],
+                 orbits: list[TauOrbit], families: dict[str, list[int]],
+                 periods: dict[int, int], mouth_family_periods: dict[int, int],
+                 notes: list[str]) -> None:
+        self.k, self.n, self.v, self.banner, self.orbits = k, n, v, banner, orbits
+        self.families = families      # canonical family key -> orbit indices
+        self.periods = periods        # period -> orbit count
+        self.mouth_family_periods = mouth_family_periods  # from fixture-matched mouth rows
+        self.fixture_checks: list[FixtureCheck] = []
+        self.notes = notes
 
     def to_json_dict(self) -> dict:
         return {
@@ -262,9 +281,8 @@ TAME_PAIRS = ((3, 9), (4, 8))
 def _load_fixture(k: int, n: int) -> Optional[dict]:
     name = f"tubes_{k}_{n}.json"
     try:
-        path = resources.files("grasscat.fixtures").joinpath(name)
-        return json.loads(path.read_text())
-    except (FileNotFoundError, ModuleNotFoundError):
+        return json.loads((Path(__file__).with_name("fixtures") / name).read_text())
+    except FileNotFoundError:
         return None
 
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from grasscat.census import RANK3_LITERATURE, run_census
+from grasscat.census import RANK3_LITERATURE, run_census, verify_conjectures
 from grasscat.homology import _ext1_once
 from grasscat.modules import (Profile, build_layered, build_rank1,
                               identify_rank1, validate_relations)
@@ -19,7 +19,7 @@ from grasscat.rims import (all_rims, classify_pair, crossing,
                            is_projective, peaks, rim, shift, slopes,
                            syzygy_rim)
 from grasscat.roots import enumerate_degree2_real_roots
-from grasscat.tubes import ar_sequence
+from grasscat.tubes import ar_sequence, tube_census
 
 
 def _line(num: int, ok: bool, text: str) -> None:
@@ -282,3 +282,39 @@ def test_criterion_9_substituted_properties(census_reports):
           "rank-3 counts 117/82 recorded as unverified fixtures; "
           "homogeneous-tube claims and the translate identification are "
           "covered by the invariant suites (criteria 2 and 8) instead")
+
+
+# Past the tame pairs the paper stops at: counts this program computes, which
+# no literature checks.  Kept apart from census.CENSUS_TABLE, the paper's values.
+COMPUTED_CENSUS_TABLE = {
+    (4, 9): {"rank1": 126, "rank2_rigid": 576, "real": 504, "imaginary": 72},
+    (3, 10): {"rank1": 120, "rank2_rigid": 420, "real": 420, "imaginary": 0},
+}
+
+
+@pytest.fixture(scope="module")
+def wild_census_reports():
+    return {pair: run_census(*pair) for pair in COMPUTED_CENSUS_TABLE}
+
+
+def test_criterion_6_computed_censuses_past_the_tame_pairs(wild_census_reports):
+    for pair, counts in COMPUTED_CENSUS_TABLE.items():
+        rep = wild_census_reports[pair]
+        assert rep.counts() == counts, pair
+        assert rep.fixture_diffs == [], pair
+        verdicts = verify_conjectures(*pair, report=rep).verdicts()
+        assert all(verdicts.values()), (pair, verdicts)
+    _line(6, True,
+          "computed censuses 576 = 504 + 72 at (4,9) and 420 = 420 + 0 at (3,10), "
+          "every conjecture check true")
+
+
+def test_criterion_8_periodicity_past_the_tame_pairs(wild_census_reports):
+    rep = tube_census(3, 10, census_report=wild_census_reports[(3, 10)])
+    members = [m for o in rep.orbits for m in o.members]
+    assert 2 * rep.v == 20
+    assert rep.periods == {20: 35}
+    assert len(members) == 700
+    assert sum(1 for m in members if not m.profiles) == 170
+    _line(8, True, "35 orbits at (3,10), all of period 2v = 20, with 170 of "
+                   "their 700 members unidentified")

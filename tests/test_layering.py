@@ -1,6 +1,7 @@
 """Imports of grasscat modules sit at module top, in layer order, every
 name the package defines is used, and used by the package itself unless it
-is on an allow-list, and the unchecked constructors stay in ``dvr``.
+is on an allow-list, the unchecked constructors stay in ``dvr``, and
+starting a command loads no code-generating or resource-loading module.
 
 One kind of function-local import is allowed: the CLI's per-subcommand
 imports, which keep ``import grasscat.cli`` from loading the computational
@@ -8,6 +9,9 @@ layers.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -284,3 +288,36 @@ def test_detects_a_hand_written_rotation_memo(tmp_path):
         "class TauOrbit:\n    def rotate(self, p):\n        return least_shift(p), least_shift\n")
     assert least_shift_callers(tmp_path) == [
         ROTATION_MEMO, "tubes.walk_orbits", "tubes.<module>", "tubes.TauOrbit"]
+
+
+# standard modules a command must not load while it starts: dataclasses
+# writes each record's methods with exec and imports inspect, and
+# importlib.resources is a slow way to read the two fixture files
+START_UP_FORBIDDEN = ("dataclasses", "inspect", "importlib.resources")
+START_UP_IMPORTS = ("grasscat.cli", "grasscat.census", "grasscat.tubes")
+
+
+def start_up_modules(src: Path = PACKAGE.parent,
+                     imports: tuple[str, ...] = START_UP_IMPORTS) -> list[str]:
+    """The START_UP_FORBIDDEN modules loaded by importing ``imports`` from
+    ``src`` in a fresh interpreter run without ``site`` (``python -S``),
+    since a ``.pth`` file may load some of them before any import."""
+    code = "".join(f"import {m}\n" for m in imports) + (
+        f"import sys\nprint(*(m for m in {START_UP_FORBIDDEN!r} if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    return done.stdout.split()
+
+
+def test_start_up_loads_no_forbidden_module():
+    assert start_up_modules() == []
+
+
+def test_detects_a_forbidden_start_up_module(tmp_path):
+    package = tmp_path / "grasscat"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "census.py").write_text("from dataclasses import dataclass\n")
+    (package / "tubes.py").write_text("from importlib import resources\n")
+    assert start_up_modules(tmp_path, ("grasscat.census",)) == ["dataclasses", "inspect"]
+    assert start_up_modules(tmp_path, ("grasscat.tubes",)) == ["importlib.resources"]
