@@ -230,20 +230,17 @@ def _fixture_diffs(report: CensusReport) -> list[str]:
 
 
 class ConjectureReport:
-    __slots__ = ("k", "n", "tight_pairs_all_rigid", "tight_pair_failures",
-                 "r_ge_4_all_nonrigid", "r_ge_4_failures", "real_count_matches_formula",
-                 "real_count", "formula_count")
+    __slots__ = ("k", "n", "tight_pairs_all_rigid", "r_ge_4_all_nonrigid",
+                 "real_count_matches_formula", "formula_count")
 
     def __init__(self, k: int, n: int, tight_pairs_all_rigid: bool,
-                 tight_pair_failures: list[str], r_ge_4_all_nonrigid: bool,
-                 r_ge_4_failures: list[str], real_count_matches_formula: bool,
-                 real_count: int, formula_count: int) -> None:
+                 r_ge_4_all_nonrigid: bool, real_count_matches_formula: bool,
+                 formula_count: int) -> None:
         self.k, self.n = k, n
         self.tight_pairs_all_rigid = tight_pairs_all_rigid
-        self.tight_pair_failures = tight_pair_failures
-        self.r_ge_4_all_nonrigid, self.r_ge_4_failures = r_ge_4_all_nonrigid, r_ge_4_failures
+        self.r_ge_4_all_nonrigid = r_ge_4_all_nonrigid
         self.real_count_matches_formula = real_count_matches_formula
-        self.real_count, self.formula_count = real_count, formula_count
+        self.formula_count = formula_count
 
     def verdicts(self) -> dict[str, bool]:
         return {
@@ -257,24 +254,15 @@ def verify_conjectures(k: int, n: int, *, report: Optional[CensusReport] = None,
                        trunc: Optional[int] = None) -> ConjectureReport:
     """Check the three counting statements across one ambient."""
     report = report or run_census(k, n, trunc=trunc)
-    tight_failures = []
-    r4_failures = []
-    for (a, b), ok in report.candidate_verdicts.items():
-        cls = classify_pair(a, b)
-        if cls.tight and not ok:
-            tight_failures.append(f"{a}|{b}")
-        if cls.interlacing_degree >= 4 and ok:
-            r4_failures.append(f"{a}|{b}")
+    verdicts = [(classify_pair(a, b), ok) for (a, b), ok in report.candidate_verdicts.items()]
     real = sum(1 for e in report.rank2_rigid if e.classification == "real")
     formula = expected_rigid_rank2_count(k, n)
     return ConjectureReport(
         k=k, n=n,
-        tight_pairs_all_rigid=not tight_failures,
-        tight_pair_failures=tight_failures,
-        r_ge_4_all_nonrigid=not r4_failures,
-        r_ge_4_failures=r4_failures,
+        tight_pairs_all_rigid=all(ok for cls, ok in verdicts if cls.tight),
+        r_ge_4_all_nonrigid=not any(ok for cls, ok in verdicts if cls.interlacing_degree >= 4),
         real_count_matches_formula=(real == formula) if not report.sampled else False,
-        real_count=real, formula_count=formula)
+        formula_count=formula)
 
 
 def negative_control_48(trunc: Optional[int] = None) -> dict:

@@ -241,10 +241,9 @@ def cmd_roots(args) -> int:
 
 def cmd_census(args) -> int:
     from .census import run_census, verify_conjectures
-    sample = args.sample if args.sample is not None else None
-    full = sample is None
+    full = args.sample is None
     rep = run_census(args.k, args.n, trunc=_truncation(args, args.n),
-                     sample=sample,
+                     sample=args.sample,
                      cache_dir=args.out if full else None,
                      refresh=args.refresh, progress=not args.json)
     if args.orbits and full:

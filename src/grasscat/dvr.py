@@ -6,8 +6,8 @@ form uses minimal-t-valuation pivoting (every minimal-valuation entry of a
 matrix over a DVR divides all the others), which keeps every elimination
 step exact modulo t^N.  ``_smith`` returns one factorisation object,
 ``Smith``, that records the transformation matrices; kernels, kernel
-coordinates and solutions for any number of right-hand sides are read off
-it, so each matrix is factored once however often it is solved against.
+coordinates and sections are read off it, so each matrix is factored once
+however often it is read.
 
 Precision is tracked by one integer per computed object, its floor: a
 matrix with floor P <= N is correct modulo t^P, and its coefficients in
@@ -15,10 +15,10 @@ degrees P .. N-1 carry no information.  The Smith form commutes with
 reduction modulo t^P, so every pivot exponent below the floor is a true
 elementary divisor, and the Schur complements of minimal-valuation
 pivoting are as precise as the matrix.  The transforms divide by the
-pivots, so each read of a factorisation (kernel, coordinates, solve)
+pivots, so each read of a factorisation (kernel, coordinates, section)
 loses at most the largest pivot exponent, ``Smith.loss``.  Callers carry
 the floors; ``Smith.certify`` checks the exponents against one, and
-``coordinates`` and ``solve`` decide membership modulo t^(floor - loss).
+``coordinates`` decides membership modulo t^(floor - loss).
 
 ``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared,
 and arithmetic may return an operand unchanged (``p + 0`` is ``p``).  The
@@ -327,7 +327,8 @@ class Smith:
 
     S is zero except for t^e in diagonal place i < ``npivots``, where e is
     ``exponents[i]``; ``V_inv`` is the inverse of V.  U is None when the
-    factorisation was made without it, which leaves ``solve`` unavailable.
+    factorisation was made without it, which leaves ``splitting`` and
+    ``solve`` unavailable.
     One factorisation serves every kernel read and right-hand side of A.
     """
 

@@ -18,10 +18,11 @@ Hom(M, N) is the kernel of the map Hom(P0, N) -> Hom(P1, N): the Hom
 condition, imposed only at the syzygy's top generators, which generate
 it.  Ext^1(M, N) is the torsion of its cokernel, read off the one
 certified Smith form that ``hom_space`` and ``is_isomorphic`` factor too;
-an extension's classes are lifted off its row transform, with no second step.
-Writing out a Hom basis or an extension middle vertexwise does solve
-linear systems; each function factors every matrix it solves against once
-and solves all of its right-hand sides from that one factorisation.
+an extension's classes are lifted off it and the condition itself, with no
+second step and no row transform.  Each cover map is factored once, when
+the module is covered: the syzygy, the vertex matrices of a Hom basis and
+an extension middle read its kernel, coordinates and section from that one
+factorisation, and no linear system is solved.
 
 Every computed module and Hom basis carries a precision floor (see
 ``dvr``), and every rank that theory fixes is checked with
@@ -97,13 +98,16 @@ def _top_generators(m: CMModuleRep, v: int) -> list[int]:
 
 
 class Cover:
-    """Minimal projective cover data: one summand per top generator."""
+    """Minimal projective cover data: one summand per top generator, and the
+    one Smith factorisation, with U, of the cover map at each vertex."""
 
-    __slots__ = ("vertices", "eps")
+    __slots__ = ("vertices", "eps", "smith")
 
-    def __init__(self, vertices: tuple[int, ...], eps: dict[int, DVRMatrix]) -> None:
+    def __init__(self, vertices: tuple[int, ...], eps: dict[int, DVRMatrix],
+                 smith: dict[int, Smith]) -> None:
         self.vertices = vertices  # cover vertex of each summand
         self.eps = eps            # vertex w -> s x c evaluation matrix
+        self.smith = smith        # vertex w -> factorisation of eps[w]
 
     @property
     def size(self) -> int:
@@ -113,7 +117,8 @@ class Cover:
         """The cover of the module rotated by j: the same summands, relabelled."""
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
         return Cover(tuple(turn[v] for v in self.vertices),
-                     {turn[w]: e for w, e in self.eps.items()})
+                     {turn[w]: e for w, e in self.eps.items()},
+                     {turn[w]: sm for w, sm in self.smith.items()})
 
 
 def _root_cover(m: CMModuleRep) -> Cover:
@@ -126,12 +131,21 @@ def _root_cover(m: CMModuleRep) -> Cover:
 
 def projective_cover(m: CMModuleRep) -> Cover:
     """Minimal cover: projectives at the top vertices, in ``top_generators``
-    order, mapped by evaluation."""
+    order, mapped by evaluation, each vertex's map factored once with U.
+
+    The cover map is surjective, so its factorisations have unit pivots and
+    lose no precision: the syzygy, the Hom maps and the pushout read their
+    kernels, coordinates and sections at the module's floor.
+    """
     gens = top_generators(m)
-    eps = {w: DVRMatrix.from_columns([m.path_matrix(v, w).column(idx) for v, idx in gens],
-                                     m.s, m.trunc)
-           for w in range(1, m.n + 1)}
-    return Cover(tuple(v for v, _ in gens), eps)
+    eps, smith = {}, {}
+    for w in range(1, m.n + 1):
+        eps[w] = DVRMatrix.from_columns([m.path_matrix(v, w).column(idx) for v, idx in gens],
+                                        m.s, m.trunc)
+        smith[w] = _smith(eps[w])
+        if smith[w].npivots != m.s or smith[w].loss:
+            raise AssertionError(f"cover map not surjective at vertex {w}")
+    return Cover(tuple(v for v, _ in gens), eps, smith)
 
 
 class SyzygyData:
@@ -162,9 +176,9 @@ def syzygy_data(m: CMModuleRep) -> SyzygyData:
 
     The result is cached on the module, which is immutable, so every
     caller shares one computation per module object; a view (see
-    ``CMModuleRep.rotate``) caches its root's, relabelled.  The cover map
-    is surjective, so its factorisations have unit pivots, lose no
-    precision, and the syzygy keeps the module's floor.
+    ``CMModuleRep.rotate``) caches its root's, relabelled.  The kernel and
+    the coordinates in it come from the cover's own factorisations, which
+    lose no precision, so the syzygy keeps the module's floor.
     """
     try:
         return m._syzygy
@@ -179,24 +193,15 @@ def syzygy_data(m: CMModuleRep) -> SyzygyData:
     if c == m.s:
         m._syzygy = SyzygyData(cover, None, {})
         return m._syzygy
-    n, trunc = m.n, m.trunc
-    embed: dict[int, DVRMatrix] = {}
-    smith: dict[int, Smith] = {}
-    r = c - m.s
-    for w in range(1, n + 1):
-        sm = smith[w] = _smith(cover.eps[w], need_u=False)
-        if sm.npivots != m.s or sm.loss:
-            raise AssertionError(f"cover map not surjective at vertex {w}")
-        embed[w] = sm.kernel()
-        if embed[w].cols != r:
-            raise AssertionError("kernel rank varies across vertices")
+    n = m.n
+    embed = {w: sm.kernel() for w, sm in cover.smith.items()}
     x_omega, y_omega = {}, {}
     for v in range(1, n + 1):
         w = (v - 2) % n + 1
-        x_omega[v] = _induced_map(m, cover, embed, smith, v, w, v, forward=True)
-        y_omega[v] = _induced_map(m, cover, embed, smith, v, v, w, forward=False)
-    m._syzygy = SyzygyData(cover, CMModuleRep(n, m.k, r, x_omega, y_omega, trunc, m.floor),
-                           embed)
+        x_omega[v] = _induced_map(m, cover, embed, v, w, v, forward=True)
+        y_omega[v] = _induced_map(m, cover, embed, v, v, w, forward=False)
+    m._syzygy = SyzygyData(cover, CMModuleRep(n, m.k, c - m.s, x_omega, y_omega, m.trunc,
+                                              m.floor), embed)
     return m._syzygy
 
 
@@ -212,7 +217,7 @@ def _cover_edge_scalars(m: CMModuleRep, cover: Cover, edge: int, forward: bool) 
     return out
 
 
-def _induced_map(m: CMModuleRep, cover: Cover, embed, smith, edge: int,
+def _induced_map(m: CMModuleRep, cover: Cover, embed, edge: int,
                  src: int, dst: int, forward: bool) -> DVRMatrix:
     """Restriction of a cover structure map to the kernel submodule."""
     scalars = _cover_edge_scalars(m, cover, edge, forward)
@@ -220,7 +225,7 @@ def _induced_map(m: CMModuleRep, cover: Cover, embed, smith, edge: int,
     moved = DVRMatrix(
         [[scalars[i] * src_mat.data[i][j] for j in range(src_mat.cols)]
          for i in range(src_mat.rows)], m.trunc, cols=src_mat.cols)
-    return smith[dst].coordinates(moved, m.floor)
+    return cover.smith[dst].coordinates(moved, m.floor)
 
 
 def syzygy(m: CMModuleRep) -> CMModuleRep:
@@ -295,11 +300,10 @@ def _relation_rows(m: CMModuleRep, n_rep: CMModuleRep) -> DVRMatrix:
     return DVRMatrix(rows, m.trunc, cols=syz.cover.size * sN)
 
 
-def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep,
-                   need_u: bool = False) -> tuple[Smith, int]:
-    """Factorisation of the condition for cover-generator images to define a
-    map m -> n, and the condition's floor; its kernel's is ``loss`` less.
-    The row transform U is kept only on request (see ``_extension_classes``).
+def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int, DVRMatrix]:
+    """Factorisation, without U, of the condition for cover-generator images
+    to define a map m -> n, the condition's floor (its kernel's is ``loss``
+    less) and the condition itself, from which ``_extension_classes`` lifts.
 
     A map is determined by the images in n of m's cover generators, and it
     descends to m exactly when they kill the syzygy Omega, that is, when
@@ -318,9 +322,9 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep,
     """
     rows = _relation_rows(m, n_rep)
     floor = min(m.floor, n_rep.floor)
-    sm = _smith(rows, need_u)
+    sm = _smith(rows, need_u=False)
     sm.certify(floor, rows.cols - m.s * n_rep.s, f"Hom condition of ranks {m.s}, {n_rep.s}")
-    return sm, floor
+    return sm, floor, rows
 
 
 def _vertex_maps(cover: Cover, n_rep: CMModuleRep, images: DVRMatrix,
@@ -329,28 +333,30 @@ def _vertex_maps(cover: Cover, n_rep: CMModuleRep, images: DVRMatrix,
     cover-generator images are the columns of ``images``, generator i's
     image in rows i*sN .. (i+1)*sN - 1, all correct modulo t^floor.
 
-    At each vertex w a map f satisfies f eps_w = (paths[i] @ xi_i)_i; its
-    transpose is solved for every map from one factorisation of the
-    transposed cover evaluation.  The cover map has unit pivots (see
-    ``syzygy_data``), so this loses nothing.
+    At each vertex w a map f satisfies f eps_w = G_w, whose column i is
+    paths[i] @ xi_i, so f = G_w sigma_w for the section sigma_w of the
+    cover's factorisation (``Smith.splitting``): a product, for every map
+    at once.  Images that define no map are caught where G_w does not
+    vanish on the kernel of eps_w modulo t^floor.  The cover map has unit
+    pivots (see ``projective_cover``), so this loses nothing.
     """
     c, sN, trunc = cover.size, n_rep.s, n_rep.trunc
     ngen = images.cols
     maps: list[dict[int, DVRMatrix]] = [{} for _ in range(ngen)]
     xi = [DVRMatrix(images.data[i * sN:(i + 1) * sN], trunc, cols=ngen) for i in range(c)]
     for w in vertices:
-        eps = cover.eps[w]
+        sm = cover.smith[w]
         paths = [n_rep.path_matrix(v, w) for v in cover.vertices]
-        # one column per (map j, row a of f)
         moved = [paths[i] @ xi[i] for i in range(c)]
-        rhs = DVRMatrix([[moved[i].data[a][j] for j in range(ngen) for a in range(sN)]
-                         for i in range(c)], trunc, cols=ngen * sN)
-        f_t = _smith(eps.transpose()).solve(rhs, floor)
-        if f_t is None:
+        # G_w of every map, stacked: one row per (map j, row a of f)
+        g = DVRMatrix([[moved[i].data[a][j] for i in range(c)]
+                       for j in range(ngen) for a in range(sN)], trunc, cols=c)
+        if any(e.coeffs and min(e.coeffs) < floor for row in (g @ sm.kernel()).data
+               for e in row):
             raise TruncationUnstable(f"hom evaluation not solvable at vertex {w}")
-        for j, f in enumerate(maps):
-            f[w] = DVRMatrix([f_t.column(j * sN + a) for a in range(sN)], trunc,
-                             cols=eps.rows)
+        f = g @ sm.splitting()[0]
+        for j, fmap in enumerate(maps):
+            fmap[w] = DVRMatrix(f.data[j * sN:(j + 1) * sN], trunc, cols=f.cols)
     return maps
 
 
@@ -363,7 +369,7 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     the maps out vertexwise.  The cover and the syzygy come from m's cached
     ``syzygy_data``.
     """
-    sm, floor = _hom_condition(m, n_rep)
+    sm, floor, _ = _hom_condition(m, n_rep)
     floor -= sm.loss
     return HomBasis(_vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(),
                                  range(1, m.n + 1), floor), floor)
@@ -380,7 +386,7 @@ def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
     tors(F / L) = Hom(Omega, N) / L = Ext^1(m, n).  ``_hom_condition``
     certifies every exponent below the floor, with no ``loss`` subtracted.
     """
-    sm, _ = _hom_condition(m, n_rep)
+    sm, _, _ = _hom_condition(m, n_rep)
     return tuple(e for e in sm.exponents if e > 0)
 
 
@@ -472,7 +478,7 @@ def _isomorphic_given_a_vectors(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     condition is certified (see ``_hom_condition``), so its kernel is
     correct mod t and only vertex 1 is written out.
     """
-    sm, floor = _hom_condition(m, n_rep)
+    sm, floor, _ = _hom_condition(m, n_rep)
     basis = _vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(), (1,), floor - sm.loss)
     return bool(_det_poly_mod_t([gen[1].mod_t() for gen in basis], m.s))
 
@@ -497,38 +503,35 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
 
 
 def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
-                       ) -> Optional[tuple[SyzygyData, list[dict[int, DVRMatrix]], int,
-                                           dict[int, tuple[DVRMatrix, DVRMatrix]]]]:
+                       ) -> Optional[tuple[SyzygyData, list[dict[int, DVRMatrix]], int]]:
     """The top's syzygy data, one map Omega -> bottom per nonzero cyclic
-    factor of Ext^1, their floor, and the splitting of the top's cover map
-    at each vertex (see ``_pushout``); None when every extension splits.
+    factor of Ext^1, and their floor; None when every extension splits.
 
     Ext^1 is the torsion of the cokernel of the Hom condition R, which maps
     into F = Hom(P1, N) (see ``_ext1_once``), so its factors are the
     positive exponents e_i of the certified Smith form U R V = S.  Factor i
-    is generated by U^-1 e_i, which lies in Hom(Omega, N): t^e_i U^-1 e_i =
-    R V e_i lies in the image of R, and Hom(Omega, N) is saturated in F.
-    Its entries are the images of Omega's top generators, written out by
-    ``_vertex_maps`` over Omega's cover (Omega is not resolved); every lift
-    is solved from one factorisation of the invertible U, losing nothing.
+    is generated by U^-1 e_i = R V e_i / t^e_i, which lies in Hom(Omega, N):
+    t^e_i times it lies in the image of R, and Hom(Omega, N) is saturated
+    in F.  So each class is R V e_i divided exactly by t^e_i, known modulo
+    t^(floor - e_i), and U is never formed.  Its entries are the images of
+    Omega's top generators, written out by ``_vertex_maps`` over Omega's
+    cover (Omega is not resolved).
     """
     syz = syzygy_data(top_rep)
     if syz.omega is None:  # projective top
         return None
-    sm, floor = _hom_condition(top_rep, bot_rep, need_u=True)
-    targets = [i for i, e in enumerate(sm.exponents) if e > 0]
+    sm, floor, rows = _hom_condition(top_rep, bot_rep)
+    targets = [(i, e) for i, e in enumerate(sm.exponents) if e > 0]
     if not targets:
         return None
+    N = top_rep.trunc
+    images = rows @ DVRMatrix.from_columns([sm.V.column(i) for i, _ in targets], sm.cols, N)
+    pivots = [ValPoly.monomial(1, e, N) for _, e in targets]
+    lifts = DVRMatrix([[x.exact_div(p) for x, p in zip(row, pivots)] for row in images.data],
+                      N, cols=len(targets))
     floor -= sm.loss
-    eye = DVRMatrix.identity(sm.U.rows, top_rep.trunc)
-    lifts = _smith(sm.U).solve(DVRMatrix.from_columns(
-        [eye.column(i) for i in targets], eye.rows, eye.trunc), floor)
-    if lifts is None:
-        raise TruncationUnstable("could not lift the extension classes")
     maps = _vertex_maps(_root_cover(syz.omega), bot_rep, lifts, range(1, top_rep.n + 1), floor)
-    # syzygy_data's factorisations again, now with U: the same V, so each
-    # retraction is a left inverse of syz.embed
-    return syz, maps, floor, {v: _smith(eps).splitting() for v, eps in syz.cover.eps.items()}
+    return syz, maps, floor
 
 
 def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
@@ -537,30 +540,31 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
     weighted by weights[p % len(weights)]; the direct sum when there are none."""
     if classes is None:
         return direct_sum(top_rep, bot_rep)
-    syz, maps, floor, splits = classes
+    syz, maps, floor = classes
     N = top_rep.trunc
     scalars = [ValPoly.monomial(weights[p % len(weights)], 0, N) for p in range(len(maps))]
     f = {v: sum((g[v].scale(c) for g, c in zip(maps, scalars)),
                 DVRMatrix.zeros(bot_rep.s, syz.omega.s, N))
          for v in range(1, top_rep.n + 1)}
-    return _pushout(top_rep, bot_rep, syz, f, floor, splits)
+    return _pushout(top_rep, bot_rep, syz, f, floor)
 
 
 def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
-             f: dict[int, DVRMatrix], floor: int,
-             splits: dict[int, tuple[DVRMatrix, DVRMatrix]]) -> CMModuleRep:
+             f: dict[int, DVRMatrix], floor: int) -> CMModuleRep:
     """The middle E of the extension of top by bottom with class f: Omega ->
     bottom, on the basis of bottom, then top, correct modulo t^floor.
 
     E is the pushout (bottom + P0) / {(f w, -w)} of the top's cover P0.  At
     vertex v, the section sigma_v and retraction rho_v of the cover map
-    eps_v (``splits[v]``) split P0 as Omega + top, and (b, p) -> (b + f_v
+    eps_v (``Smith.splitting`` of the cover's factorisation, whose V gives
+    ``syz.embed`` too) split P0 as Omega + top, and (b, p) -> (b + f_v
     rho_v p, eps_v p) identifies E_v with bottom_v + top_v.  A cover map A
     (``_cover_edge_scalars``) from v to u becomes [[bottom's map, f_u rho_u
     A sigma_v], [0, top's map]], since eps_u A sigma_v is top's.  The cover
     map has unit pivots, so nothing is lost.
     """
     n, N, s = top_rep.n, top_rep.trunc, top_rep.s
+    splits = {v: sm.splitting() for v, sm in syz.cover.smith.items()}
 
     def structure_map(edge: int, src: int, dst: int, forward: bool,
                       bot_map: DVRMatrix, top_map: DVRMatrix) -> DVRMatrix:

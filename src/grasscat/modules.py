@@ -84,11 +84,12 @@ class CMModuleRep:
     caches hang off a root, each set on first use: ``_paths``
     (``path_matrix``), ``_syzygy`` (the one ``homology.syzygy_data``
     result, read by Hom, Ext, extension middles and orbit steps), ``_cover``
-    (its projective cover, which extension classes read off the top's
-    syzygy without resolving it), ``_avec`` (``rep_a_vector``) and ``_top``
-    (``homology.top_generators``: the (vertex, basis index) pairs spanning
-    the top, which the cover, the top multiset and the Hom condition
-    read).  A view reads its root's
+    (its projective cover with the one factorisation of each cover map,
+    which the syzygy, Hom maps and pushouts read, and which extension
+    classes read off the top's syzygy without resolving it), ``_avec``
+    (``rep_a_vector``) and ``_top`` (``homology.top_generators``: the
+    (vertex, basis index) pairs spanning the top, which the cover, the top
+    multiset and the Hom condition read).  A view reads its root's
     (``unrotated``), filling them if needed, relabels the result and stores
     only its relabelled copy of the root's syzygy.
     """

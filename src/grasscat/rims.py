@@ -259,28 +259,20 @@ def crossing(a: Rim, b: Rim) -> bool:
 
 
 class PairClass:
-    """Classification of a rim pair: intersection, interlacing, tightness."""
+    """Classification of a rim pair: interlacing degree and tightness."""
 
-    __slots__ = ("intersection_size", "interlacing_degree", "crossing", "tight", "poset")
+    __slots__ = ("interlacing_degree", "tight")
 
-    def __init__(self, intersection_size: int, interlacing_degree: int, crossing: bool,
-                 tight: bool, poset: Optional[str]) -> None:
-        self.intersection_size, self.interlacing_degree = intersection_size, interlacing_degree
-        self.crossing, self.tight, self.poset = crossing, tight, poset
+    def __init__(self, interlacing_degree: int, tight: bool) -> None:
+        self.interlacing_degree, self.tight = interlacing_degree, tight
 
 
 def classify_pair(a: Rim, b: Rim) -> PairClass:
-    """Intersection size, interlacing degree r, crossing and tightness.
-
-    The pair is tight when r = 3 and the intersection has k - 3 elements;
-    the quotient poset of the two-layer module is (1^r, 2) for r >= 1.
-    """
+    """Interlacing degree r and tightness: the pair is tight when r = 3
+    and the intersection has k - 3 elements."""
     _check_ambient(a, b)
-    inter = len(set(a.elements) & set(b.elements))
     r = interlacing_degree(a, b)
-    tight = r == 3 and inter == a.k - 3
-    poset = f"(1^{r},2)" if r >= 1 else None
-    return PairClass(inter, r, r >= 2, tight, poset)
+    return PairClass(r, r == 3 and len(set(a.elements) & set(b.elements)) == a.k - 3)
 
 
 class ArMiddle:

@@ -509,14 +509,14 @@ class TestRank2Walk:
         # the ends are the shared rank-1 modules that ext1 reads too
         assert top.trunc == 16
         assert top is build_rank1(a, 16) and bottom is build_rank1(b, 16)
-        # the classes are lifted off the ends' Hom condition, factored once
-        # with its row transform U; the self-Ext checks of the middles read
-        # their Hom conditions without it
-        lifted = [(args, sm) for args, (sm, _) in conditions if sm.U is not None]
-        assert len(lifted) == 1 and lifted[0][0][:2] == (top, bottom)
-        # U is factored once, for every lift
-        transform = lifted[0][1].U
-        assert sum(matrix is transform for (matrix, *_), _ in factored) == 1
+        # the classes are lifted off the ends' Hom condition, read once; no
+        # Hom condition is factored with its row transform U
+        assert [args[:2] for args, _ in conditions].count((top, bottom)) == 1
+        assert all(sm.U is None for _, (sm, *_) in conditions)
+        # and no factorisation's U is ever factored itself
+        transforms = [sm.U for _, sm in factored if sm.U is not None]
+        assert transforms
+        assert not any(matrix is u for (matrix, *_), _ in factored for u in transforms)
         # the top's syzygy is never resolved: its cover alone writes the classes out
         omega = syzygy_data(top).omega
         assert not any(args[0] in (omega, omega.unrotated()[0]) for args, _ in resolved)
@@ -627,7 +627,7 @@ class TestRotatedCaches:
         data = syzygy_data(m)
         for w in range(1, m.n + 1):
             eps, emb = data.cover.eps[w], data.embed[w]
-            sec, ret = dvr._smith(eps).splitting()
+            sec, ret = data.cover.smith[w].splitting()
             assert eps @ sec == DVRMatrix.identity(m.s, m.trunc), w
             assert ret @ emb == DVRMatrix.identity(emb.cols, m.trunc), w
             assert sec @ eps + emb @ ret == DVRMatrix.identity(eps.cols, m.trunc), w
@@ -736,9 +736,9 @@ class TestFactorOnce:
         m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
         calls = self.count_smith(monkeypatch)
         assert hom_space(m, m).z_rank > 1
-        # a kernel per vertex for the syzygy and one for the Hom condition,
-        # then one factorisation per vertex for every basis map's solves
-        assert len(calls) <= 8 + 1 + 8
+        # the cover map once per vertex and the Hom condition once; the basis
+        # maps are products with the cover's sections
+        assert len(calls) <= 8 + 1
 
     def test_hom_condition_has_one_block_per_syzygy_generator(self, monkeypatch):
         m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
@@ -758,11 +758,11 @@ class TestFactorOnce:
         m, other = generic_extension(top, bottom), generic_extension(bottom, top)
         calls = self.count_smith(monkeypatch)
         assert hom_space(m, m).z_rank > 1
-        assert len(calls) == 8 + 1 + 8
-        # m's syzygy is cached: the Hom condition and the per-vertex solves only
+        assert len(calls) == 8 + 1
+        # m's cover and syzygy are cached: the Hom condition only
         before = len(calls)
         hom_space(m, other)
-        assert len(calls) - before <= 1 + 8
+        assert len(calls) - before == 1
         before = len(calls)
         assert syzygy(m) is syzygy_data(m).omega
         assert len(calls) == before
@@ -796,22 +796,36 @@ class TestFactorOnce:
         # no weight gives a rigid indecomposable middle, so the walk tries all
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
         homology._rank2_walk.cache_clear()
-        eps = syzygy_data(build_rank1(a)).cover.eps
+        modules._rank1.cache_clear()
         calls = self.count_smith(monkeypatch)
-        inside = []
-        original = homology._pushout
+        covered, inside = [], []
+        cover, pushout = homology.projective_cover, homology._pushout
+
+        def recorded(rep):
+            covered.append((rep, cover(rep)))
+            return covered[-1][1]
 
         def counted(*args):
             before = len(calls)
-            out = original(*args)
+            out = pushout(*args)
             inside.append(len(calls) - before)
             return out
+        monkeypatch.setattr(homology, "projective_cover", recorded)
         monkeypatch.setattr(homology, "_pushout", counted)
         assert rigid_indecomposable_rank2(a, b) is None
-        # every middle is written on bottom + top from the splittings of the
-        # top's cover map, factored once per vertex for the whole walk
+        m = rank2_extension(a, b)
+        assert hom_space(m, m).z_rank > 1 and syzygy(m) is syzygy_data(m).omega
+        # every middle is written on bottom + top from the sections of the
+        # top's cover map, read off its factorisations
         assert inside == [0] * len(WEIGHT_LADDER)
-        assert [sum(mat is e for mat in calls) for e in eps.values()] == [1] * 8
+        # the top's cover, its syzygy's and every middle's: one cover per
+        # root module, each of its maps factored once across the syzygy,
+        # Hom and the walk
+        assert len({id(rep) for rep, _ in covered}) == len(covered) > len(WEIGHT_LADDER)
+        eps = [e for _, c in covered for e in c.eps.values()]
+        assert [sum(mat is e for mat in calls) for e in eps] == [1] * len(eps)
+        top = syzygy_data(build_rank1(a, 16)).cover.eps.values()
+        assert all(any(e is mat for mat in eps) for e in top)
 
     @pytest.mark.parametrize("m", [
         lambda: rank2_extension(rim([1, 3, 5], 3, 7), rim([2, 4, 7], 3, 7)),
@@ -829,6 +843,17 @@ class TestFactorOnce:
         monkeypatch.setattr(homology, "rep_a_vector", counted)
         decomposition_rank2(m)
         assert calls == [m]
+
+    def test_vertex_maps_refuse_images_that_define_no_map(self):
+        # the first cover generator sent to the generator of N, the others to 0
+        m = build_rank1(rim([1, 3, 5, 7], 4, 8))
+        cover = syzygy_data(m).cover
+        one, zero = ValPoly.one(m.trunc), ValPoly.zero(m.trunc)
+        images = DVRMatrix.from_columns([[one] + [zero] * (cover.size - 1)], cover.size,
+                                        m.trunc)
+        assert not (homology._relation_rows(m, m) @ images).is_zero()
+        with pytest.raises(TruncationUnstable, match="hom evaluation not solvable"):
+            homology._vertex_maps(cover, m, images, range(1, m.n + 1), m.floor)
 
     def test_isomorphism_with_different_tops_factors_nothing(self, monkeypatch):
         a, b = rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)
@@ -882,7 +907,7 @@ class TestHomConditionAtGenerators:
         for m, n_rep in pairs:
             for j in turns:
                 src, dst = m.rotate(j), n_rep.rotate(j)
-                sm, floor = homology._hom_condition(src, dst)
+                sm, floor, _ = homology._hom_condition(src, dst)
                 full = all_vertex_rows(src, dst)
                 old = dvr._smith(full, need_u=False)
                 assert sm.exponents == old.exponents, (src.s, dst.s, j)
@@ -1065,7 +1090,7 @@ def two_step_ext(m, n_rep):
     omega = syzygy_data(m).omega
     if omega is None:
         return ()
-    sm_e, floor = homology._hom_condition(omega, n_rep)
+    sm_e, floor, _ = homology._hom_condition(omega, n_rep)
     coords = sm_e.coordinates(homology._relation_rows(m, n_rep), floor)
     exps = dvr._smith(coords, need_u=False).certify(floor - sm_e.loss, coords.rows,
                                                      "two-step Ext^1")

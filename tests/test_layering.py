@@ -112,6 +112,9 @@ TEST_ONLY = {
     "census.negative_control_48": "the paper's negative-control check",
     "homology.ext1_rims": "public API: Ext^1 between two rims",
     "homology.generic_extension": "public API: one extension middle of two rims",
+    "dvr.solve": "the quotient_pushout oracle's solver, apart from the production path",
+    "dvr.transpose": "the quotient_pushout oracle factors transposed projections",
+    "rims.crossing": "the paper's crossing condition, oracle of the Ext-vanishing tests",
 }
 
 
@@ -259,21 +262,25 @@ def test_detects_a_private_module_slot_read(tmp_path):
 ROTATION_MEMO = "modules.per_rotation_class"
 
 
-def least_shift_callers(package: Path = PACKAGE) -> list[str]:
-    """module.definition (top-level) of each call of least_shift, by name or
-    as an attribute; '<module>' for a call at module level."""
+def callers(name: str, package: Path = PACKAGE,
+            modules: Optional[tuple[str, ...]] = None) -> list[str]:
+    """module.definition (top-level) of each call of ``name``, by name or as
+    an attribute, in ``modules`` (None: every module); '<module>' for a
+    call at module level."""
     found = []
     for path in sorted(package.glob("*.py")):
+        if modules is not None and path.stem not in modules:
+            continue
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "least_shift" in (
+                if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     return found
 
 
 def test_least_shift_is_called_only_by_the_rotation_memo():
-    assert least_shift_callers() == [ROTATION_MEMO]
+    assert callers("least_shift") == [ROTATION_MEMO]
 
 
 def test_detects_a_hand_written_rotation_memo(tmp_path):
@@ -286,7 +293,7 @@ def test_detects_a_hand_written_rotation_memo(tmp_path):
         "def walk_orbits(seeds):\n    return [rims.least_shift(*s.layers) for s in seeds]\n"
         "J = least_shift(SEED)\n"
         "class TauOrbit:\n    def rotate(self, p):\n        return least_shift(p), least_shift\n")
-    assert least_shift_callers(tmp_path) == [
+    assert callers("least_shift", tmp_path) == [
         ROTATION_MEMO, "tubes.walk_orbits", "tubes.<module>", "tubes.TauOrbit"]
 
 
@@ -321,3 +328,32 @@ def test_detects_a_forbidden_start_up_module(tmp_path):
     (package / "tubes.py").write_text("from importlib import resources\n")
     assert start_up_modules(tmp_path, ("grasscat.census",)) == ["dataclasses", "inspect"]
     assert start_up_modules(tmp_path, ("grasscat.tubes",)) == ["importlib.resources"]
+
+
+# each matrix is factored once: a module's cover maps with U when it is
+# covered, its structure maps for the a-vector, and one Hom condition per
+# pair; every kernel, coordinate, section and extension class is read off
+# those factorisations
+SMITH_CALLERS = ["homology.projective_cover", "homology._hom_condition",
+                 "modules.rep_a_vector"]
+FACTORING = ("homology", "modules")
+
+
+def test_only_the_covers_hom_conditions_and_a_vectors_factor():
+    assert callers("_smith", modules=FACTORING) == SMITH_CALLERS
+
+
+def test_detects_a_second_factorisation(tmp_path):
+    (tmp_path / "homology.py").write_text(
+        "from . import dvr\nfrom .dvr import _smith\n"
+        "def projective_cover(m):\n    return _smith(m)\n"
+        "def _hom_condition(m, n):\n    return _smith(m @ n)\n"
+        "def _vertex_maps(cover, w):\n    return dvr._smith(cover.eps[w].transpose())\n"
+        "EYE = _smith(1)\n")
+    (tmp_path / "modules.py").write_text(
+        "from .dvr import _smith\n"
+        "def rep_a_vector(m):\n    return [_smith(x) for x in m.x]\n")
+    (tmp_path / "tubes.py").write_text(
+        "from .dvr import _smith\ndef identify(m):\n    return _smith(m)\n")
+    assert callers("_smith", tmp_path, FACTORING) == SMITH_CALLERS[:2] + [
+        "homology._vertex_maps", "homology.<module>", "modules.rep_a_vector"]
