@@ -113,14 +113,20 @@ class CensusReport:
 
 
 def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
-    """Ordered rim pairs with interlacing degree >= 3, in sorted order."""
+    """Ordered rim pairs with interlacing degree >= 3, in sorted order.
+
+    The degree is symmetric, so each unordered pair is tested once; each
+    rim's partners are then appended in increasing order, the smaller ones
+    first.
+    """
     rims = all_rims(k, n)
-    out = []
-    for a in rims:
-        for b in rims:
-            if a != b and interlacing_degree(a, b) >= 3:
-                out.append((a, b))
-    return out
+    partners: list[list[Rim]] = [[] for _ in rims]
+    for i, a in enumerate(rims):
+        for j in range(i + 1, len(rims)):
+            if interlacing_degree(a, rims[j]) >= 3:
+                partners[i].append(rims[j])
+                partners[j].append(a)
+    return [(a, b) for a, bs in zip(rims, partners) for b in bs]
 
 
 def run_census(k: int, n: int, *, trunc: Optional[int] = None,

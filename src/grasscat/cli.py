@@ -1,5 +1,12 @@
 """Command-line interface tying the library together.
 
+Each command is one entry of ``COMMANDS``: its handler, its one-line help
+and its arguments.  ``main`` parses the global options and the command
+name, then builds the parser of that one command for the rest, so a call
+builds two ``ArgumentParser``s.  None is built at import or kept between
+calls: the defaults from ``GRASSCAT_TRUNCATION`` and ``GRASSCAT_OUT`` are
+read on every call.
+
 Exit codes: 0 success, 2 usage error (argparse), 3 fixture mismatch in a
 full census or tube run, 4 truncation instability: an answer its precision
 floor cannot certify, or a step that cannot be completed at the working
@@ -284,11 +291,49 @@ def cmd_diagram(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_K_N = {"k": {"type": int}, "n": {"type": int}}
+
+# each command: its handler, its one-line help and its arguments (name or
+# flag -> add_argument keywords); main builds the parser of the one it runs
+COMMANDS = {
+    "rim": (cmd_rim, "peaks, slopes and decompositions of a rim",
+            {"rim": {"help": "compact form like 145@(3,8)"}}),
+    "module": (cmd_module, "build a module and validate its relations",
+               {"profile": {"help": "rim or profile like 246|135@(3,9)"}}),
+    "hom": (cmd_hom, "Hom space between two modules", {"source": {}, "target": {}}),
+    "ext": (cmd_ext, "first extension group between two modules",
+            {"source": {}, "target": {}}),
+    "syzygy": (cmd_syzygy, "syzygy of a module, identified", {"profile": {}}),
+    "rigid": (cmd_rigid, "rigidity of a module", {"profile": {}}),
+    "ar-seq": (cmd_ar_seq, "AR sequence at an almost consecutive rim", {"rim": {}}),
+    "orbit": (cmd_orbit, "syzygy orbit of a rim or profile", {"profile": {}}),
+    "tubes": (cmd_tubes, "tube census over one ambient", _K_N),
+    "roots": (cmd_roots, "degree-2 real root enumeration",
+              {**_K_N, "--degree": {"type": int, "default": 2}}),
+    "census": (cmd_census, "rigid rank-2 census", {
+        **_K_N,
+        "--sample": {"type": float, "default": None,
+                     "help": "probabilistic smoke run, e.g. 0.05"},
+        "--refresh": {"action": "store_true",
+                      "help": "recompute even when a cache entry exists"},
+        "--orbits": {"action": "store_true",
+                     "help": "attach a syzygy-orbit id to every census entry"}}),
+    "diagram": (cmd_diagram, "lattice diagram emitter", {
+        "profile": {},
+        "--write": {"action": "store_true",
+                    "help": "write into the output directory instead of stdout"}}),
+}
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """The global options and the command name; the command's own arguments
+    are left unparsed in ``args``."""
     ap = argparse.ArgumentParser(
-        prog="grasscat",
+        prog="grasscat", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Exact Cohen-Macaulay module computations over the "
-                    "circular boundary algebra")
+                    "circular boundary algebra",
+        epilog="commands (grasscat <command> -h for its arguments):\n" + "\n".join(
+            f"  {name:<9} {entry[1]}" for name, entry in COMMANDS.items()))
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--json", action="store_true", help="machine-readable output")
     # argparse converts a string default with the option's type
@@ -299,76 +344,20 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", dest="fmt", default="table",
                     choices=["table", "svg", "tikz", "dot"])
     ap.add_argument("--verbose", action="store_true")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("rim", help="peaks, slopes and decompositions of a rim")
-    s.add_argument("rim", help='compact form like 145@(3,8)')
-    s.set_defaults(fn=cmd_rim)
-
-    s = sub.add_parser("module", help="build a module and validate its relations")
-    s.add_argument("profile", help='rim or profile like 246|135@(3,9)')
-    s.set_defaults(fn=cmd_module)
-
-    s = sub.add_parser("hom", help="Hom space between two modules")
-    s.add_argument("source")
-    s.add_argument("target")
-    s.set_defaults(fn=cmd_hom)
-
-    s = sub.add_parser("ext", help="first extension group between two modules")
-    s.add_argument("source")
-    s.add_argument("target")
-    s.set_defaults(fn=cmd_ext)
-
-    s = sub.add_parser("syzygy", help="syzygy of a module, identified")
-    s.add_argument("profile")
-    s.set_defaults(fn=cmd_syzygy)
-
-    s = sub.add_parser("rigid", help="rigidity of a module")
-    s.add_argument("profile")
-    s.set_defaults(fn=cmd_rigid)
-
-    s = sub.add_parser("ar-seq", help="AR sequence at an almost consecutive rim")
-    s.add_argument("rim")
-    s.set_defaults(fn=cmd_ar_seq)
-
-    s = sub.add_parser("orbit", help="syzygy orbit of a rim or profile")
-    s.add_argument("profile")
-    s.set_defaults(fn=cmd_orbit)
-
-    s = sub.add_parser("tubes", help="tube census over one ambient")
-    s.add_argument("k", type=int)
-    s.add_argument("n", type=int)
-    s.set_defaults(fn=cmd_tubes)
-
-    s = sub.add_parser("roots", help="degree-2 real root enumeration")
-    s.add_argument("k", type=int)
-    s.add_argument("n", type=int)
-    s.add_argument("--degree", type=int, default=2)
-    s.set_defaults(fn=cmd_roots)
-
-    s = sub.add_parser("census", help="rigid rank-2 census")
-    s.add_argument("k", type=int)
-    s.add_argument("n", type=int)
-    s.add_argument("--sample", type=float, default=None,
-                   help="probabilistic smoke run, e.g. 0.05")
-    s.add_argument("--refresh", action="store_true",
-                   help="recompute even when a cache entry exists")
-    s.add_argument("--orbits", action="store_true",
-                   help="attach a syzygy-orbit id to every census entry")
-    s.set_defaults(fn=cmd_census)
-
-    s = sub.add_parser("diagram", help="lattice diagram emitter")
-    s.add_argument("profile")
-    s.add_argument("--write", action="store_true",
-                   help="write into the output directory instead of stdout")
-    s.set_defaults(fn=cmd_diagram)
+    ap.add_argument("command", choices=COMMANDS, metavar="command")
+    ap.add_argument("args", nargs=argparse.REMAINDER, help="the command's arguments")
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _top_parser().parse_args(argv)
+    fn, help_line, arguments = COMMANDS[args.command]
+    sub = argparse.ArgumentParser(prog=f"grasscat {args.command}", description=help_line)
+    for name, options in arguments.items():
+        sub.add_argument(name, **options)
+    sub.parse_args(args.args, namespace=args)
     try:
-        return args.fn(args)
+        return fn(args)
     except TruncationUnstable as exc:
         print(f"truncation instability: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION

@@ -6,7 +6,8 @@ from grasscat import homology, modules
 from grasscat.census import (CENSUS_TABLE, RANK3_LITERATURE, negative_control_48,
                              rank2_candidates, run_census, verify_conjectures)
 from grasscat.modules import Profile, build_rank1
-from grasscat.rims import classify_pair, least_shift, rim, shift
+from grasscat.rims import (all_rims, classify_pair, interlacing_degree, least_shift,
+                           rim, shift)
 from grasscat.roots import enumerate_degree2_real_roots
 
 
@@ -99,6 +100,13 @@ class TestCandidates:
         cands = rank2_candidates(4, 8)
         # 112 tight + 24 disjoint 3-interlacing + 2 alternating 4-interlacing
         assert len(cands) == 138
+
+    @pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (4, 8)])
+    def test_each_unordered_pair_once_gives_the_ordered_list(self, k, n):
+        rims = all_rims(k, n)
+        ordered = [(a, b) for a in rims for b in rims
+                   if a != b and interlacing_degree(a, b) >= 3]
+        assert rank2_candidates(k, n) == ordered
 
 
 class TestSampleMode:

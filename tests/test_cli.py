@@ -1,10 +1,13 @@
+import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
+from grasscat import __version__
 from grasscat.cli import main
 
 
@@ -188,6 +191,14 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["census", "3"], ["census", "3", "6", "--json"],
+    ])
+    def test_malformed_calls_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_bad_rim_token(self, capsys):
         code = main(["rim", "145"])
         assert code == 2
@@ -228,6 +239,63 @@ class TestUsageErrors:
         assert code == 0 and "= 246 (rank 1)" in out
         code, out = run_cli(["orbit", "1247|3568@(4,8)"], capsys)      # not rigid
         assert code == 0 and "period 4" in out
+
+
+# every command with its one-line help and what its own -h must show
+COMMAND_HELP = {
+    "rim": ("peaks, slopes and decompositions of a rim", ["rim", "145@(3,8)"]),
+    "module": ("build a module and validate its relations", ["profile"]),
+    "hom": ("Hom space between two modules", ["source", "target"]),
+    "ext": ("first extension group between two modules", ["source", "target"]),
+    "syzygy": ("syzygy of a module, identified", ["profile"]),
+    "rigid": ("rigidity of a module", ["profile"]),
+    "ar-seq": ("AR sequence at an almost consecutive rim", ["rim"]),
+    "orbit": ("syzygy orbit of a rim or profile", ["profile"]),
+    "tubes": ("tube census over one ambient", ["k", "n"]),
+    "roots": ("degree-2 real root enumeration", ["k", "n", "--degree"]),
+    "census": ("rigid rank-2 census", ["k", "n", "--sample", "--refresh", "--orbits"]),
+    "diagram": ("lattice diagram emitter", ["profile", "--write"]),
+}
+
+
+class TestParsers:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        for command, (line, _) in COMMAND_HELP.items():
+            assert re.search(rf"^ +{re.escape(command)} +{re.escape(line)}$", out, re.M)
+        for option in ("--version", "--json", "--trunc", "--out", "--format", "--verbose"):
+            assert option in out
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_HELP))
+    def test_command_help_shows_its_own_arguments(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert out.startswith(f"usage: grasscat {command} ")
+        for argument in COMMAND_HELP[command][1]:
+            assert argument in out
+        assert "--json" not in out and "--trunc" not in out
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == __version__
+
+    def test_a_call_builds_only_its_own_parser(self, capsys, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["--json", "rim", "145@(3,8)"]) == 0
+        assert len(built) <= 2, built
 
 
 class TestTubesCommand:

@@ -298,9 +298,11 @@ def test_detects_a_hand_written_rotation_memo(tmp_path):
 
 
 # standard modules a command must not load while it starts: dataclasses
-# writes each record's methods with exec and imports inspect, and
-# importlib.resources is a slow way to read the two fixture files
-START_UP_FORBIDDEN = ("dataclasses", "inspect", "importlib.resources")
+# writes each record's methods with exec and imports inspect,
+# importlib.resources is a slow way to read the two fixture files, and
+# gettext loads locale when the first argument parser is built, so locale
+# shows a parser built at import
+START_UP_FORBIDDEN = ("dataclasses", "inspect", "importlib.resources", "locale")
 START_UP_IMPORTS = ("grasscat.cli", "grasscat.census", "grasscat.tubes")
 
 

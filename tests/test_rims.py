@@ -2,6 +2,7 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from grasscat.errors import MismatchedAmbient, NotAlmostConsecutive
 from grasscat.rims import (Rim, all_rims, almost_consecutive_decompositions,
@@ -181,7 +182,21 @@ class TestCrossing:
             crossing(R([1, 2, 3], 3, 6), R([1, 2, 3], 3, 7))
 
 
+@st.composite
+def rim_pairs(draw):
+    """Two rims of one ambient, 2 <= k <= n/2, n up to 12."""
+    n = draw(st.integers(4, 12))
+    k = draw(st.integers(2, n // 2))
+    elements = st.lists(st.integers(1, n), min_size=k, max_size=k, unique=True)
+    return R(draw(elements), k, n), R(draw(elements), k, n)
+
+
 class TestInterlacing:
+    @given(rim_pairs())
+    def test_symmetric(self, pair):
+        a, b = pair
+        assert interlacing_degree(a, b) == interlacing_degree(b, a)
+
     def test_examples(self):
         assert interlacing_degree(R([2, 5, 7], 3, 8), R([1, 3, 6], 3, 8)) == 3
         assert interlacing_degree(R([1, 3, 5, 7], 4, 8), R([2, 4, 6, 8], 4, 8)) == 4
