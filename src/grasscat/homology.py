@@ -11,9 +11,11 @@ from the start of the projective resolution
 since Hom out of an indecomposable projective is evaluation at its
 generator: no linear systems are needed to write the induced maps between
 Hom(P_i, N), only to extract kernels and cokernels over the centre.
-P1 -> P0 is the cover of the syzygy followed by its embedding, so the
-syzygy of a module is computed once and cached on the module: Hom, Ext,
-extension middles and orbit steps all read that one cache.
+P1 -> P0 is the cover of the syzygy followed by its embedding.  A
+module's top, cover and syzygy are each computed once and cached on it by
+the one accessor ``modules.on_root``, which gives a rotated view its
+root's, relabelled once: Hom, Ext, extension middles and orbit steps all
+read those caches.
 Hom(M, N) is the kernel of the map Hom(P0, N) -> Hom(P1, N): the Hom
 condition, imposed only at the syzygy's top generators, which generate
 it.  Ext^1(M, N) is the torsion of its cokernel, read off the one
@@ -39,23 +41,22 @@ from typing import Optional, Sequence
 from .dvr import Coeff, DVRMatrix, Smith, ValPoly, _reciprocal, _smith
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, Profile, build_rank1, default_truncation,
-                      direct_sum, per_rotation_class, rep_a_vector)
+                      direct_sum, on_root, per_rotation_class, rep_a_vector)
 from .rims import Rim, peaks, two_layer_splits
 
 def top_generators(m: CMModuleRep) -> tuple[tuple[int, int], ...]:
     """The standard basis vectors spanning the top, as (vertex, index) pairs.
 
     At vertex v the top is the cokernel of [x_v | y_{v+1}] taken modulo t
-    (see ``_top_generators``).  The list is cached on the root, by vertex; a
-    view relabels its root's and keeps its order, which is the order of the
-    cover its syzygy data relabels (``SyzygyData.rotate``).
+    (see ``_top_generators``).  The list is cached (``on_root``), by
+    vertex; a view relabels its root's and keeps its order, which is the
+    order of the cover it relabels (``Cover.rotate``).
     """
-    root, j = m.unrotated()
-    top = getattr(root, "_top", None)
-    if top is None:
-        top = root._top = tuple((v, idx) for v in range(1, m.n + 1)
-                                for idx in _top_generators(root, v))
-    return tuple(((v + j - 1) % m.n + 1, idx) for v, idx in top)
+    n = m.n
+    return on_root(m, "_top",
+                   lambda root: tuple((v, idx) for v in range(1, n + 1)
+                                      for idx in _top_generators(root, v)),
+                   lambda top, j: tuple(((v + j - 1) % n + 1, idx) for v, idx in top))
 
 
 def top_multiset(m: CMModuleRep) -> dict[int, int]:
@@ -101,32 +102,22 @@ class Cover:
     """Minimal projective cover data: one summand per top generator, and the
     one Smith factorisation, with U, of the cover map at each vertex."""
 
-    __slots__ = ("vertices", "eps", "smith")
+    __slots__ = ("vertices", "smith")
 
-    def __init__(self, vertices: tuple[int, ...], eps: dict[int, DVRMatrix],
-                 smith: dict[int, Smith]) -> None:
+    def __init__(self, vertices: tuple[int, ...], smith: dict[int, Smith]) -> None:
         self.vertices = vertices  # cover vertex of each summand
-        self.eps = eps            # vertex w -> s x c evaluation matrix
-        self.smith = smith        # vertex w -> factorisation of eps[w]
+        self.smith = smith        # vertex w -> factorisation of the map at w
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
-    def rotate(self, j: int, n: int) -> "Cover":
+    def rotate(self, j: int) -> "Cover":
         """The cover of the module rotated by j: the same summands, relabelled."""
+        n = len(self.smith)
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
         return Cover(tuple(turn[v] for v in self.vertices),
-                     {turn[w]: e for w, e in self.eps.items()},
                      {turn[w]: sm for w, sm in self.smith.items()})
-
-
-def _root_cover(m: CMModuleRep) -> Cover:
-    """m's ``projective_cover``, computed once per root and cached there."""
-    root, j = m.unrotated()
-    if getattr(root, "_cover", None) is None:
-        root._cover = projective_cover(root)
-    return root._cover.rotate(j, m.n) if j else root._cover
 
 
 def projective_cover(m: CMModuleRep) -> Cover:
@@ -138,71 +129,39 @@ def projective_cover(m: CMModuleRep) -> Cover:
     kernels, coordinates and sections at the module's floor.
     """
     gens = top_generators(m)
-    eps, smith = {}, {}
+    smith = {}
     for w in range(1, m.n + 1):
-        eps[w] = DVRMatrix.from_columns([m.path_matrix(v, w).column(idx) for v, idx in gens],
-                                        m.s, m.trunc)
-        smith[w] = _smith(eps[w])
+        smith[w] = _smith(DVRMatrix.from_columns(
+            [m.path_matrix(v, w).column(idx) for v, idx in gens], m.s, m.trunc))
         if smith[w].npivots != m.s or smith[w].loss:
             raise AssertionError(f"cover map not surjective at vertex {w}")
-    return Cover(tuple(v for v, _ in gens), eps, smith)
+    return Cover(tuple(v for v, _ in gens), smith)
 
 
-class SyzygyData:
-    """Kernel of the cover map with its embedding into the cover.
-
-    For a projective module the cover map is an isomorphism: ``omega`` is
-    None and ``embed`` is empty.
-    """
-
-    __slots__ = ("cover", "omega", "embed")
-
-    def __init__(self, cover: Cover, omega: Optional[CMModuleRep],
-                 embed: dict[int, DVRMatrix]) -> None:
-        self.cover = cover
-        self.omega = omega  # kernel, in its own coordinates
-        self.embed = embed  # vertex -> cover-size x omega-rank basis
-
-    def rotate(self, j: int, n: int) -> "SyzygyData":
-        """The syzygy data of the module rotated by j: labels moved, omega a view."""
-        turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
-        return SyzygyData(self.cover.rotate(j, n),
-                          None if self.omega is None else self.omega.rotate(j),
-                          {turn[w]: e for w, e in self.embed.items()})
+def _cover_of(m: CMModuleRep) -> Cover:
+    """m's ``projective_cover``, cached (``on_root``)."""
+    return on_root(m, "_cover", projective_cover, Cover.rotate)
 
 
-def syzygy_data(m: CMModuleRep) -> SyzygyData:
-    """The syzygy as an explicit submodule of the cover.
+def _omega(m: CMModuleRep) -> Optional[CMModuleRep]:
+    """The syzygy of m, cached (``on_root``), or None when m is projective:
+    its cover map is then an isomorphism."""
+    if _cover_of(m).size == m.s:
+        return None
+    return on_root(m, "_syzygy", _kernel_module, CMModuleRep.rotate)
 
-    The result is cached on the module, which is immutable, so every
-    caller shares one computation per module object; a view (see
-    ``CMModuleRep.rotate``) caches its root's, relabelled.  The kernel and
-    the coordinates in it come from the cover's own factorisations, which
-    lose no precision, so the syzygy keeps the module's floor.
-    """
-    try:
-        return m._syzygy
-    except AttributeError:
-        pass
-    root, j = m.unrotated()
-    if j:
-        m._syzygy = syzygy_data(root).rotate(j, m.n)
-        return m._syzygy
-    cover = _root_cover(m)
-    c = cover.size
-    if c == m.s:
-        m._syzygy = SyzygyData(cover, None, {})
-        return m._syzygy
-    n = m.n
-    embed = {w: sm.kernel() for w, sm in cover.smith.items()}
+
+def _kernel_module(m: CMModuleRep) -> CMModuleRep:
+    """The kernel of m's cover map, in the basis ``kernel`` of the cover's
+    factorisations, which lose no precision: it keeps m's floor."""
+    cover, n = _cover_of(m), m.n
+    basis = {w: sm.kernel() for w, sm in cover.smith.items()}
     x_omega, y_omega = {}, {}
     for v in range(1, n + 1):
         w = (v - 2) % n + 1
-        x_omega[v] = _induced_map(m, cover, embed, v, w, v, forward=True)
-        y_omega[v] = _induced_map(m, cover, embed, v, v, w, forward=False)
-    m._syzygy = SyzygyData(cover, CMModuleRep(n, m.k, c - m.s, x_omega, y_omega, m.trunc,
-                                              m.floor), embed)
-    return m._syzygy
+        x_omega[v] = _induced_map(m, cover, basis, v, w, v, forward=True)
+        y_omega[v] = _induced_map(m, cover, basis, v, v, w, forward=False)
+    return CMModuleRep(n, m.k, cover.size - m.s, x_omega, y_omega, m.trunc, m.floor)
 
 
 def _cover_edge_scalars(m: CMModuleRep, cover: Cover, edge: int, forward: bool) -> list[ValPoly]:
@@ -217,11 +176,11 @@ def _cover_edge_scalars(m: CMModuleRep, cover: Cover, edge: int, forward: bool) 
     return out
 
 
-def _induced_map(m: CMModuleRep, cover: Cover, embed, edge: int,
+def _induced_map(m: CMModuleRep, cover: Cover, basis: dict[int, DVRMatrix], edge: int,
                  src: int, dst: int, forward: bool) -> DVRMatrix:
     """Restriction of a cover structure map to the kernel submodule."""
     scalars = _cover_edge_scalars(m, cover, edge, forward)
-    src_mat = embed[src]
+    src_mat = basis[src]
     moved = DVRMatrix(
         [[scalars[i] * src_mat.data[i][j] for j in range(src_mat.cols)]
          for i in range(src_mat.rows)], m.trunc, cols=src_mat.cols)
@@ -229,8 +188,9 @@ def _induced_map(m: CMModuleRep, cover: Cover, embed, edge: int,
 
 
 def syzygy(m: CMModuleRep) -> CMModuleRep:
-    """Kernel of the minimal projective cover, with its induced action."""
-    omega = syzygy_data(m).omega
+    """Kernel of the minimal projective cover, with its induced action,
+    cached on the module."""
+    omega = _omega(m)
     if omega is None:
         raise ProjectiveInput("projective module has vanishing stable syzygy")
     return omega
@@ -290,14 +250,15 @@ def _relation_rows(m: CMModuleRep, n_rep: CMModuleRep) -> DVRMatrix:
     """
     if (m.n, m.k) != (n_rep.n, n_rep.k) or m.trunc != n_rep.trunc:
         raise ValueError("modules must share ambient and truncation")
-    syz, sN = syzygy_data(m), n_rep.s
+    cover, omega, sN = _cover_of(m), _omega(m), n_rep.s
     rows: list[list[ValPoly]] = []
-    for w, idx in () if syz.omega is None else top_generators(syz.omega):
-        g = syz.embed[w].column(idx)
-        paths = [n_rep.path_matrix(v, w) for v in syz.cover.vertices]
+    for w, idx in () if omega is None else top_generators(omega):
+        sm = cover.smith[w]
+        g = sm.V.column(sm.npivots + idx)  # column idx of sm.kernel()
+        paths = [n_rep.path_matrix(v, w) for v in cover.vertices]
         rows += [[g[i] * paths[i].data[a][b] for i in range(len(g)) for b in range(sN)]
                  for a in range(sN)]
-    return DVRMatrix(rows, m.trunc, cols=syz.cover.size * sN)
+    return DVRMatrix(rows, m.trunc, cols=cover.size * sN)
 
 
 def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int, DVRMatrix]:
@@ -318,7 +279,7 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int, DVRM
     module of rank s is s copies of the one simple module (Jensen-King-Su
     2016).  So the condition has rank (c - rank(m)) * rank(n), certified
     against the floor: rows short of that rank raise TruncationUnstable.
-    Its cokernel's torsion is Ext^1(m, n) (see ``_ext1_once``).
+    Its cokernel's torsion is Ext^1(m, n) (see ``ext1``).
     """
     rows = _relation_rows(m, n_rep)
     floor = min(m.floor, n_rep.floor)
@@ -366,18 +327,18 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
 
     The kernel of the Hom condition (``_hom_condition``) gives the images of
     the cover generators under each basis map, and ``_vertex_maps`` writes
-    the maps out vertexwise.  The cover and the syzygy come from m's cached
-    ``syzygy_data``.
+    the maps out vertexwise.  The cover and the syzygy are m's cached ones.
     """
     sm, floor, _ = _hom_condition(m, n_rep)
     floor -= sm.loss
-    return HomBasis(_vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(),
+    return HomBasis(_vertex_maps(_cover_of(m), n_rep, sm.kernel(),
                                  range(1, m.n + 1), floor), floor)
 
 
-def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
-    """Exponents of Ext^1(m, n): the positive exponents of the Hom
-    condition's Smith form, certified exact at the working truncation.
+def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
+    """Ext^1(m, n) as a product of cyclic modules over the centre: the
+    positive exponents of the Hom condition's Smith form, read once at the
+    working truncation and certified exact there, or TruncationUnstable.
 
     The condition maps Hom(P0, N) into F = Hom(P1, N), P1 the cover of
     Omega.  Hom(Omega, N) is the kernel of a map of free modules, so it is
@@ -385,21 +346,11 @@ def _ext1_once(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[int, ...]:
     (c - rank m) * rank N is its own, so it is L's saturation and
     tors(F / L) = Hom(Omega, N) / L = Ext^1(m, n).  ``_hom_condition``
     certifies every exponent below the floor, with no ``loss`` subtracted.
+    Only m's first syzygy is needed; it and n's path matrices are cached,
+    and shared by every rotation of a ``build_rank1`` module.
     """
     sm, _, _ = _hom_condition(m, n_rep)
-    return tuple(e for e in sm.exponents if e > 0)
-
-
-def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
-    """Ext^1(m, n) as a product of cyclic modules over the centre.
-
-    The exponents are read once, at the working truncation, off the Hom
-    condition's Smith form, and certified there (see ``_ext1_once``): the
-    answer is exact, or TruncationUnstable is raised.  Only m's first
-    syzygy is needed; it and n's path matrices come from their roots'
-    caches, shared by every rotation of a ``build_rank1`` module.
-    """
-    return ExtDecomp(_ext1_once(m, n_rep))
+    return ExtDecomp(tuple(e for e in sm.exponents if e > 0))
 
 
 def ext1_rims(a: Rim, b: Rim, trunc: Optional[int] = None) -> ExtDecomp:
@@ -479,7 +430,7 @@ def _isomorphic_given_a_vectors(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     correct mod t and only vertex 1 is written out.
     """
     sm, floor, _ = _hom_condition(m, n_rep)
-    basis = _vertex_maps(syzygy_data(m).cover, n_rep, sm.kernel(), (1,), floor - sm.loss)
+    basis = _vertex_maps(_cover_of(m), n_rep, sm.kernel(), (1,), floor - sm.loss)
     return bool(_det_poly_mod_t([gen[1].mod_t() for gen in basis], m.s))
 
 
@@ -503,12 +454,12 @@ def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
 
 
 def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
-                       ) -> Optional[tuple[SyzygyData, list[dict[int, DVRMatrix]], int]]:
-    """The top's syzygy data, one map Omega -> bottom per nonzero cyclic
+                       ) -> Optional[tuple[CMModuleRep, list[dict[int, DVRMatrix]], int]]:
+    """The top's syzygy Omega, one map Omega -> bottom per nonzero cyclic
     factor of Ext^1, and their floor; None when every extension splits.
 
     Ext^1 is the torsion of the cokernel of the Hom condition R, which maps
-    into F = Hom(P1, N) (see ``_ext1_once``), so its factors are the
+    into F = Hom(P1, N) (see ``ext1``), so its factors are the
     positive exponents e_i of the certified Smith form U R V = S.  Factor i
     is generated by U^-1 e_i = R V e_i / t^e_i, which lies in Hom(Omega, N):
     t^e_i times it lies in the image of R, and Hom(Omega, N) is saturated
@@ -517,8 +468,8 @@ def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
     Omega's top generators, written out by ``_vertex_maps`` over Omega's
     cover (Omega is not resolved).
     """
-    syz = syzygy_data(top_rep)
-    if syz.omega is None:  # projective top
+    omega = _omega(top_rep)
+    if omega is None:  # projective top
         return None
     sm, floor, rows = _hom_condition(top_rep, bot_rep)
     targets = [(i, e) for i, e in enumerate(sm.exponents) if e > 0]
@@ -530,8 +481,8 @@ def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
     lifts = DVRMatrix([[x.exact_div(p) for x, p in zip(row, pivots)] for row in images.data],
                       N, cols=len(targets))
     floor -= sm.loss
-    maps = _vertex_maps(_root_cover(syz.omega), bot_rep, lifts, range(1, top_rep.n + 1), floor)
-    return syz, maps, floor
+    maps = _vertex_maps(_cover_of(omega), bot_rep, lifts, range(1, top_rep.n + 1), floor)
+    return omega, maps, floor
 
 
 def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
@@ -540,35 +491,35 @@ def _extension_middle(top_rep: CMModuleRep, bot_rep: CMModuleRep, classes,
     weighted by weights[p % len(weights)]; the direct sum when there are none."""
     if classes is None:
         return direct_sum(top_rep, bot_rep)
-    syz, maps, floor = classes
+    omega, maps, floor = classes
     N = top_rep.trunc
     scalars = [ValPoly.monomial(weights[p % len(weights)], 0, N) for p in range(len(maps))]
     f = {v: sum((g[v].scale(c) for g, c in zip(maps, scalars)),
-                DVRMatrix.zeros(bot_rep.s, syz.omega.s, N))
+                DVRMatrix.zeros(bot_rep.s, omega.s, N))
          for v in range(1, top_rep.n + 1)}
-    return _pushout(top_rep, bot_rep, syz, f, floor)
+    return _pushout(top_rep, bot_rep, f, floor)
 
 
-def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, syz: SyzygyData,
-             f: dict[int, DVRMatrix], floor: int) -> CMModuleRep:
+def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, f: dict[int, DVRMatrix],
+             floor: int) -> CMModuleRep:
     """The middle E of the extension of top by bottom with class f: Omega ->
     bottom, on the basis of bottom, then top, correct modulo t^floor.
 
     E is the pushout (bottom + P0) / {(f w, -w)} of the top's cover P0.  At
     vertex v, the section sigma_v and retraction rho_v of the cover map
     eps_v (``Smith.splitting`` of the cover's factorisation, whose V gives
-    ``syz.embed`` too) split P0 as Omega + top, and (b, p) -> (b + f_v
-    rho_v p, eps_v p) identifies E_v with bottom_v + top_v.  A cover map A
+    Omega's basis, ``kernel``, too) split P0 as Omega + top, and (b, p) ->
+    (b + f_v rho_v p, eps_v p) identifies E_v with bottom_v + top_v.  A cover map A
     (``_cover_edge_scalars``) from v to u becomes [[bottom's map, f_u rho_u
     A sigma_v], [0, top's map]], since eps_u A sigma_v is top's.  The cover
     map has unit pivots, so nothing is lost.
     """
-    n, N, s = top_rep.n, top_rep.trunc, top_rep.s
-    splits = {v: sm.splitting() for v, sm in syz.cover.smith.items()}
+    n, N, s, cover = top_rep.n, top_rep.trunc, top_rep.s, _cover_of(top_rep)
+    splits = {v: sm.splitting() for v, sm in cover.smith.items()}
 
     def structure_map(edge: int, src: int, dst: int, forward: bool,
                       bot_map: DVRMatrix, top_map: DVRMatrix) -> DVRMatrix:
-        scalars = _cover_edge_scalars(top_rep, syz.cover, edge, forward)
+        scalars = _cover_edge_scalars(top_rep, cover, edge, forward)
         moved = DVRMatrix([[a * e for e in row] for a, row in zip(scalars, splits[src][0].data)],
                           N, cols=s)
         return DVRMatrix.block(bot_map, f[dst] @ (splits[dst][1] @ moved), top_map)

@@ -80,18 +80,16 @@ class CMModuleRep:
     with floor = trunc; a computed one (a syzygy, an extension middle)
     carries the floor its construction left.
     ``rotate`` returns a view: relabelled ``x``/``y`` maps, the unrotated
-    root ``_root`` and the shift ``_turn`` (None and 0 on a root).  Five
-    caches hang off a root, each set on first use: ``_paths``
-    (``path_matrix``), ``_syzygy`` (the one ``homology.syzygy_data``
-    result, read by Hom, Ext, extension middles and orbit steps), ``_cover``
-    (its projective cover with the one factorisation of each cover map,
-    which the syzygy, Hom maps and pushouts read, and which extension
-    classes read off the top's syzygy without resolving it), ``_avec``
-    (``rep_a_vector``) and ``_top`` (``homology.top_generators``: the
-    (vertex, basis index) pairs spanning the top, which the cover, the top
-    multiset and the Hom condition read).  A view reads its root's
-    (``unrotated``), filling them if needed, relabels the result and stores
-    only its relabelled copy of the root's syzygy.
+    root ``_root`` and the shift ``_turn`` (None and 0 on a root).  A view
+    reads its root's ``_paths`` (``path_matrix``) at moved labels.  Four
+    more caches are each filled on first use by ``on_root``, on a root from
+    its maps and on a view by relabelling its root's once: ``_top``
+    (``homology.top_generators``: the (vertex, basis index) pairs spanning
+    the top, which the cover, the top multiset and the Hom condition read),
+    ``_cover`` (the projective cover with the one factorisation of each
+    cover map, which the syzygy, Hom maps and pushouts read), ``_syzygy``
+    (the kernel module, read by Hom, Ext, extension middles and orbit
+    steps) and ``_avec`` (``rep_a_vector``).
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor",
@@ -300,25 +298,37 @@ def a_vector(p: Profile) -> RootVector:
     return RootVector(tuple(counts), p.k)
 
 
+def on_root(m: CMModuleRep, slot: str, compute: Callable[[CMModuleRep], object],
+            relabel: Callable[[object, int], object]):
+    """m's value in the cache ``slot``, filled on first use.  A root stores
+    ``compute(root)``; a view (``CMModuleRep.rotate``) stores its root's
+    value, filled first if needed, relabelled by ``relabel(value, shift)``.
+    """
+    value = getattr(m, slot, None)
+    if value is None:
+        root, j = m.unrotated()
+        value = relabel(on_root(root, slot, compute, relabel), j) if j else compute(m)
+        setattr(m, slot, value)
+    return value
+
+
 def rep_a_vector(m: CMModuleRep) -> RootVector:
     """Layer multiplicities recovered from a representation.
 
     The t-valuation of det(x_i) equals s - r_i in any basis, so the
     multiplicity vector survives base change; valuations are read off the
     Smith exponents of each x_i, certified against the module's floor.
-    The result is cached on the root module; a view rotates its root's.
+    The result is cached (``on_root``); a view rotates its root's.
     """
-    root, j = m.unrotated()
-    avec = getattr(root, "_avec", None)
-    if avec is None:
+    def count(root: CMModuleRep) -> RootVector:
         counts = []
         for i in range(1, root.n + 1):
             exps = _smith(root.x[i], need_u=False).certify(root.floor, root.s, f"x_{i}")
             counts.append(root.s - sum(exps))
         if any(c < 0 for c in counts):
             raise ValueError(f"multiplicity vector {counts} out of range")
-        avec = root._avec = RootVector(tuple(counts), root.k)
-    return avec.rotate(j)
+        return RootVector(tuple(counts), root.k)
+    return on_root(m, "_avec", count, RootVector.rotate)
 
 
 def identify_rank1(m: CMModuleRep) -> Rim:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Optional
 
 
 class RootVector:
@@ -70,35 +69,20 @@ def q_form(a: RootVector) -> Fraction:
     return sum(Fraction(x * x) for x in a.entries) + Fraction(2 - a.k, a.k * a.k) * total * total
 
 
-def root_coordinates(a: RootVector) -> Optional[RootCoords]:
+def root_coordinates(a: RootVector) -> RootCoords:
     """Invert a = sum c_i (-e_i + e_{i+1}) + d (e_1 + ... + e_k).
 
-    d is forced to sum(a)/k and the c_i follow by prefix sums; returns
-    None when the degree is not integral (i.e. the vector is outside the
-    sublattice, which the RootVector type already excludes).
+    d is forced to sum(a)/k, an integer on the sublattice that RootVector
+    guarantees, and the c_i follow by prefix sums.
     """
-    total = sum(a.entries)
-    if total % a.k != 0:
-        return None
-    d = total // a.k
+    d = sum(a.entries) // a.k
     c = []
     acc = 0
     for i in range(1, a.n):
         acc += (d if i <= a.k else 0) - a.entries[i - 1]
         c.append(acc)
-    # consistency at the wrap: c_n = d*k - total = 0 holds identically
-    rebuilt = _rebuild(tuple(c), d, a.n, a.k)
-    if rebuilt != a.entries:
-        return None
+    # at the wrap c_n = d*k - sum(a) = 0 holds identically, so (c, d) gives a back
     return RootCoords(tuple(c), d)
-
-
-def _rebuild(c: tuple[int, ...], d: int, n: int, k: int) -> tuple[int, ...]:
-    out = [d if i <= k else 0 for i in range(1, n + 1)]
-    for i, ci in enumerate(c, start=1):
-        out[i - 1] -= ci
-        out[i] += ci
-    return tuple(out)
 
 
 def max_entry_bound(k: int) -> int:

@@ -13,8 +13,8 @@ from grasscat.homology import (WEIGHT_LADDER, canonical_module, decomposition_ra
                                ext1, ext1_rims,
                                generic_extension, hom_space, is_isomorphic,
                                is_rigid, projective_cover, rank2_extension,
-                               rigid_indecomposable_rank2, syzygy, syzygy_data,
-                               top_generators, top_multiset, _ext1_once)
+                               rigid_indecomposable_rank2, syzygy,
+                               top_generators, top_multiset)
 from grasscat.modules import (CMModuleRep, Profile, build_layered, build_rank1,
                               direct_sum, identify_rank1, rep_a_vector,
                               validate_relations)
@@ -54,7 +54,7 @@ class TestCoverAndSyzygy:
                 m = build_rank1(shift(r, j))
                 vertices = projective_cover(m).vertices
                 assert sorted(vertices) == sorted(peaks(shift(r, j)))
-                assert vertices == syzygy_data(m).cover.vertices
+                assert vertices == homology._cover_of(m).vertices
 
     def test_syzygy_of_ac_rim(self):
         m = build_rank1(rim([1, 4, 5], 3, 9))
@@ -85,10 +85,10 @@ class TestCoverAndSyzygy:
     def test_projective_source_has_zero_ext_and_evaluation_hom(self):
         projective = build_rank1(rim([6, 7, 8], 3, 8))
         other = generic_extension(rim([1, 3, 5], 3, 8), rim([2, 4, 7], 3, 8))
-        assert syzygy_data(projective).omega is None
-        assert syzygy_data(projective).embed == {}
+        assert homology._omega(projective) is None
+        assert homology._cover_of(projective).size == projective.s
         assert ext1(projective, other).is_zero()
-        assert _ext1_once(projective, projective) == ()
+        assert ext1(projective, projective).exponents == ()
         # Hom out of a projective is evaluation at its generator
         assert hom_space(projective, other).z_rank == other.s
         assert hom_space(projective, projective).z_rank == 1
@@ -330,23 +330,34 @@ class TestExtensionConstruction:
         dec = ext1(ma, mb)
         assert dec.exponents == (1, 1)
         # single-shot at two truncations agrees
-        assert _ext1_once(ma, mb) == (1, 1)
-        assert _ext1_once(build_rank1(a, 14), build_rank1(b, 14)) == (1, 1)
+        assert ext1(ma, mb).exponents == (1, 1)
+        assert ext1(build_rank1(a, 14), build_rank1(b, 14)).exponents == (1, 1)
 
 
-def quotient_pushout(top_rep, bot_rep, syz, f, floor):
+def cover_maps(m):
+    """Oracle: the cover map at each vertex w, written from the path
+    matrices into w at the top generators, apart from ``projective_cover``."""
+    gens = top_generators(m)
+    return {w: DVRMatrix.from_columns([m.path_matrix(v, w).column(idx) for v, idx in gens],
+                                      m.s, m.trunc)
+            for w in range(1, m.n + 1)}
+
+
+def quotient_pushout(top_rep, bot_rep, f, floor):
     """Oracle: the extension middle as the quotient (bottom + cover) / {(f w, -w)},
     split off by one factorisation per vertex, with the structure maps
     solved for on the quotient."""
     n, k, N = top_rep.n, top_rep.k, top_rep.trunc
+    cover = homology._cover_of(top_rep)
     amb = bot_rep
-    for v_cov in syz.cover.vertices:
+    for v_cov in cover.vertices:
         proj_rim = rim([(v_cov + i - 1) % n + 1 for i in range(1, k + 1)], k, n)
         amb = direct_sum(amb, build_rank1(proj_rim, N))
-    sb, c, r = bot_rep.s, syz.cover.size, syz.omega.s
+    sb, c, r = bot_rep.s, cover.size, syzygy(top_rep).s
     projections, proj_t = {}, {}
     for v in range(1, n + 1):
-        sub = DVRMatrix(f[v].data + tuple([-e for e in row] for row in syz.embed[v].data),
+        embed = cover.smith[v].kernel()
+        sub = DVRMatrix(f[v].data + tuple([-e for e in row] for row in embed.data),
                         N, cols=r)
         sm = dvr._smith(sub)
         assert sm.npivots == r and not sm.loss, v
@@ -397,7 +408,7 @@ class TestPushoutOnTheEnds:
                     assert all(e.is_zero() for row in mat.data[bottom.s:]
                                for e in row[:bottom.s]), v
             # the oracle splits the cover itself: it takes no splittings
-            assert is_isomorphic(middle, quotient_pushout(*args[:5]))
+            assert is_isomorphic(middle, quotient_pushout(*args))
 
     def test_every_3_7_candidate_at_every_weight(self, pushouts):
         candidates = rank2_candidates(3, 7)
@@ -501,7 +512,8 @@ class TestRank2Walk:
         conditions = self.record(monkeypatch, "_hom_condition")
         factored = self.record(monkeypatch, "_smith")
         homs = self.record(monkeypatch, "hom_space")
-        resolved = self.record(monkeypatch, "syzygy_data")
+        covered = self.record(monkeypatch, "projective_cover")
+        resolved = self.record(monkeypatch, "_omega")
         assert rigid_indecomposable_rank2(a, b) is None
         assert len(build_count) == len(WEIGHT_LADDER)
         assert len({(id(args[0]), id(args[1])) for args, _ in build_count}) == 1
@@ -517,9 +529,11 @@ class TestRank2Walk:
         transforms = [sm.U for _, sm in factored if sm.U is not None]
         assert transforms
         assert not any(matrix is u for (matrix, *_), _ in factored for u in transforms)
-        # the top's syzygy is never resolved: its cover alone writes the classes out
-        omega = syzygy_data(top).omega
+        # the top's syzygy is never resolved: its cover alone writes the
+        # classes out, and it is computed at most once
+        omega = homology._omega(top)
         assert not any(args[0] in (omega, omega.unrotated()[0]) for args, _ in resolved)
+        assert [args[0] for args, _ in covered].count(omega.unrotated()[0]) <= 1
         assert homs == []
 
     def test_no_rigid_middle_falls_back_to_first_weight(self, fresh_cache):
@@ -608,13 +622,27 @@ class TestRotatedCaches:
             for w in range(1, m.n + 1):
                 assert m.path_matrix(v, w) == fresh.path_matrix(v, w), (v, w)
 
+    def test_carried_top_cover_and_a_vector_equal_fresh_ones(self, pair):
+        m, fresh = pair
+        assert m.unrotated()[1]  # a view
+        # the view keeps its root's order, relabelled; the fresh copy's runs
+        # from vertex 1
+        top = top_generators(m)
+        assert sorted(top) == sorted(top_generators(fresh))
+        assert top_generators(m) is top
+        vertices = homology._cover_of(m).vertices
+        assert vertices == tuple(v for v, _ in top)
+        assert sorted(vertices) == sorted(homology._cover_of(fresh).vertices)
+        assert rep_a_vector(m) == rep_a_vector(fresh)
+
     def test_carried_syzygy_matches_a_fresh_one(self, pair):
         m, fresh = pair
-        data = syzygy_data(m)
-        assert syzygy_data(m) is data
-        for w in range(1, m.n + 1):
-            assert (data.cover.eps[w] @ data.embed[w]).is_zero(), w
-        omega, fresh_omega = data.omega, syzygy(fresh)
+        omega = syzygy(m)
+        assert syzygy(m) is omega
+        cover = homology._cover_of(m)
+        for w, eps in cover_maps(m).items():
+            assert (eps @ cover.smith[w].kernel()).is_zero(), w
+        fresh_omega = syzygy(fresh)
         assert validate_relations(omega) == []
         assert omega.floor == fresh_omega.floor
         assert rep_a_vector(omega) == rep_a_vector(fresh_omega)
@@ -624,10 +652,10 @@ class TestRotatedCaches:
     def test_carried_splitting_splits_the_cover(self, pair):
         # the cover map's splitting completes the carried embedding
         m, _ = pair
-        data = syzygy_data(m)
-        for w in range(1, m.n + 1):
-            eps, emb = data.cover.eps[w], data.embed[w]
-            sec, ret = data.cover.smith[w].splitting()
+        cover = homology._cover_of(m)
+        for w, eps in cover_maps(m).items():
+            emb = cover.smith[w].kernel()
+            sec, ret = cover.smith[w].splitting()
             assert eps @ sec == DVRMatrix.identity(m.s, m.trunc), w
             assert ret @ emb == DVRMatrix.identity(emb.cols, m.trunc), w
             assert sec @ eps + emb @ ret == DVRMatrix.identity(eps.cols, m.trunc), w
@@ -653,7 +681,7 @@ class TestRotationsShareTheRoot:
             assert least_shift(a, b) == 0
             root = rank2_extension(a, b)
             memo = [rank2_extension(shift(a, j), shift(b, j)) for j in range(1, 7)]
-        syzygy_data(syzygy(root))
+        homology._omega(syzygy(root))
         n = root.n
         return root, memo + [root.rotate(i).rotate(j) for i in range(n) for j in range(n)]
 
@@ -667,7 +695,7 @@ class TestRotationsShareTheRoot:
             return original(m)
         monkeypatch.setattr(homology, "projective_cover", counted)
         for m in turned:
-            syzygy_data(syzygy(m))
+            homology._omega(syzygy(m))
             assert ext1(m, m) == ext1(root, root)
         assert covered == []
 
@@ -745,11 +773,11 @@ class TestFactorOnce:
         one = build_rank1(rim([1, 3, 5, 7], 4, 8))
         calls = self.count_smith(monkeypatch)
         for source, target in ((m, m), (m, one), (one, m), (m.rotate(3), m)):
-            syzygy_data(syzygy(source))
+            homology._omega(syzygy(source))
             before = len(calls)
             hom_space(source, target)
             # the vertex solves factor matrices of rank(source) < width columns
-            width = syzygy_data(source).cover.size * target.s
+            width = homology._cover_of(source).size * target.s
             rows = [mat.rows for mat in calls[before:] if mat.cols == width]
             assert rows == [len(top_generators(syzygy(source))) * target.s]
 
@@ -764,7 +792,7 @@ class TestFactorOnce:
         hom_space(m, other)
         assert len(calls) - before == 1
         before = len(calls)
-        assert syzygy(m) is syzygy_data(m).omega
+        assert syzygy(m) is homology._omega(m)
         assert len(calls) == before
 
     @pytest.mark.parametrize("other", [
@@ -774,7 +802,7 @@ class TestFactorOnce:
     def test_ext_factors_the_hom_condition_alone(self, monkeypatch, other):
         m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
         other = other(m)
-        syzygy_data(m)
+        syzygy(m)
         calls = self.count_smith(monkeypatch)
         ext1(m, other)
         assert len(calls) == 1
@@ -814,7 +842,7 @@ class TestFactorOnce:
         monkeypatch.setattr(homology, "_pushout", counted)
         assert rigid_indecomposable_rank2(a, b) is None
         m = rank2_extension(a, b)
-        assert hom_space(m, m).z_rank > 1 and syzygy(m) is syzygy_data(m).omega
+        assert hom_space(m, m).z_rank > 1 and syzygy(m) is homology._omega(m)
         # every middle is written on bottom + top from the sections of the
         # top's cover map, read off its factorisations
         assert inside == [0] * len(WEIGHT_LADDER)
@@ -822,10 +850,12 @@ class TestFactorOnce:
         # root module, each of its maps factored once across the syzygy,
         # Hom and the walk
         assert len({id(rep) for rep, _ in covered}) == len(covered) > len(WEIGHT_LADDER)
-        eps = [e for _, c in covered for e in c.eps.values()]
-        assert [sum(mat is e for mat in calls) for e in eps] == [1] * len(eps)
-        top = syzygy_data(build_rank1(a, 16)).cover.eps.values()
-        assert all(any(e is mat for mat in eps) for e in top)
+        eps = [e for rep, _ in covered for e in cover_maps(rep).values()]
+        assert [sum(mat == e for mat in calls) for e in eps] == \
+            [sum(other == e for other in eps) for e in eps]
+        top = build_rank1(a, 16)
+        assert any(rep is top for rep, _ in covered)
+        assert all(any(e == mat for mat in eps) for e in cover_maps(top).values())
 
     @pytest.mark.parametrize("m", [
         lambda: rank2_extension(rim([1, 3, 5], 3, 7), rim([2, 4, 7], 3, 7)),
@@ -847,7 +877,7 @@ class TestFactorOnce:
     def test_vertex_maps_refuse_images_that_define_no_map(self):
         # the first cover generator sent to the generator of N, the others to 0
         m = build_rank1(rim([1, 3, 5, 7], 4, 8))
-        cover = syzygy_data(m).cover
+        cover = homology._cover_of(m)
         one, zero = ValPoly.one(m.trunc), ValPoly.zero(m.trunc)
         images = DVRMatrix.from_columns([[one] + [zero] * (cover.size - 1)], cover.size,
                                         m.trunc)
@@ -876,7 +906,7 @@ class TestFactorOnce:
     def test_isomorphism_with_equal_tops_reads_one_vertex(self, monkeypatch, m, other, verdict):
         m, other = m(), other()
         assert top_multiset(m) == top_multiset(other)
-        syzygy_data(m)
+        syzygy(m)
         calls = self.count_smith(monkeypatch)
         assert is_isomorphic(m, other) is verdict
         # the a-vectors of both modules, the Hom condition and one vertex
@@ -886,15 +916,16 @@ class TestFactorOnce:
 def all_vertex_rows(m, n_rep):
     """Oracle: the Hom condition at every syzygy basis vector of every
     vertex, one block of rank(n) rows each, in ``_relation_rows`` columns."""
-    syz, sN = syzygy_data(m), n_rep.s
+    cover, sN = homology._cover_of(m), n_rep.s
     rows = []
-    for w, emb in syz.embed.items():
-        paths = [n_rep.path_matrix(v, w) for v in syz.cover.vertices]
+    for w, sm in cover.smith.items():
+        emb = sm.kernel()
+        paths = [n_rep.path_matrix(v, w) for v in cover.vertices]
         for j in range(emb.cols):
             u = emb.column(j)
             rows += [[u[i] * paths[i].data[a][b] for i in range(len(u)) for b in range(sN)]
                      for a in range(sN)]
-    return DVRMatrix(rows, m.trunc, cols=syz.cover.size * sN)
+    return DVRMatrix(rows, m.trunc, cols=cover.size * sN)
 
 
 class TestHomConditionAtGenerators:
@@ -991,7 +1022,7 @@ class TestCanonicalExt:
         fresh = {N2: {r: build_layered([r], N2) for r in rims_all} for N2 in (N, N + 2)}
 
         def exps(a, b):
-            got = [_ext1_once(reps[a], reps[b]) for reps in fresh.values()]
+            got = [ext1(reps[a], reps[b]).exponents for reps in fresh.values()]
             assert got[0] == got[1], (a, b)
             return got[0]
         return exps
@@ -1025,8 +1056,8 @@ class TestCanonicalExt:
         n_rep = rank2_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6))
         rebuilt = rank2_extension(rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6), 14)
         for a in all_rims(3, 6):
-            want = _ext1_once(build_rank1(a, 12), n_rep)
-            assert want == _ext1_once(build_rank1(a, 14), rebuilt)
+            want = ext1(build_rank1(a, 12), n_rep).exponents
+            assert want == ext1(build_rank1(a, 14), rebuilt).exponents
             assert ext1(build_rank1(a), n_rep).exponents == want, a
 
     @settings(max_examples=40, deadline=None)
@@ -1039,8 +1070,8 @@ class TestCanonicalExt:
         turned = (shift(a, j), shift(b, j))
         assert ext1_rims(*turned) == ext1_rims(a, b)
         # the rotated pair built directly, sharing no cache with the memo's views
-        assert _ext1_once(*(build_layered([r]) for r in turned)) == \
-            _ext1_once(build_rank1(a), build_rank1(b))
+        assert ext1(*(build_layered([r]) for r in turned)).exponents == \
+            ext1(build_rank1(a), build_rank1(b)).exponents
 
     def test_memo_holds_one_module_per_class_and_truncation(self, monkeypatch):
         # fresh rank-1 modules, so every one below is resolved here
@@ -1066,14 +1097,14 @@ class TestCanonicalExt:
 
     def test_syzygy_is_cached_on_the_module(self):
         m = build_rank1(rim([1, 4, 5], 3, 9))
-        data = syzygy_data(m)
-        assert data is syzygy_data(m) and data.omega is not None
-        assert syzygy(m) is data.omega
+        omega = syzygy(m)
+        assert omega is syzygy(m) and omega is homology._omega(m)
+        assert homology._cover_of(m) is homology._cover_of(m)
         # the second step of the resolution is the syzygy's own cache
-        assert syzygy_data(data.omega) is syzygy_data(data.omega)
+        assert syzygy(omega) is syzygy(omega)
         projective = build_rank1(rim([6, 7, 8], 3, 8))
-        assert syzygy_data(projective) is syzygy_data(projective)
-        assert syzygy_data(projective).omega is None
+        assert homology._cover_of(projective) is homology._cover_of(projective)
+        assert homology._omega(projective) is None
 
     def test_mismatched_inputs_raise(self):
         with pytest.raises(ValueError):
@@ -1087,7 +1118,7 @@ def two_step_ext(m, n_rep):
     """Oracle: Ext^1 from the second resolution step, the cokernel of the
     Hom condition written in the kernel basis of the syzygy's own Hom
     condition, Hom(Omega, N), with its own certificate."""
-    omega = syzygy_data(m).omega
+    omega = homology._omega(m)
     if omega is None:
         return ()
     sm_e, floor, _ = homology._hom_condition(omega, n_rep)
@@ -1174,7 +1205,7 @@ class TestOneExtCheck:
         def counted(*args, **kwargs):
             calls.append(args[0].trunc)
             return fn(*args, **kwargs)
-        monkeypatch.setattr(homology, "_ext1_once", counted)
+        monkeypatch.setattr(homology, "_hom_condition", counted)
         return calls
 
     def test_floor_below_the_ext_exponent_raises(self, monkeypatch):
@@ -1183,7 +1214,7 @@ class TestOneExtCheck:
         m = build_rank1(rim([1, 3, 5], 3, 6), 12)
         exact = build_rank1(rim([2, 4, 6], 3, 6), 12)
         coarse = CMModuleRep(6, 3, 1, exact.x, exact.y, 12, floor=1)
-        calls = self.count_calls(monkeypatch, _ext1_once)
+        calls = self.count_calls(monkeypatch, homology._hom_condition)
         assert ext1(m, exact).exponents == (1, 1)
         assert calls == [12]
         with pytest.raises(TruncationUnstable) as exc:
@@ -1238,7 +1269,7 @@ class TestPlainData:
     ])
     def test_round_trip(self, build):
         m = build()
-        syzygy_data(m)   # the cached syzygy and path matrices travel too
+        syzygy(m)   # the cached cover, syzygy and path matrices travel too
         back = pickle.loads(pickle.dumps(m))
         assert (back.n, back.k, back.s, back.trunc, back.floor) == \
             (m.n, m.k, m.s, m.trunc, m.floor)

@@ -218,7 +218,8 @@ def test_detects_a_module_level_empty_container(tmp_path):
 
 
 # a module's caches and its view slots are implementation; tests reach
-# them through path_matrix, syzygy_data, top_multiset and rep_a_vector
+# them through path_matrix, top_generators, rep_a_vector and the accessors
+# homology._cover_of, homology._omega and syzygy
 PRIVATE_MODULE_SLOTS = {"_paths", "_syzygy", "_cover", "_avec", "_top", "_root", "_turn"}
 REFLECTION = {"getattr", "hasattr", "setattr", "delattr"}
 
@@ -295,6 +296,30 @@ def test_detects_a_hand_written_rotation_memo(tmp_path):
         "class TauOrbit:\n    def rotate(self, p):\n        return least_shift(p), least_shift\n")
     assert callers("least_shift", tmp_path) == [
         ROTATION_MEMO, "tubes.walk_orbits", "tubes.<module>", "tubes.TauOrbit"]
+
+
+# a module's caches are filled by one accessor, modules.on_root, which
+# relabels a root's value for a view; any other caller of unrotated outside
+# CMModuleRep would be a hand-written root cache
+ROOT_CACHE = "modules.on_root"
+
+
+def test_unrotated_is_called_only_by_the_module_and_its_cache_accessor():
+    assert set(callers("unrotated")) == {"modules.CMModuleRep", ROOT_CACHE}
+
+
+def test_detects_a_hand_written_root_cache(tmp_path):
+    (tmp_path / "modules.py").write_text(
+        "class CMModuleRep:\n    def rotate(self, j):\n        return self.unrotated()\n"
+        "def on_root(m, slot, compute, relabel):\n"
+        "    root, j = m.unrotated()\n    return relabel(compute(root), j)\n")
+    (tmp_path / "homology.py").write_text(
+        "def top_generators(m):\n    root, j = m.unrotated()\n"
+        "    top = getattr(root, '_top', None)\n"
+        "    if top is None:\n        top = root._top = _top_generators(root)\n"
+        "    return relabel(top, j)\n")
+    assert callers("unrotated", tmp_path) == [
+        "homology.top_generators", "modules.CMModuleRep", ROOT_CACHE]
 
 
 # standard modules a command must not load while it starts: dataclasses

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasscat.modules import Profile, a_vector, profile
 from grasscat.rims import all_rims
@@ -33,6 +34,12 @@ class TestQForm:
             assert q_form(v.rotate(m)) == q_form(v)
 
 
+def rebuilt(rc, k, n):
+    """a from its coordinates: a_j = d [j <= k] - c_j + c_(j-1), c_0 = c_n = 0."""
+    c = (0,) + rc.c + (0,)
+    return tuple(rc.d * (j <= k) - c[j] + c[j - 1] for j in range(1, n + 1))
+
+
 class TestRootCoordinates:
     def test_e6_top_degree2_root(self):
         rc = root_coordinates(RootVector((1, 1, 1, 1, 1, 1), 3))
@@ -50,7 +57,19 @@ class TestRootCoordinates:
         for k, n in [(3, 6), (3, 9), (4, 8)]:
             for v in enumerate_degree2_real_roots(k, n):
                 rc = root_coordinates(v)
-                assert rc is not None and rc.d == 2
+                assert rc.d == 2
+                assert rebuilt(rc, k, n) == v.entries, v.entries
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(-5, 5), min_size=k + 1, max_size=12))))
+    def test_reconstruction_for_lattice_vectors(self, case):
+        k, entries = case
+        entries[-1] -= sum(entries) % k  # onto the sublattice: k | sum
+        a = RootVector(tuple(entries), k)
+        rc = root_coordinates(a)
+        assert len(rc.c) == a.n - 1
+        assert rebuilt(rc, k, a.n) == a.entries
 
 
 class TestEnumeration:
