@@ -18,10 +18,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__ as _pkg_version
-from .homology import is_isomorphic, is_rigid, rigid_indecomposable_rank2
-from .modules import (CMModuleRep, Profile, a_vector, build_layered,
-                      default_truncation)
-from .rims import Rim, all_rims, classify_pair, interlacing_degree, rim, shift
+from .homology import is_isomorphic, rigid_indecomposable_rank2
+from .modules import CMModuleRep, Profile, a_vector, default_truncation
+from .rims import Rim, all_rims, classify_pair, interlacing_degree, rim
 from .roots import RootVector, classify_root_vector, expected_rigid_rank2_count
 
 # rank-1 and rank-2 rigid counts reproduced by the computation
@@ -36,11 +35,6 @@ CENSUS_TABLE = {
 # literature values for rank-3 rigid counts in the tame cases; recorded for
 # reference only, no computation here reproduces them
 RANK3_LITERATURE = {(3, 9): 117, (4, 8): 82}
-
-# a 3-interlacing non-tight filtration whose class must coincide with one of
-# the eight imaginary-type classes instead of enlarging the census
-NEGATIVE_CONTROL_48 = ((1, 2, 4, 7), (3, 5, 6, 8))
-
 
 class CensusEntry:
     """One isomorphism class of rigid indecomposable rank-2 modules."""
@@ -136,6 +130,7 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
                progress: bool = False) -> CensusReport:
     """Full (or sampled) rigid rank-2 census over one ambient.
 
+    ``sample``, a fraction in (0, 1], tests that share of the candidates.
     A sampled run only certifies the tested candidates; class grouping and
     fixture comparison are reserved for full runs.  Orbit ids are left
     unset, so the cache never holds them.  The cache file is the printed
@@ -144,6 +139,8 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
     """
     if not 3 <= k <= n // 2:
         raise ValueError(f"need 3 <= k <= n/2, got k={k}, n={n}")
+    if sample is not None and not 0 < sample <= 1:
+        raise ValueError(f"sample must be a fraction in (0, 1], got {sample}")
     N = default_truncation(n, trunc)
 
     cache_path = None
@@ -269,32 +266,6 @@ def verify_conjectures(k: int, n: int, *, report: Optional[CensusReport] = None,
         r_ge_4_all_nonrigid=not any(ok for cls, ok in verdicts if cls.interlacing_degree >= 4),
         real_count_matches_formula=(real == formula) if not report.sampled else False,
         formula_count=formula)
-
-
-def negative_control_48(trunc: Optional[int] = None) -> dict:
-    """The non-tight disjoint filtration 1247|3568 must not enlarge the census.
-
-    The layered sigma-construction on this pair is not rigid (raw verdict
-    logged); an extension realisation exists but coincides with one of the
-    eight imaginary-type classes.
-    """
-    a, b = rim(NEGATIVE_CONTROL_48[0], 4, 8), rim(NEGATIVE_CONTROL_48[1], 4, 8)
-    layered = build_layered([a, b], trunc)
-    raw = is_rigid(layered)
-    rep = rigid_indecomposable_rank2(a, b, trunc)
-    same_class = None
-    if rep is not None:
-        base = rim((1, 2, 4, 6), 4, 8), rim((3, 5, 7, 8), 4, 8)
-        for m in range(8):
-            known = rigid_indecomposable_rank2(shift(base[0], m), shift(base[1], m), trunc)
-            if known is not None and is_isomorphic(rep, known):
-                same_class = f"{shift(base[0], m)}|{shift(base[1], m)}"
-                break
-    return {
-        "pair": "1247|3568",
-        "layered_sigma_is_rigid": raw,
-        "extension_class_coincides_with": same_class,
-    }
 
 
 def _load_cache(path: Path, k: int, n: int, trunc: int) -> Optional[CensusReport]:

@@ -258,16 +258,18 @@ def cmd_census(args) -> int:
         attach_orbit_ids(rep)
     counts = rep.counts()
     payload = rep.to_json_dict()
-    lines = [f"census (k,n)=({args.k},{args.n})"
-             + (" [sampled]" if rep.sampled else "")]
-    lines.append(f"  rank1: {counts['rank1']}, rank2 rigid: {counts['rank2_rigid']}"
-                 + (f" ({counts['real']} real + {counts['imaginary']} imaginary)"
-                    if not rep.sampled else ""))
     if full:
         conj = verify_conjectures(args.k, args.n, report=rep)
         payload["conjectures"] = conj.verdicts()
-        lines.append("  conjectures: " + ", ".join(
-            f"{k}={v}" for k, v in conj.verdicts().items()))
+        lines = [f"census (k,n)=({args.k},{args.n})",
+                 f"  rank1: {counts['rank1']}, rank2 rigid: {counts['rank2_rigid']} "
+                 f"({counts['real']} real + {counts['imaginary']} imaginary)",
+                 "  conjectures: " + ", ".join(f"{k}={v}" for k, v in conj.verdicts().items())]
+    else:
+        # a sampled run groups no classes: it reports its candidates' verdicts
+        lines = [f"census (k,n)=({args.k},{args.n}) [sampled]",
+                 f"  rank1: {counts['rank1']}, rigid among {rep.candidates_tested} "
+                 f"sampled candidates: {sum(rep.candidate_verdicts.values())}"]
     if rep.fixture_diffs:
         lines.append("  FIXTURE DIFFS: " + "; ".join(rep.fixture_diffs))
     _emit(args, payload, "\n".join(lines))

@@ -12,8 +12,8 @@ def _svg_point(col: int, height: float, max_h: int) -> tuple[float, float]:
     return (MARGIN + col * CELL, MARGIN + (max_h - height) * CELL * 0.5)
 
 
-def lattice_svg(p: Profile, depth: int = 2) -> str:
-    data = lattice_diagram_data(p, depth=depth)
+def lattice_svg(p: Profile) -> str:
+    data = lattice_diagram_data(p)
     n = data["n"]
     max_h = max(max(h) for h in data["polylines"])
     min_dot = min(min(c["dots"]) for c in data["columns"])
@@ -57,8 +57,8 @@ def lattice_svg(p: Profile, depth: int = 2) -> str:
     return "\n".join(parts) + "\n"
 
 
-def lattice_tikz(p: Profile, depth: int = 2) -> str:
-    data = lattice_diagram_data(p, depth=depth)
+def lattice_tikz(p: Profile) -> str:
+    data = lattice_diagram_data(p)
     n = data["n"]
     lines = [
         "\\begin{tikzpicture}[scale=0.8]",

@@ -138,12 +138,6 @@ class ValPoly:
                     out[d] = out.get(d, 0) + c1 * c2
         return ValPoly(out, trunc)
 
-    def scale(self, c) -> "ValPoly":
-        c = _exact(c)
-        if c == 0:
-            return ValPoly.zero(self.trunc)
-        return ValPoly._clean({d: v * c for d, v in self.coeffs.items()}, self.trunc)
-
     def unit_inverse(self) -> "ValPoly":
         """Power-series inverse of a valuation-0 element, to the truncation."""
         if not self.is_unit():
@@ -260,9 +254,6 @@ class DVRMatrix:
         return cls._wrap(tuple([r + s for r, s in zip(a.data, b.data)])
                          + tuple([left + r for r in d.data]), a.cols + d.cols, a.trunc)
 
-    def __getitem__(self, idx: tuple[int, int]) -> ValPoly:
-        return self.data[idx[0]][idx[1]]
-
     def __matmul__(self, other: "DVRMatrix") -> "DVRMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
@@ -292,19 +283,8 @@ class DVRMatrix:
         return DVRMatrix._wrap(tuple([tuple([p * e for e in row]) for row in self.data]),
                                self.cols, self.trunc)
 
-    def transpose(self) -> "DVRMatrix":
-        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return DVRMatrix._wrap(data, self.rows, self.trunc)
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.data for e in row)
-
     def column(self, j: int) -> tuple[ValPoly, ...]:
         return tuple([row[j] for row in self.data])
-
-    def hstack(self, other: "DVRMatrix") -> "DVRMatrix":
-        return DVRMatrix._wrap(tuple([self.data[i] + other.data[i] for i in range(self.rows)]),
-                               self.cols + other.cols, self.trunc)
 
     def mod_t(self) -> list[list[Coeff]]:
         """Constant terms, as an exact rational matrix."""
@@ -327,9 +307,8 @@ class Smith:
 
     S is zero except for t^e in diagonal place i < ``npivots``, where e is
     ``exponents[i]``; ``V_inv`` is the inverse of V.  U is None when the
-    factorisation was made without it, which leaves ``splitting`` and
-    ``solve`` unavailable.
-    One factorisation serves every kernel read and right-hand side of A.
+    factorisation was made without it, which leaves ``splitting``
+    unavailable.  One factorisation serves every kernel read of A.
     """
 
     __slots__ = ("exponents", "npivots", "U", "V", "V_inv", "cols", "trunc")
@@ -392,30 +371,6 @@ class Smith:
         if any(e.coeffs and min(e.coeffs) < known for row in y.data[:self.npivots] for e in row):
             raise TruncationUnstable("vector is not in the kernel at working precision")
         return DVRMatrix._wrap(y.data[self.npivots:], vectors.cols, self.trunc)
-
-    def solve(self, rhs: DVRMatrix, floor: int) -> Optional[DVRMatrix]:
-        """One X with A @ X == rhs modulo t^(floor - loss), for A and ``rhs``
-        correct modulo t^floor, or None when some column has no solution.
-
-        Column j of X is V y for the y with S y = U rhs[:, j], each pivot
-        coordinate divided by its t^e and every other coordinate zero.  Terms
-        of U rhs from degree floor - loss on carry no information: ignored.
-        """
-        trunc, known = self.trunc, floor - self.loss
-        ub = self.U @ rhs
-        z = ValPoly.zero(trunc)
-        y = [[z] * rhs.cols for _ in range(self.cols)]
-        for i, e in enumerate(self.exponents):
-            for j, entry in enumerate(ub.data[i]):
-                if entry.is_zero():
-                    continue
-                if entry.valuation() < min(e, known):
-                    return None
-                y[i][j] = ValPoly._clean({d - e: c for d, c in entry.coeffs.items() if d >= e},
-                                         trunc)
-        if any(e.coeffs and min(e.coeffs) < known for row in ub.data[self.npivots:] for e in row):
-            return None
-        return self.V @ DVRMatrix._wrap(tuple(map(tuple, y)), rhs.cols, trunc)
 
 
 def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
@@ -521,26 +476,3 @@ def _dot(row: Sequence[ValPoly], col: Sequence[ValPoly], trunc: int) -> ValPoly:
                     if d < trunc:
                         out[d] = get(d, 0) + c1 * c2
     return ValPoly._clean({d: c for d, c in out.items() if c != 0}, trunc)
-
-
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank of an exact rational matrix by Gaussian elimination."""
-    M = [row[:] for row in rows]
-    nrows = len(M)
-    ncols = len(M[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        inv = Fraction(1) / M[rank][col]
-        M[rank] = [x * inv for x in M[rank]]
-        for i in range(nrows):
-            if i != rank and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank

@@ -197,8 +197,8 @@ def syzygy(m: CMModuleRep) -> CMModuleRep:
 
 
 class ExtDecomp:
-    """Cyclic decomposition of an extension group over the centre; equal and
-    hashed on its exponents."""
+    """Cyclic decomposition of an extension group over the centre; equal on
+    its exponents."""
 
     __slots__ = ("exponents",)
 
@@ -209,9 +209,6 @@ class ExtDecomp:
         if other.__class__ is not ExtDecomp:
             return NotImplemented
         return self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
 
     @property
     def total_dim(self) -> int:

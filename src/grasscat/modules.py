@@ -356,13 +356,14 @@ def identify_rank1(m: CMModuleRep) -> Rim:
     return rim(members, m.k, m.n)
 
 
-def lattice_diagram_data(p: Profile, depth: int = 2) -> dict:
+def lattice_diagram_data(p: Profile) -> dict:
     """Column heights and rim polylines for the diagram emitters.
 
     Columns run 0..n left to right (0 and n identified up to the t-shift),
     leftmost labelled n.  A rim drops one unit at column i when i is in
     the layer and rises otherwise; successive layers are placed as high as
-    possible below the previous one, touching without crossing.
+    possible below the previous one, touching without crossing.  Each
+    column shows its tops and the two lattice points below each of them.
     """
     n = p.n
     polylines = []
@@ -385,7 +386,7 @@ def lattice_diagram_data(p: Profile, depth: int = 2) -> dict:
             "column": i,
             "label": n if i == 0 else i,
             "tops": tops,
-            "dots": sorted({t - 2 * d for t in tops for d in range(depth + 1)},
+            "dots": sorted({t - 2 * d for t in tops for d in range(3)},
                            reverse=True),
         })
     return {

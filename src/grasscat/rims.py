@@ -3,7 +3,7 @@
 Vertices and edges are both labelled 1..n, with n playing the role of 0.
 A rim is the index set of a rank-1 module; everything in this module is
 pure combinatorics on the cyclic structure: peaks, slopes, shifts,
-crossing/interlacing, and the rim-level syzygy and AR-middle formulas for
+interlacing, and the rim-level syzygy and AR-middle formulas for
 almost consecutive rims.
 """
 
@@ -42,16 +42,11 @@ class Rim:
     def __hash__(self) -> int:
         return hash((self.n, self.k, self.elements))
 
-    # a > b and a >= b fall back to the reflected b < a and b <= a
+    # a > b falls back to the reflected b < a
     def __lt__(self, other):
         if other.__class__ is not Rim:
             return NotImplemented
         return (self.n, self.k, self.elements) < (other.n, other.k, other.elements)
-
-    def __le__(self, other):
-        if other.__class__ is not Rim:
-            return NotImplemented
-        return (self.n, self.k, self.elements) <= (other.n, other.k, other.elements)
 
     def __contains__(self, vertex: int) -> bool:
         return vertex in self.elements
@@ -197,24 +192,6 @@ def syzygy_rim(r: Rim) -> Rim:
     return rim(out, k, n)
 
 
-def two_peak_syzygy_rim(r: Rim) -> Rim:
-    """Conjectured syzygy rim for any two-run rim (both runs allowed > 1).
-
-    For I = [a, a+d1-1] + [b, b+d2-1] the candidate is
-    [a+d1, a+k-1] + [b+d2, b+k-1].  This reduces to ``syzygy_rim`` when a
-    run is a singleton; for wider runs it is derived from the lattice
-    picture and is cross-checked numerically in the homology tests, never
-    assumed by the computational pipeline.
-    """
-    rr = runs(r)
-    if len(rr) != 2:
-        raise NotAlmostConsecutive(f"{r} does not have exactly two runs")
-    (a, d1), (b, d2) = rr
-    n, k = r.n, r.k
-    out = _cyclic_interval(a + d1, a + k - 1, n) + _cyclic_interval(b + d2, b + k - 1, n)
-    return rim(out, k, n)
-
-
 def two_layer_splits(avec: Sequence[int], k: int, n: int) -> Iterator[tuple[Rim, Rim]]:
     """Ordered rim pairs (top, bottom) whose multiplicity vectors add to avec.
 
@@ -251,11 +228,6 @@ def interlacing_degree(a: Rim, b: Rim) -> int:
     sides = [side for _, side in tagged]
     changes = sum(1 for i in range(len(sides)) if sides[i] != sides[i - 1])
     return changes // 2
-
-
-def crossing(a: Rim, b: Rim) -> bool:
-    """True when some quadruple alternates between a\\b and b\\a cyclically."""
-    return interlacing_degree(a, b) >= 2
 
 
 class PairClass:

@@ -36,10 +36,6 @@ class RootVector:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.entries) // self.k
-
     def rotate(self, m: int) -> "RootVector":
         n = self.n
         return RootVector(tuple(self.entries[(i - m) % n] for i in range(n)), self.k)
@@ -47,7 +43,7 @@ class RootVector:
 
 class RootCoords:
     """Coefficients over the simple roots: c_i at node i, d at the extra node;
-    equal and hashed on (c, d)."""
+    equal on (c, d)."""
 
     __slots__ = ("c", "d")
 
@@ -58,9 +54,6 @@ class RootCoords:
         if other.__class__ is not RootCoords:
             return NotImplemented
         return (self.c, self.d) == (other.c, other.d)
-
-    def __hash__(self) -> int:
-        return hash((self.c, self.d))
 
 
 def q_form(a: RootVector) -> Fraction:

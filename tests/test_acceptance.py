@@ -14,12 +14,12 @@ from grasscat.census import RANK3_LITERATURE, run_census, verify_conjectures
 from grasscat.homology import ext1
 from grasscat.modules import (Profile, build_layered, build_rank1,
                               identify_rank1, validate_relations)
-from grasscat.rims import (all_rims, classify_pair, crossing,
-                           interlacing_degree, is_almost_consecutive,
-                           is_projective, peaks, rim, shift, slopes,
-                           syzygy_rim)
+from grasscat.rims import (all_rims, classify_pair, interlacing_degree,
+                           is_almost_consecutive, is_projective, peaks, rim,
+                           shift, slopes, syzygy_rim)
 from grasscat.roots import enumerate_degree2_real_roots
 from grasscat.tubes import ar_sequence, tube_census
+from oracles import crossing
 
 
 def _line(num: int, ok: bool, text: str) -> None:

@@ -3,12 +3,13 @@ import json
 import pytest
 
 from grasscat import homology, modules
-from grasscat.census import (CENSUS_TABLE, RANK3_LITERATURE, negative_control_48,
-                             rank2_candidates, run_census, verify_conjectures)
+from grasscat.census import (CENSUS_TABLE, RANK3_LITERATURE, rank2_candidates,
+                             run_census, verify_conjectures)
 from grasscat.modules import Profile, build_rank1
 from grasscat.rims import (all_rims, classify_pair, interlacing_degree, least_shift,
                            rim, shift)
 from grasscat.roots import enumerate_degree2_real_roots
+from oracles import negative_control_48
 
 
 class TestSmallCensus:
@@ -115,6 +116,16 @@ class TestSampleMode:
         assert rep.sampled
         assert rep.candidates_tested >= 1
         assert all(ok for ok in rep.candidate_verdicts.values())
+
+    @pytest.mark.parametrize("sample", [0, -1, 1.5, 2, float("nan")])
+    def test_fraction_outside_the_unit_interval_is_refused(self, sample):
+        with pytest.raises(ValueError, match=r"sample must be a fraction in \(0, 1\]"):
+            run_census(3, 6, sample=sample)
+
+    def test_whole_sample_tests_every_candidate(self):
+        rep = run_census(3, 6, sample=1)
+        assert rep.sampled
+        assert rep.candidates_tested == len(rank2_candidates(3, 6))
 
 
 class TestProgress:

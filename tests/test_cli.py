@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from grasscat import __version__
+from grasscat.census import run_census
 from grasscat.cli import main
 
 
@@ -124,9 +125,16 @@ class TestCensusCommand:
         assert "rank1: 20, rank2 rigid: 2" in out
 
     def test_census_sample(self, capsys):
-        code, out = run_cli(["census", "3", "7", "--sample", "0.1"], capsys)
+        code, out = run_cli(["census", "3", "7", "--sample", "0.5"], capsys)
         assert code == 0
         assert "[sampled]" in out
+        # the table reports the sampled verdicts, which a sampled run does not group
+        rep = run_census(3, 7, sample=0.5)
+        rigid = sum(rep.candidate_verdicts.values())
+        assert rigid > 0
+        assert f"rigid among {rep.candidates_tested} sampled candidates: {rigid}" in out
+        assert main(["census", "3", "7", "--sample", "2"]) == 2
+        assert "error: sample must be a fraction in (0, 1]" in capsys.readouterr().err
 
     def test_orbit_ids_stay_out_of_the_census_cache(self, capsys, tmp_path):
         argv = ["--json", "--out", str(tmp_path), "census", "3", "6"]

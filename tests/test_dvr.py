@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscat.dvr import DVRMatrix, ValPoly, _smith, rational_rank
+from grasscat.dvr import DVRMatrix, ValPoly, _smith
 from grasscat.errors import TruncationUnstable
+from oracles import rational_rank, solve
 
 N = 16
 
@@ -54,7 +55,7 @@ def column(entries, trunc=N):
 
 def solve_column(matrix, rhs):
     """The one-column solve of matrix * x = rhs, as a list, or None."""
-    sol = _smith(matrix).solve(column(rhs, matrix.trunc), matrix.trunc)
+    sol = solve(_smith(matrix), column(rhs, matrix.trunc), matrix.trunc)
     return None if sol is None else list(sol.column(0))
 
 
@@ -272,7 +273,7 @@ class TestKernel:
         mat = M([[tpow(1), tpow(0, -1)]])
         basis = _smith(mat).kernel()
         assert basis.cols == 1
-        assert (mat @ basis).is_zero()
+        assert mat @ basis == DVRMatrix.zeros(1, 1, N)
         # saturated: the basis vector is not t times another vector
         assert any(e.valuation() == 0 for e in basis.column(0))
 
@@ -299,7 +300,8 @@ class TestKernel:
         assert basis @ coords == members
         if sm.npivots:
             # the first pivot column of V maps to a unit vector: not in the kernel
-            outside = members.hstack(DVRMatrix([[e] for e in sm.V.column(0)], N, cols=1))
+            outside = DVRMatrix([row + (e,) for row, e in zip(members.data, sm.V.column(0))],
+                                N, cols=members.cols + 1)
             with pytest.raises(TruncationUnstable):
                 sm.coordinates(outside, N)
 
@@ -329,6 +331,8 @@ class TestSplitting:
 
 
 class TestSolve:
+    """``oracles.solve``, the solver of the pushout oracle in test_homology."""
+
     def test_identity(self):
         rhs = [tpow(2), tpow(0, 5)]
         assert solve_column(DVRMatrix.identity(2, N), rhs) == rhs
@@ -351,7 +355,7 @@ class TestSolve:
         rows, cols, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
         A = random_matrix(rng, rows, cols)
         B = A @ random_matrix(rng, cols, k)
-        sol = _smith(A).solve(B, N)
+        sol = solve(_smith(A), B, N)
         assert sol is not None and (sol.rows, sol.cols) == (cols, k)
         assert A @ sol == B
         for j in range(k):
@@ -363,8 +367,8 @@ class TestSolve:
         at = rng.randint(0, k)
         mixed = DVRMatrix([row[:at] + u + row[at:] for row, u in zip(tB.data, unit.data)],
                           N, cols=k + 1)
-        assert _smith(tA).solve(tB, N) is not None
-        assert _smith(tA).solve(mixed, N) is None
+        assert solve(_smith(tA), tB, N) is not None
+        assert solve(_smith(tA), mixed, N) is None
 
 
 class TestFloorReads:
@@ -398,13 +402,13 @@ class TestFloorReads:
         # A = [t^2; 0] has loss 2: at floor 5, U rhs is known modulo t^3
         sm = _smith(M([[tpow(2)], [ValPoly.zero(N)]]))
         zero = ValPoly.zero(N)
-        assert sm.solve(column([tpow(2), tpow(3)]), N) is None
-        assert sm.solve(column([tpow(2), tpow(3)]), 5) == column([tpow(0)])
-        assert sm.solve(column([tpow(2), tpow(2)]), 5) is None
-        assert sm.solve(column([tpow(1), zero]), 5) is None
+        assert solve(sm, column([tpow(2), tpow(3)]), N) is None
+        assert solve(sm, column([tpow(2), tpow(3)]), 5) == column([tpow(0)])
+        assert solve(sm, column([tpow(2), tpow(2)]), 5) is None
+        assert solve(sm, column([tpow(1), zero]), 5) is None
         # at floor 3 only the t^0 term is known: t^1 no longer obstructs the division
-        assert sm.solve(column([tpow(1) + tpow(2), zero]), 3) == column([tpow(0)])
-        assert sm.solve(column([tpow(0) + tpow(2), zero]), 3) is None
+        assert solve(sm, column([tpow(1) + tpow(2), zero]), 3) == column([tpow(0)])
+        assert solve(sm, column([tpow(0) + tpow(2), zero]), 3) is None
 
 
 def test_rational_rank():
@@ -422,20 +426,13 @@ class TestFromColumns:
                    for _ in range(cols)]
         built = DVRMatrix.from_columns(columns, rows, N)
         assert (built.rows, built.cols, built.trunc) == (rows, cols, N)
-        stacked = DVRMatrix.zeros(rows, 0, N)
-        for col in columns:
-            stacked = stacked.hstack(DVRMatrix([[e] for e in col], N, cols=1))
-        assert built == stacked
+        assert built == DVRMatrix([[col[i] for col in columns] for i in range(rows)], N,
+                                  cols=cols)
         for j, col in enumerate(columns):
             assert built.column(j) == tuple(col)
 
 
 class TestDVRMatrixShape:
-    def test_hstack_keeps_columns_of_empty_rows(self):
-        stacked = DVRMatrix.zeros(0, 1, N).hstack(DVRMatrix.zeros(0, 2, N))
-        assert (stacked.rows, stacked.cols) == (0, 3)
-        assert stacked == DVRMatrix.zeros(0, 3, N)
-
     def test_equality_sees_the_shape(self):
         assert DVRMatrix.zeros(0, 2, N) != DVRMatrix.zeros(0, 0, N)
         assert DVRMatrix.zeros(0, 2, N) != DVRMatrix.zeros(2, 0, N)
@@ -464,8 +461,6 @@ class TestDVRMatrixShape:
         assert empty @ DVRMatrix.zeros(2, 3, N) == DVRMatrix.zeros(0, 3, N)
         assert empty + empty == empty and empty - empty == empty
         assert empty.scale(tpow(1)) == empty
-        assert empty.transpose() == DVRMatrix.zeros(2, 0, N)
-        assert DVRMatrix.zeros(2, 0, N).transpose() == empty
 
 
 # -- exact arithmetic against a schoolbook reference ----------------------
@@ -540,13 +535,6 @@ class TestExactArithmetic:
         window = TRUNC - a
         back = {d: c for d, c in (r * q).coeffs.items() if d < window}
         assert back == {d: c for d, c in p.coeffs.items() if d < window}
-
-    @settings(max_examples=100, deadline=None)
-    @given(terms, st.one_of(coefficients, st.just(0)))
-    def test_scale_matches_reference(self, a, c):
-        got = ValPoly(a, TRUNC).scale(c)
-        assert got.coeffs == ref_mul(a, {0: c} if c else {})
-        assert_clean(got)
 
     def test_integers_stay_integers(self):
         p = (tpow(1, 2) + tpow(0, -3)) * tpow(2, 4) - tpow(3, 5)

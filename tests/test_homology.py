@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from grasscat import dvr, homology, modules
 from grasscat.census import rank2_candidates, run_census
-from grasscat.dvr import DVRMatrix, ValPoly, rational_rank
+from grasscat.dvr import DVRMatrix, ValPoly
 from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, canonical_module, decomposition_rank2,
                                ext1, ext1_rims,
@@ -18,9 +18,9 @@ from grasscat.homology import (WEIGHT_LADDER, canonical_module, decomposition_ra
 from grasscat.modules import (CMModuleRep, Profile, build_layered, build_rank1,
                               direct_sum, identify_rank1, rep_a_vector,
                               validate_relations)
-from grasscat.rims import (all_rims, crossing, interlacing_degree,
-                           is_projective, least_shift, peaks, rim, shift, slopes,
-                           syzygy_rim, two_layer_splits, two_peak_syzygy_rim)
+from grasscat.rims import (all_rims, interlacing_degree, is_projective, least_shift,
+                           peaks, rim, shift, slopes, syzygy_rim, two_layer_splits)
+from oracles import crossing, rational_rank, solve, transpose, two_peak_syzygy_rim
 
 
 class TestTop:
@@ -362,13 +362,13 @@ def quotient_pushout(top_rep, bot_rep, f, floor):
         sm = dvr._smith(sub)
         assert sm.npivots == r and not sm.loss, v
         projections[v] = DVRMatrix(sm.U.data[r:sb + c], N, cols=sb + c)
-        proj_t[v] = dvr._smith(projections[v].transpose())
+        proj_t[v] = dvr._smith(transpose(projections[v]))
 
     def induced(src, dst, amb_map):
         # the map q with q @ projections[src] == projections[dst] @ amb_map
-        q_t = proj_t[src].solve((projections[dst] @ amb_map).transpose(), floor)
+        q_t = solve(proj_t[src], transpose(projections[dst] @ amb_map), floor)
         assert q_t is not None
-        return q_t.transpose()
+        return transpose(q_t)
     x = {v: induced((v - 2) % n + 1, v, amb.x[v]) for v in range(1, n + 1)}
     y = {v: induced(v, (v - 2) % n + 1, amb.y[v]) for v in range(1, n + 1)}
     return CMModuleRep(n, k, top_rep.s + sb, x, y, N, floor)
@@ -641,7 +641,8 @@ class TestRotatedCaches:
         assert syzygy(m) is omega
         cover = homology._cover_of(m)
         for w, eps in cover_maps(m).items():
-            assert (eps @ cover.smith[w].kernel()).is_zero(), w
+            assert all(e.is_zero() for row in (eps @ cover.smith[w].kernel()).data
+                       for e in row), w
         fresh_omega = syzygy(fresh)
         assert validate_relations(omega) == []
         assert omega.floor == fresh_omega.floor
@@ -881,7 +882,8 @@ class TestFactorOnce:
         one, zero = ValPoly.one(m.trunc), ValPoly.zero(m.trunc)
         images = DVRMatrix.from_columns([[one] + [zero] * (cover.size - 1)], cover.size,
                                         m.trunc)
-        assert not (homology._relation_rows(m, m) @ images).is_zero()
+        assert any(not e.is_zero() for row in (homology._relation_rows(m, m) @ images).data
+                   for e in row)
         with pytest.raises(TruncationUnstable, match="hom evaluation not solvable"):
             homology._vertex_maps(cover, m, images, range(1, m.n + 1), m.floor)
 

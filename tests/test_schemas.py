@@ -58,10 +58,21 @@ def test_every_schema_is_valid():
     ("rigid", ["rigid", "135@(3,6)"]),
     ("ar-seq", ["ar-seq", "145@(3,8)"]),
     ("ar-seq", ["ar-seq", "134@(3,8)"]),
+    ("census", ["census", "3", "7", "--sample", "0.5"]),
 ])
 def test_document_validates(schema, args, tmp_path, capsys):
     doc = emit(["--out", str(tmp_path), *args], capsys)
     assert schema_errors(doc, schema) == []
+
+
+@pytest.mark.parametrize("k, n", [(3, 9), (4, 8)])
+def test_tube_document_with_fixture_checks_validates(k, n, tube_reports, tmp_path):
+    # the document ``tubes k n`` prints, built from the session's tube census
+    rep = tube_reports[(k, n)]
+    payload = {**rep.to_json_dict(), "written": str(tmp_path / "tubes.json")}
+    doc = json.loads(json.dumps(payload, sort_keys=True))
+    assert doc["fixture_checks"] and doc["mouth_family_periods"]
+    assert schema_errors(doc, "tubes") == []
 
 
 @pytest.mark.parametrize("token", ["145@(3,8)", "123@(3,6)", "1357@(4,8)"])
