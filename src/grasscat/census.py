@@ -79,8 +79,10 @@ class CensusReport:
             "imaginary": imag,
         }
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json_dict(self, verdicts: bool = False) -> dict:
+        """The report as JSON; each candidate's [a, b, ok] in ``candidate_verdicts``
+        when asked, and always for a sampled run, which groups no classes."""
+        out = {
             "k": self.k,
             "n": self.n,
             "truncation": self.truncation,
@@ -104,6 +106,10 @@ class CensusReport:
             # a copy: a note added after the cache record is built stays out of it
             "notes": list(self.notes),
         }
+        if verdicts or self.sampled:
+            out["candidate_verdicts"] = [[list(a.elements), list(b.elements), ok]
+                                         for (a, b), ok in self.candidate_verdicts.items()]
+        return out
 
 
 def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
@@ -182,9 +188,7 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
         report.fixture_diffs = _fixture_diffs(report)
     if cache_path is not None and not sampled:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        record = report.to_json_dict()
-        record["candidate_verdicts"] = [[list(a.elements), list(b.elements), ok]
-                                        for (a, b), ok in verdicts.items()]
+        record = report.to_json_dict(verdicts=True)
         if cache_path.exists():
             previous = json.loads(cache_path.read_text())
             # a cache written before verdicts were recorded compares its payload only

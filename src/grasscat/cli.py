@@ -249,6 +249,8 @@ def cmd_roots(args) -> int:
 def cmd_census(args) -> int:
     from .census import run_census, verify_conjectures
     full = args.sample is None
+    if not full and (args.orbits or args.refresh):
+        raise ValueError(f"--{'orbits' if args.orbits else 'refresh'} needs a full census")
     rep = run_census(args.k, args.n, trunc=_truncation(args, args.n),
                      sample=args.sample,
                      cache_dir=args.out if full else None,

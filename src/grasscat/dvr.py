@@ -5,20 +5,20 @@ arithmetic discarding degrees >= the truncation level N.  The Smith normal
 form uses minimal-t-valuation pivoting (every minimal-valuation entry of a
 matrix over a DVR divides all the others), which keeps every elimination
 step exact modulo t^N.  ``_smith`` returns one factorisation object,
-``Smith``, that records the transformation matrices; kernels, kernel
-coordinates and sections are read off it, so each matrix is factored once
-however often it is read.
+``Smith``: the exponents and the column transform V, whose columns past
+the pivots are the kernel.  A surjection with a unit pivot in every row, a
+cover map, is split by ``_split`` instead: kernel, section and retraction.
 
 Precision is tracked by one integer per computed object, its floor: a
 matrix with floor P <= N is correct modulo t^P, and its coefficients in
 degrees P .. N-1 carry no information.  The Smith form commutes with
 reduction modulo t^P, so every pivot exponent below the floor is a true
 elementary divisor, and the Schur complements of minimal-valuation
-pivoting are as precise as the matrix.  The transforms divide by the
-pivots, so each read of a factorisation (kernel, coordinates, section)
-loses at most the largest pivot exponent, ``Smith.loss``.  Callers carry
-the floors; ``Smith.certify`` checks the exponents against one, and
-``coordinates`` decides membership modulo t^(floor - loss).
+pivoting are as precise as the matrix.  V divides by the pivots, so its
+kernel loses at most the largest pivot exponent, ``Smith.loss``.  Callers
+carry the floors; ``Smith.certify`` checks the exponents against one.  A
+``Split`` divides by units only and loses nothing: its ``coordinates``
+decide kernel membership modulo t^floor.
 
 ``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared,
 and arithmetic may return an operand unchanged (``p + 0`` is ``p``).  The
@@ -303,25 +303,22 @@ class DVRMatrix:
 
 
 class Smith:
-    """Smith factorisation U * A * V = S of a matrix A over the local ring.
+    """Smith factorisation U * A * V = S of a matrix A over the local ring,
+    recorded as the exponents and V.
 
     S is zero except for t^e in diagonal place i < ``npivots``, where e is
-    ``exponents[i]``; ``V_inv`` is the inverse of V.  U is None when the
-    factorisation was made without it, which leaves ``splitting``
-    unavailable.  One factorisation serves every kernel read of A.
+    ``exponents[i]``.  One factorisation serves every kernel read of A.
     """
 
-    __slots__ = ("exponents", "npivots", "U", "V", "V_inv", "cols", "trunc")
+    __slots__ = ("exponents", "npivots", "V", "cols", "trunc")
 
-    def __init__(self, exponents: list[int], U: Optional[DVRMatrix], V: DVRMatrix,
-                 V_inv: DVRMatrix):
+    def __init__(self, exponents: list[int], V: DVRMatrix):
         self.exponents, self.npivots = exponents, len(exponents)
-        self.U, self.V, self.V_inv = U, V, V_inv
-        self.cols, self.trunc = V.rows, V.trunc
+        self.V, self.cols, self.trunc = V, V.rows, V.trunc
 
     @property
     def loss(self) -> int:
-        """Precision the transforms lose: the largest pivot exponent they divide by."""
+        """Precision V loses: the largest pivot exponent it divides by."""
         return self.exponents[-1] if self.exponents else 0
 
     def certify(self, floor: int, rank: int, what: str) -> list[int]:
@@ -350,46 +347,22 @@ class Smith:
         return DVRMatrix._wrap(tuple([row[self.npivots:] for row in self.V.data]),
                                self.cols - self.npivots, self.trunc)
 
-    def splitting(self) -> tuple[DVRMatrix, DVRMatrix]:
-        """For a surjective A with a unit pivot per row (S = [I | 0], so U A
-        is V_inv's pivot rows): the section V_piv @ U, a right inverse of A,
-        and the retraction, V_inv's rows past the pivots, a left inverse of
-        ``kernel``; section @ A + kernel @ retraction is the identity.
-        """
-        p = self.npivots
-        pivots = DVRMatrix._wrap(tuple([row[:p] for row in self.V.data]), p, self.trunc)
-        return pivots @ self.U, DVRMatrix._wrap(self.V_inv.data[p:], self.cols, self.trunc)
 
-    def coordinates(self, vectors: DVRMatrix, floor: int) -> DVRMatrix:
-        """Coordinates in the ``kernel`` basis of each column of ``vectors``.
-
-        A and ``vectors`` are correct modulo t^floor, so the pivot rows of
-        V_inv @ vectors are known modulo t^(floor - loss); TruncationUnstable
-        is raised when one is nonzero there, a column not in the kernel.
-        """
-        y, known = self.V_inv @ vectors, floor - self.loss
-        if any(e.coeffs and min(e.coeffs) < known for row in y.data[:self.npivots] for e in row):
-            raise TruncationUnstable("vector is not in the kernel at working precision")
-        return DVRMatrix._wrap(y.data[self.npivots:], vectors.cols, self.trunc)
-
-
-def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
+def _smith(matrix: DVRMatrix) -> Smith:
     """Diagonalise over the local ring by minimal-valuation pivoting.
 
     Pivot selection takes the globally minimal valuation in the remaining
     block, breaking ties by the smallest (row, col) pair; that entry
     divides every other one, so each clearing step is exact modulo t^N.
-    Row transforms are skipped when the caller only needs kernels.  Each
-    clearing step visits only the nonzero entries of the pivot row, the
-    pivot column, U[r], V[:, r] and V_inv's rows: against a zero it would
-    subtract g * 0 and leave the entry as it was.
+    Only the column transform V is recorded, and the column steps update V
+    alone: the pivot row is not read again.  Each clearing step visits only
+    the nonzero entries of the pivot row, the pivot column and V[:, r]:
+    against a zero it would subtract g * 0 and leave the entry as it was.
     """
     m, p, trunc = matrix.rows, matrix.cols, matrix.trunc
     A = [list(row) for row in matrix.data]
     one, z = ValPoly.one(trunc), ValPoly.zero(trunc)
-    U = [[one if i == j else z for j in range(m)] for i in range(m)] if need_u else []
     V = [[one if i == j else z for j in range(p)] for i in range(p)]
-    Vi = [[one if i == j else z for j in range(p)] for i in range(p)]
     exponents: list[int] = []
     r = 0
     while r < min(m, p):
@@ -413,14 +386,11 @@ def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
             raise TruncationUnstable("pivot valuation at truncation level")
         if bi != r:
             A[r], A[bi] = A[bi], A[r]
-            if need_u:
-                U[r], U[bi] = U[bi], U[r]
         if bj != r:
             for row in A:
                 row[r], row[bj] = row[bj], row[r]
             for row in V:
                 row[r], row[bj] = row[bj], row[r]
-            Vi[r], Vi[bj] = Vi[bj], Vi[r]
         pivot_row = A[r]
         # normalise the pivot row so the pivot becomes exactly t^val
         unit_inv = ValPoly._clean({d - val: c for d, c in pivot_row[r].coeffs.items()},
@@ -428,9 +398,6 @@ def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
         row_nz = [j for j in range(r, p) if pivot_row[j].coeffs]
         for j in row_nz:
             pivot_row[j] = unit_inv * pivot_row[j]
-        u_nz = [j for j in range(m) if U[r][j].coeffs] if need_u else []
-        for j in u_nz:
-            U[r][j] = unit_inv * U[r][j]
         pivot = pivot_row[r]
         for i in range(r + 1, m):
             row = A[i]
@@ -439,29 +406,88 @@ def _smith(matrix: DVRMatrix, need_u: bool = True) -> Smith:
             g = row[r].exact_div(pivot)
             for j in row_nz:
                 row[j] = row[j] - g * pivot_row[j]
-            if need_u:
-                u_row, u_pivot = U[i], U[r]
-                for j in u_nz:
-                    u_row[j] = u_row[j] - g * u_pivot[j]
-        col_nz = [i for i in range(r, m) if A[i][r].coeffs]
         v_nz = [i for i in range(p) if V[i][r].coeffs]
-        vi_pivot = Vi[r]
         for j in row_nz[1:]:
             g = pivot_row[j].exact_div(pivot)
-            for i in col_nz:
-                A[i][j] = A[i][j] - g * A[i][r]
             for i in v_nz:
                 V[i][j] = V[i][j] - g * V[i][r]
-            for l, x in enumerate(Vi[j]):
-                if x.coeffs:
-                    vi_pivot[l] = vi_pivot[l] + g * x
         exponents.append(val)
         r += 1
     if any(exponents[i] > exponents[i + 1] for i in range(len(exponents) - 1)):
         raise AssertionError("invariant factors out of order; pivoting bug")
-    return Smith(exponents, DVRMatrix._wrap(tuple(map(tuple, U)), m, trunc) if need_u else None,
-                 DVRMatrix._wrap(tuple(map(tuple, V)), p, trunc),
-                 DVRMatrix._wrap(tuple(map(tuple, Vi)), p, trunc))
+    return Smith(exponents, DVRMatrix._wrap(tuple(map(tuple, V)), p, trunc))
+
+
+class Split:
+    """A surjection A: C[[t]]^c -> C[[t]]^s with a unit pivot in every row,
+    as a cover map is, split: with its pivot columns first A = [B | C], B
+    invertible, the columns of ``kernel`` = [-B^-1 C; I], ``section`` =
+    [B^-1; 0] and ``retraction``, which reads the free coordinates ``free``,
+    give section @ A + kernel @ retraction = 1.
+
+    These are ``_smith``'s kernel, V_piv @ U and V^-1's rows past the
+    pivots, value for value.  Such an A has minimal valuation 0 at every
+    step, so ``_smith`` pivots row by row on the first unit of the remaining
+    block; ``_split`` takes the same pivots and column swaps, and row
+    elimination leaves the same Schur complement.  A kernel basis that is
+    the identity on the free coordinates is unique, and so are a section on
+    the pivot coordinates and a retraction vanishing on them.  ``coordinates``
+    checks A v = 0 modulo t^floor, where ``_smith`` checked V^-1's pivot
+    rows, U A v with U unimodular: the same vectors pass.  Nothing is
+    divided by t, so nothing is lost.
+    """
+
+    __slots__ = ("matrix", "free", "kernel", "section", "retraction")
+
+    def __init__(self, matrix: DVRMatrix, free: tuple[int, ...], kernel: DVRMatrix,
+                 section: DVRMatrix, retraction: DVRMatrix):
+        self.matrix, self.free, self.kernel = matrix, free, kernel
+        self.section, self.retraction = section, retraction
+
+    def coordinates(self, vectors: DVRMatrix, floor: int) -> DVRMatrix:
+        """Coordinates in the ``kernel`` basis of each column of ``vectors``,
+        correct modulo t^floor as A is: its free coordinates, or
+        TruncationUnstable when A @ vectors is nonzero there."""
+        if any(e.coeffs and min(e.coeffs) < floor
+               for row in (self.matrix @ vectors).data for e in row):
+            raise TruncationUnstable("vector is not in the kernel at working precision")
+        return DVRMatrix._wrap(tuple([vectors.data[j] for j in self.free]), vectors.cols,
+                               vectors.trunc)
+
+
+def _split(matrix: DVRMatrix) -> Split:
+    """``Split`` of A by Gauss-Jordan steps on its rows, each carrying its row
+    of B^-1 and visiting only the pivot row's nonzero entries; ValueError
+    when a row has no unit left, so that A is no such surjection."""
+    s, c, trunc = matrix.rows, matrix.cols, matrix.trunc
+    one, z = ValPoly.one(trunc), ValPoly.zero(trunc)
+    rows = [list(row) + [one if i == j else z for j in range(s)]
+            for i, row in enumerate(matrix.data)]
+    order = list(range(c))  # column of A at each position, the pivots first
+    for r, pivot_row in enumerate(rows):
+        at = next((q for q in range(r, c) if 0 in pivot_row[order[q]].coeffs), None)
+        if at is None:
+            raise ValueError(f"row {r} has no unit pivot")
+        order[r], order[at] = order[at], order[r]
+        col = order[r]
+        unit_inv = pivot_row[col].unit_inverse()
+        row_nz = [j for j in range(c + s) if pivot_row[j].coeffs]
+        for j in row_nz:
+            pivot_row[j] = unit_inv * pivot_row[j]
+        for row in rows:
+            g = row[col]
+            if row is not pivot_row and g.coeffs:
+                for j in row_nz:
+                    row[j] = row[j] - g * pivot_row[j]
+    free = tuple(order[s:])
+    kernel, section = [None] * c, [(z,) * s] * c
+    for f, col in enumerate(free):
+        kernel[col] = tuple([one if g == f else z for g in range(c - s)])
+    for k, col in enumerate(order[:s]):
+        kernel[col], section[col] = tuple([-rows[k][j] for j in free]), tuple(rows[k][c:])
+    retraction = tuple([tuple([one if j == i else z for j in range(c)]) for i in free])
+    return Split(matrix, free, DVRMatrix._wrap(tuple(kernel), c - s, trunc),
+                 DVRMatrix._wrap(tuple(section), s, trunc), DVRMatrix._wrap(retraction, c, trunc))
 
 
 def _dot(row: Sequence[ValPoly], col: Sequence[ValPoly], trunc: int) -> ValPoly:

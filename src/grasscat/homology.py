@@ -21,10 +21,11 @@ condition, imposed only at the syzygy's top generators, which generate
 it.  Ext^1(M, N) is the torsion of its cokernel, read off the one
 certified Smith form that ``hom_space`` and ``is_isomorphic`` factor too;
 an extension's classes are lifted off it and the condition itself, with no
-second step and no row transform.  Each cover map is factored once, when
+second step and no row transform.  Each cover map is a surjection with a
+unit pivot in every row, split once (``dvr._split``, no Smith form) when
 the module is covered: the syzygy, the vertex matrices of a Hom basis and
-an extension middle read its kernel, coordinates and section from that one
-factorisation, and no linear system is solved.
+an extension middle read its kernel, coordinates, section and retraction
+from that one split, and no linear system is solved.
 
 Every computed module and Hom basis carries a precision floor (see
 ``dvr``), and every rank that theory fixes is checked with
@@ -38,7 +39,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .dvr import Coeff, DVRMatrix, Smith, ValPoly, _reciprocal, _smith
+from .dvr import Coeff, DVRMatrix, Smith, Split, ValPoly, _reciprocal, _smith, _split
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, Profile, build_rank1, default_truncation,
                       direct_sum, on_root, per_rotation_class, rep_a_vector)
@@ -100,13 +101,13 @@ def _top_generators(m: CMModuleRep, v: int) -> list[int]:
 
 class Cover:
     """Minimal projective cover data: one summand per top generator, and the
-    one Smith factorisation, with U, of the cover map at each vertex."""
+    one ``Split`` of the cover map at each vertex."""
 
-    __slots__ = ("vertices", "smith")
+    __slots__ = ("vertices", "split")
 
-    def __init__(self, vertices: tuple[int, ...], smith: dict[int, Smith]) -> None:
+    def __init__(self, vertices: tuple[int, ...], split: dict[int, Split]) -> None:
         self.vertices = vertices  # cover vertex of each summand
-        self.smith = smith        # vertex w -> factorisation of the map at w
+        self.split = split        # vertex w -> split of the map at w
 
     @property
     def size(self) -> int:
@@ -114,28 +115,31 @@ class Cover:
 
     def rotate(self, j: int) -> "Cover":
         """The cover of the module rotated by j: the same summands, relabelled."""
-        n = len(self.smith)
+        n = len(self.split)
         turn = {v: (v + j - 1) % n + 1 for v in range(1, n + 1)}
         return Cover(tuple(turn[v] for v in self.vertices),
-                     {turn[w]: sm for w, sm in self.smith.items()})
+                     {turn[w]: sp for w, sp in self.split.items()})
 
 
 def projective_cover(m: CMModuleRep) -> Cover:
     """Minimal cover: projectives at the top vertices, in ``top_generators``
-    order, mapped by evaluation, each vertex's map factored once with U.
+    order, mapped by evaluation, each vertex's map split once (``_split``).
 
-    The cover map is surjective, so its factorisations have unit pivots and
-    lose no precision: the syzygy, the Hom maps and the pushout read their
-    kernels, coordinates and sections at the module's floor.
+    The top spans every M_w modulo the arrows and t, so the cover map is
+    surjective with a unit pivot in every row, and its splits lose no
+    precision: the syzygy, the Hom maps and the pushout read their kernels,
+    coordinates, sections and retractions at the module's floor.
     """
     gens = top_generators(m)
-    smith = {}
+    split = {}
     for w in range(1, m.n + 1):
-        smith[w] = _smith(DVRMatrix.from_columns(
-            [m.path_matrix(v, w).column(idx) for v, idx in gens], m.s, m.trunc))
-        if smith[w].npivots != m.s or smith[w].loss:
-            raise AssertionError(f"cover map not surjective at vertex {w}")
-    return Cover(tuple(v for v, _ in gens), smith)
+        eps = DVRMatrix.from_columns([m.path_matrix(v, w).column(idx) for v, idx in gens],
+                                     m.s, m.trunc)
+        try:
+            split[w] = _split(eps)
+        except ValueError:
+            raise AssertionError(f"cover map not surjective at vertex {w}") from None
+    return Cover(tuple(v for v, _ in gens), split)
 
 
 def _cover_of(m: CMModuleRep) -> Cover:
@@ -153,9 +157,9 @@ def _omega(m: CMModuleRep) -> Optional[CMModuleRep]:
 
 def _kernel_module(m: CMModuleRep) -> CMModuleRep:
     """The kernel of m's cover map, in the basis ``kernel`` of the cover's
-    factorisations, which lose no precision: it keeps m's floor."""
+    splits, which lose no precision: it keeps m's floor."""
     cover, n = _cover_of(m), m.n
-    basis = {w: sm.kernel() for w, sm in cover.smith.items()}
+    basis = {w: sp.kernel for w, sp in cover.split.items()}
     x_omega, y_omega = {}, {}
     for v in range(1, n + 1):
         w = (v - 2) % n + 1
@@ -184,7 +188,7 @@ def _induced_map(m: CMModuleRep, cover: Cover, basis: dict[int, DVRMatrix], edge
     moved = DVRMatrix(
         [[scalars[i] * src_mat.data[i][j] for j in range(src_mat.cols)]
          for i in range(src_mat.rows)], m.trunc, cols=src_mat.cols)
-    return cover.smith[dst].coordinates(moved, m.floor)
+    return cover.split[dst].coordinates(moved, m.floor)
 
 
 def syzygy(m: CMModuleRep) -> CMModuleRep:
@@ -250,8 +254,7 @@ def _relation_rows(m: CMModuleRep, n_rep: CMModuleRep) -> DVRMatrix:
     cover, omega, sN = _cover_of(m), _omega(m), n_rep.s
     rows: list[list[ValPoly]] = []
     for w, idx in () if omega is None else top_generators(omega):
-        sm = cover.smith[w]
-        g = sm.V.column(sm.npivots + idx)  # column idx of sm.kernel()
+        g = cover.split[w].kernel.column(idx)
         paths = [n_rep.path_matrix(v, w) for v in cover.vertices]
         rows += [[g[i] * paths[i].data[a][b] for i in range(len(g)) for b in range(sN)]
                  for a in range(sN)]
@@ -259,7 +262,7 @@ def _relation_rows(m: CMModuleRep, n_rep: CMModuleRep) -> DVRMatrix:
 
 
 def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int, DVRMatrix]:
-    """Factorisation, without U, of the condition for cover-generator images
+    """Factorisation of the condition for cover-generator images
     to define a map m -> n, the condition's floor (its kernel's is ``loss``
     less) and the condition itself, from which ``_extension_classes`` lifts.
 
@@ -280,7 +283,7 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int, DVRM
     """
     rows = _relation_rows(m, n_rep)
     floor = min(m.floor, n_rep.floor)
-    sm = _smith(rows, need_u=False)
+    sm = _smith(rows)
     sm.certify(floor, rows.cols - m.s * n_rep.s, f"Hom condition of ranks {m.s}, {n_rep.s}")
     return sm, floor, rows
 
@@ -293,26 +296,26 @@ def _vertex_maps(cover: Cover, n_rep: CMModuleRep, images: DVRMatrix,
 
     At each vertex w a map f satisfies f eps_w = G_w, whose column i is
     paths[i] @ xi_i, so f = G_w sigma_w for the section sigma_w of the
-    cover's factorisation (``Smith.splitting``): a product, for every map
-    at once.  Images that define no map are caught where G_w does not
-    vanish on the kernel of eps_w modulo t^floor.  The cover map has unit
-    pivots (see ``projective_cover``), so this loses nothing.
+    cover's split: a product, for every map at once.  Images that define
+    no map are caught where G_w does not vanish on the kernel of eps_w
+    modulo t^floor.  The cover map has unit pivots (see
+    ``projective_cover``), so this loses nothing.
     """
     c, sN, trunc = cover.size, n_rep.s, n_rep.trunc
     ngen = images.cols
     maps: list[dict[int, DVRMatrix]] = [{} for _ in range(ngen)]
     xi = [DVRMatrix(images.data[i * sN:(i + 1) * sN], trunc, cols=ngen) for i in range(c)]
     for w in vertices:
-        sm = cover.smith[w]
+        sp = cover.split[w]
         paths = [n_rep.path_matrix(v, w) for v in cover.vertices]
         moved = [paths[i] @ xi[i] for i in range(c)]
         # G_w of every map, stacked: one row per (map j, row a of f)
         g = DVRMatrix([[moved[i].data[a][j] for i in range(c)]
                        for j in range(ngen) for a in range(sN)], trunc, cols=c)
-        if any(e.coeffs and min(e.coeffs) < floor for row in (g @ sm.kernel()).data
+        if any(e.coeffs and min(e.coeffs) < floor for row in (g @ sp.kernel).data
                for e in row):
             raise TruncationUnstable(f"hom evaluation not solvable at vertex {w}")
-        f = g @ sm.splitting()[0]
+        f = g @ sp.section
         for j, fmap in enumerate(maps):
             fmap[w] = DVRMatrix(f.data[j * sN:(j + 1) * sN], trunc, cols=f.cols)
     return maps
@@ -504,22 +507,21 @@ def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, f: dict[int, DVRMatrix]
 
     E is the pushout (bottom + P0) / {(f w, -w)} of the top's cover P0.  At
     vertex v, the section sigma_v and retraction rho_v of the cover map
-    eps_v (``Smith.splitting`` of the cover's factorisation, whose V gives
-    Omega's basis, ``kernel``, too) split P0 as Omega + top, and (b, p) ->
-    (b + f_v rho_v p, eps_v p) identifies E_v with bottom_v + top_v.  A cover map A
+    eps_v (the cover's ``Split``, whose ``kernel`` is Omega's basis too)
+    split P0 as Omega + top, and (b, p) -> (b + f_v rho_v p, eps_v p)
+    identifies E_v with bottom_v + top_v.  A cover map A
     (``_cover_edge_scalars``) from v to u becomes [[bottom's map, f_u rho_u
     A sigma_v], [0, top's map]], since eps_u A sigma_v is top's.  The cover
     map has unit pivots, so nothing is lost.
     """
     n, N, s, cover = top_rep.n, top_rep.trunc, top_rep.s, _cover_of(top_rep)
-    splits = {v: sm.splitting() for v, sm in cover.smith.items()}
 
     def structure_map(edge: int, src: int, dst: int, forward: bool,
                       bot_map: DVRMatrix, top_map: DVRMatrix) -> DVRMatrix:
         scalars = _cover_edge_scalars(top_rep, cover, edge, forward)
-        moved = DVRMatrix([[a * e for e in row] for a, row in zip(scalars, splits[src][0].data)],
-                          N, cols=s)
-        return DVRMatrix.block(bot_map, f[dst] @ (splits[dst][1] @ moved), top_map)
+        moved = DVRMatrix([[a * e for e in row]
+                           for a, row in zip(scalars, cover.split[src].section.data)], N, cols=s)
+        return DVRMatrix.block(bot_map, f[dst] @ (cover.split[dst].retraction @ moved), top_map)
 
     x_new, y_new = {}, {}
     for v in range(1, n + 1):

@@ -323,7 +323,7 @@ def rep_a_vector(m: CMModuleRep) -> RootVector:
     def count(root: CMModuleRep) -> RootVector:
         counts = []
         for i in range(1, root.n + 1):
-            exps = _smith(root.x[i], need_u=False).certify(root.floor, root.s, f"x_{i}")
+            exps = _smith(root.x[i]).certify(root.floor, root.s, f"x_{i}")
             counts.append(root.s - sum(exps))
         if any(c < 0 for c in counts):
             raise ValueError(f"multiplicity vector {counts} out of range")

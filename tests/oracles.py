@@ -13,7 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from grasscat.dvr import DVRMatrix, Smith, ValPoly
+from grasscat.dvr import DVRMatrix, ValPoly
+from grasscat.errors import TruncationUnstable
 from grasscat.homology import is_isomorphic, is_rigid, rigid_indecomposable_rank2
 from grasscat.modules import build_layered
 from grasscat.rims import Rim, rim, runs, shift
@@ -46,7 +47,80 @@ def transpose(mat: DVRMatrix) -> DVRMatrix:
     return DVRMatrix([mat.column(j) for j in range(mat.cols)], mat.trunc, cols=mat.rows)
 
 
-def solve(sm: Smith, rhs: DVRMatrix, floor: int) -> Optional[DVRMatrix]:
+class FullSmith:
+    """Smith factorisation U * A * V = S with both transforms and V_inv, the
+    inverse of V: the reference for ``dvr.Smith`` (exponents and V) and
+    ``dvr.Split`` (kernel, V_piv @ U and V_inv's rows past the pivots).
+
+    The pivoting is ``dvr._smith``'s, the least valuation first, ties to
+    the least (row, column) place, with every entry of a row or column
+    updated, zeros too.
+    """
+
+    def __init__(self, matrix: DVRMatrix):
+        m, p, trunc = matrix.rows, matrix.cols, matrix.trunc
+        zero = ValPoly.zero(trunc)
+
+        def eye(size):
+            return [[ValPoly.one(trunc) if i == j else zero for j in range(size)]
+                    for i in range(size)]
+        A, U, V, V_inv = [list(row) for row in matrix.data], eye(m), eye(p), eye(p)
+        self.exponents: list[int] = []
+        for r in range(min(m, p)):
+            places = [(e.valuation(), i, j) for i in range(r, m) for j in range(r, p)
+                      for e in (A[i][j],) if not e.is_zero()]
+            if not places:
+                break
+            val, bi, bj = min(places)
+            A[r], A[bi], U[r], U[bi] = A[bi], A[r], U[bi], U[r]
+            for row in A + V:
+                row[r], row[bj] = row[bj], row[r]
+            V_inv[r], V_inv[bj] = V_inv[bj], V_inv[r]
+            unit = ValPoly({d - val: c for d, c in A[r][r].coeffs.items()}, trunc)
+            A[r] = [unit.unit_inverse() * e for e in A[r]]
+            U[r] = [unit.unit_inverse() * e for e in U[r]]
+            for i in range(r + 1, m):
+                g = A[i][r].exact_div(A[r][r])
+                A[i] = [a - g * b for a, b in zip(A[i], A[r])]
+                U[i] = [a - g * b for a, b in zip(U[i], U[r])]
+            for j in range(r + 1, p):
+                g = A[r][j].exact_div(A[r][r])
+                for row in A + V:
+                    row[j] = row[j] - g * row[r]
+                V_inv[r] = [a + g * b for a, b in zip(V_inv[r], V_inv[j])]
+            self.exponents.append(val)
+        self.npivots, self.cols, self.trunc = len(self.exponents), p, trunc
+        self.U = DVRMatrix(U, trunc, cols=m)
+        self.V, self.V_inv = DVRMatrix(V, trunc, cols=p), DVRMatrix(V_inv, trunc, cols=p)
+
+    @property
+    def loss(self) -> int:
+        return self.exponents[-1] if self.exponents else 0
+
+    def kernel(self) -> DVRMatrix:
+        """The columns of V past the pivots."""
+        return DVRMatrix([row[self.npivots:] for row in self.V.data], self.trunc,
+                         cols=self.cols - self.npivots)
+
+    def splitting(self) -> tuple[DVRMatrix, DVRMatrix]:
+        """V_piv @ U and V_inv's rows past the pivots: for a surjection with a
+        unit pivot per row, a section and a retraction."""
+        p = self.npivots
+        pivots = DVRMatrix([row[:p] for row in self.V.data], self.trunc, cols=p)
+        return pivots @ self.U, DVRMatrix(self.V_inv.data[p:], self.trunc, cols=self.cols)
+
+    def coordinates(self, vectors: DVRMatrix, floor: int) -> DVRMatrix:
+        """Coordinates in the ``kernel`` basis of each column of ``vectors``,
+        A and ``vectors`` correct modulo t^floor: V_inv's rows past the
+        pivots, after its pivot rows are checked to vanish modulo
+        t^(floor - loss)."""
+        y, known = self.V_inv @ vectors, floor - self.loss
+        if any(e.coeffs and min(e.coeffs) < known for row in y.data[:self.npivots] for e in row):
+            raise TruncationUnstable("vector is not in the kernel at working precision")
+        return DVRMatrix(y.data[self.npivots:], self.trunc, cols=vectors.cols)
+
+
+def solve(sm: FullSmith, rhs: DVRMatrix, floor: int) -> Optional[DVRMatrix]:
     """One X with A @ X == rhs modulo t^(floor - loss), for the matrix A that
     ``sm`` factors and A and ``rhs`` correct modulo t^floor, or None when
     some column has no solution.

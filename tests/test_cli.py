@@ -133,6 +133,11 @@ class TestCensusCommand:
         rigid = sum(rep.candidate_verdicts.values())
         assert rigid > 0
         assert f"rigid among {rep.candidates_tested} sampled candidates: {rigid}" in out
+        # the JSON document carries the same verdicts, as [a, b, ok]
+        code, out = run_cli(["--json", "census", "3", "7", "--sample", "0.5"], capsys)
+        doc = json.loads(out)
+        assert code == 0 and len(doc["candidate_verdicts"]) == rep.candidates_tested
+        assert sum(ok for _, _, ok in doc["candidate_verdicts"]) == rigid
         assert main(["census", "3", "7", "--sample", "2"]) == 2
         assert "error: sample must be a fraction in (0, 1]" in capsys.readouterr().err
 
@@ -206,6 +211,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--orbits", "--refresh"])
+    def test_sampled_census_refuses_full_census_flags(self, flag, capsys):
+        assert main(["--json", "census", "3", "7", "--sample", "0.5", flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"error: {flag} needs a full census" in err
 
     def test_bad_rim_token(self, capsys):
         code = main(["rim", "145"])

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscat.dvr import DVRMatrix, ValPoly, _smith
+from grasscat.dvr import DVRMatrix, ValPoly, _smith, _split
 from grasscat.errors import TruncationUnstable
-from oracles import rational_rank, solve
+from oracles import FullSmith, rational_rank, solve
 
 N = 16
 
@@ -45,7 +45,7 @@ class TestValPoly:
 
 def invariants(matrix):
     """Smith exponents and cokernel free rank of a matrix."""
-    sm = _smith(matrix, need_u=False)
+    sm = _smith(matrix)
     return tuple(sm.exponents), matrix.rows - sm.npivots
 
 
@@ -55,7 +55,7 @@ def column(entries, trunc=N):
 
 def solve_column(matrix, rhs):
     """The one-column solve of matrix * x = rhs, as a list, or None."""
-    sol = solve(_smith(matrix), column(rhs, matrix.trunc), matrix.trunc)
+    sol = solve(FullSmith(matrix), column(rhs, matrix.trunc), matrix.trunc)
     return None if sol is None else list(sol.column(0))
 
 
@@ -145,10 +145,11 @@ class TestSmith:
                             row[i], row[j] = row[j], row[i]
             assert invariants(DVRMatrix(A, N, cols=cols)) == invariants(base)
 
-    @pytest.mark.parametrize("need_u", [True, False])
-    def test_transforms_on_sparse_matrices(self, need_u):
+    @pytest.mark.parametrize("with_u", [True, False])
+    def test_transforms_on_sparse_matrices(self, with_u):
         # mostly-zero matrices, some with a zero row or column, and the
-        # all-zero matrix: U A V is the padded diagonal of t^e, V V_inv = 1
+        # all-zero matrix: the oracle's U A V is the padded diagonal of t^e
+        # and V V_inv = 1; without U, _smith's exponents and V are the oracle's
         rng = random.Random(29)
         cases = [DVRMatrix.zeros(3, 2, N)]
         for _ in range(60):
@@ -162,18 +163,17 @@ class TestSmith:
                     row[j] = ValPoly.zero(N)
             cases.append(DVRMatrix(A, N, cols=cols))
         for A in cases:
-            sm = _smith(A, need_u=need_u)
-            assert sm.V @ sm.V_inv == DVRMatrix.identity(A.cols, N)
-            if need_u:
+            full = FullSmith(A)
+            if with_u:
+                assert full.V @ full.V_inv == DVRMatrix.identity(A.cols, N)
                 diagonal = DVRMatrix(
-                    [[tpow(sm.exponents[i]) if i == j and i < sm.npivots
+                    [[tpow(full.exponents[i]) if i == j and i < full.npivots
                       else ValPoly.zero(N) for j in range(A.cols)] for i in range(A.rows)],
                     N, cols=A.cols)
-                assert sm.U @ A @ sm.V == diagonal
+                assert full.U @ A @ full.V == diagonal
             else:
-                assert sm.U is None
-                full = _smith(A)
-                assert (sm.exponents, sm.V, sm.V_inv) == (full.exponents, full.V, full.V_inv)
+                sm = _smith(A)
+                assert (sm.exponents, sm.V) == (full.exponents, full.V)
 
     def test_stability_across_truncations(self):
         rng = random.Random(11)
@@ -231,7 +231,7 @@ class TestCertify:
                                for j in range(cols)] for i in range(rows)], N, cols=cols)
         A = random_unimodular(rng, rows) @ diagonal @ random_unimodular(rng, cols)
         noise = random_matrix(rng, rows, cols).scale(tpow(P))
-        sm = _smith(A + noise)
+        sm, full = _smith(A + noise), FullSmith(A + noise)
         try:
             got = sm.certify(P, rank, "perturbed")
         except TruncationUnstable as exc:
@@ -241,10 +241,12 @@ class TestCertify:
             assert true[-1:] >= [P] or rank < min(rows, cols)
             return
         assert got == true
-        # the transforms of the exact matrix agree with these modulo t^(P - loss)
-        exact = _smith(A)
+        # the transforms of the exact matrix agree with these modulo t^(P - loss):
+        # _smith's V, and the oracle's U and V_inv
+        exact, exact_full = _smith(A), FullSmith(A)
         assert exact.exponents == true
-        for mine, theirs in ((sm.U, exact.U), (sm.V, exact.V), (sm.V_inv, exact.V_inv)):
+        for mine, theirs in ((full.U, exact_full.U), (sm.V, exact.V),
+                             (full.V_inv, exact_full.V_inv)):
             assert min_valuation(mine - theirs) >= P - sm.loss
 
     def test_loss_is_the_largest_exponent(self):
@@ -289,21 +291,36 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_coordinates_round_trip(self, seed):
+        # Split.coordinates, on surjections with a unit pivot in every row
         rng = random.Random(seed)
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        sm = _smith(random_matrix(rng, rows, cols), need_u=False)
-        basis = sm.kernel()
+        sp = _split(random_surjection(rng, rng.randint(1, 3), rng.randint(0, 2)))
+        basis = sp.kernel
         coeffs = random_matrix(rng, basis.cols, rng.randint(0, 3))
         members = basis @ coeffs
-        coords = sm.coordinates(members, N)
+        coords = sp.coordinates(members, N)
         assert coords == coeffs
         assert basis @ coords == members
-        if sm.npivots:
-            # the first pivot column of V maps to a unit vector: not in the kernel
-            outside = DVRMatrix([row + (e,) for row, e in zip(members.data, sm.V.column(0))],
-                                N, cols=members.cols + 1)
-            with pytest.raises(TruncationUnstable):
-                sm.coordinates(outside, N)
+        # the first section column maps to a unit vector: not in the kernel
+        outside = DVRMatrix([row + (e,) for row, e in zip(members.data, sp.section.column(0))],
+                            N, cols=members.cols + 1)
+        with pytest.raises(TruncationUnstable):
+            sp.coordinates(outside, N)
+
+
+def random_surjection(rng, rows, extra, trunc=N):
+    """A rows x (rows + extra) matrix with a unit pivot in every row: a unit
+    block on shuffled columns, its other entries in tC[[t]], and random
+    entries with higher terms and Fractions in the remaining columns."""
+    cols = rows + extra
+    order = rng.sample(range(cols), cols)
+    rand = random_matrix(rng, rows, cols, trunc)
+    unit = [[random_poly(rng, trunc, constant=rng.choice([-1, 1, 2, Fraction(1, 3)]))
+             if order[j] == i else ValPoly.zero(trunc) for j in range(cols)]
+            for i in range(rows)]
+    t = ValPoly.monomial(1, 1, trunc)
+    return DVRMatrix([[u + t * e if order[j] < rows else e
+                       for j, (u, e) in enumerate(zip(urow, rrow))]
+                      for urow, rrow in zip(unit, rand.data)], trunc, cols=cols)
 
 
 class TestSplitting:
@@ -312,22 +329,49 @@ class TestSplitting:
     def test_section_and_retraction_split_a_surjection(self, seed):
         rng = random.Random(seed)
         rows, extra = rng.randint(1, 3), rng.randint(0, 3)
-        cols = rows + extra
-        # a unit block on shuffled columns makes the matrix surjective
-        order = rng.sample(range(cols), cols)
-        rand = random_matrix(rng, rows, cols)
-        unit = [[tpow(0) if order[j] == i else ValPoly.zero(N) for j in range(cols)]
-                for i in range(rows)]
-        mat = M([[u + tpow(1) * e if order[j] < rows else e
-                  for j, (u, e) in enumerate(zip(urow, rrow))]
-                 for urow, rrow in zip(unit, rand.data)])
-        sm = _smith(mat)
-        assert sm.npivots == rows and sm.loss == 0
-        section, retraction = sm.splitting()
-        kernel = sm.kernel()
+        mat = random_surjection(rng, rows, extra)
+        sp = _split(mat)
+        section, retraction, kernel = sp.section, sp.retraction, sp.kernel
         assert mat @ section == DVRMatrix.identity(rows, N)
         assert retraction @ kernel == DVRMatrix.identity(extra, N)
-        assert section @ mat + kernel @ retraction == DVRMatrix.identity(cols, N)
+        assert section @ mat + kernel @ retraction == DVRMatrix.identity(rows + extra, N)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_split_is_the_oracle_factorisation(self, seed):
+        # s <= 3 rows, c <= 5 columns: the oracle's kernel, V_piv @ U and
+        # V_inv's rows past the pivots, value for value
+        rng = random.Random(seed)
+        rows = rng.randint(1, 3)
+        mat = random_surjection(rng, rows, rng.randint(0, 5 - rows))
+        sp, full = _split(mat), FullSmith(mat)
+        assert full.exponents == [0] * rows
+        section, retraction = full.splitting()
+        assert (sp.kernel, sp.section, sp.retraction) == (full.kernel(), section, retraction)
+        cols = mat.cols
+        assert mat @ sp.section == DVRMatrix.identity(rows, N)
+        assert mat @ sp.kernel == DVRMatrix.zeros(rows, cols - rows, N)
+        assert sp.section @ mat + sp.kernel @ sp.retraction == DVRMatrix.identity(cols, N)
+
+    def test_a_row_without_a_unit_is_refused(self):
+        z = ValPoly.zero(N)
+        for mat in (M([[tpow(1), tpow(2)]]),
+                    # the second row is a unit multiple of the first modulo t
+                    M([[tpow(0), tpow(1), z], [tpow(0, 2), tpow(1), tpow(1)]]),
+                    DVRMatrix.zeros(2, 3, N)):
+            with pytest.raises(ValueError, match="no unit pivot"):
+                _split(mat)
+
+
+class TestSmithAgainstTheOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_exponents_and_v(self, seed):
+        rng = random.Random(seed)
+        A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 5), density=rng.random())
+        sm, full = _smith(A), FullSmith(A)
+        assert (sm.exponents, sm.V) == (full.exponents, full.V)
+        assert sm.kernel() == full.kernel()
 
 
 class TestSolve:
@@ -355,7 +399,7 @@ class TestSolve:
         rows, cols, k = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 3)
         A = random_matrix(rng, rows, cols)
         B = A @ random_matrix(rng, cols, k)
-        sol = solve(_smith(A), B, N)
+        sol = solve(FullSmith(A), B, N)
         assert sol is not None and (sol.rows, sol.cols) == (cols, k)
         assert A @ sol == B
         for j in range(k):
@@ -367,40 +411,43 @@ class TestSolve:
         at = rng.randint(0, k)
         mixed = DVRMatrix([row[:at] + u + row[at:] for row, u in zip(tB.data, unit.data)],
                           N, cols=k + 1)
-        assert solve(_smith(tA), tB, N) is not None
-        assert solve(_smith(tA), mixed, N) is None
+        assert solve(FullSmith(tA), tB, N) is not None
+        assert solve(FullSmith(tA), mixed, N) is None
 
 
 class TestFloorReads:
     """coordinates and solve decide membership modulo t^(floor - loss): a
     perturbation from that degree on carries no information and must not
-    decide, one below it must."""
+    decide, one below it must.  A split loses nothing: known is the floor."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 9))
     def test_coordinates(self, seed):
         rng = random.Random(seed)
-        rows, cols = rng.randint(1, 4), rng.randint(2, 4)
-        sm = _smith(random_matrix(rng, rows, cols), need_u=False)
-        floor = sm.loss + rng.randint(1, 6)
-        known = floor - sm.loss
-        basis = sm.kernel()
+        rows = rng.randint(1, 3)
+        mat = random_surjection(rng, rows, rng.randint(1, 3))
+        sp, known = _split(mat), rng.randint(1, 6)
+        basis = sp.kernel
         coeffs = random_matrix(rng, basis.cols, rng.randint(1, 3))
         members = basis @ coeffs
-        noise = random_matrix(rng, cols, members.cols).scale(tpow(known + rng.randint(0, 2)))
-        coords = sm.coordinates(members + noise, floor)
+        noise = random_matrix(rng, mat.cols, members.cols).scale(
+            tpow(known + rng.randint(0, 2)))
+        coords = sp.coordinates(members + noise, known)
         assert min_valuation(coords - coeffs) >= known
-        if sm.npivots:
-            # the first pivot column of V has pivot coordinate 1, so t^q times it has t^q
-            q = rng.randrange(known)
-            off = DVRMatrix([[e] * members.cols for e in sm.V.column(0)], N,
-                            cols=members.cols).scale(tpow(q))
+        # the oracle's read, off V_inv, gives the same coordinates
+        full = FullSmith(mat)
+        assert full.coordinates(members + noise, known) == coords
+        # A maps the first section column to a unit vector, t^q times it to t^q
+        q = rng.randrange(known)
+        off = DVRMatrix([[e] * members.cols for e in sp.section.column(0)], N,
+                        cols=members.cols).scale(tpow(q))
+        for reader in (sp, full):
             with pytest.raises(TruncationUnstable):
-                sm.coordinates(members + off, floor)
+                reader.coordinates(members + off, known)
 
     def test_solve(self):
         # A = [t^2; 0] has loss 2: at floor 5, U rhs is known modulo t^3
-        sm = _smith(M([[tpow(2)], [ValPoly.zero(N)]]))
+        sm = FullSmith(M([[tpow(2)], [ValPoly.zero(N)]]))
         zero = ValPoly.zero(N)
         assert solve(sm, column([tpow(2), tpow(3)]), N) is None
         assert solve(sm, column([tpow(2), tpow(3)]), 5) == column([tpow(0)])

@@ -20,7 +20,8 @@ from grasscat.modules import (CMModuleRep, Profile, build_layered, build_rank1,
                               validate_relations)
 from grasscat.rims import (all_rims, interlacing_degree, is_projective, least_shift,
                            peaks, rim, shift, slopes, syzygy_rim, two_layer_splits)
-from oracles import crossing, rational_rank, solve, transpose, two_peak_syzygy_rim
+from oracles import (FullSmith, crossing, rational_rank, solve, transpose,
+                     two_peak_syzygy_rim)
 
 
 class TestTop:
@@ -47,6 +48,13 @@ class TestTop:
 
 
 class TestCoverAndSyzygy:
+    def test_a_cover_short_of_a_top_generator_is_refused(self, monkeypatch):
+        m = build_rank1(rim([1, 4, 7], 3, 9))
+        gens = top_generators(m)
+        monkeypatch.setattr(homology, "top_generators", lambda rep: gens[1:])
+        with pytest.raises(AssertionError, match="cover map not surjective at vertex"):
+            projective_cover(m)
+
     def test_cover_at_peaks(self):
         # every rotation: the views' covers list their roots' order, relabelled
         for r in (rim([1, 4, 5], 3, 9), rim([1, 4, 7], 3, 9)):
@@ -356,13 +364,13 @@ def quotient_pushout(top_rep, bot_rep, f, floor):
     sb, c, r = bot_rep.s, cover.size, syzygy(top_rep).s
     projections, proj_t = {}, {}
     for v in range(1, n + 1):
-        embed = cover.smith[v].kernel()
+        embed = cover.split[v].kernel
         sub = DVRMatrix(f[v].data + tuple([-e for e in row] for row in embed.data),
                         N, cols=r)
-        sm = dvr._smith(sub)
+        sm = FullSmith(sub)
         assert sm.npivots == r and not sm.loss, v
         projections[v] = DVRMatrix(sm.U.data[r:sb + c], N, cols=sb + c)
-        proj_t[v] = dvr._smith(transpose(projections[v]))
+        proj_t[v] = FullSmith(transpose(projections[v]))
 
     def induced(src, dst, amb_map):
         # the map q with q @ projections[src] == projections[dst] @ amb_map
@@ -511,6 +519,7 @@ class TestRank2Walk:
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
         conditions = self.record(monkeypatch, "_hom_condition")
         factored = self.record(monkeypatch, "_smith")
+        split = self.record(monkeypatch, "_split")
         homs = self.record(monkeypatch, "hom_space")
         covered = self.record(monkeypatch, "projective_cover")
         resolved = self.record(monkeypatch, "_omega")
@@ -521,14 +530,13 @@ class TestRank2Walk:
         # the ends are the shared rank-1 modules that ext1 reads too
         assert top.trunc == 16
         assert top is build_rank1(a, 16) and bottom is build_rank1(b, 16)
-        # the classes are lifted off the ends' Hom condition, read once; no
-        # Hom condition is factored with its row transform U
+        # the classes are lifted off the ends' Hom condition, read once
         assert [args[:2] for args, _ in conditions].count((top, bottom)) == 1
-        assert all(sm.U is None for _, (sm, *_) in conditions)
-        # and no factorisation's U is ever factored itself
-        transforms = [sm.U for _, sm in factored if sm.U is not None]
-        assert transforms
-        assert not any(matrix is u for (matrix, *_), _ in factored for u in transforms)
+        # each cover map is split once, nothing else is split, and no Smith
+        # form is taken of a cover map
+        eps = [e for (rep,), _ in covered for e in cover_maps(rep).values()]
+        assert eps and [matrix for (matrix,), _ in split] == eps
+        assert not any(matrix == e for (matrix,), _ in factored for e in eps)
         # the top's syzygy is never resolved: its cover alone writes the
         # classes out, and it is computed at most once
         omega = homology._omega(top)
@@ -641,7 +649,7 @@ class TestRotatedCaches:
         assert syzygy(m) is omega
         cover = homology._cover_of(m)
         for w, eps in cover_maps(m).items():
-            assert all(e.is_zero() for row in (eps @ cover.smith[w].kernel()).data
+            assert all(e.is_zero() for row in (eps @ cover.split[w].kernel).data
                        for e in row), w
         fresh_omega = syzygy(fresh)
         assert validate_relations(omega) == []
@@ -655,8 +663,8 @@ class TestRotatedCaches:
         m, _ = pair
         cover = homology._cover_of(m)
         for w, eps in cover_maps(m).items():
-            emb = cover.smith[w].kernel()
-            sec, ret = cover.smith[w].splitting()
+            emb = cover.split[w].kernel
+            sec, ret = cover.split[w].section, cover.split[w].retraction
             assert eps @ sec == DVRMatrix.identity(m.s, m.trunc), w
             assert ret @ emb == DVRMatrix.identity(emb.cols, m.trunc), w
             assert sec @ eps + emb @ ret == DVRMatrix.identity(eps.cols, m.trunc), w
@@ -747,37 +755,40 @@ class TestExtRotationEquivariance:
 
 
 class TestFactorOnce:
-    """Every matrix a computation solves against is factored once."""
+    """Every matrix a computation solves against is factored once: a cover
+    map by ``_split``, any other by ``_smith``."""
 
     @staticmethod
-    def count_smith(monkeypatch):
-        calls = []
-        original = dvr._smith
-
-        def counted(matrix, need_u=True):
-            calls.append(matrix)
-            return original(matrix, need_u)
-        for module in (dvr, homology, modules):
-            monkeypatch.setattr(module, "_smith", counted)
+    def count_factorisations(monkeypatch):
+        """The matrices given to ``_smith`` and to ``_split``, by name."""
+        calls = {"_smith": [], "_split": []}
+        for name, log in calls.items():
+            def counted(matrix, original=getattr(dvr, name), log=log):
+                log.append(matrix)
+                return original(matrix)
+            for module in (dvr, homology, modules):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_hom_space_factors_each_vertex_once(self, monkeypatch):
         m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
-        calls = self.count_smith(monkeypatch)
+        calls = self.count_factorisations(monkeypatch)
         assert hom_space(m, m).z_rank > 1
-        # the cover map once per vertex and the Hom condition once; the basis
-        # maps are products with the cover's sections
-        assert len(calls) <= 8 + 1
+        # the cover map split once per vertex and the Hom condition factored
+        # once; the basis maps are products with the cover's sections
+        assert len(calls["_split"]) <= 8 and len(calls["_smith"]) <= 1
+        assert all(any(mat == e for e in cover_maps(m).values()) for mat in calls["_split"])
 
     def test_hom_condition_has_one_block_per_syzygy_generator(self, monkeypatch):
         m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
         one = build_rank1(rim([1, 3, 5, 7], 4, 8))
-        calls = self.count_smith(monkeypatch)
+        calls = self.count_factorisations(monkeypatch)["_smith"]
         for source, target in ((m, m), (m, one), (one, m), (m.rotate(3), m)):
             homology._omega(syzygy(source))
             before = len(calls)
             hom_space(source, target)
-            # the vertex solves factor matrices of rank(source) < width columns
+            # the Hom condition, of width columns, is the only Smith form
             width = homology._cover_of(source).size * target.s
             rows = [mat.rows for mat in calls[before:] if mat.cols == width]
             assert rows == [len(top_generators(syzygy(source))) * target.s]
@@ -785,16 +796,15 @@ class TestFactorOnce:
     def test_syzygy_is_factored_once_per_module(self, monkeypatch):
         top, bottom = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
         m, other = generic_extension(top, bottom), generic_extension(bottom, top)
-        calls = self.count_smith(monkeypatch)
+        calls = self.count_factorisations(monkeypatch)
         assert hom_space(m, m).z_rank > 1
-        assert len(calls) == 8 + 1
+        # the 8 cover maps split and the Hom condition factored
+        assert (len(calls["_split"]), len(calls["_smith"])) == (8, 1)
         # m's cover and syzygy are cached: the Hom condition only
-        before = len(calls)
         hom_space(m, other)
-        assert len(calls) - before == 1
-        before = len(calls)
+        assert (len(calls["_split"]), len(calls["_smith"])) == (8, 2)
         assert syzygy(m) is homology._omega(m)
-        assert len(calls) == before
+        assert (len(calls["_split"]), len(calls["_smith"])) == (8, 2)
 
     @pytest.mark.parametrize("other", [
         lambda m: m,
@@ -804,9 +814,9 @@ class TestFactorOnce:
         m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
         other = other(m)
         syzygy(m)
-        calls = self.count_smith(monkeypatch)
+        calls = self.count_factorisations(monkeypatch)
         ext1(m, other)
-        assert len(calls) == 1
+        assert (len(calls["_smith"]), calls["_split"]) == (1, [])
 
     def test_rigidity_resolves_the_module_once(self, monkeypatch):
         m = generic_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
@@ -826,7 +836,8 @@ class TestFactorOnce:
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
         homology._rank2_walk.cache_clear()
         modules._rank1.cache_clear()
-        calls = self.count_smith(monkeypatch)
+        factored = self.count_factorisations(monkeypatch)
+        calls = factored["_split"]
         covered, inside = [], []
         cover, pushout = homology.projective_cover, homology._pushout
 
@@ -835,9 +846,9 @@ class TestFactorOnce:
             return covered[-1][1]
 
         def counted(*args):
-            before = len(calls)
+            before = len(calls) + len(factored["_smith"])
             out = pushout(*args)
-            inside.append(len(calls) - before)
+            inside.append(len(calls) + len(factored["_smith"]) - before)
             return out
         monkeypatch.setattr(homology, "projective_cover", recorded)
         monkeypatch.setattr(homology, "_pushout", counted)
@@ -845,15 +856,16 @@ class TestFactorOnce:
         m = rank2_extension(a, b)
         assert hom_space(m, m).z_rank > 1 and syzygy(m) is homology._omega(m)
         # every middle is written on bottom + top from the sections of the
-        # top's cover map, read off its factorisations
+        # top's cover map, read off its splits
         assert inside == [0] * len(WEIGHT_LADDER)
         # the top's cover, its syzygy's and every middle's: one cover per
-        # root module, each of its maps factored once across the syzygy,
-        # Hom and the walk
+        # root module, each of its maps split once across the syzygy, Hom
+        # and the walk, and nothing else split
         assert len({id(rep) for rep, _ in covered}) == len(covered) > len(WEIGHT_LADDER)
         eps = [e for rep, _ in covered for e in cover_maps(rep).values()]
         assert [sum(mat == e for mat in calls) for e in eps] == \
             [sum(other == e for other in eps) for e in eps]
+        assert len(calls) == len(eps)
         top = build_rank1(a, 16)
         assert any(rep is top for rep, _ in covered)
         assert all(any(e == mat for mat in eps) for e in cover_maps(top).values())
@@ -891,9 +903,9 @@ class TestFactorOnce:
         a, b = rim([1, 3, 5], 3, 6), rim([2, 4, 6], 3, 6)
         m_ab, m_ba = rank2_extension(a, b), rank2_extension(b, a)
         assert top_multiset(m_ab) != top_multiset(m_ba)
-        calls = self.count_smith(monkeypatch)
+        calls = self.count_factorisations(monkeypatch)
         assert not is_isomorphic(m_ab, m_ba)
-        assert calls == []
+        assert calls == {"_smith": [], "_split": []}
 
     @pytest.mark.parametrize("m, other, verdict", [
         # the (4,8) negative control and the rotation of 1246|3578 in its class
@@ -909,10 +921,11 @@ class TestFactorOnce:
         m, other = m(), other()
         assert top_multiset(m) == top_multiset(other)
         syzygy(m)
-        calls = self.count_smith(monkeypatch)
+        calls = self.count_factorisations(monkeypatch)
         assert is_isomorphic(m, other) is verdict
-        # the a-vectors of both modules, the Hom condition and one vertex
-        assert len(calls) <= 2 * m.n + 1 + 1
+        # the a-vectors of both modules and the Hom condition; m's cover is
+        # cached, and only m's is read
+        assert len(calls["_smith"]) <= 2 * m.n + 1 + 1 and calls["_split"] == []
 
 
 def all_vertex_rows(m, n_rep):
@@ -920,8 +933,8 @@ def all_vertex_rows(m, n_rep):
     vertex, one block of rank(n) rows each, in ``_relation_rows`` columns."""
     cover, sN = homology._cover_of(m), n_rep.s
     rows = []
-    for w, sm in cover.smith.items():
-        emb = sm.kernel()
+    for w, sp in cover.split.items():
+        emb = sp.kernel
         paths = [n_rep.path_matrix(v, w) for v in cover.vertices]
         for j in range(emb.cols):
             u = emb.column(j)
@@ -942,7 +955,7 @@ class TestHomConditionAtGenerators:
                 src, dst = m.rotate(j), n_rep.rotate(j)
                 sm, floor, _ = homology._hom_condition(src, dst)
                 full = all_vertex_rows(src, dst)
-                old = dvr._smith(full, need_u=False)
+                old = dvr._smith(full)
                 assert sm.exponents == old.exponents, (src.s, dst.s, j)
                 kernel = sm.kernel()
                 assert kernel.cols == old.kernel().cols == src.s * dst.s
@@ -1119,14 +1132,15 @@ class TestCanonicalExt:
 def two_step_ext(m, n_rep):
     """Oracle: Ext^1 from the second resolution step, the cokernel of the
     Hom condition written in the kernel basis of the syzygy's own Hom
-    condition, Hom(Omega, N), with its own certificate."""
+    condition, Hom(Omega, N), with its own certificate.  The coordinates are
+    read off the oracle's V_inv of that condition."""
     omega = homology._omega(m)
     if omega is None:
         return ()
-    sm_e, floor, _ = homology._hom_condition(omega, n_rep)
+    _, floor, rows = homology._hom_condition(omega, n_rep)
+    sm_e = FullSmith(rows)
     coords = sm_e.coordinates(homology._relation_rows(m, n_rep), floor)
-    exps = dvr._smith(coords, need_u=False).certify(floor - sm_e.loss, coords.rows,
-                                                     "two-step Ext^1")
+    exps = dvr._smith(coords).certify(floor - sm_e.loss, coords.rows, "two-step Ext^1")
     return tuple(e for e in exps if e > 0)
 
 

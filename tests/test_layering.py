@@ -356,17 +356,18 @@ def test_detects_a_forbidden_start_up_module(tmp_path):
     assert start_up_modules(tmp_path, ("grasscat.tubes",)) == ["importlib.resources"]
 
 
-# each matrix is factored once: a module's cover maps with U when it is
-# covered, its structure maps for the a-vector, and one Hom condition per
-# pair; every kernel, coordinate, section and extension class is read off
-# those factorisations
-SMITH_CALLERS = ["homology.projective_cover", "homology._hom_condition",
-                 "modules.rep_a_vector"]
+# each matrix is factored once: a module's structure maps for the
+# a-vector and one Hom condition per pair by _smith, and a module's cover
+# maps, when it is covered, by _split; every kernel, coordinate, section,
+# retraction and extension class is read off those factorisations
+SMITH_CALLERS = ["homology._hom_condition", "modules.rep_a_vector"]
+SPLIT_CALLERS = ["homology.projective_cover"]
 FACTORING = ("homology", "modules")
 
 
 def test_only_the_covers_hom_conditions_and_a_vectors_factor():
     assert callers("_smith", modules=FACTORING) == SMITH_CALLERS
+    assert callers("_split") == SPLIT_CALLERS
 
 
 def test_detects_a_second_factorisation(tmp_path):
@@ -381,8 +382,20 @@ def test_detects_a_second_factorisation(tmp_path):
         "def rep_a_vector(m):\n    return [_smith(x) for x in m.x]\n")
     (tmp_path / "tubes.py").write_text(
         "from .dvr import _smith\ndef identify(m):\n    return _smith(m)\n")
-    assert callers("_smith", tmp_path, FACTORING) == SMITH_CALLERS[:2] + [
-        "homology._vertex_maps", "homology.<module>", "modules.rep_a_vector"]
+    assert callers("_smith", tmp_path, FACTORING) == [
+        "homology.projective_cover", "homology._hom_condition", "homology._vertex_maps",
+        "homology.<module>", "modules.rep_a_vector"]
+
+
+def test_detects_a_second_split(tmp_path):
+    (tmp_path / "homology.py").write_text(
+        "from . import dvr\nfrom .dvr import _split\n"
+        "def projective_cover(m):\n    return [_split(a) for a in m.maps]\n"
+        "def _pushout(top, f):\n    return dvr._split(f)\n")
+    (tmp_path / "tubes.py").write_text(
+        "from .dvr import _split\ndef identify(m):\n    return _split(m)\n")
+    assert callers("_split", tmp_path) == SPLIT_CALLERS + [
+        "homology._pushout", "tubes.identify"]
 
 
 # an oracle of tests/oracles.py checks the package from outside: it must
@@ -392,6 +405,7 @@ ORACLE_FORBIDDEN = {
     "two_peak_syzygy_rim": ("syzygy_rim", "_cyclic_interval"),
     "rational_rank": ("_smith",),
     "solve": ("coordinates", "splitting"),
+    "FullSmith": ("_smith", "_split"),
 }
 
 
@@ -404,7 +418,7 @@ def oracle_calls(tests: Path = TESTS) -> list[str]:
 def test_no_oracle_calls_what_it_checks():
     tree = ast.parse((TESTS / "oracles.py").read_text())
     assert set(ORACLE_FORBIDDEN) <= {node.name for node in tree.body
-                                     if isinstance(node, ast.FunctionDef)}
+                                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert oracle_calls() == []
 
 
@@ -412,8 +426,11 @@ def test_detects_an_oracle_that_calls_what_it_checks(tmp_path):
     (tmp_path / "oracles.py").write_text(
         "from grasscat.rims import interlacing_degree\n"
         "def crossing(a, b):\n    return interlacing_degree(a, b) >= 2\n"
-        "def solve(sm, rhs, floor):\n    return sm.V @ rhs\n")
+        "def solve(sm, rhs, floor):\n    return sm.V @ rhs\n"
+        "class FullSmith:\n    def __init__(self, matrix):\n"
+        "        self.V = dvr._split(matrix).kernel\n")
     (tmp_path / "test_rims.py").write_text(
         "from oracles import crossing\n"
         "def test_x():\n    assert crossing(1, 2) == (interlacing_degree(1, 2) >= 2)\n")
-    assert oracle_calls(tmp_path) == ["crossing -> interlacing_degree"]
+    assert oracle_calls(tmp_path) == ["crossing -> interlacing_degree",
+                                      "FullSmith -> _split"]

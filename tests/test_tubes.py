@@ -129,13 +129,13 @@ class TestCanonicalSteps:
         seed = profile([[1, 3, 5], [2, 4, 6]], 3, 6)
         rep, member = tubes._seed_rep(seed, 12)   # builds every candidate once
         calls = []
-        original = dvr._smith
-
-        def counted(matrix, need_u=True):
-            calls.append(matrix)
-            return original(matrix, need_u)
-        for module in (dvr, homology, modules):
-            monkeypatch.setattr(module, "_smith", counted)
+        for name in ("_smith", "_split"):
+            def counted(matrix, original=getattr(dvr, name)):
+                calls.append(matrix)
+                return original(matrix)
+            for module in (dvr, homology, modules):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         assert tubes._seed_rep(seed, 12) == (rep, member)
         assert member.profiles == (seed,) and calls == []
 
