@@ -236,40 +236,17 @@ def _fixture_diffs(report: CensusReport) -> list[str]:
     return diffs
 
 
-class ConjectureReport:
-    __slots__ = ("k", "n", "tight_pairs_all_rigid", "r_ge_4_all_nonrigid",
-                 "real_count_matches_formula", "formula_count")
-
-    def __init__(self, k: int, n: int, tight_pairs_all_rigid: bool,
-                 r_ge_4_all_nonrigid: bool, real_count_matches_formula: bool,
-                 formula_count: int) -> None:
-        self.k, self.n = k, n
-        self.tight_pairs_all_rigid = tight_pairs_all_rigid
-        self.r_ge_4_all_nonrigid = r_ge_4_all_nonrigid
-        self.real_count_matches_formula = real_count_matches_formula
-        self.formula_count = formula_count
-
-    def verdicts(self) -> dict[str, bool]:
-        return {
-            "tight_3_interlacing_pairs_are_rigid": self.tight_pairs_all_rigid,
-            "poset_r_ge_4_never_rigid": self.r_ge_4_all_nonrigid,
-            "real_root_count_formula": self.real_count_matches_formula,
-        }
-
-
-def verify_conjectures(k: int, n: int, *, report: Optional[CensusReport] = None,
-                       trunc: Optional[int] = None) -> ConjectureReport:
-    """Check the three counting statements across one ambient."""
-    report = report or run_census(k, n, trunc=trunc)
+def conjecture_verdicts(report: CensusReport) -> dict[str, bool]:
+    """The three counting statements, checked across one census's ambient."""
     verdicts = [(classify_pair(a, b), ok) for (a, b), ok in report.candidate_verdicts.items()]
     real = sum(1 for e in report.rank2_rigid if e.classification == "real")
-    formula = expected_rigid_rank2_count(k, n)
-    return ConjectureReport(
-        k=k, n=n,
-        tight_pairs_all_rigid=all(ok for cls, ok in verdicts if cls.tight),
-        r_ge_4_all_nonrigid=not any(ok for cls, ok in verdicts if cls.interlacing_degree >= 4),
-        real_count_matches_formula=(real == formula) if not report.sampled else False,
-        formula_count=formula)
+    return {
+        "tight_3_interlacing_pairs_are_rigid": all(ok for cls, ok in verdicts if cls.tight),
+        "poset_r_ge_4_never_rigid": not any(ok for cls, ok in verdicts
+                                            if cls.interlacing_degree >= 4),
+        "real_root_count_formula": (not report.sampled
+                                    and real == expected_rigid_rank2_count(report.k, report.n)),
+    }
 
 
 def _load_cache(path: Path, k: int, n: int, trunc: int) -> Optional[CensusReport]:

@@ -227,9 +227,6 @@ def cmd_tubes(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    if args.degree != 2:
-        print("only degree 2 enumeration is implemented", file=sys.stderr)
-        return 2
     vecs = enumerate_degree2_real_roots(args.k, args.n)
     payload = {
         "k": args.k, "n": args.n, "degree": 2, "count": len(vecs),
@@ -247,7 +244,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_census(args) -> int:
-    from .census import run_census, verify_conjectures
+    from .census import conjecture_verdicts, run_census
     full = args.sample is None
     if not full and (args.orbits or args.refresh):
         raise ValueError(f"--{'orbits' if args.orbits else 'refresh'} needs a full census")
@@ -261,12 +258,11 @@ def cmd_census(args) -> int:
     counts = rep.counts()
     payload = rep.to_json_dict()
     if full:
-        conj = verify_conjectures(args.k, args.n, report=rep)
-        payload["conjectures"] = conj.verdicts()
+        payload["conjectures"] = conj = conjecture_verdicts(rep)
         lines = [f"census (k,n)=({args.k},{args.n})",
                  f"  rank1: {counts['rank1']}, rank2 rigid: {counts['rank2_rigid']} "
                  f"({counts['real']} real + {counts['imaginary']} imaginary)",
-                 "  conjectures: " + ", ".join(f"{k}={v}" for k, v in conj.verdicts().items())]
+                 "  conjectures: " + ", ".join(f"{k}={v}" for k, v in conj.items())]
     else:
         # a sampled run groups no classes: it reports its candidates' verdicts
         lines = [f"census (k,n)=({args.k},{args.n}) [sampled]",
@@ -283,11 +279,10 @@ def cmd_census(args) -> int:
 def cmd_diagram(args) -> int:
     from .diagrams import lattice_svg, lattice_tikz
     p = parse_profile(args.profile)
-    fmt = args.fmt if args.fmt in ("svg", "tikz") else "svg"
-    text = lattice_svg(p) if fmt == "svg" else lattice_tikz(p)
+    text = lattice_svg(p) if args.fmt == "svg" else lattice_tikz(p)
     if args.write:
         args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"diagram-{p.label().replace('|', '_')}.{fmt}"
+        path = args.out / f"diagram-{p.label().replace('|', '_')}.{args.fmt}"
         path.write_text(text)
         print(f"written {path}")
     else:
@@ -310,10 +305,11 @@ COMMANDS = {
     "syzygy": (cmd_syzygy, "syzygy of a module, identified", {"profile": {}}),
     "rigid": (cmd_rigid, "rigidity of a module", {"profile": {}}),
     "ar-seq": (cmd_ar_seq, "AR sequence at an almost consecutive rim", {"rim": {}}),
-    "orbit": (cmd_orbit, "syzygy orbit of a rim or profile", {"profile": {}}),
+    "orbit": (cmd_orbit, "syzygy orbit of a rim or profile", {
+        "profile": {},
+        "--format": {"dest": "fmt", "default": "table", "choices": ["table", "dot", "tikz"]}}),
     "tubes": (cmd_tubes, "tube census over one ambient", _K_N),
-    "roots": (cmd_roots, "degree-2 real root enumeration",
-              {**_K_N, "--degree": {"type": int, "default": 2}}),
+    "roots": (cmd_roots, "degree-2 real root enumeration", _K_N),
     "census": (cmd_census, "rigid rank-2 census", {
         **_K_N,
         "--sample": {"type": float, "default": None,
@@ -324,6 +320,7 @@ COMMANDS = {
                      "help": "attach a syzygy-orbit id to every census entry"}}),
     "diagram": (cmd_diagram, "lattice diagram emitter", {
         "profile": {},
+        "--format": {"dest": "fmt", "default": "svg", "choices": ["svg", "tikz"]},
         "--write": {"action": "store_true",
                     "help": "write into the output directory instead of stdout"}}),
 }
@@ -345,8 +342,6 @@ def _top_parser() -> argparse.ArgumentParser:
                     help="working t-adic truncation (default $GRASSCAT_TRUNCATION, else 2n)")
     ap.add_argument("--out", type=Path, default=os.environ.get("GRASSCAT_OUT") or "out",
                     help="output directory (default $GRASSCAT_OUT, else out)")
-    ap.add_argument("--format", dest="fmt", default="table",
-                    choices=["table", "svg", "tikz", "dot"])
     ap.add_argument("--verbose", action="store_true")
     ap.add_argument("command", choices=COMMANDS, metavar="command")
     ap.add_argument("args", nargs=argparse.REMAINDER, help="the command's arguments")
@@ -365,10 +360,7 @@ def main(argv=None) -> int:
     except TruncationUnstable as exc:
         print(f"truncation instability: {exc}", file=sys.stderr)
         return EXIT_TRUNCATION
-    except GrasscatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (GrasscatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

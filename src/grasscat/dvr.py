@@ -187,9 +187,6 @@ class ValPoly:
             and self.trunc == other.trunc
         )
 
-    def __hash__(self) -> int:
-        return hash((tuple(sorted(self.coeffs.items())), self.trunc))
-
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -294,9 +291,6 @@ class DVRMatrix:
         return (isinstance(other, DVRMatrix)
                 and (self.rows, self.cols, self.data) == (other.rows, other.cols, other.data))
 
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
-
     def __repr__(self) -> str:
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.data)
         return f"[{body}]"
@@ -382,8 +376,6 @@ def _smith(matrix: DVRMatrix) -> Smith:
         if best is None:
             break
         val, bi, bj = best
-        if val >= trunc:  # unreachable with the sparse representation
-            raise TruncationUnstable("pivot valuation at truncation level")
         if bi != r:
             A[r], A[bi] = A[bi], A[r]
         if bj != r:

@@ -25,7 +25,11 @@ second step and no row transform.  Each cover map is a surjection with a
 unit pivot in every row, split once (``dvr._split``, no Smith form) when
 the module is covered: the syzygy, the vertex matrices of a Hom basis and
 an extension middle read its kernel, coordinates, section and retraction
-from that one split, and no linear system is solved.
+from that one split, and no linear system is solved.  The syzygy and a
+middle are one pass over the cover's arrows (``_cover_arrows``): an arrow
+applied to the kernel and read back by ``coordinates`` is the syzygy's;
+applied to the section and read back by the retraction, it is the
+middle's off-diagonal block.
 
 Every computed module and Hom basis carries a precision floor (see
 ``dvr``), and every rank that theory fixes is checked with
@@ -155,40 +159,32 @@ def _omega(m: CMModuleRep) -> Optional[CMModuleRep]:
     return on_root(m, "_syzygy", _kernel_module, CMModuleRep.rotate)
 
 
+def _cover_arrows(m: CMModuleRep, cover: Cover, pieces: dict[int, DVRMatrix]):
+    """Each arrow of m's cover P0 applied to the piece of P0 at its source:
+    yields ("x" or "y", edge, target vertex, image).  On the summand at
+    cover vertex u an arrow of edge i acts by 1 or t: x by 1 when i lies in
+    the cyclic interval [u+1, u+k], y by 1 when it does not."""
+    n, one, t = m.n, ValPoly.one(m.trunc), ValPoly.t(m.trunc)
+    for v in range(1, n + 1):
+        w = (v - 2) % n + 1
+        inside = [(v - u - 1) % n < m.k for u in cover.vertices]
+        for arrow, src, dst in (("x", w, v), ("y", v, w)):
+            piece = pieces[src]
+            scalars = [one if i == (arrow == "x") else t for i in inside]
+            yield arrow, v, dst, DVRMatrix([[a * e for e in row]
+                                            for a, row in zip(scalars, piece.data)],
+                                           m.trunc, cols=piece.cols)
+
+
 def _kernel_module(m: CMModuleRep) -> CMModuleRep:
     """The kernel of m's cover map, in the basis ``kernel`` of the cover's
     splits, which lose no precision: it keeps m's floor."""
-    cover, n = _cover_of(m), m.n
-    basis = {w: sp.kernel for w, sp in cover.split.items()}
-    x_omega, y_omega = {}, {}
-    for v in range(1, n + 1):
-        w = (v - 2) % n + 1
-        x_omega[v] = _induced_map(m, cover, basis, v, w, v, forward=True)
-        y_omega[v] = _induced_map(m, cover, basis, v, v, w, forward=False)
-    return CMModuleRep(n, m.k, cover.size - m.s, x_omega, y_omega, m.trunc, m.floor)
-
-
-def _cover_edge_scalars(m: CMModuleRep, cover: Cover, edge: int, forward: bool) -> list[ValPoly]:
-    """Scalar action of one edge on each rank-1 cover summand."""
-    out = []
-    for v in cover.vertices:
-        inside = (edge - v - 1) % m.n < m.k  # edge in the cyclic interval [v+1, v+k]
-        if forward:
-            out.append(ValPoly.one(m.trunc) if inside else ValPoly.t(m.trunc))
-        else:
-            out.append(ValPoly.t(m.trunc) if inside else ValPoly.one(m.trunc))
-    return out
-
-
-def _induced_map(m: CMModuleRep, cover: Cover, basis: dict[int, DVRMatrix], edge: int,
-                 src: int, dst: int, forward: bool) -> DVRMatrix:
-    """Restriction of a cover structure map to the kernel submodule."""
-    scalars = _cover_edge_scalars(m, cover, edge, forward)
-    src_mat = basis[src]
-    moved = DVRMatrix(
-        [[scalars[i] * src_mat.data[i][j] for j in range(src_mat.cols)]
-         for i in range(src_mat.rows)], m.trunc, cols=src_mat.cols)
-    return cover.split[dst].coordinates(moved, m.floor)
+    cover = _cover_of(m)
+    maps: dict[str, dict[int, DVRMatrix]] = {"x": {}, "y": {}}
+    for arrow, v, dst, image in _cover_arrows(
+            m, cover, {w: sp.kernel for w, sp in cover.split.items()}):
+        maps[arrow][v] = cover.split[dst].coordinates(image, m.floor)
+    return CMModuleRep(m.n, m.k, cover.size - m.s, maps["x"], maps["y"], m.trunc, m.floor)
 
 
 def syzygy(m: CMModuleRep) -> CMModuleRep:
@@ -263,8 +259,8 @@ def _relation_rows(m: CMModuleRep, n_rep: CMModuleRep) -> DVRMatrix:
 
 def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int, DVRMatrix]:
     """Factorisation of the condition for cover-generator images
-    to define a map m -> n, the condition's floor (its kernel's is ``loss``
-    less) and the condition itself, from which ``_extension_classes`` lifts.
+    to define a map m -> n, the floor of its kernel and the condition
+    itself, from which ``_extension_classes`` lifts.
 
     A map is determined by the images in n of m's cover generators, and it
     descends to m exactly when they kill the syzygy Omega, that is, when
@@ -278,14 +274,16 @@ def _hom_condition(m: CMModuleRep, n_rep: CMModuleRep) -> tuple[Smith, int, DVRM
     Hom(m, n), free of rank rank(m) * rank(n): over the fraction field a CM
     module of rank s is s copies of the one simple module (Jensen-King-Su
     2016).  So the condition has rank (c - rank(m)) * rank(n), certified
-    against the floor: rows short of that rank raise TruncationUnstable.
-    Its cokernel's torsion is Ext^1(m, n) (see ``ext1``).
+    against the condition's floor, the lower of m's and n's: rows short of
+    that rank raise TruncationUnstable.  The kernel, read off V, is
+    ``Smith.loss`` less precise, and that is the floor returned.  The
+    cokernel's torsion is Ext^1(m, n) (see ``ext1``).
     """
     rows = _relation_rows(m, n_rep)
     floor = min(m.floor, n_rep.floor)
     sm = _smith(rows)
     sm.certify(floor, rows.cols - m.s * n_rep.s, f"Hom condition of ranks {m.s}, {n_rep.s}")
-    return sm, floor, rows
+    return sm, floor - sm.loss, rows
 
 
 def _vertex_maps(cover: Cover, n_rep: CMModuleRep, images: DVRMatrix,
@@ -330,7 +328,6 @@ def hom_space(m: CMModuleRep, n_rep: CMModuleRep) -> HomBasis:
     the maps out vertexwise.  The cover and the syzygy are m's cached ones.
     """
     sm, floor, _ = _hom_condition(m, n_rep)
-    floor -= sm.loss
     return HomBasis(_vertex_maps(_cover_of(m), n_rep, sm.kernel(),
                                  range(1, m.n + 1), floor), floor)
 
@@ -345,7 +342,7 @@ def ext1(m: CMModuleRep, n_rep: CMModuleRep) -> ExtDecomp:
     saturated in F.  It holds the image L, whose certified rank
     (c - rank m) * rank N is its own, so it is L's saturation and
     tors(F / L) = Hom(Omega, N) / L = Ext^1(m, n).  ``_hom_condition``
-    certifies every exponent below the floor, with no ``loss`` subtracted.
+    certifies every exponent below the condition's own floor.
     Only m's first syzygy is needed; it and n's path matrices are cached,
     and shared by every rotation of a ``build_rank1`` module.
     """
@@ -365,24 +362,10 @@ def is_rigid(m: CMModuleRep) -> bool:
 
 def _det_poly_mod_t(blocks: list[list[list[Fraction]]], s: int) -> dict[tuple[int, ...], Fraction]:
     """det(sum_g lambda_g * blocks[g]) mod t, as a polynomial in lambda."""
-    def sign(perm: tuple[int, ...]) -> int:
-        sgn, seen = 1, set()
-        for start in range(len(perm)):
-            if start in seen:
-                continue
-            length, i = 0, start
-            while i not in seen:
-                seen.add(i)
-                i = perm[i]
-                length += 1
-            if length % 2 == 0:
-                sgn = -sgn
-        return sgn
-
     total: dict[tuple[int, ...], Fraction] = {}
     for perm in permutations(range(s)):
-        sgn = sign(perm)
-        prod: dict[tuple[int, ...], Fraction] = {(): Fraction(sgn)}
+        inversions = sum(perm[i] > perm[j] for i in range(s) for j in range(i + 1, s))
+        prod: dict[tuple[int, ...], Fraction] = {(): Fraction((-1) ** inversions)}
         for i in range(s):
             nxt: dict[tuple[int, ...], Fraction] = {}
             for mono, coeff in prod.items():
@@ -430,7 +413,7 @@ def _isomorphic_given_a_vectors(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     correct mod t and only vertex 1 is written out.
     """
     sm, floor, _ = _hom_condition(m, n_rep)
-    basis = _vertex_maps(_cover_of(m), n_rep, sm.kernel(), (1,), floor - sm.loss)
+    basis = _vertex_maps(_cover_of(m), n_rep, sm.kernel(), (1,), floor)
     return bool(_det_poly_mod_t([gen[1].mod_t() for gen in basis], m.s))
 
 
@@ -464,7 +447,8 @@ def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
     is generated by U^-1 e_i = R V e_i / t^e_i, which lies in Hom(Omega, N):
     t^e_i times it lies in the image of R, and Hom(Omega, N) is saturated
     in F.  So each class is R V e_i divided exactly by t^e_i, known modulo
-    t^(floor - e_i), and U is never formed.  Its entries are the images of
+    t^(floor - e_i) for the condition's floor, so at least to the kernel
+    floor that ``_hom_condition`` returns, and U is never formed.  Its entries are the images of
     Omega's top generators, written out by ``_vertex_maps`` over Omega's
     cover (Omega is not resolved).
     """
@@ -480,7 +464,6 @@ def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
     pivots = [ValPoly.monomial(1, e, N) for _, e in targets]
     lifts = DVRMatrix([[x.exact_div(p) for x, p in zip(row, pivots)] for row in images.data],
                       N, cols=len(targets))
-    floor -= sm.loss
     maps = _vertex_maps(_cover_of(omega), bot_rep, lifts, range(1, top_rep.n + 1), floor)
     return omega, maps, floor
 
@@ -509,26 +492,20 @@ def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, f: dict[int, DVRMatrix]
     vertex v, the section sigma_v and retraction rho_v of the cover map
     eps_v (the cover's ``Split``, whose ``kernel`` is Omega's basis too)
     split P0 as Omega + top, and (b, p) -> (b + f_v rho_v p, eps_v p)
-    identifies E_v with bottom_v + top_v.  A cover map A
-    (``_cover_edge_scalars``) from v to u becomes [[bottom's map, f_u rho_u
-    A sigma_v], [0, top's map]], since eps_u A sigma_v is top's.  The cover
-    map has unit pivots, so nothing is lost.
+    identifies E_v with bottom_v + top_v.  An arrow A of P0 from v to u
+    (``_cover_arrows``, applied to sigma_v) becomes [[bottom's arrow,
+    f_u rho_u A sigma_v], [0, top's arrow]], since eps_u A sigma_v is top's.
+    The cover map has unit pivots, so nothing is lost.
     """
-    n, N, s, cover = top_rep.n, top_rep.trunc, top_rep.s, _cover_of(top_rep)
-
-    def structure_map(edge: int, src: int, dst: int, forward: bool,
-                      bot_map: DVRMatrix, top_map: DVRMatrix) -> DVRMatrix:
-        scalars = _cover_edge_scalars(top_rep, cover, edge, forward)
-        moved = DVRMatrix([[a * e for e in row]
-                           for a, row in zip(scalars, cover.split[src].section.data)], N, cols=s)
-        return DVRMatrix.block(bot_map, f[dst] @ (cover.split[dst].retraction @ moved), top_map)
-
-    x_new, y_new = {}, {}
-    for v in range(1, n + 1):
-        w = (v - 2) % n + 1
-        x_new[v] = structure_map(v, w, v, True, bot_rep.x[v], top_rep.x[v])
-        y_new[v] = structure_map(v, v, w, False, bot_rep.y[v], top_rep.y[v])
-    return CMModuleRep(n, top_rep.k, s + bot_rep.s, x_new, y_new, N, floor)
+    cover = _cover_of(top_rep)
+    maps: dict[str, dict[int, DVRMatrix]] = {"x": {}, "y": {}}
+    for arrow, v, dst, image in _cover_arrows(
+            top_rep, cover, {w: sp.section for w, sp in cover.split.items()}):
+        maps[arrow][v] = DVRMatrix.block(getattr(bot_rep, arrow)[v],
+                                         f[dst] @ (cover.split[dst].retraction @ image),
+                                         getattr(top_rep, arrow)[v])
+    return CMModuleRep(top_rep.n, top_rep.k, top_rep.s + bot_rep.s, maps["x"], maps["y"],
+                       top_rep.trunc, floor)
 
 
 # deterministic ladder of extension-class weightings; geometric sequences with

@@ -131,36 +131,31 @@ class CMModuleRep:
 
         The route takes x-steps when (w - v) mod n <= k and y-steps
         otherwise; on the projective at v these routes carry the generator
-        to the canonical basis vector of every vertex component.  The
-        route extends its longest cached prefix one map at a time, and
-        every prefix is cached on the way.  A view reads its root's cache
-        at both labels moved back by its shift: a canonical route depends
-        only on (w - v) mod n.
+        to the canonical basis vector of every vertex component.  A view
+        reads its root's cache at both labels moved back by its shift: a
+        canonical route depends only on (w - v) mod n.
         """
         (m, turned), n = self.unrotated(), self.n
         if turned:
             v, w = (v - turned - 1) % n + 1, (w - turned - 1) % n + 1
-        paths = m._paths
-        cached = paths.get((v, w))
-        if cached is not None:
-            return cached
-        d = (w - v) % n
-        # (end vertex, structure map) of each step; every prefix of a
-        # canonical route is the canonical route to its end vertex
-        if d <= m.k:
-            route = [((v + j - 1) % n + 1, m.x[(v + j - 1) % n + 1])
-                     for j in range(1, d + 1)]
-        else:
-            route = [((v - j - 1) % n + 1, m.y[(v - j) % n + 1])
-                     for j in range(1, n - d + 1)]
-        mat = paths.get((v, v))
+        return m._path(v, w)
+
+    def _path(self, v: int, w: int) -> DVRMatrix:
+        """``path_matrix`` on a root, cached.  Every prefix of a canonical
+        route is the canonical route to its own end, so the route is its
+        last step after the route to the vertex before: the identity when
+        d = (w - v) mod n is 0, x_w after v -> w-1 when d <= k, y_(w+1)
+        after v -> w+1 otherwise."""
+        mat = self._paths.get((v, w))
         if mat is None:
-            mat = paths[(v, v)] = DVRMatrix.identity(m.s, m.trunc)
-        for end, step in route:
-            nxt = paths.get((v, end))
-            if nxt is None:
-                nxt = paths[(v, end)] = step @ mat
-            mat = nxt
+            n, d = self.n, (w - v) % self.n
+            if d == 0:
+                mat = DVRMatrix.identity(self.s, self.trunc)
+            elif d <= self.k:
+                mat = self.x[w] @ self._path(v, (w - 2) % n + 1)
+            else:
+                mat = self.y[w % n + 1] @ self._path(v, w % n + 1)
+            self._paths[(v, w)] = mat
         return mat
 
 

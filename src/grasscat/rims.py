@@ -109,8 +109,6 @@ def runs(r: Rim) -> list[tuple[int, int]]:
 
 
 def _runs_of(members: set[int], n: int) -> list[tuple[int, int]]:
-    if len(members) == n:
-        return [(1, n)]
     out = []
     for v in sorted(members):
         if _mod(v - 1, n) not in members:

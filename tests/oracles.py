@@ -43,6 +43,24 @@ def rational_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def rational_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square exact rational matrix by Gaussian elimination."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(M)):
+        piv = next((i for i in range(col, len(M)) if M[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            det = -det
+        det *= M[col][col]
+        for i in range(col + 1, len(M)):
+            f = M[i][col] / M[col][col]
+            M[i] = [a - f * b for a, b in zip(M[i], M[col])]
+    return det
+
+
 def transpose(mat: DVRMatrix) -> DVRMatrix:
     return DVRMatrix([mat.column(j) for j in range(mat.cols)], mat.trunc, cols=mat.rows)
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from grasscat.census import RANK3_LITERATURE, run_census, verify_conjectures
+from grasscat.census import RANK3_LITERATURE, conjecture_verdicts, run_census
 from grasscat.homology import ext1
 from grasscat.modules import (Profile, build_layered, build_rank1,
                               identify_rank1, validate_relations)
@@ -302,7 +302,7 @@ def test_criterion_6_computed_censuses_past_the_tame_pairs(wild_census_reports):
         rep = wild_census_reports[pair]
         assert rep.counts() == counts, pair
         assert rep.fixture_diffs == [], pair
-        verdicts = verify_conjectures(*pair, report=rep).verdicts()
+        verdicts = conjecture_verdicts(rep)
         assert all(verdicts.values()), (pair, verdicts)
     _line(6, True,
           "computed censuses 576 = 504 + 72 at (4,9) and 420 = 420 + 0 at (3,10), "

@@ -10,6 +10,7 @@ import pytest
 from grasscat import __version__
 from grasscat.census import run_census
 from grasscat.cli import main
+from grasscat.errors import TruncationUnstable
 
 
 def run_cli(args, capsys):
@@ -71,12 +72,12 @@ class TestBasicCommands:
         assert "126 -> 378 -> 459" in out
 
     def test_orbit_dot(self, capsys):
-        code, out = run_cli(["--format", "dot", "orbit", "126@(3,9)"], capsys)
+        code, out = run_cli(["orbit", "126@(3,9)", "--format", "dot"], capsys)
         assert code == 0
         assert out.startswith("digraph tube")
 
     def test_orbit_tikz(self, capsys):
-        code, out = run_cli(["--format", "tikz", "orbit", "147@(3,9)"], capsys)
+        code, out = run_cli(["orbit", "147@(3,9)", "--format", "tikz"], capsys)
         assert code == 0
         assert "tikzpicture" in out
 
@@ -94,19 +95,19 @@ class TestBasicCommands:
 
 class TestDiagram:
     def test_svg_figure_geometry(self, capsys):
-        code, out = run_cli(["--format", "svg", "diagram", "145@(3,8)"], capsys)
+        code, out = run_cli(["diagram", "145@(3,8)", "--format", "svg"], capsys)
         assert code == 0
         assert out.startswith("<svg")
         assert "polyline" in out
 
     def test_tikz(self, capsys):
-        code, out = run_cli(["--format", "tikz", "diagram", "145@(3,8)"], capsys)
+        code, out = run_cli(["diagram", "145@(3,8)", "--format", "tikz"], capsys)
         assert code == 0
         assert "ultra thick" in out
 
     def test_write_to_out_dir(self, capsys, tmp_path):
-        code, out = run_cli(["--out", str(tmp_path), "--format", "svg",
-                             "diagram", "246|135@(3,9)", "--write"], capsys)
+        code, out = run_cli(["--out", str(tmp_path), "diagram", "246|135@(3,9)",
+                             "--format", "svg", "--write"], capsys)
         assert code == 0
         files = list(tmp_path.glob("*.svg"))
         assert len(files) == 1
@@ -198,6 +199,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["census", "3", "6", "--jobs", "2"],
         ["--format", "json", "rim", "145@(3,8)"],
+        ["--format", "dot", "diagram", "145@(3,8)"],
+        ["orbit", "126@(3,9)", "--format", "svg"],
+        ["roots", "4", "8", "--degree", "2"],
     ])
     def test_removed_options_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -260,6 +264,35 @@ class TestUsageErrors:
         assert code == 0 and "period 4" in out
 
 
+class TestExitCodes:
+    """The exit codes 3 and 4 that README promises, which no paper ambient
+    reaches at --trunc n: the failure is brought in by a patched callee."""
+
+    def test_truncation_instability_exits_4(self, capsys, monkeypatch):
+        from grasscat import homology
+
+        def unstable(*args):
+            raise TruncationUnstable("Hom condition: precision short by 1")
+        monkeypatch.setattr(homology, "ext1", unstable)
+        assert main(["--json", "ext", "135@(3,6)", "246@(3,6)"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "truncation instability: Hom condition: precision short by 1\n"
+
+    def test_census_fixture_diff_exits_3(self, capsys, monkeypatch, tmp_path):
+        from grasscat import census
+        wrong = {**census.CENSUS_TABLE[(3, 6)], "rank2_rigid": 3}
+        monkeypatch.setitem(census.CENSUS_TABLE, (3, 6), wrong)
+        code, out = run_cli(["--out", str(tmp_path), "census", "3", "6", "--refresh"], capsys)
+        assert code == 3
+        assert "rank1: 20, rank2 rigid: 2" in out
+        assert "  FIXTURE DIFFS: rank2_rigid: expected 3, computed 2" in out.splitlines()
+        code, out = run_cli(["--json", "--out", str(tmp_path), "census", "3", "6", "--refresh"],
+                            capsys)
+        assert code == 3
+        assert json.loads(out)["fixture_diffs"] == ["rank2_rigid: expected 3, computed 2"]
+
+
 # every command with its one-line help and what its own -h must show
 COMMAND_HELP = {
     "rim": ("peaks, slopes and decompositions of a rim", ["rim", "145@(3,8)"]),
@@ -269,11 +302,11 @@ COMMAND_HELP = {
     "syzygy": ("syzygy of a module, identified", ["profile"]),
     "rigid": ("rigidity of a module", ["profile"]),
     "ar-seq": ("AR sequence at an almost consecutive rim", ["rim"]),
-    "orbit": ("syzygy orbit of a rim or profile", ["profile"]),
+    "orbit": ("syzygy orbit of a rim or profile", ["profile", "--format"]),
     "tubes": ("tube census over one ambient", ["k", "n"]),
-    "roots": ("degree-2 real root enumeration", ["k", "n", "--degree"]),
+    "roots": ("degree-2 real root enumeration", ["k", "n"]),
     "census": ("rigid rank-2 census", ["k", "n", "--sample", "--refresh", "--orbits"]),
-    "diagram": ("lattice diagram emitter", ["profile", "--write"]),
+    "diagram": ("lattice diagram emitter", ["profile", "--format", "--write"]),
 }
 
 
@@ -285,8 +318,9 @@ class TestParsers:
         assert exc.value.code == 0
         for command, (line, _) in COMMAND_HELP.items():
             assert re.search(rf"^ +{re.escape(command)} +{re.escape(line)}$", out, re.M)
-        for option in ("--version", "--json", "--trunc", "--out", "--format", "--verbose"):
+        for option in ("--version", "--json", "--trunc", "--out", "--verbose"):
             assert option in out
+        assert "--format" not in out
 
     @pytest.mark.parametrize("command", sorted(COMMAND_HELP))
     def test_command_help_shows_its_own_arguments(self, command, capsys):

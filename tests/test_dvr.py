@@ -484,7 +484,6 @@ class TestDVRMatrixShape:
         assert DVRMatrix.zeros(0, 2, N) != DVRMatrix.zeros(0, 0, N)
         assert DVRMatrix.zeros(0, 2, N) != DVRMatrix.zeros(2, 0, N)
         assert DVRMatrix.zeros(0, 2, N) == DVRMatrix.zeros(0, 2, N)
-        assert hash(DVRMatrix.zeros(0, 2, N)) == hash(DVRMatrix.zeros(0, 2, N))
 
     def test_sum_and_difference_check_the_shape(self):
         with pytest.raises(ValueError, match="shape mismatch"):

@@ -1,6 +1,7 @@
 import pickle
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from grasscat.modules import (CMModuleRep, Profile, build_layered, build_rank1,
                               validate_relations)
 from grasscat.rims import (all_rims, interlacing_degree, is_projective, least_shift,
                            peaks, rim, shift, slopes, syzygy_rim, two_layer_splits)
-from oracles import (FullSmith, crossing, rational_rank, solve, transpose,
+from oracles import (FullSmith, crossing, rational_det, rational_rank, solve, transpose,
                      two_peak_syzygy_rim)
 
 
@@ -960,7 +961,8 @@ class TestHomConditionAtGenerators:
                 kernel = sm.kernel()
                 assert kernel.cols == old.kernel().cols == src.s * dst.s
                 residue = full @ kernel
-                assert all(d >= floor - sm.loss
+                # floor is the kernel's, the condition's less sm.loss
+                assert all(d >= floor
                            for row in residue.data for e in row for d in e.coeffs), j
                 smaller += homology._relation_rows(src, dst).rows < full.rows
         assert smaller
@@ -1137,7 +1139,8 @@ def two_step_ext(m, n_rep):
     omega = homology._omega(m)
     if omega is None:
         return ()
-    _, floor, rows = homology._hom_condition(omega, n_rep)
+    _, _, rows = homology._hom_condition(omega, n_rep)
+    floor = min(omega.floor, n_rep.floor)
     sm_e = FullSmith(rows)
     coords = sm_e.coordinates(homology._relation_rows(m, n_rep), floor)
     exps = dvr._smith(coords).certify(floor - sm_e.loss, coords.rows, "two-step Ext^1")
@@ -1291,6 +1294,24 @@ class TestPlainData:
             (m.n, m.k, m.s, m.trunc, m.floor)
         assert (back.x, back.y) == (m.x, m.y)
         assert ext1(back, back) == ext1(m, m)
+
+
+class TestDetPolyModT:
+    """With one block the polynomial is that block's determinant times
+    lambda_0^s, its sign by inversion count."""
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_one_block_against_elimination(self, s):
+        rng = random.Random(s)
+        perms = [[[Fraction(int(j == p[i])) for j in range(s)] for i in range(s)]
+                 for p in permutations(range(s))]
+        rand = [[[Fraction(rng.randint(-2, 2), rng.choice((1, 3))) for _ in range(s)]
+                 for _ in range(s)] for _ in range(20)]
+        singular = [row[:] for row in rand[0]]
+        singular[-1] = singular[0]
+        for block in perms + rand + [singular]:
+            det = rational_det(block)
+            assert homology._det_poly_mod_t([block], s) == ({(0,) * s: det} if det else {})
 
 
 def n_vertex_is_isomorphic(m, n_rep):

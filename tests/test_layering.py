@@ -404,6 +404,7 @@ ORACLE_FORBIDDEN = {
     "crossing": ("interlacing_degree", "classify_pair"),
     "two_peak_syzygy_rim": ("syzygy_rim", "_cyclic_interval"),
     "rational_rank": ("_smith",),
+    "rational_det": ("_det_poly_mod_t",),
     "solve": ("coordinates", "splitting"),
     "FullSmith": ("_smith", "_split"),
 }
