@@ -7,10 +7,10 @@ builds two ``ArgumentParser``s.  None is built at import or kept between
 calls: the defaults from ``GRASSCAT_TRUNCATION`` and ``GRASSCAT_OUT`` are
 read on every call.
 
-Exit codes: 0 success, 2 usage error (argparse), 3 fixture mismatch in a
-full census or tube run, 4 truncation instability: an answer its precision
-floor cannot certify, or a step that cannot be completed at the working
-truncation.
+Exit codes: 0 success, 2 usage error (argparse, or a global flag that the
+command would ignore), 3 fixture mismatch in a full census or tube run,
+4 truncation instability: an answer its precision floor cannot certify,
+or a step that cannot be completed at the working truncation.
 """
 
 from __future__ import annotations
@@ -355,6 +355,10 @@ def main(argv=None) -> int:
     for name, options in arguments.items():
         sub.add_argument(name, **options)
     sub.parse_args(args.args, namespace=args)
+    if args.json and getattr(args, "fmt", "table") != "table":
+        sub.error(f"--json does not apply to {args.command} --format {args.fmt}")
+    if args.verbose and args.command not in ("hom", "roots"):
+        sub.error(f"--verbose applies to hom and roots only, not to {args.command}")
     try:
         return fn(args)
     except TruncationUnstable as exc:

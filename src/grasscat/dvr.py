@@ -5,8 +5,9 @@ arithmetic discarding degrees >= the truncation level N.  The Smith normal
 form uses minimal-t-valuation pivoting (every minimal-valuation entry of a
 matrix over a DVR divides all the others), which keeps every elimination
 step exact modulo t^N.  ``_smith`` returns one factorisation object,
-``Smith``: the exponents and the column transform V, whose columns past
-the pivots are the kernel.  A surjection with a unit pivot in every row, a
+``Smith``: the exponents and the column steps, replayed into the column
+transform V only when V is first read; V's columns past the pivots are
+the kernel.  A surjection with a unit pivot in every row, a
 cover map, is split by ``_split`` instead: kernel, section and retraction.
 
 Precision is tracked by one integer per computed object, its floor: a
@@ -23,8 +24,8 @@ decide kernel membership modulo t^floor.
 ``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared,
 and arithmetic may return an operand unchanged (``p + 0`` is ``p``).  The
 kernels skip zero entries: products with a zero factor, elimination steps
-against a zero entry and zero terms of a dot product are never computed,
-since each would leave its target's value as it was.  Results the module
+against a zero entry and zero terms of a matrix product are never
+computed, since each would leave its target's value as it was.  Results the module
 builds itself are wrapped by ``ValPoly._clean`` and ``DVRMatrix._wrap``,
 which skip the validation the public constructors do; they stay private
 to this module.
@@ -252,12 +253,34 @@ class DVRMatrix:
                          + tuple([left + r for r in d.data]), a.cols + d.cols, a.trunc)
 
     def __matmul__(self, other: "DVRMatrix") -> "DVRMatrix":
+        """The product, each column of ``other`` read once as its nonzero
+        (index, coeffs) terms.  Zeros are dropped only where two coefficient
+        products met or one fell past trunc: one alone is nonzero."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         trunc = self.trunc
-        cols = [other.column(j) for j in range(other.cols)]
-        return DVRMatrix._wrap(tuple([tuple([_dot(row, col, trunc) for col in cols])
-                                      for row in self.data]), other.cols, trunc)
+        cols = [[(l, e.coeffs) for l, e in enumerate(col) if e.coeffs]
+                for col in zip(*other.data)] or [()] * other.cols
+        data = []
+        for row in self.data:
+            out_row = []
+            for col in cols:
+                out: Coeffs = {}
+                products = 0
+                for l, b in col:
+                    a = row[l].coeffs
+                    if a:
+                        products += len(a) * len(b)
+                        for d1, c1 in a.items():
+                            for d2, c2 in b.items():
+                                d = d1 + d2
+                                if d < trunc:
+                                    out[d] = out.get(d, 0) + c1 * c2
+                if products > len(out):
+                    out = {d: c for d, c in out.items() if c != 0}
+                out_row.append(ValPoly._clean(out, trunc))
+            data.append(tuple(out_row))
+        return DVRMatrix._wrap(tuple(data), other.cols, trunc)
 
     def _check_shape(self, other: "DVRMatrix", op: str) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -280,6 +303,12 @@ class DVRMatrix:
         return DVRMatrix._wrap(tuple([tuple([p * e for e in row]) for row in self.data]),
                                self.cols, self.trunc)
 
+    def scale_rows(self, p: ValPoly, mask: Sequence[bool]) -> "DVRMatrix":
+        """p times each row i where mask[i] holds; every other row is kept as it is."""
+        return DVRMatrix._wrap(tuple([tuple([p * e for e in row]) if scaled else row
+                                      for scaled, row in zip(mask, self.data)]),
+                               self.cols, self.trunc)
+
     def column(self, j: int) -> tuple[ValPoly, ...]:
         return tuple([row[j] for row in self.data])
 
@@ -298,17 +327,41 @@ class DVRMatrix:
 
 class Smith:
     """Smith factorisation U * A * V = S of a matrix A over the local ring,
-    recorded as the exponents and V.
+    recorded as the exponents and the column steps that build V.
 
     S is zero except for t^e in diagonal place i < ``npivots``, where e is
     ``exponents[i]``.  One factorisation serves every kernel read of A.
+    V is built from the steps on its first read, so reading the exponents
+    alone never builds it.
     """
 
-    __slots__ = ("exponents", "npivots", "V", "cols", "trunc")
+    __slots__ = ("exponents", "npivots", "steps", "cols", "trunc", "_V")
 
-    def __init__(self, exponents: list[int], V: DVRMatrix):
-        self.exponents, self.npivots = exponents, len(exponents)
-        self.V, self.cols, self.trunc = V, V.rows, V.trunc
+    def __init__(self, exponents: list[int], steps: list, cols: int, trunc: int):
+        self.exponents, self.npivots, self.steps = exponents, len(exponents), steps
+        self.cols, self.trunc, self._V = cols, trunc, None
+
+    @property
+    def V(self) -> DVRMatrix:
+        """The column transform: ``steps`` replayed, in order, on first read."""
+        if self._V is None:
+            self._V = self._replay()
+        return self._V
+
+    def _replay(self) -> DVRMatrix:
+        p, trunc = self.cols, self.trunc
+        one, z = ValPoly.one(trunc), ValPoly.zero(trunc)
+        V = [[one if i == j else z for j in range(p)] for i in range(p)]
+        for r, (bj, pivot, entries) in enumerate(self.steps):
+            if bj != r:
+                for row in V:
+                    row[r], row[bj] = row[bj], row[r]
+            v_nz = [i for i in range(p) if V[i][r].coeffs]
+            for j, entry in entries:
+                g = entry.exact_div(pivot)
+                for i in v_nz:
+                    V[i][j] = V[i][j] - g * V[i][r]
+        return DVRMatrix._wrap(tuple(map(tuple, V)), p, trunc)
 
     @property
     def loss(self) -> int:
@@ -348,16 +401,16 @@ def _smith(matrix: DVRMatrix) -> Smith:
     Pivot selection takes the globally minimal valuation in the remaining
     block, breaking ties by the smallest (row, col) pair; that entry
     divides every other one, so each clearing step is exact modulo t^N.
-    Only the column transform V is recorded, and the column steps update V
-    alone: the pivot row is not read again.  Each clearing step visits only
-    the nonzero entries of the pivot row, the pivot column and V[:, r]:
-    against a zero it would subtract g * 0 and leave the entry as it was.
+    Each column step is recorded for ``Smith.V``, not applied: the column
+    swap, the pivot and the pivot row's nonzero entries past it, a row no
+    later step reads or swaps.  Each clearing step visits only the nonzero
+    entries of the pivot row and the pivot column: against a zero it would
+    subtract g * 0 and leave the entry as it was.
     """
     m, p, trunc = matrix.rows, matrix.cols, matrix.trunc
     A = [list(row) for row in matrix.data]
-    one, z = ValPoly.one(trunc), ValPoly.zero(trunc)
-    V = [[one if i == j else z for j in range(p)] for i in range(p)]
     exponents: list[int] = []
+    steps: list[tuple[int, ValPoly, list[tuple[int, ValPoly]]]] = []
     r = 0
     while r < min(m, p):
         best: Optional[tuple[int, int, int]] = None
@@ -379,9 +432,7 @@ def _smith(matrix: DVRMatrix) -> Smith:
         if bi != r:
             A[r], A[bi] = A[bi], A[r]
         if bj != r:
-            for row in A:
-                row[r], row[bj] = row[bj], row[r]
-            for row in V:
+            for row in A[r:]:
                 row[r], row[bj] = row[bj], row[r]
         pivot_row = A[r]
         # normalise the pivot row so the pivot becomes exactly t^val
@@ -398,16 +449,12 @@ def _smith(matrix: DVRMatrix) -> Smith:
             g = row[r].exact_div(pivot)
             for j in row_nz:
                 row[j] = row[j] - g * pivot_row[j]
-        v_nz = [i for i in range(p) if V[i][r].coeffs]
-        for j in row_nz[1:]:
-            g = pivot_row[j].exact_div(pivot)
-            for i in v_nz:
-                V[i][j] = V[i][j] - g * V[i][r]
+        steps.append((bj, pivot, [(j, pivot_row[j]) for j in row_nz[1:]]))
         exponents.append(val)
         r += 1
     if any(exponents[i] > exponents[i + 1] for i in range(len(exponents) - 1)):
         raise AssertionError("invariant factors out of order; pivoting bug")
-    return Smith(exponents, DVRMatrix._wrap(tuple(map(tuple, V)), p, trunc))
+    return Smith(exponents, steps, p, trunc)
 
 
 class Split:
@@ -480,17 +527,3 @@ def _split(matrix: DVRMatrix) -> Split:
     retraction = tuple([tuple([one if j == i else z for j in range(c)]) for i in free])
     return Split(matrix, free, DVRMatrix._wrap(tuple(kernel), c - s, trunc),
                  DVRMatrix._wrap(tuple(section), s, trunc), DVRMatrix._wrap(retraction, c, trunc))
-
-
-def _dot(row: Sequence[ValPoly], col: Sequence[ValPoly], trunc: int) -> ValPoly:
-    """sum_l row[l] * col[l], accumulated in one coefficient dict."""
-    out: Coeffs = {}
-    get = out.get
-    for a, b in zip(row, col):
-        if a.coeffs and b.coeffs:
-            for d1, c1 in a.coeffs.items():
-                for d2, c2 in b.coeffs.items():
-                    d = d1 + d2
-                    if d < trunc:
-                        out[d] = get(d, 0) + c1 * c2
-    return ValPoly._clean({d: c for d, c in out.items() if c != 0}, trunc)

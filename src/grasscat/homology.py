@@ -163,17 +163,14 @@ def _cover_arrows(m: CMModuleRep, cover: Cover, pieces: dict[int, DVRMatrix]):
     """Each arrow of m's cover P0 applied to the piece of P0 at its source:
     yields ("x" or "y", edge, target vertex, image).  On the summand at
     cover vertex u an arrow of edge i acts by 1 or t: x by 1 when i lies in
-    the cyclic interval [u+1, u+k], y by 1 when it does not."""
-    n, one, t = m.n, ValPoly.one(m.trunc), ValPoly.t(m.trunc)
+    the cyclic interval [u+1, u+k], y by 1 when it does not.  A row acted
+    on by 1 is the piece's own row (entries are immutable and shared)."""
+    n, t = m.n, ValPoly.t(m.trunc)
     for v in range(1, n + 1):
         w = (v - 2) % n + 1
         inside = [(v - u - 1) % n < m.k for u in cover.vertices]
         for arrow, src, dst in (("x", w, v), ("y", v, w)):
-            piece = pieces[src]
-            scalars = [one if i == (arrow == "x") else t for i in inside]
-            yield arrow, v, dst, DVRMatrix([[a * e for e in row]
-                                            for a, row in zip(scalars, piece.data)],
-                                           m.trunc, cols=piece.cols)
+            yield arrow, v, dst, pieces[src].scale_rows(t, [i != (arrow == "x") for i in inside])
 
 
 def _kernel_module(m: CMModuleRep) -> CMModuleRep:

@@ -61,6 +61,22 @@ def rational_det(rows: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def dense_product(a: DVRMatrix, b: DVRMatrix) -> DVRMatrix:
+    """a times b by the schoolbook triple loop: each entry the ValPoly sum
+    of every product a[i][l] * b[l][j], zero ones too."""
+    trunc = a.trunc
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            entry = ValPoly.zero(trunc)
+            for l in range(a.cols):
+                entry = entry + a.data[i][l] * b.data[l][j]
+            row.append(entry)
+        rows.append(row)
+    return DVRMatrix(rows, trunc, cols=b.cols)
+
+
 def transpose(mat: DVRMatrix) -> DVRMatrix:
     return DVRMatrix([mat.column(j) for j in range(mat.cols)], mat.trunc, cols=mat.rows)
 

@@ -209,6 +209,31 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [
+        ["--json", "diagram", "145@(3,8)"],
+        ["--json", "diagram", "145@(3,8)", "--format", "tikz", "--write"],
+        ["--json", "orbit", "126@(3,9)", "--format", "dot"],
+        ["--json", "orbit", "126@(3,9)", "--format", "tikz"],
+        ["--verbose", "ext", "135@(3,6)", "246@(3,6)"],
+        ["--verbose", "orbit", "126@(3,9)"],
+        ["--verbose", "census", "3", "6"],
+        ["--verbose", "diagram", "145@(3,8)"],
+    ])
+    def test_a_global_flag_the_command_ignores_exits_2(self, argv, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path)] + argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and list(tmp_path.iterdir()) == []
+        assert f"grasscat {argv[1]}: error: {argv[0]} " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--json", "orbit", "126@(3,9)", "--format", "table"],
+        ["--verbose", "roots", "3", "6"],
+        ["--json", "--verbose", "hom", "135@(3,6)", "246@(3,6)"],
+    ])
+    def test_global_flags_the_command_reads_are_accepted(self, argv, capsys):
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("argv", [
         [], ["frobnicate"], ["census", "3"], ["census", "3", "6", "--json"],
     ])
     def test_malformed_calls_exit_2(self, argv, capsys):

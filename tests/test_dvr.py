@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from grasscat.dvr import DVRMatrix, ValPoly, _smith, _split
 from grasscat.errors import TruncationUnstable
-from oracles import FullSmith, rational_rank, solve
+from oracles import FullSmith, dense_product, rational_rank, solve
 
 N = 16
 
@@ -502,11 +502,18 @@ class TestDVRMatrixShape:
         with pytest.raises(ValueError, match="shape mismatch"):
             DVRMatrix.block(DVRMatrix.identity(2, N), b, d)
 
+    def test_scale_rows_scales_the_masked_rows_and_shares_the_others(self):
+        a = M([[tpow(0), tpow(1)], [tpow(2), ValPoly.zero(N)]])
+        got = a.scale_rows(tpow(1), [False, True])
+        assert got == M([[tpow(0), tpow(1)], [tpow(3), ValPoly.zero(N)]])
+        assert got.data[0] is a.data[0]
+        assert a.scale_rows(tpow(1), [True, True]) == a.scale(tpow(1))
+
     def test_operations_keep_the_shape_of_empty_rows(self):
         empty = DVRMatrix.zeros(0, 2, N)
         assert empty @ DVRMatrix.zeros(2, 3, N) == DVRMatrix.zeros(0, 3, N)
         assert empty + empty == empty and empty - empty == empty
-        assert empty.scale(tpow(1)) == empty
+        assert empty.scale(tpow(1)) == empty == empty.scale_rows(tpow(1), [])
 
 
 # -- exact arithmetic against a schoolbook reference ----------------------
@@ -610,3 +617,57 @@ class TestExactArithmetic:
                     want = ref_add(want, ref_mul(entry, right[l][j]))
                 assert got.data[i][j].coeffs == want
                 assert_clean(got.data[i][j])
+
+
+# entries of the product tests: zero half the time, else 1 + t, -1, 1, t,
+# -1 - t (whose products cancel in pairs, as (1 + t) * 1 + (-1) * (1 + t)
+# does), a term at the truncation edge, or any few terms
+product_entries = st.one_of(
+    st.just({}),
+    st.sampled_from([{0: 1, 1: 1}, {0: -1}, {0: 1}, {1: 1}, {0: -1, 1: -1},
+                     {TRUNC - 1: 2}, {TRUNC - 2: 1, TRUNC - 1: -1}]),
+    terms)
+
+
+@st.composite
+def product_operands(draw):
+    """a (rows x inner) and b (inner x cols), each side 0 to 4, with a few
+    rows of a and columns of b set to zero."""
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    a = [[draw(product_entries) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(product_entries) for _ in range(cols)] for _ in range(inner)]
+    for i in draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows)):
+        a[i] = [{}] * inner
+    for j in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols)):
+        for row in b:
+            row[j] = {}
+    return (DVRMatrix([[ValPoly(e, TRUNC) for e in row] for row in a], TRUNC, cols=inner),
+            DVRMatrix([[ValPoly(e, TRUNC) for e in row] for row in b], TRUNC, cols=cols))
+
+
+class TestSparseProduct:
+    """``@`` against ``oracles.dense_product``, which adds every product."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(product_operands())
+    def test_matches_the_dense_product(self, operands):
+        a, b = operands
+        got = a @ b
+        assert (got.rows, got.cols, got.trunc) == (a.rows, b.cols, TRUNC)
+        assert got == dense_product(a, b)
+        for row in got.data:
+            for entry in row:
+                assert_clean(entry)
+
+    def test_exact_cancellation_and_the_truncation_edge(self):
+        one_t, z = ValPoly({0: 1, 1: 1}, TRUNC), ValPoly.zero(TRUNC)
+        # (1 + t) * 1 + (-1) * (1 + t), and (1 + t)(1 - t) = 1 - t^2 in one term
+        a = DVRMatrix([[one_t, ValPoly({0: -1}, TRUNC)], [one_t, z]], TRUNC)
+        b = DVRMatrix([[ValPoly.one(TRUNC), ValPoly({0: 1, 1: -1}, TRUNC)], [one_t, z]], TRUNC)
+        assert (a @ b).data == ((z, ValPoly({0: 1, 2: -1}, TRUNC)),
+                                (one_t, ValPoly({0: 1, 2: -1}, TRUNC)))
+        # t^(TRUNC - 1) * t falls past the truncation, t^(TRUNC - 2) * t does not
+        edge = DVRMatrix([[ValPoly({TRUNC - 2: 1, TRUNC - 1: 1}, TRUNC)]], TRUNC)
+        assert (edge @ DVRMatrix([[tpow(1, trunc=TRUNC)]], TRUNC)).data == \
+            ((tpow(TRUNC - 1, trunc=TRUNC),),)
+        assert (edge @ DVRMatrix([[tpow(2, trunc=TRUNC)]], TRUNC)).data == ((z,),)

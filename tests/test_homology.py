@@ -772,6 +772,75 @@ class TestFactorOnce:
                     monkeypatch.setattr(module, name, counted)
         return calls
 
+    @staticmethod
+    def count_replays(monkeypatch):
+        """The factorisations ``_smith`` returns, and each factorisation
+        whose V is built, once per build."""
+        factored, built = [], []
+        smith, replay = dvr._smith, dvr.Smith._replay
+
+        def recorded(matrix):
+            factored.append(smith(matrix))
+            return factored[-1]
+
+        def counted(sm):
+            built.append(sm)
+            return replay(sm)
+        for module in (dvr, homology, modules):
+            monkeypatch.setattr(module, "_smith", recorded)
+        monkeypatch.setattr(dvr.Smith, "_replay", counted)
+        return factored, built
+
+    def test_exponent_readers_build_no_v(self, monkeypatch):
+        top = build_rank1(rim([1, 3, 5, 7], 4, 8))
+        m = generic_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        factored, built = self.count_replays(monkeypatch)
+        ext1(m, top)
+        is_rigid(m)
+        rep_a_vector(m)
+        # two Hom conditions and a Smith form per structure map, no V
+        assert len(factored) == 2 + m.n and built == []
+
+    def test_ladder_builds_v_for_its_classes_alone(self, monkeypatch):
+        # no weight gives a rigid indecomposable middle, so the walk tests
+        # the rigidity of every middle
+        a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
+        homology._rank2_walk.cache_clear()
+        modules._rank1.cache_clear()
+        conditions = []
+        hom_condition = homology._hom_condition
+
+        def recorded(*args):
+            out = hom_condition(*args)
+            conditions.append((args, out[0]))
+            return out
+        factored, built = self.count_replays(monkeypatch)
+        monkeypatch.setattr(homology, "_hom_condition", recorded)
+        assert rigid_indecomposable_rank2(a, b) is None
+        top, bottom = build_rank1(a, 16), build_rank1(b, 16)
+        assert len(factored) > len(WEIGHT_LADDER)
+        assert built == [sm for ends, sm in conditions if ends == (top, bottom)]
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("read", [
+        lambda m, other: hom_space(m, m),
+        lambda m, other: is_isomorphic(m, other),
+        lambda m, other: homology._extension_classes(
+            build_rank1(rim([1, 3, 5, 7], 4, 8)), build_rank1(rim([2, 4, 6, 8], 4, 8))),
+    ], ids=["hom_space", "is_isomorphic", "extension_classes"])
+    def test_kernel_readers_build_v_once(self, monkeypatch, read):
+        m = rigid_indecomposable_rank2(rim([1, 2, 4, 7], 4, 8), rim([3, 5, 6, 8], 4, 8))
+        other = rigid_indecomposable_rank2(rim([1, 4, 5, 7], 4, 8), rim([2, 3, 6, 8], 4, 8))
+        rep_a_vector(m), rep_a_vector(other), syzygy(m)
+        factored, built = self.count_replays(monkeypatch)
+        read(m, other)
+        # one Hom condition, its V built once; a second read of its kernel
+        # and of V builds nothing
+        assert len(factored) == 1 and built == factored
+        sm = factored[0]
+        assert sm.kernel() == sm.kernel() and sm.V is sm.V
+        assert built == factored
+
     def test_hom_space_factors_each_vertex_once(self, monkeypatch):
         m = rank2_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
         calls = self.count_factorisations(monkeypatch)

@@ -266,7 +266,7 @@ def callers(name: str, package: Path = PACKAGE,
             modules: Optional[tuple[str, ...]] = None) -> list[str]:
     """module.definition (top-level) of each call of ``name``, by name or as
     an attribute, in ``modules`` (None: every module); '<module>' for a
-    call at module level."""
+    call at module level.  ``a @ b`` is a call of ``__matmul__``."""
     found = []
     for path in sorted(package.glob("*.py")):
         if modules is not None and path.stem not in modules:
@@ -274,7 +274,9 @@ def callers(name: str, package: Path = PACKAGE,
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.Call) and name in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)) \
+                        or isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) \
+                        and name == "__matmul__":
                     found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     return found
 
@@ -407,6 +409,7 @@ ORACLE_FORBIDDEN = {
     "rational_det": ("_det_poly_mod_t",),
     "solve": ("coordinates", "splitting"),
     "FullSmith": ("_smith", "_split"),
+    "dense_product": ("__matmul__",),
 }
 
 
@@ -429,9 +432,11 @@ def test_detects_an_oracle_that_calls_what_it_checks(tmp_path):
         "def crossing(a, b):\n    return interlacing_degree(a, b) >= 2\n"
         "def solve(sm, rhs, floor):\n    return sm.V @ rhs\n"
         "class FullSmith:\n    def __init__(self, matrix):\n"
-        "        self.V = dvr._split(matrix).kernel\n")
+        "        self.V = dvr._split(matrix).kernel\n"
+        "def dense_product(a, b):\n    return [row for row in (a @ b).data]\n")
     (tmp_path / "test_rims.py").write_text(
         "from oracles import crossing\n"
         "def test_x():\n    assert crossing(1, 2) == (interlacing_degree(1, 2) >= 2)\n")
     assert oracle_calls(tmp_path) == ["crossing -> interlacing_degree",
-                                      "FullSmith -> _split"]
+                                      "FullSmith -> _split",
+                                      "dense_product -> __matmul__"]
