@@ -181,14 +181,11 @@ def cmd_ar_seq(args) -> int:
 
 def cmd_orbit(args) -> int:
     from .tubes import tau_orbit
-    from .diagrams import orbit_dot, orbit_tikz
     p = parse_profile(args.profile)
     orbit = tau_orbit(p, trunc=_truncation(args, p.n))
-    if args.fmt == "dot":
-        print(orbit_dot(orbit), end="")
-        return 0
-    if args.fmt == "tikz":
-        print(orbit_tikz(orbit), end="")
+    if args.fmt != "table":
+        from .diagrams import orbit_dot, orbit_tikz
+        print((orbit_dot if args.fmt == "dot" else orbit_tikz)(orbit), end="")
         return 0
     payload = orbit.to_json_dict()
     table = (f"orbit of {p}: period {orbit.period} (divides 2v = {2 * orbit.v})\n  "
@@ -357,8 +354,10 @@ def main(argv=None) -> int:
     sub.parse_args(args.args, namespace=args)
     if args.json and getattr(args, "fmt", "table") != "table":
         sub.error(f"--json does not apply to {args.command} --format {args.fmt}")
-    if args.verbose and args.command not in ("hom", "roots"):
-        sub.error(f"--verbose applies to hom and roots only, not to {args.command}")
+    # hom reads --verbose only with --json, roots only without it
+    if args.verbose and (args.command, args.json) not in (("hom", True), ("roots", False)):
+        sub.error(f"--verbose applies to --json hom and to roots without --json only, "
+                  f"not to {'--json ' if args.json else ''}{args.command}")
     try:
         return fn(args)
     except TruncationUnstable as exc:

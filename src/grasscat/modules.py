@@ -81,7 +81,7 @@ class CMModuleRep:
     carries the floor its construction left.
     ``rotate`` returns a view: relabelled ``x``/``y`` maps, the unrotated
     root ``_root`` and the shift ``_turn`` (None and 0 on a root).  A view
-    reads its root's ``_paths`` (``path_matrix``) at moved labels.  Four
+    reads its root's ``_paths`` (``path_matrix``) at moved labels.  Five
     more caches are each filled on first use by ``on_root``, on a root from
     its maps and on a view by relabelling its root's once: ``_top``
     (``homology.top_generators``: the (vertex, basis index) pairs spanning
@@ -89,11 +89,12 @@ class CMModuleRep:
     ``_cover`` (the projective cover with the one factorisation of each
     cover map, which the syzygy, Hom maps and pushouts read), ``_syzygy``
     (the kernel module, read by Hom, Ext, extension middles and orbit
-    steps) and ``_avec`` (``rep_a_vector``).
+    steps), ``_avec`` (``rep_a_vector``) and ``_member`` (the orbit member
+    ``tubes._identify`` names it by).
     """
 
-    __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor",
-                 "_root", "_turn", "_paths", "_syzygy", "_avec", "_top", "_cover")
+    __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "_root", "_turn",
+                 "_paths", "_syzygy", "_avec", "_top", "_cover", "_member")
 
     def __init__(self, n: int, k: int, s: int,
                  x: dict[int, DVRMatrix], y: dict[int, DVRMatrix],
@@ -145,16 +146,17 @@ class CMModuleRep:
         route is the canonical route to its own end, so the route is its
         last step after the route to the vertex before: the identity when
         d = (w - v) mod n is 0, x_w after v -> w-1 when d <= k, y_(w+1)
-        after v -> w+1 otherwise."""
+        after v -> w+1 otherwise.  A one-step route is its step: no product
+        by the identity."""
         mat = self._paths.get((v, w))
         if mat is None:
             n, d = self.n, (w - v) % self.n
             if d == 0:
                 mat = DVRMatrix.identity(self.s, self.trunc)
-            elif d <= self.k:
-                mat = self.x[w] @ self._path(v, (w - 2) % n + 1)
             else:
-                mat = self.y[w % n + 1] @ self._path(v, w % n + 1)
+                step, before = ((self.x[w], (w - 2) % n + 1) if d <= self.k
+                                else (self.y[w % n + 1], w % n + 1))
+                mat = step if before == v else step @ self._path(v, before)
             self._paths[(v, w)] = mat
         return mat
 
@@ -272,11 +274,12 @@ def validate_relations(m: CMModuleRep) -> list[str]:
         if differs(m.y[nxt] @ m.x[nxt], t_id):
             report.append(f"y_{nxt} x_{nxt} != t id at vertex {i}")
     for start in range(1, n + 1):
-        xk = DVRMatrix.identity(s, m.trunc)
-        for step in range(1, k + 1):
+        # each chain starts from its first factor: no product by the identity
+        xk = m.x[start % n + 1]
+        for step in range(2, k + 1):
             xk = m.x[(start + step - 1) % n + 1] @ xk
-        ynk = DVRMatrix.identity(s, m.trunc)
-        for step in range(n - k):
+        ynk = m.y[start]
+        for step in range(1, n - k):
             ynk = m.y[(start - step - 1) % n + 1] @ ynk
         if differs(xk, ynk):
             report.append(f"x^{k} != y^{n - k} starting at vertex {start}")

@@ -89,9 +89,11 @@ def shift(r: Rim, m: int) -> Rim:
 
 def least_shift(*rims: Rim) -> int:
     """The least j in [0, n) whose shift makes the rims least, compared as
-    one tuple of sorted element tuples; no Rim is built."""
+    one tuple of sorted element tuples; no Rim is built.  Only a shift that
+    carries an element of the first rim to 1 can win, so only those are
+    tried, least first."""
     n = rims[0].n
-    return min(range(n), key=lambda j: tuple(
+    return min(sorted((1 - e) % n for e in rims[0].elements), key=lambda j: tuple(
         tuple(sorted(_mod(e + j, n) for e in r.elements)) for r in rims))
 
 

@@ -21,7 +21,7 @@ from .errors import NotAlmostConsecutive, ProjectiveInput
 from .homology import (canonical_module, decomposition_rank2, is_isomorphic, is_rigid,
                        rigid_indecomposable_rank2, syzygy)
 from .modules import (CMModuleRep, Profile, a_vector, build_rank1,
-                      default_truncation, direct_sum, identify_rank1,
+                      default_truncation, direct_sum, identify_rank1, on_root,
                       per_rotation_class, rep_a_vector)
 from .rims import (Rim, all_rims, ar_middle_profile, interlacing_degree,
                    is_almost_consecutive, is_projective, rim, syzygy_rim,
@@ -107,7 +107,7 @@ def _seed_rep(seed: Profile, trunc: int) -> tuple[CMModuleRep, OrbitMember]:
         if is_projective(seed.layers[0]):
             raise ProjectiveInput(f"{seed} is projective; its orbit is empty")
         return rep, OrbitMember(1, a_vector(seed).entries, (seed,))
-    member = _identify(rep, trunc)
+    member = _identify(rep)
     if not member.profiles:
         # a projective summand drops out of every syzygy, so the orbit
         # would never return to the seed
@@ -118,23 +118,29 @@ def _seed_rep(seed: Profile, trunc: int) -> tuple[CMModuleRep, OrbitMember]:
     return rep, member
 
 
-def _identify(rep: CMModuleRep, trunc: int) -> OrbitMember:
-    """Name rep as far as its rank allows.
+def _identify(rep: CMModuleRep) -> OrbitMember:
+    """Name rep as far as its rank allows, once per root module: the answer
+    is cached (``on_root``), and a rotated view gets its root's member
+    rotated, since rotation is an automorphism that carries a-vectors,
+    valuations, canonical modules and isomorphisms along.
 
-    A rank-2 module is compared with the canonical module of every split of
-    its a-vector of interlacing degree at least 3.
+    A root of rank 1 is named by ``identify_rank1``.  A root of rank 2 is
+    compared with the canonical module of every split of its a-vector of
+    interlacing degree at least 3.
     """
-    avec = rep_a_vector(rep).entries
-    if rep.s == 1:
-        return OrbitMember(1, avec, (Profile((identify_rank1(rep),)),))
-    if rep.s == 2:
-        splits = map(Profile, two_layer_splits(avec, rep.k, rep.n))
-        matches = sorted((p for p in splits if interlacing_degree(*p.layers) >= 3
-                          and is_isomorphic(rep, canonical_module(p, trunc))),
-                         key=Profile.label)
-        if matches:
-            return OrbitMember(2, avec, tuple(matches))
-    return OrbitMember(rep.s, avec)
+    def name(root: CMModuleRep) -> OrbitMember:
+        avec = rep_a_vector(root).entries
+        if root.s == 1:
+            return OrbitMember(1, avec, (Profile((identify_rank1(root),)),))
+        if root.s == 2:
+            splits = map(Profile, two_layer_splits(avec, root.k, root.n))
+            matches = sorted((p for p in splits if interlacing_degree(*p.layers) >= 3
+                              and is_isomorphic(root, canonical_module(p, root.trunc))),
+                             key=Profile.label)
+            if matches:
+                return OrbitMember(2, avec, tuple(matches))
+        return OrbitMember(root.s, avec)
+    return on_root(rep, "_member", name, lambda member, j: member.rotate(j, rep.n))
 
 
 def tau_orbit(start: Union[Rim, Profile], trunc: Optional[int] = None) -> TauOrbit:
@@ -149,7 +155,9 @@ def tau_orbit(start: Union[Rim, Profile], trunc: Optional[int] = None) -> TauOrb
     it, rather than of the module just computed.
     This is exact: identification proves the two modules isomorphic, and
     isomorphic modules have isomorphic syzygies.  Members of rank 3 or more
-    are not identified and step from the computed module.
+    are not identified and step from the computed module.  A step that
+    lands on a rotated view of a module already named takes that name
+    rotated (``_identify``).
     """
     n, k = start.n, start.k
     N = default_truncation(n, trunc)
@@ -159,7 +167,7 @@ def tau_orbit(start: Union[Rim, Profile], trunc: Optional[int] = None) -> TauOrb
     for _ in range(2 * v):
         named = members[-1].profiles
         rep = syzygy(canonical_module(named[0], N) if named else rep)
-        members.append(_identify(rep, N))
+        members.append(_identify(rep))
     if members.pop() != members[0]:
         raise AssertionError(
             f"orbit of {members[0].label()} did not close after {2 * v} steps")

@@ -11,13 +11,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional
 
 from grasscat.dvr import DVRMatrix, ValPoly
 from grasscat.errors import TruncationUnstable
-from grasscat.homology import is_isomorphic, is_rigid, rigid_indecomposable_rank2
-from grasscat.modules import build_layered
-from grasscat.rims import Rim, rim, runs, shift
+from grasscat.homology import (canonical_module, is_isomorphic, is_rigid,
+                               rigid_indecomposable_rank2, syzygy)
+from grasscat.modules import (CMModuleRep, Profile, build_layered, identify_rank1,
+                              rep_a_vector)
+from grasscat.rims import Rim, interlacing_degree, rim, runs, shift, two_layer_splits
+from grasscat.tubes import OrbitMember
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:
@@ -75,6 +79,21 @@ def dense_product(a: DVRMatrix, b: DVRMatrix) -> DVRMatrix:
             row.append(entry)
         rows.append(row)
     return DVRMatrix(rows, trunc, cols=b.cols)
+
+
+def route_product(m: CMModuleRep, v: int, w: int) -> DVRMatrix:
+    """The structure maps of m along the canonical route v -> w (x-steps
+    when (w - v) mod n <= k, y-steps otherwise), multiplied one step at a
+    time onto the identity with ``dense_product``."""
+    n, d = m.n, (w - v) % m.n
+    mat = DVRMatrix.identity(m.s, m.trunc)
+    if d <= m.k:
+        for step in range(1, d + 1):
+            mat = dense_product(m.x[(v + step - 1) % n + 1], mat)
+    else:
+        for step in range(n - d):
+            mat = dense_product(m.y[(v - step - 1) % n + 1], mat)
+    return mat
 
 
 def transpose(mat: DVRMatrix) -> DVRMatrix:
@@ -177,6 +196,47 @@ def solve(sm: FullSmith, rhs: DVRMatrix, floor: int) -> Optional[DVRMatrix]:
     if any(e.coeffs and min(e.coeffs) < known for row in ub.data[sm.npivots:] for e in row):
         return None
     return sm.V @ DVRMatrix(y, trunc, cols=rhs.cols)
+
+
+def brute_least_shift(*rims: Rim) -> int:
+    """The least j in [0, n) whose shifted rims are least as a tuple of
+    element tuples, trying every j."""
+    return min(range(rims[0].n), key=lambda j: tuple(shift(r, j).elements for r in rims))
+
+
+def name_afresh(rep: CMModuleRep) -> OrbitMember:
+    """The orbit member rep is, named on a new module with rep's maps, which
+    holds no cache: by its a-vector, ``identify_rank1`` at rank 1, and at
+    rank 2 ``is_isomorphic`` against the canonical module of every split of
+    its a-vector of interlacing degree at least 3."""
+    fresh = CMModuleRep(rep.n, rep.k, rep.s, rep.x, rep.y, rep.trunc, rep.floor)
+    avec = rep_a_vector(fresh).entries
+    if fresh.s == 1:
+        return OrbitMember(1, avec, (Profile((identify_rank1(fresh),)),))
+    matches = [] if fresh.s != 2 else sorted(
+        (Profile((a, b)) for a, b in two_layer_splits(avec, rep.k, rep.n)
+         if interlacing_degree(a, b) >= 3
+         and is_isomorphic(fresh, canonical_module(Profile((a, b)), rep.trunc))),
+        key=Profile.label)
+    return OrbitMember(fresh.s, avec, tuple(matches))
+
+
+def orbit_named_afresh(seed: Profile, trunc: int) -> tuple[list[OrbitMember], int]:
+    """Members and least period of a seed's syzygy orbit, each step named by
+    ``name_afresh``.  A step resolves the canonical module of the member's
+    first profile, or the module just computed when the member has none."""
+    n, k = seed.n, seed.k
+    v = lcm(n, k) // k
+    rep = canonical_module(seed, trunc)
+    members = [name_afresh(rep)]
+    for _ in range(2 * v):
+        named = members[-1].profiles
+        rep = syzygy(canonical_module(named[0], trunc) if named else rep)
+        members.append(name_afresh(rep))
+    assert members.pop() == members[0], "the orbit does not close"
+    period = min(d for d in range(1, 2 * v + 1)
+                 if all(members[i] == members[(i + d) % (2 * v)] for i in range(2 * v)))
+    return members[:period], period
 
 
 def crossing(a: Rim, b: Rim) -> bool:

@@ -81,6 +81,14 @@ class TestBasicCommands:
         assert code == 0
         assert "tikzpicture" in out
 
+    def test_only_drawn_orbits_load_diagrams(self, capsys, monkeypatch):
+        monkeypatch.delitem(sys.modules, "grasscat.diagrams", raising=False)
+        assert run_cli(["orbit", "126@(3,9)"], capsys)[0] == 0
+        assert run_cli(["--json", "orbit", "126@(3,9)"], capsys)[0] == 0
+        assert "grasscat.diagrams" not in sys.modules
+        assert run_cli(["orbit", "126@(3,9)", "--format", "dot"], capsys)[0] == 0
+        assert "grasscat.diagrams" in sys.modules
+
     def test_roots(self, capsys):
         code, out = run_cli(["roots", "3", "6"], capsys)
         assert code == 0
@@ -224,6 +232,18 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "" and list(tmp_path.iterdir()) == []
         assert f"grasscat {argv[1]}: error: {argv[0]} " in err
+
+    @pytest.mark.parametrize("command, argv", [
+        ("hom", ["--verbose", "hom", "135@(3,6)", "246@(3,6)"]),   # hom reads it with --json
+        ("roots", ["--json", "--verbose", "roots", "3", "6"]),     # roots without --json
+    ])
+    def test_verbose_in_the_mode_that_ignores_it_exits_2(self, command, argv, capsys,
+                                                         tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--out", str(tmp_path)] + argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and list(tmp_path.iterdir()) == []
+        assert f"grasscat {command}: error: --verbose " in err
 
     @pytest.mark.parametrize("argv", [
         ["--json", "orbit", "126@(3,9)", "--format", "table"],

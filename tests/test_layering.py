@@ -217,9 +217,10 @@ def test_detects_a_module_level_empty_container(tmp_path):
 
 
 # a module's caches and its view slots are implementation; tests reach
-# them through path_matrix, top_generators, rep_a_vector and the accessors
-# homology._cover_of, homology._omega and syzygy
-PRIVATE_MODULE_SLOTS = {"_paths", "_syzygy", "_cover", "_avec", "_top", "_root", "_turn"}
+# them through path_matrix, top_generators, rep_a_vector, tubes._identify
+# and the accessors homology._cover_of, homology._omega and syzygy
+PRIVATE_MODULE_SLOTS = {"_paths", "_syzygy", "_cover", "_avec", "_top", "_member", "_root",
+                        "_turn"}
 REFLECTION = {"getattr", "hasattr", "setattr", "delattr"}
 
 
@@ -410,6 +411,10 @@ ORACLE_FORBIDDEN = {
     "solve": ("coordinates", "splitting"),
     "FullSmith": ("_smith", "_split"),
     "dense_product": ("__matmul__",),
+    "route_product": ("path_matrix", "_path", "__matmul__"),
+    "brute_least_shift": ("least_shift",),
+    "name_afresh": ("_identify", "on_root", "tau_orbit"),
+    "orbit_named_afresh": ("_identify", "on_root", "tau_orbit"),
 }
 
 

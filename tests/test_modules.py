@@ -1,15 +1,18 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from grasscat.dvr import DVRMatrix, ValPoly
 from grasscat.errors import NotRankOne, TruncationUnstable
-from grasscat.homology import rank2_extension
+from grasscat.homology import canonical_module, rank2_extension, syzygy
 from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered,
                               build_rank1, direct_sum, identify_rank1,
                               lattice_diagram_data, parse_profile, per_rotation_class,
                               profile, rep_a_vector, sigma_power, validate_relations)
 from grasscat.rims import all_rims, least_shift, parse_rim, rim, shift
+
+from oracles import route_product
 
 N = 16
 
@@ -98,6 +101,16 @@ class TestBuildLayered:
         assert report
         assert any("vertex 3" in line or "x_3" in line or "x_4" in line
                    for line in report)
+
+    def test_power_relation_is_checked_from_every_start(self):
+        # x_2 and y_2 rescaled by 2 and 1/2: every x_i y_i = t still holds,
+        # while at rank 1 x^k = y^(n-k) from any start says that the product
+        # of all the x_i is t^(n-k), and that product doubles
+        m = build_rank1(rim([1, 4, 5], 3, 8), N)
+        x, y = dict(m.x), dict(m.y)
+        x[2], y[2] = x[2].scale(ValPoly({0: 2}, N)), y[2].scale(ValPoly({0: Fraction(1, 2)}, N))
+        assert validate_relations(CMModuleRep(8, 3, 1, x, y, N)) == [
+            f"x^3 != y^5 starting at vertex {s}" for s in range(1, 9)]
 
     @pytest.mark.parametrize("degree, violated", [(N - 2, False), (N - 4, True)])
     def test_relations_are_compared_modulo_the_floor(self, degree, violated):
@@ -214,19 +227,6 @@ def test_rank1_validates_up_to_n12():
                 assert validate_relations(build_rank1(r, 2 * n)) == [], r
 
 
-def multiplied_out_route(m: CMModuleRep, v: int, w: int) -> DVRMatrix:
-    """The canonical route v -> w, multiplied out from the identity."""
-    n, d = m.n, (w - v) % m.n
-    if d <= m.k:
-        maps = [m.x[(v + j - 1) % n + 1] for j in range(1, d + 1)]
-    else:
-        maps = [m.y[(v - j) % n + 1] for j in range(1, n - d + 1)]
-    mat = DVRMatrix.identity(m.s, m.trunc)
-    for step in maps:
-        mat = step @ mat
-    return mat
-
-
 def route_length(m: CMModuleRep, v: int, w: int) -> int:
     d = (w - v) % m.n
     return d if d <= m.k else m.n - d
@@ -248,8 +248,35 @@ class TestPathMatrix:
         pairs.sort(key=lambda vw: route_length(fresh, *vw), reverse=longest_first)
         for v, w in pairs:
             got = fresh.path_matrix(v, w)
-            assert got == multiplied_out_route(fresh, v, w), (v, w)
+            assert got == route_product(fresh, v, w), (v, w)
             assert fresh.path_matrix(v, w) is got
+
+    @pytest.mark.parametrize("token", [
+        "145@(3,8)",          # a rank-1 module
+        "135|246@(3,6)",      # a rank-2 extension middle
+        "1357@(4,8)",         # its syzygy has rank 3
+    ])
+    def test_every_route_matches_the_oracle(self, token):
+        p = parse_profile(token)
+        module = canonical_module(p)
+        if token == "1357@(4,8)":
+            module = syzygy(module)
+            assert module.s == 3
+        for m in (module, module.rotate(3)):
+            n = m.n
+            for v in range(1, n + 1):
+                for w in range(1, n + 1):
+                    assert m.path_matrix(v, w) == route_product(m, v, w), (token, v, w)
+                # a one-step route is its step, not a product by the identity
+                assert m.path_matrix(v, v % n + 1) is m.x[v % n + 1]
+                assert m.path_matrix(v, (v - 2) % n + 1) is m.y[v]
+
+    def test_every_rank1_route_matches_the_oracle(self):
+        for r in all_rims(3, 7):
+            m = build_rank1(r)
+            for v in range(1, 8):
+                for w in range(1, 8):
+                    assert m.path_matrix(v, w) == route_product(m, v, w), (r, v, w)
 
 
 class TestRotate:

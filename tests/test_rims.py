@@ -11,7 +11,7 @@ from grasscat.rims import (Rim, all_rims, almost_consecutive_decompositions,
                            is_projective, least_shift, peaks, projective_index,
                            rim, runs, shift, slopes, syzygy_rim, parse_rim,
                            two_layer_splits)
-from oracles import crossing
+from oracles import brute_least_shift, crossing
 
 
 def R(elems, k, n):
@@ -95,6 +95,29 @@ class TestShift:
         periodic = R([1, 3, 5, 7], 4, 8), R([2, 4, 6, 8], 4, 8)
         assert least_shift(*periodic) == 0
         assert least_shift(*periodic[::-1]) == 1
+
+
+@st.composite
+def rim_triples(draw):
+    k, n = draw(st.sampled_from([(3, 6), (3, 7), (4, 8), (4, 9)]))
+    return tuple(draw(st.sampled_from(all_rims(k, n))) for _ in range(3))
+
+
+class TestLeastShift:
+    """least_shift tries only the shifts that carry an element of the first
+    rim to 1; brute_least_shift tries them all."""
+
+    @pytest.mark.parametrize("kn", [(3, 6), (3, 7), (4, 8), (4, 9)])
+    def test_every_rim_and_rim_pair(self, kn):
+        rims_all = all_rims(*kn)
+        for a in rims_all:
+            assert least_shift(a) == brute_least_shift(a), a
+        for a, b in product(rims_all, repeat=2):
+            assert least_shift(a, b) == brute_least_shift(a, b), (a, b)
+
+    @given(rim_triples())
+    def test_rim_triples(self, rims):
+        assert least_shift(*rims) == brute_least_shift(*rims)
 
 
 class TestProjective:

@@ -6,12 +6,14 @@ import pytest
 from grasscat import dvr, homology, modules, tubes
 from grasscat.census import rank2_candidates, run_census
 from grasscat.errors import NotAlmostConsecutive, ProjectiveInput
-from grasscat.homology import is_isomorphic, rank2_extension, syzygy
+from grasscat.homology import canonical_module, is_isomorphic, rank2_extension, syzygy
 from grasscat.modules import (Profile, a_vector, build_rank1, default_truncation,
-                              identify_rank1, profile, rep_a_vector)
+                              identify_rank1, parse_profile, profile, rep_a_vector)
 from grasscat.rims import (Rim, all_rims, interlacing_degree, is_almost_consecutive,
                            is_projective, least_shift, rim, shift, two_layer_splits)
 from grasscat.tubes import OrbitMember, ar_sequence, tau_orbit, tube_census
+
+from oracles import name_afresh, orbit_named_afresh
 
 
 def chain_orbit(seed):
@@ -153,6 +155,58 @@ class TestCanonicalSteps:
         orbit = tau_orbit(seed)
         assert (orbit.members, orbit.period) == chain_orbit(seed)
         assert orbit.period == 4
+
+
+class TestNamedOncePerRoot:
+    """A member is named once per root module; a rotated view takes its
+    root's member rotated.  ``orbit_named_afresh`` names every step on a new
+    module instead."""
+
+    @pytest.mark.parametrize("kn", [(3, 6), (3, 7)])
+    def test_every_rim_and_class_matches_naming_afresh(self, kn):
+        seeds = [Profile((r,)) for r in all_rims(*kn) if not is_projective(r)]
+        N = default_truncation(kn[1])
+        for seed in seeds + rigid_classes(*kn):
+            orbit = tau_orbit(seed)
+            assert (orbit.members, orbit.period) == orbit_named_afresh(seed, N), seed
+
+    @pytest.mark.parametrize("token, turns", [
+        ("135|246@(3,6)", range(6)), ("1357@(4,8)", range(8)),   # the bench orbits
+        ("258|147@(3,9)", (0, 4))])
+    def test_long_orbits_match_naming_afresh(self, token, turns):
+        seed = parse_profile(token)
+        for j in turns:
+            orbit = tau_orbit(seed.shift(j))
+            assert (orbit.members, orbit.period) == \
+                orbit_named_afresh(seed.shift(j), default_truncation(seed.n)), j
+
+    @pytest.mark.parametrize("token", ["135|246@(3,6)", "1357@(4,8)"])
+    def test_identify_rank1_runs_once_per_rank1_root(self, token, monkeypatch):
+        homology._rank2_walk.cache_clear()
+        modules._rank1.cache_clear()
+        named, proved = [], []   # keep every module alive, so that ids stay distinct
+        identify, rank1 = tubes._identify, tubes.identify_rank1
+        monkeypatch.setattr(tubes, "_identify", lambda rep: named.append(rep) or identify(rep))
+        monkeypatch.setattr(tubes, "identify_rank1", lambda m: proved.append(m) or rank1(m))
+        seed = parse_profile(token)
+        tau_orbit(seed)
+        # _identify reads the truncation off the module: N at every call
+        assert named and {rep.trunc for rep in named} == {default_truncation(seed.n)}
+        roots = {id(rep.unrotated()[0]) for rep in named if rep.s == 1}
+        assert sorted(map(id, proved)) == sorted(roots) and len(roots) == 1
+        assert sum(rep.s == 1 for rep in named) == 2
+
+    @pytest.mark.parametrize("token", ["135|246@(3,6)", "1357@(4,8)", "145@(3,9)",
+                                       "258|147@(3,9)"])
+    def test_a_view_takes_its_roots_member_rotated(self, token):
+        seed = parse_profile(token)
+        n = seed.n
+        for module in (canonical_module(seed), syzygy(canonical_module(seed))):
+            root = module.unrotated()[0]
+            for j in range(n):
+                view = root.rotate(j)
+                assert tubes._identify(view) == tubes._identify(root).rotate(j, n) \
+                    == name_afresh(view), (module.s, j)
 
 
 class TestTubeCensusPerRotationClass:
