@@ -10,17 +10,15 @@ more than one such filtration, and the classes are what the counts mean.
 
 from __future__ import annotations
 
-import json
 import random
 import sys
 from math import comb
-from pathlib import Path
 from typing import Optional
 
 from . import __version__ as _pkg_version
 from .homology import is_isomorphic, rigid_indecomposable_rank2
 from .modules import CMModuleRep, Profile, a_vector, default_truncation
-from .rims import Rim, all_rims, classify_pair, interlacing_degree, rim
+from .rims import Rim, all_rims, classify_pair, interlacing_degree
 from .roots import RootVector, classify_root_vector, expected_rigid_rank2_count
 
 # rank-1 and rank-2 rigid counts reproduced by the computation
@@ -55,19 +53,16 @@ class CensusEntry:
 
 class CensusReport:
     __slots__ = ("k", "n", "truncation", "rank1_count", "candidates_tested",
-                 "candidate_verdicts", "rank2_rigid", "sampled", "fixture_diffs", "notes")
+                 "candidate_verdicts", "rank2_rigid", "sampled", "fixture_diffs")
 
     def __init__(self, k: int, n: int, truncation: int, rank1_count: int,
                  candidates_tested: int, candidate_verdicts: dict[tuple[Rim, Rim], bool],
-                 rank2_rigid: list[CensusEntry], sampled: bool,
-                 fixture_diffs: Optional[list[str]] = None,
-                 notes: Optional[list[str]] = None) -> None:
+                 rank2_rigid: list[CensusEntry], sampled: bool) -> None:
         self.k, self.n, self.truncation = k, n, truncation
         self.rank1_count, self.candidates_tested = rank1_count, candidates_tested
         self.candidate_verdicts, self.rank2_rigid = candidate_verdicts, rank2_rigid
         self.sampled = sampled
-        self.fixture_diffs = [] if fixture_diffs is None else fixture_diffs
-        self.notes = [] if notes is None else notes
+        self.fixture_diffs: list[str] = []
 
     def counts(self) -> dict[str, int]:
         real = sum(1 for e in self.rank2_rigid if e.classification == "real")
@@ -79,9 +74,9 @@ class CensusReport:
             "imaginary": imag,
         }
 
-    def to_json_dict(self, verdicts: bool = False) -> dict:
-        """The report as JSON; each candidate's [a, b, ok] in ``candidate_verdicts``
-        when asked, and always for a sampled run, which groups no classes."""
+    def to_json_dict(self) -> dict:
+        """The report as JSON; a sampled run, which groups no classes, adds
+        each candidate's [a, b, ok] in ``candidate_verdicts``."""
         out = {
             "k": self.k,
             "n": self.n,
@@ -103,10 +98,8 @@ class CensusReport:
             ],
             "rank3_literature_unverified": RANK3_LITERATURE.get((self.k, self.n)),
             "fixture_diffs": self.fixture_diffs,
-            # a copy: a note added after the cache record is built stays out of it
-            "notes": list(self.notes),
         }
-        if verdicts or self.sampled:
+        if self.sampled:
             out["candidate_verdicts"] = [[list(a.elements), list(b.elements), ok]
                                          for (a, b), ok in self.candidate_verdicts.items()]
         return out
@@ -131,32 +124,21 @@ def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
 
 def run_census(k: int, n: int, *, trunc: Optional[int] = None,
                sample: Optional[float] = None, seed: int = 0,
-               cache_dir: Optional[Path] = None,
-               refresh: bool = False,
                progress: bool = False) -> CensusReport:
-    """Full (or sampled) rigid rank-2 census over one ambient.
+    """Full (or sampled) rigid rank-2 census over one ambient, computed on
+    every call: nothing is read from or written to disk.
 
     ``sample``, a fraction in (0, 1], tests that share of the candidates.
     A sampled run only certifies the tested candidates; class grouping and
     fixture comparison are reserved for full runs.  Orbit ids are left
-    unset, so the cache never holds them.  The cache file is the printed
-    payload plus every candidate's verdict, which the conjecture checks
-    read.
+    unset (``tubes.attach_orbit_ids`` fills them).  Every candidate's
+    verdict is kept in memory for the conjecture checks.
     """
     if not 3 <= k <= n // 2:
         raise ValueError(f"need 3 <= k <= n/2, got k={k}, n={n}")
     if sample is not None and not 0 < sample <= 1:
         raise ValueError(f"sample must be a fraction in (0, 1], got {sample}")
     N = default_truncation(n, trunc)
-
-    cache_path = None
-    if cache_dir is not None and sample is None:
-        cache_path = Path(cache_dir) / f"census-{k}-{n}.json"
-        if cache_path.exists() and not refresh:
-            cached = _load_cache(cache_path, k, n, N)
-            if cached is not None:
-                return cached
-
     rims = all_rims(k, n)
     candidates = rank2_candidates(k, n)
     chosen = candidates
@@ -186,16 +168,6 @@ def run_census(k: int, n: int, *, trunc: Optional[int] = None,
     if not sampled:
         report.rank2_rigid = _group_classes(k, rigid)
         report.fixture_diffs = _fixture_diffs(report)
-    if cache_path is not None and not sampled:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        record = report.to_json_dict(verdicts=True)
-        if cache_path.exists():
-            previous = json.loads(cache_path.read_text())
-            # a cache written before verdicts were recorded compares its payload only
-            previous.setdefault("candidate_verdicts", record["candidate_verdicts"])
-            if previous != record:
-                report.notes.append("cache diff: recomputed census differs from cache")
-        cache_path.write_text(json.dumps(record, indent=1, sort_keys=True))
     return report
 
 
@@ -247,33 +219,3 @@ def conjecture_verdicts(report: CensusReport) -> dict[str, bool]:
         "real_root_count_formula": (not report.sampled
                                     and real == expected_rigid_rank2_count(report.k, report.n)),
     }
-
-
-def _load_cache(path: Path, k: int, n: int, trunc: int) -> Optional[CensusReport]:
-    """The cached report, or None when the cache is stale or cannot be rebuilt into one."""
-    try:
-        data = json.loads(path.read_text())
-        stamp = (data.get("k"), data.get("n"), data.get("truncation"), data.get("version"))
-        # a cache written before verdicts were recorded is stale too
-        if stamp != (k, n, trunc, _pkg_version) or "candidate_verdicts" not in data:
-            return None
-        entries = []
-        for e in data.get("rank2_rigid", []):
-            profiles = tuple(
-                Profile(tuple(rim(layer, k, n) for layer in prof))
-                for prof in e["profiles"])
-            entries.append(CensusEntry(
-                profiles=profiles, a_vec=tuple(e["a_vector"]),
-                classification=e["classification"]))
-        verdicts = {(rim(a, k, n), rim(b, k, n)): ok for a, b, ok in data["candidate_verdicts"]}
-        if not all(isinstance(ok, bool) for ok in verdicts.values()):
-            return None
-        return CensusReport(
-            k=k, n=n, truncation=trunc,
-            rank1_count=data["rank1_count"],
-            candidates_tested=data["candidates_tested"],
-            candidate_verdicts=verdicts, rank2_rigid=entries,
-            sampled=False, fixture_diffs=data.get("fixture_diffs", []),
-            notes=["loaded from cache"])
-    except (OSError, AttributeError, KeyError, TypeError, ValueError):
-        return None

@@ -195,13 +195,10 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_tubes(args) -> int:
-    from .census import run_census
+    """Compute the tube census (and the census it seeds from) and write its
+    report into ``--out``; no file already there is read."""
     from .tubes import tube_census, write_tube_report
-    N = _truncation(args, args.n)
-    # a fresh census cache in the output directory is read, not recomputed
-    census = run_census(args.k, args.n, trunc=N, cache_dir=args.out) \
-        if args.k >= 3 else None
-    rep = tube_census(args.k, args.n, trunc=N, census_report=census)
+    rep = tube_census(args.k, args.n, trunc=_truncation(args, args.n))
     path = write_tube_report(rep, args.out)
     mism = [c for c in rep.fixture_checks if c.status == "MISMATCH"]
     payload = rep.to_json_dict()
@@ -243,12 +240,10 @@ def cmd_roots(args) -> int:
 def cmd_census(args) -> int:
     from .census import conjecture_verdicts, run_census
     full = args.sample is None
-    if not full and (args.orbits or args.refresh):
-        raise ValueError(f"--{'orbits' if args.orbits else 'refresh'} needs a full census")
+    if not full and args.orbits:
+        raise ValueError("--orbits needs a full census")
     rep = run_census(args.k, args.n, trunc=_truncation(args, args.n),
-                     sample=args.sample,
-                     cache_dir=args.out if full else None,
-                     refresh=args.refresh, progress=not args.json)
+                     sample=args.sample, progress=not args.json)
     if args.orbits and full:
         from .tubes import attach_orbit_ids
         attach_orbit_ids(rep)
@@ -312,7 +307,7 @@ COMMANDS = {
         "--sample": {"type": float, "default": None,
                      "help": "probabilistic smoke run, e.g. 0.05"},
         "--refresh": {"action": "store_true",
-                      "help": "recompute even when a cache entry exists"},
+                      "help": "no effect: every census is computed"},
         "--orbits": {"action": "store_true",
                      "help": "attach a syzygy-orbit id to every census entry"}}),
     "diagram": (cmd_diagram, "lattice diagram emitter", {

@@ -325,22 +325,20 @@ def attach_orbit_ids(report: CensusReport) -> None:
         entry.orbit_id = ids[entry.profile]
 
 
-def tube_census(k: int, n: int, *, trunc: Optional[int] = None,
-                census_report: Optional[CensusReport] = None) -> TubeCensusReport:
+def tube_census(k: int, n: int, *, trunc: Optional[int] = None) -> TubeCensusReport:
     """Group rank-1 rims and rigid rank-2 classes into syzygy orbits.
 
-    For the tame pairs the computed orbits are compared against the golden
-    tube tables; other parameters are served with orbits only.  Orbit
-    periods must divide 2v.
+    The rank-2 seeds come from a census computed here at the same
+    truncation.  For the tame pairs the computed orbits are compared
+    against the golden tube tables; other parameters are served with
+    orbits only.  Orbit periods must divide 2v.
     """
     N = default_truncation(n, trunc)
     v = lcm(n, k) // k
     banner = None if (k, n) in TAME_PAIRS else "non-tame: orbits only"
     seeds = [Profile((r,)) for r in all_rims(k, n) if not is_projective(r)]
     if k >= 3:
-        if census_report is None:
-            census_report = run_census(k, n, trunc=N)
-        seeds += [entry.profile for entry in census_report.rank2_rigid]
+        seeds += [entry.profile for entry in run_census(k, n, trunc=N).rank2_rigid]
     orbits = walk_orbits(seeds, N)
     orbits.sort(key=lambda o: min(m.label() for m in o.members))
 

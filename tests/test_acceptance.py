@@ -309,8 +309,20 @@ def test_criterion_6_computed_censuses_past_the_tame_pairs(wild_census_reports):
           "every conjecture check true")
 
 
-def test_criterion_8_periodicity_past_the_tame_pairs(wild_census_reports):
-    rep = tube_census(3, 10, census_report=wild_census_reports[(3, 10)])
+def test_criterion_7_real_root_fibres_past_the_tame_pairs(wild_census_reports):
+    for (k, n), roots in [((4, 9), 252), ((3, 10), 210)]:
+        fibers = {}
+        for e in wild_census_reports[(k, n)].rank2_rigid:
+            if e.classification == "real":
+                fibers[e.a_vec] = fibers.get(e.a_vec, 0) + 1
+        assert set(fibers) == {v.entries for v in enumerate_degree2_real_roots(k, n)}
+        assert len(fibers) == roots and set(fibers.values()) == {2}, (k, n)
+    _line(7, True, "every degree-2 real root carries exactly two rigid classes: "
+                   "252 roots at (4,9) and 210 at (3,10)")
+
+
+def test_criterion_8_periodicity_past_the_tame_pairs():
+    rep = tube_census(3, 10)
     members = [m for o in rep.orbits for m in o.members]
     assert 2 * rep.v == 20
     assert rep.periods == {20: 35}

@@ -150,51 +150,74 @@ class TestCensusCommand:
         assert main(["census", "3", "7", "--sample", "2"]) == 2
         assert "error: sample must be a fraction in (0, 1]" in capsys.readouterr().err
 
-    def test_orbit_ids_stay_out_of_the_census_cache(self, capsys, tmp_path):
-        argv = ["--json", "--out", str(tmp_path), "census", "3", "6"]
-        first = json.loads(run_cli(argv + ["--orbits"], capsys)[1])
-        second = json.loads(run_cli(argv + ["--refresh"], capsys)[1])
-        third = json.loads(run_cli(argv + ["--orbits"], capsys)[1])
-        assert not any("cache diff" in note for note in second["notes"])
-        assert all(e["orbit_id"] is None for e in second["rank2_rigid"])
-        assert third["rank2_rigid"] == first["rank2_rigid"]
+    def test_refresh_has_no_effect(self, capsys):
+        for argv in (["census", "3", "7"], ["--json", "census", "3", "7"],
+                     ["--json", "census", "3", "7", "--sample", "0.5"]):
+            assert run_cli(argv, capsys) == run_cli(argv + ["--refresh"], capsys)
 
-    def test_cache_hit_checks_the_recorded_verdicts(self, capsys, tmp_path):
-        from grasscat.rims import classify_pair, rim
-        argv = ["--json", "--out", str(tmp_path), "census", "3", "6"]
-        first = json.loads(run_cli(argv, capsys)[1])
-        assert all(first["conjectures"].values())
-        path = tmp_path / "census-3-6.json"
-        blob = json.loads(path.read_text())
-        tight = next(row for row in blob["candidate_verdicts"]
-                     if classify_pair(rim(row[0], 3, 6), rim(row[1], 3, 6)).tight)
-        tight[2] = not tight[2]
-        path.write_text(json.dumps(blob))
-        second = json.loads(run_cli(argv, capsys)[1])
-        assert "loaded from cache" in second["notes"]
-        assert second["conjectures"]["tight_3_interlacing_pairs_are_rigid"] is False
+    def test_a_census_without_orbits_prints_null_orbit_ids(self, capsys):
+        doc = json.loads(run_cli(["--json", "census", "3", "6"], capsys)[1])
+        assert all(e["orbit_id"] is None for e in doc["rank2_rigid"])
 
-    @pytest.mark.parametrize("corrupt", [
-        lambda blob: blob.pop("rank1_count"),
-        lambda blob: blob["candidate_verdicts"][0].pop(),
-        lambda blob: blob["candidate_verdicts"][0].__setitem__(2, "false"),
-    ], ids=["missing-field", "bad-verdict-triple", "verdict-not-a-bool"])
-    def test_a_cache_that_cannot_be_read_back_is_recomputed(self, capsys, tmp_path, corrupt):
-        argv = ["--json", "--out", str(tmp_path), "census", "3", "6"]
-        code, out = run_cli(argv + ["--refresh"], capsys)
+
+def _tampered_census_file(out_dir, k, n, drop):
+    """Write census-K-N.json into out_dir as a census cache was once written:
+    the --json document and every candidate's verdict, less ``drop`` classes
+    and with its counts lowered to match.  The file's bytes are returned."""
+    rep = run_census(k, n)
+    doc = rep.to_json_dict()
+    doc["candidate_verdicts"] = [[list(a.elements), list(b.elements), ok]
+                                 for (a, b), ok in rep.candidate_verdicts.items()]
+    dropped, doc["rank2_rigid"] = doc["rank2_rigid"][:drop], doc["rank2_rigid"][drop:]
+    doc["counts"]["rank2_rigid"] -= drop
+    for e in dropped:
+        doc["counts"][e["classification"]] -= 1
+    path = out_dir / f"census-{k}-{n}.json"
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+    return path.read_bytes()
+
+
+class TestOutIsNotRead:
+    """No file in --out can change a census or tube answer or its exit
+    code, and census writes nothing there."""
+
+    def test_census_writes_nothing(self, capsys, tmp_path):
+        assert run_cli(["--out", str(tmp_path), "census", "3", "6"], capsys)[0] == 0
+        assert run_cli(["--json", "--out", str(tmp_path / "new"), "census", "3", "6",
+                        "--orbits"], capsys)[0] == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_tampered_census_file_is_not_read(self, capsys, tmp_path):
+        written = _tampered_census_file(tmp_path, 3, 8, drop=3)
+        code, out = run_cli(["--out", str(tmp_path), "census", "3", "8"], capsys)
         assert code == 0
-        refreshed = json.loads(out)
-        path = tmp_path / "census-3-6.json"
-        blob = json.loads(path.read_text())
-        corrupt(blob)
-        path.write_text(json.dumps(blob))
-        code, out = run_cli(argv, capsys)
-        assert code == 0
-        again = json.loads(out)
-        assert "loaded from cache" not in again["notes"]
-        assert again["counts"] == refreshed["counts"]
-        assert again["candidates_tested"] == refreshed["candidates_tested"]
-        assert json.loads(path.read_text())["rank1_count"] == 20
+        assert "rank1: 56, rank2 rigid: 56 (56 real + 0 imaginary)" in out
+        assert "real_root_count_formula=True" in out
+        code, out = run_cli(["--json", "--out", str(tmp_path), "census", "3", "8"], capsys)
+        assert code == 0 and json.loads(out)["counts"]["rank2_rigid"] == 56
+        assert [p.name for p in tmp_path.iterdir()] == ["census-3-8.json"]
+        assert (tmp_path / "census-3-8.json").read_bytes() == written
+
+    def test_a_tampered_census_file_keeps_the_fixture_exit(self, capsys, tmp_path,
+                                                            monkeypatch):
+        from grasscat import census
+        _tampered_census_file(tmp_path, 3, 8, drop=3)
+        wrong = {**census.CENSUS_TABLE[(3, 8)], "rank2_rigid": 53}
+        monkeypatch.setitem(census.CENSUS_TABLE, (3, 8), wrong)
+        code, out = run_cli(["--out", str(tmp_path), "census", "3", "8"], capsys)
+        assert code == 3
+        assert "  FIXTURE DIFFS: rank2_rigid: expected 53, computed 56" in out.splitlines()
+
+    def test_tubes_prints_the_same_bytes_beside_a_tampered_census_file(self, capsys,
+                                                                      tmp_path):
+        # (3,7), not (3,6): both (3,6) classes lie in orbits of rims, so a file
+        # short of classes would change no byte there even if it were read
+        calls = [[*flags, "--out", str(tmp_path), "tubes", "3", "7"]
+                 for flags in ([], ["--json"])]
+        clean = [run_cli(argv, capsys) for argv in calls]
+        assert all(code == 0 for code, _ in clean)
+        _tampered_census_file(tmp_path, 3, 7, drop=3)
+        assert [run_cli(argv, capsys) for argv in calls] == clean
 
 
 class TestUsageErrors:
@@ -261,7 +284,7 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--orbits", "--refresh"])
+    @pytest.mark.parametrize("flag", ["--orbits"])
     def test_sampled_census_refuses_full_census_flags(self, flag, capsys):
         assert main(["--json", "census", "3", "7", "--sample", "0.5", flag]) == 2
         out, err = capsys.readouterr()
@@ -328,12 +351,11 @@ class TestExitCodes:
         from grasscat import census
         wrong = {**census.CENSUS_TABLE[(3, 6)], "rank2_rigid": 3}
         monkeypatch.setitem(census.CENSUS_TABLE, (3, 6), wrong)
-        code, out = run_cli(["--out", str(tmp_path), "census", "3", "6", "--refresh"], capsys)
+        code, out = run_cli(["--out", str(tmp_path), "census", "3", "6"], capsys)
         assert code == 3
         assert "rank1: 20, rank2 rigid: 2" in out
         assert "  FIXTURE DIFFS: rank2_rigid: expected 3, computed 2" in out.splitlines()
-        code, out = run_cli(["--json", "--out", str(tmp_path), "census", "3", "6", "--refresh"],
-                            capsys)
+        code, out = run_cli(["--json", "--out", str(tmp_path), "census", "3", "6"], capsys)
         assert code == 3
         assert json.loads(out)["fixture_diffs"] == ["rank2_rigid: expected 3, computed 2"]
 
@@ -407,34 +429,15 @@ class TestTubesCommand:
         assert blob["banner"] == "non-tame: orbits only"
         assert all(4 % int(p) == 0 for p in blob["periods"])
 
-    def test_tubes_reads_a_fresh_census_cache(self, capsys, tmp_path, monkeypatch):
-        from grasscat import census, tubes
-        argv = ["--json", "--out", str(tmp_path), "tubes", "3", "6"]
-        code, first = run_cli(argv, capsys)
-        assert code == 0 and (tmp_path / "census-3-6.json").exists()
-        calls = []
-        original = census.rigid_indecomposable_rank2
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-        for module in (census, tubes):
-            monkeypatch.setattr(module, "rigid_indecomposable_rank2", counted)
-        code, second = run_cli(argv, capsys)
-        assert code == 0 and calls == []
-        assert second == first
-        assert json.loads(second) == {**tubes.tube_census(3, 6).to_json_dict(),
-                                      "written": str(tmp_path / "tubes-3-6.json")}
-
 
 # sha256 of the --json output of each command, run with a fresh --out
 # directory.  Refactors must leave every byte unchanged; a deliberate output
 # change re-pins these and says why in CHANGES.md.
 PINNED_JSON = {
-    "census-3-7": (["census", "3", "7", "--refresh"],
-                   "ca4ebfe91993c61e2e989bc340e034b0ecd815eab39d9bea8ba8198c519ed21f"),
-    "census-3-7-orbits": (["census", "3", "7", "--refresh", "--orbits"],
-                          "e7bfe8c9ebe3ca8318d6880fd81ff3e3821db31f4c7a32968d6e85db6cfbbde5"),
+    "census-3-7": (["census", "3", "7"],
+                   "da5126a907858d0bbab5bc6d50bd7ce037a75580adb48e341728b13de87ecfbb"),
+    "census-3-7-orbits": (["census", "3", "7", "--orbits"],
+                          "b48ae0cf8d107683cd9a8fa593874967b6ddb6ad5354bd774249e3e5588f359d"),
     "orbit-3-6": (["orbit", "135|246@(3,6)"],
                   "6dbb709a15cd5dadd7bed3509a95f71ad892b68807b378913f8903b202eb6246"),
     "orbit-4-8": (["orbit", "1246|3578@(4,8)"],
