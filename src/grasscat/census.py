@@ -3,21 +3,21 @@
 Candidates are ordered rim pairs (I, J) with interlacing degree at least 3
 (lower degrees never give indecomposable two-layer modules).  For each
 candidate the canonical extension of the top layer by the bottom one is
-built and tested for rigidity and indecomposability; the surviving
-candidates are grouped into isomorphism classes, since a module may admit
-more than one such filtration, and the classes are what the counts mean.
+built and tested for rigidity and indecomposability.  A module may admit
+more than one such filtration, so the surviving candidates are named by
+the orbit identifier (``homology._identify``), whose profiles are the
+module's isomorphism class; the classes are what the counts mean.
 """
 
 from __future__ import annotations
 
-import random
 import sys
 from math import comb
 from typing import Optional
 
 from . import __version__ as _pkg_version
-from .homology import is_isomorphic, rigid_indecomposable_rank2
-from .modules import CMModuleRep, Profile, a_vector, default_truncation
+from .homology import _identify, rigid_indecomposable_rank2
+from .modules import CMModuleRep, Profile, default_truncation
 from .rims import Rim, all_rims, classify_pair, interlacing_degree
 from .roots import RootVector, classify_root_vector, expected_rigid_rank2_count
 
@@ -52,17 +52,18 @@ class CensusEntry:
 
 
 class CensusReport:
+    """A census, with its comparison against ``CENSUS_TABLE``."""
+
     __slots__ = ("k", "n", "truncation", "rank1_count", "candidates_tested",
-                 "candidate_verdicts", "rank2_rigid", "sampled", "fixture_diffs")
+                 "candidate_verdicts", "rank2_rigid", "fixture_diffs")
 
     def __init__(self, k: int, n: int, truncation: int, rank1_count: int,
                  candidates_tested: int, candidate_verdicts: dict[tuple[Rim, Rim], bool],
-                 rank2_rigid: list[CensusEntry], sampled: bool) -> None:
+                 rank2_rigid: list[CensusEntry]) -> None:
         self.k, self.n, self.truncation = k, n, truncation
         self.rank1_count, self.candidates_tested = rank1_count, candidates_tested
         self.candidate_verdicts, self.rank2_rigid = candidate_verdicts, rank2_rigid
-        self.sampled = sampled
-        self.fixture_diffs: list[str] = []
+        self.fixture_diffs = _fixture_diffs(self)
 
     def counts(self) -> dict[str, int]:
         real = sum(1 for e in self.rank2_rigid if e.classification == "real")
@@ -75,16 +76,16 @@ class CensusReport:
         }
 
     def to_json_dict(self) -> dict:
-        """The report as JSON; a sampled run, which groups no classes, adds
-        each candidate's [a, b, ok] in ``candidate_verdicts``."""
-        out = {
+        """The report as JSON.  ``sampled`` is always false, since every
+        candidate is tested; the key stays while ``perfbench`` compares it."""
+        return {
             "k": self.k,
             "n": self.n,
             "truncation": self.truncation,
             "version": _pkg_version,
             "rank1_count": self.rank1_count,
             "candidates_tested": self.candidates_tested,
-            "sampled": self.sampled,
+            "sampled": False,
             "counts": self.counts(),
             "rank2_rigid": [
                 {
@@ -99,10 +100,6 @@ class CensusReport:
             "rank3_literature_unverified": RANK3_LITERATURE.get((self.k, self.n)),
             "fixture_diffs": self.fixture_diffs,
         }
-        if self.sampled:
-            out["candidate_verdicts"] = [[list(a.elements), list(b.elements), ok]
-                                         for (a, b), ok in self.candidate_verdicts.items()]
-        return out
 
 
 def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
@@ -123,75 +120,50 @@ def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
 
 
 def run_census(k: int, n: int, *, trunc: Optional[int] = None,
-               sample: Optional[float] = None, seed: int = 0,
                progress: bool = False) -> CensusReport:
-    """Full (or sampled) rigid rank-2 census over one ambient, computed on
-    every call: nothing is read from or written to disk.
+    """The rigid rank-2 census over one ambient, computed on every call:
+    nothing is read from or written to disk.
 
-    ``sample``, a fraction in (0, 1], tests that share of the candidates.
-    A sampled run only certifies the tested candidates; class grouping and
-    fixture comparison are reserved for full runs.  Orbit ids are left
-    unset (``tubes.attach_orbit_ids`` fills them).  Every candidate's
+    One pass: every candidate's ladder walk, then the classes, then the
+    comparison with ``CENSUS_TABLE``.  The rigid filtrations are walked in
+    label order, and each one that no earlier class holds is named by
+    ``_identify``, whose profiles are its class.  That is exact: it
+    compares the module with the canonical module of every split of its
+    a-vector of interlacing degree at least 3, and a split whose canonical
+    module is isomorphic to a rigid indecomposable module is itself a
+    rigid candidate, since its walk returns that module.  Orbit ids are
+    left unset (``tubes.attach_orbit_ids`` fills them).  Every candidate's
     verdict is kept in memory for the conjecture checks.
     """
     if not 3 <= k <= n // 2:
         raise ValueError(f"need 3 <= k <= n/2, got k={k}, n={n}")
-    if sample is not None and not 0 < sample <= 1:
-        raise ValueError(f"sample must be a fraction in (0, 1], got {sample}")
     N = default_truncation(n, trunc)
-    rims = all_rims(k, n)
     candidates = rank2_candidates(k, n)
-    chosen = candidates
-    sampled = False
-    if sample is not None:
-        rng = random.Random(seed)
-        count = max(1, int(len(candidates) * sample))
-        chosen = sorted(rng.sample(candidates, count))
-        sampled = True
-
     verdicts: dict[tuple[Rim, Rim], bool] = {}
     rigid: list[tuple[Profile, CMModuleRep]] = []
-    for i, (a, b) in enumerate(chosen):
+    for i, (a, b) in enumerate(candidates):
         rep = rigid_indecomposable_rank2(a, b, N)
         verdicts[(a, b)] = rep is not None
         if rep is not None:
             rigid.append((Profile((a, b)), rep))
-        if progress and ((i + 1) % 25 == 0 or i + 1 == len(chosen)):
-            print(f"  census ({k},{n}): {i + 1}/{len(chosen)} candidates",
+        if progress and ((i + 1) % 25 == 0 or i + 1 == len(candidates)):
+            print(f"  census ({k},{n}): {i + 1}/{len(candidates)} candidates",
                   file=sys.stderr)
 
-    report = CensusReport(
-        k=k, n=n, truncation=N, rank1_count=len(rims),
-        candidates_tested=len(chosen), candidate_verdicts=verdicts,
-        rank2_rigid=[], sampled=sampled)
-
-    if not sampled:
-        report.rank2_rigid = _group_classes(k, rigid)
-        report.fixture_diffs = _fixture_diffs(report)
-    return report
-
-
-def _group_classes(k: int, rigid: list[tuple[Profile, CMModuleRep]]) -> list[CensusEntry]:
-    """Group the rigid filtrations, with their modules, into isomorphism classes."""
-    by_avec: dict[tuple[int, ...], list[tuple[Profile, CMModuleRep]]] = {}
-    for p, rep in rigid:
-        by_avec.setdefault(a_vector(p).entries, []).append((p, rep))
     entries: list[CensusEntry] = []
-    for avec in sorted(by_avec):
-        reps: list[tuple[list[Profile], CMModuleRep]] = []
-        for p, rep in sorted(by_avec[avec], key=lambda pr: pr[0].label()):
-            for members, existing in reps:
-                if is_isomorphic(rep, existing):
-                    members.append(p)
-                    break
-            else:
-                reps.append(([p], rep))
-        for members, _ in reps:
-            entries.append(CensusEntry(
-                profiles=tuple(members), a_vec=avec,
-                classification=classify_root_vector(RootVector(avec, k))))
-    entries.sort(key=lambda e: e.profile.label())
-    return entries
+    placed: set[Profile] = set()
+    for p, rep in sorted(rigid, key=lambda pr: pr[0].label()):
+        if p in placed:
+            continue
+        member = _identify(rep)
+        if p not in member.profiles:
+            raise AssertionError(f"{p} is not among the profiles of its own module")
+        placed.update(member.profiles)
+        entries.append(CensusEntry(member.profiles, member.a_vec,
+                                   classify_root_vector(RootVector(member.a_vec, k))))
+    return CensusReport(k=k, n=n, truncation=N, rank1_count=len(all_rims(k, n)),
+                        candidates_tested=len(candidates), candidate_verdicts=verdicts,
+                        rank2_rigid=entries)
 
 
 def _fixture_diffs(report: CensusReport) -> list[str]:
@@ -216,6 +188,5 @@ def conjecture_verdicts(report: CensusReport) -> dict[str, bool]:
         "tight_3_interlacing_pairs_are_rigid": all(ok for cls, ok in verdicts if cls.tight),
         "poset_r_ge_4_never_rigid": not any(ok for cls, ok in verdicts
                                             if cls.interlacing_degree >= 4),
-        "real_root_count_formula": (not report.sampled
-                                    and real == expected_rigid_rank2_count(report.k, report.n)),
+        "real_root_count_formula": real == expected_rigid_rank2_count(report.k, report.n),
     }

@@ -8,7 +8,7 @@ calls: the defaults from ``GRASSCAT_TRUNCATION`` and ``GRASSCAT_OUT`` are
 read on every call.
 
 Exit codes: 0 success, 2 usage error (argparse, or a global flag that the
-command would ignore), 3 fixture mismatch in a full census or tube run,
+command would ignore), 3 fixture mismatch in a census or tube run,
 4 truncation instability: an answer its precision floor cannot certify,
 or a step that cannot be completed at the working truncation.
 """
@@ -239,33 +239,21 @@ def cmd_roots(args) -> int:
 
 def cmd_census(args) -> int:
     from .census import conjecture_verdicts, run_census
-    full = args.sample is None
-    if not full and args.orbits:
-        raise ValueError("--orbits needs a full census")
-    rep = run_census(args.k, args.n, trunc=_truncation(args, args.n),
-                     sample=args.sample, progress=not args.json)
-    if args.orbits and full:
+    rep = run_census(args.k, args.n, trunc=_truncation(args, args.n), progress=not args.json)
+    if args.orbits:
         from .tubes import attach_orbit_ids
         attach_orbit_ids(rep)
     counts = rep.counts()
     payload = rep.to_json_dict()
-    if full:
-        payload["conjectures"] = conj = conjecture_verdicts(rep)
-        lines = [f"census (k,n)=({args.k},{args.n})",
-                 f"  rank1: {counts['rank1']}, rank2 rigid: {counts['rank2_rigid']} "
-                 f"({counts['real']} real + {counts['imaginary']} imaginary)",
-                 "  conjectures: " + ", ".join(f"{k}={v}" for k, v in conj.items())]
-    else:
-        # a sampled run groups no classes: it reports its candidates' verdicts
-        lines = [f"census (k,n)=({args.k},{args.n}) [sampled]",
-                 f"  rank1: {counts['rank1']}, rigid among {rep.candidates_tested} "
-                 f"sampled candidates: {sum(rep.candidate_verdicts.values())}"]
+    payload["conjectures"] = conj = conjecture_verdicts(rep)
+    lines = [f"census (k,n)=({args.k},{args.n})",
+             f"  rank1: {counts['rank1']}, rank2 rigid: {counts['rank2_rigid']} "
+             f"({counts['real']} real + {counts['imaginary']} imaginary)",
+             "  conjectures: " + ", ".join(f"{k}={v}" for k, v in conj.items())]
     if rep.fixture_diffs:
         lines.append("  FIXTURE DIFFS: " + "; ".join(rep.fixture_diffs))
     _emit(args, payload, "\n".join(lines))
-    if full and rep.fixture_diffs:
-        return EXIT_FIXTURE_MISMATCH
-    return 0
+    return EXIT_FIXTURE_MISMATCH if rep.fixture_diffs else 0
 
 
 def cmd_diagram(args) -> int:
@@ -304,8 +292,6 @@ COMMANDS = {
     "roots": (cmd_roots, "degree-2 real root enumeration", _K_N),
     "census": (cmd_census, "rigid rank-2 census", {
         **_K_N,
-        "--sample": {"type": float, "default": None,
-                     "help": "probabilistic smoke run, e.g. 0.05"},
         "--refresh": {"action": "store_true",
                       "help": "no effect: every census is computed"},
         "--orbits": {"action": "store_true",

@@ -46,8 +46,9 @@ from typing import Optional, Sequence
 from .dvr import Coeff, DVRMatrix, Smith, Split, ValPoly, _reciprocal, _smith, _split
 from .errors import ProjectiveInput, TruncationUnstable
 from .modules import (CMModuleRep, Profile, build_rank1, default_truncation,
-                      direct_sum, on_root, per_rotation_class, rep_a_vector)
-from .rims import Rim, peaks, two_layer_splits
+                      direct_sum, identify_rank1, on_root, per_rotation_class,
+                      rep_a_vector)
+from .rims import Rim, interlacing_degree, peaks, two_layer_splits
 
 def top_generators(m: CMModuleRep) -> tuple[tuple[int, int], ...]:
     """The standard basis vectors spanning the top, as (vertex, index) pairs.
@@ -597,3 +598,63 @@ def canonical_module(p: Profile, trunc: Optional[int] = None) -> CMModuleRep:
     if len(p.layers) == 2:
         return rank2_extension(*p.layers, trunc)
     raise ValueError(f"{p} has {len(p.layers)} layers; only 1 or 2 name a module")
+
+
+class OrbitMember:
+    """One module named by its profiles as far as its rank allows: a rank-1
+    module by the one-layer profile of its rim, a rank-2 module by every
+    two-layer profile it has (sorted by label), and a module that is not
+    identified by none.  A member is its own key: identified members are
+    equal exactly when their modules are isomorphic, the others when their
+    ranks and a-vectors agree."""
+
+    __slots__ = ("rank", "a_vec", "profiles")
+
+    def __init__(self, rank: int, a_vec: tuple[int, ...],
+                 profiles: tuple[Profile, ...] = ()) -> None:
+        self.rank, self.a_vec, self.profiles = rank, a_vec, profiles
+
+    def __eq__(self, other):
+        if other.__class__ is not OrbitMember:
+            return NotImplemented
+        return (self.rank, self.a_vec, self.profiles) == (other.rank, other.a_vec,
+                                                          other.profiles)
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.a_vec, self.profiles))
+
+    def label(self) -> str:
+        if self.profiles:
+            return self.profiles[0].label()
+        return f"rk{self.rank}[" + ",".join(str(c) for c in self.a_vec) + "]"
+
+    def rotate(self, m: int, n: int) -> "OrbitMember":
+        avec = tuple(self.a_vec[(i - m) % n] for i in range(n))
+        return OrbitMember(self.rank, avec,
+                           tuple(sorted((p.shift(m) for p in self.profiles), key=Profile.label)))
+
+
+def _identify(rep: CMModuleRep) -> OrbitMember:
+    """The profiles whose ``canonical_module`` is isomorphic to rep, as far
+    as its rank allows, found once per root module: the answer is cached
+    (``on_root``), and a rotated view gets its root's member rotated, since
+    rotation is an automorphism that carries a-vectors, valuations,
+    canonical modules and isomorphisms along.
+
+    A root of rank 1 is named by ``identify_rank1``.  A root of rank 2 is
+    compared with the canonical module of every split of its a-vector of
+    interlacing degree at least 3.
+    """
+    def name(root: CMModuleRep) -> OrbitMember:
+        avec = rep_a_vector(root).entries
+        if root.s == 1:
+            return OrbitMember(1, avec, (Profile((identify_rank1(root),)),))
+        if root.s == 2:
+            splits = map(Profile, two_layer_splits(avec, root.k, root.n))
+            matches = sorted((p for p in splits if interlacing_degree(*p.layers) >= 3
+                              and is_isomorphic(root, canonical_module(p, root.trunc))),
+                             key=Profile.label)
+            if matches:
+                return OrbitMember(2, avec, tuple(matches))
+        return OrbitMember(root.s, avec)
+    return on_root(rep, "_member", name, lambda member, j: member.rotate(j, rep.n))

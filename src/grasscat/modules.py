@@ -90,7 +90,7 @@ class CMModuleRep:
     cover map, which the syzygy, Hom maps and pushouts read), ``_syzygy``
     (the kernel module, read by Hom, Ext, extension middles and orbit
     steps), ``_avec`` (``rep_a_vector``) and ``_member`` (the orbit member
-    ``tubes._identify`` names it by).
+    ``homology._identify`` names it by).
     """
 
     __slots__ = ("n", "k", "s", "x", "y", "trunc", "floor", "_root", "_turn",

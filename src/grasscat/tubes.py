@@ -18,48 +18,12 @@ from typing import Optional, Union
 
 from .census import CensusReport, run_census
 from .errors import NotAlmostConsecutive, ProjectiveInput
-from .homology import (canonical_module, decomposition_rank2, is_isomorphic, is_rigid,
-                       rigid_indecomposable_rank2, syzygy)
-from .modules import (CMModuleRep, Profile, a_vector, build_rank1,
-                      default_truncation, direct_sum, identify_rank1, on_root,
-                      per_rotation_class, rep_a_vector)
+from .homology import (OrbitMember, _identify, canonical_module, decomposition_rank2,
+                       is_rigid, rigid_indecomposable_rank2, syzygy)
+from .modules import (CMModuleRep, Profile, a_vector, build_rank1, default_truncation,
+                      direct_sum, per_rotation_class)
 from .rims import (Rim, all_rims, ar_middle_profile, interlacing_degree,
-                   is_almost_consecutive, is_projective, rim, syzygy_rim,
-                   two_layer_splits)
-
-
-class OrbitMember:
-    """One module in a syzygy orbit, named by its profiles as far as its
-    rank allows: a rank-1 member by the one-layer profile of its rim, a
-    rank-2 member by every two-layer profile it has (sorted by label), and
-    a member that is not identified by none.  A member is its own key:
-    identified members are equal exactly when their modules are
-    isomorphic, the others when their ranks and a-vectors agree."""
-
-    __slots__ = ("rank", "a_vec", "profiles")
-
-    def __init__(self, rank: int, a_vec: tuple[int, ...],
-                 profiles: tuple[Profile, ...] = ()) -> None:
-        self.rank, self.a_vec, self.profiles = rank, a_vec, profiles
-
-    def __eq__(self, other):
-        if other.__class__ is not OrbitMember:
-            return NotImplemented
-        return (self.rank, self.a_vec, self.profiles) == (other.rank, other.a_vec,
-                                                          other.profiles)
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.a_vec, self.profiles))
-
-    def label(self) -> str:
-        if self.profiles:
-            return self.profiles[0].label()
-        return f"rk{self.rank}[" + ",".join(str(c) for c in self.a_vec) + "]"
-
-    def rotate(self, m: int, n: int) -> "OrbitMember":
-        avec = tuple(self.a_vec[(i - m) % n] for i in range(n))
-        return OrbitMember(self.rank, avec,
-                           tuple(sorted((p.shift(m) for p in self.profiles), key=Profile.label)))
+                   is_almost_consecutive, is_projective, rim, syzygy_rim)
 
 
 class TauOrbit:
@@ -118,31 +82,6 @@ def _seed_rep(seed: Profile, trunc: int) -> tuple[CMModuleRep, OrbitMember]:
     return rep, member
 
 
-def _identify(rep: CMModuleRep) -> OrbitMember:
-    """Name rep as far as its rank allows, once per root module: the answer
-    is cached (``on_root``), and a rotated view gets its root's member
-    rotated, since rotation is an automorphism that carries a-vectors,
-    valuations, canonical modules and isomorphisms along.
-
-    A root of rank 1 is named by ``identify_rank1``.  A root of rank 2 is
-    compared with the canonical module of every split of its a-vector of
-    interlacing degree at least 3.
-    """
-    def name(root: CMModuleRep) -> OrbitMember:
-        avec = rep_a_vector(root).entries
-        if root.s == 1:
-            return OrbitMember(1, avec, (Profile((identify_rank1(root),)),))
-        if root.s == 2:
-            splits = map(Profile, two_layer_splits(avec, root.k, root.n))
-            matches = sorted((p for p in splits if interlacing_degree(*p.layers) >= 3
-                              and is_isomorphic(root, canonical_module(p, root.trunc))),
-                             key=Profile.label)
-            if matches:
-                return OrbitMember(2, avec, tuple(matches))
-        return OrbitMember(root.s, avec)
-    return on_root(rep, "_member", name, lambda member, j: member.rotate(j, rep.n))
-
-
 def tau_orbit(start: Union[Rim, Profile], trunc: Optional[int] = None) -> TauOrbit:
     """Orbit of a rank-1 rim or rank-2 profile under the syzygy.
 
@@ -172,7 +111,7 @@ def tau_orbit(start: Union[Rim, Profile], trunc: Optional[int] = None) -> TauOrb
         raise AssertionError(
             f"orbit of {members[0].label()} did not close after {2 * v} steps")
     period = 2 * v
-    for d in sorted(_divisors(2 * v)):
+    for d in _divisors(2 * v):
         if all(members[i] == members[(i + d) % (2 * v)] for i in range(2 * v)):
             period = d
             break
@@ -255,18 +194,16 @@ class FixtureCheck:
 
 class TubeCensusReport:
     __slots__ = ("k", "n", "v", "banner", "orbits", "families", "periods",
-                 "mouth_family_periods", "fixture_checks", "notes")
+                 "mouth_family_periods", "fixture_checks")
 
     def __init__(self, k: int, n: int, v: int, banner: Optional[str],
                  orbits: list[TauOrbit], families: dict[str, list[int]],
-                 periods: dict[int, int], mouth_family_periods: dict[int, int],
-                 notes: list[str]) -> None:
+                 periods: dict[int, int], mouth_family_periods: dict[int, int]) -> None:
         self.k, self.n, self.v, self.banner, self.orbits = k, n, v, banner, orbits
         self.families = families      # canonical family key -> orbit indices
         self.periods = periods        # period -> orbit count
         self.mouth_family_periods = mouth_family_periods  # from fixture-matched mouth rows
         self.fixture_checks: list[FixtureCheck] = []
-        self.notes = notes
 
     def to_json_dict(self) -> dict:
         return {
@@ -279,7 +216,6 @@ class TubeCensusReport:
             "fixture_checks": [
                 {"tube": c.tube, "row": c.row, "status": c.status, "detail": c.detail}
                 for c in self.fixture_checks],
-            "notes": self.notes,
         }
 
 
@@ -331,7 +267,8 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None) -> TubeCensusRep
     The rank-2 seeds come from a census computed here at the same
     truncation.  For the tame pairs the computed orbits are compared
     against the golden tube tables; other parameters are served with
-    orbits only.  Orbit periods must divide 2v.
+    orbits only.  Every period divides 2v, as ``tau_orbit`` reads it off
+    the divisors of 2v.
     """
     N = default_truncation(n, trunc)
     v = lcm(n, k) // k
@@ -345,10 +282,6 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None) -> TubeCensusRep
     periods: dict[int, int] = {}
     for o in orbits:
         periods[o.period] = periods.get(o.period, 0) + 1
-    bad = [o for o in orbits if (2 * v) % o.period != 0]
-    notes = []
-    if bad:
-        notes.append(f"{len(bad)} orbits with period not dividing 2v")
 
     families: dict[str, list[int]] = {}
     for i, o in enumerate(orbits):
@@ -356,7 +289,7 @@ def tube_census(k: int, n: int, *, trunc: Optional[int] = None) -> TubeCensusRep
 
     report = TubeCensusReport(
         k=k, n=n, v=v, banner=banner, orbits=orbits, families=families,
-        periods=periods, mouth_family_periods={}, notes=notes)
+        periods=periods, mouth_family_periods={})
     fixture = _load_fixture(k, n)
     if fixture is not None and banner is None:
         _check_fixture(report, fixture, N)

@@ -14,14 +14,15 @@ from itertools import combinations
 from math import lcm
 from typing import Optional
 
+from grasscat.census import CensusEntry
 from grasscat.dvr import DVRMatrix, ValPoly
 from grasscat.errors import TruncationUnstable
-from grasscat.homology import (canonical_module, is_isomorphic, is_rigid,
+from grasscat.homology import (OrbitMember, canonical_module, is_isomorphic, is_rigid,
                                rigid_indecomposable_rank2, syzygy)
-from grasscat.modules import (CMModuleRep, Profile, build_layered, identify_rank1,
+from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered, identify_rank1,
                               rep_a_vector)
 from grasscat.rims import Rim, interlacing_degree, rim, runs, shift, two_layer_splits
-from grasscat.tubes import OrbitMember
+from grasscat.roots import RootVector, classify_root_vector
 
 
 def rational_rank(rows: list[list[Fraction]]) -> int:
@@ -237,6 +238,29 @@ def orbit_named_afresh(seed: Profile, trunc: int) -> tuple[list[OrbitMember], in
     period = min(d for d in range(1, 2 * v + 1)
                  if all(members[i] == members[(i + d) % (2 * v)] for i in range(2 * v)))
     return members[:period], period
+
+
+def group_by_isomorphism(k: int, rigid: list[tuple[Profile, CMModuleRep]]) -> list[CensusEntry]:
+    """Group the rigid filtrations, with their modules, into isomorphism classes."""
+    by_avec: dict[tuple[int, ...], list[tuple[Profile, CMModuleRep]]] = {}
+    for p, rep in rigid:
+        by_avec.setdefault(a_vector(p).entries, []).append((p, rep))
+    entries: list[CensusEntry] = []
+    for avec in sorted(by_avec):
+        reps: list[tuple[list[Profile], CMModuleRep]] = []
+        for p, rep in sorted(by_avec[avec], key=lambda pr: pr[0].label()):
+            for members, existing in reps:
+                if is_isomorphic(rep, existing):
+                    members.append(p)
+                    break
+            else:
+                reps.append(([p], rep))
+        for members, _ in reps:
+            entries.append(CensusEntry(
+                profiles=tuple(members), a_vec=avec,
+                classification=classify_root_vector(RootVector(avec, k))))
+    entries.sort(key=lambda e: e.profile.label())
+    return entries
 
 
 def crossing(a: Rim, b: Rim) -> bool:

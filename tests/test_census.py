@@ -1,13 +1,14 @@
 import pytest
 
-from grasscat import homology, modules
+from grasscat import census, homology, modules
 from grasscat.census import (CENSUS_TABLE, RANK3_LITERATURE, conjecture_verdicts,
                              rank2_candidates, run_census)
+from grasscat.homology import rigid_indecomposable_rank2
 from grasscat.modules import Profile, build_rank1
 from grasscat.rims import (all_rims, classify_pair, interlacing_degree, least_shift,
                            rim, shift)
 from grasscat.roots import enumerate_degree2_real_roots, expected_rigid_rank2_count
-from oracles import negative_control_48
+from oracles import group_by_isomorphism, negative_control_48
 
 
 class TestSmallCensus:
@@ -98,6 +99,10 @@ class TestCandidates:
         # 112 tight + 24 disjoint 3-interlacing + 2 alternating 4-interlacing
         assert len(cands) == 138
 
+    def test_a_census_tests_every_candidate(self, census_reports):
+        rep = census_reports[(3, 6)]
+        assert rep.candidates_tested == len(rank2_candidates(3, 6)) == len(rep.candidate_verdicts)
+
     @pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (4, 8)])
     def test_each_unordered_pair_once_gives_the_ordered_list(self, k, n):
         rims = all_rims(k, n)
@@ -106,22 +111,29 @@ class TestCandidates:
         assert rank2_candidates(k, n) == ordered
 
 
-class TestSampleMode:
-    def test_smoke_run(self):
-        rep = run_census(3, 8, sample=0.05, seed=1)
-        assert rep.sampled
-        assert rep.candidates_tested >= 1
-        assert all(ok for ok in rep.candidate_verdicts.values())
+class TestClasses:
+    """Each class is named once, by the orbit identifier, on one rigid
+    filtration; ``group_by_isomorphism`` compares every pair instead."""
 
-    @pytest.mark.parametrize("sample", [0, -1, 1.5, 2, float("nan")])
-    def test_fraction_outside_the_unit_interval_is_refused(self, sample):
-        with pytest.raises(ValueError, match=r"sample must be a fraction in \(0, 1\]"):
-            run_census(3, 6, sample=sample)
+    @pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (4, 8)])
+    def test_classes_match_pairwise_grouping(self, census_reports, k, n):
+        rep = census_reports[(k, n)]
+        rigid = [(Profile((a, b)), rigid_indecomposable_rank2(a, b, rep.truncation))
+                 for (a, b), ok in rep.candidate_verdicts.items() if ok]
+        want = group_by_isomorphism(k, rigid)
+        assert [(e.profiles, e.a_vec, e.classification) for e in rep.rank2_rigid] == \
+            [(e.profiles, e.a_vec, e.classification) for e in want]
 
-    def test_whole_sample_tests_every_candidate(self):
-        rep = run_census(3, 6, sample=1)
-        assert rep.sampled
-        assert rep.candidates_tested == len(rank2_candidates(3, 6))
+    @pytest.mark.parametrize("k, n, roots", [(3, 6, 1), (3, 7, 2), (3, 8, 7), (3, 9, 20),
+                                             (4, 8, 16)])
+    def test_one_root_module_named_per_rotation_class(self, k, n, roots, monkeypatch):
+        named = []   # keep every module alive, so that ids stay distinct
+        identify = census._identify
+        monkeypatch.setattr(census, "_identify",
+                            lambda rep: named.append(rep) or identify(rep))
+        rep = run_census(k, n)
+        assert len(named) == len(rep.rank2_rigid)
+        assert len({id(m.unrotated()[0]) for m in named}) == roots
 
 
 class TestProgress:

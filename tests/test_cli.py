@@ -133,26 +133,8 @@ class TestCensusCommand:
         assert code == 0
         assert "rank1: 20, rank2 rigid: 2" in out
 
-    def test_census_sample(self, capsys):
-        code, out = run_cli(["census", "3", "7", "--sample", "0.5"], capsys)
-        assert code == 0
-        assert "[sampled]" in out
-        # the table reports the sampled verdicts, which a sampled run does not group
-        rep = run_census(3, 7, sample=0.5)
-        rigid = sum(rep.candidate_verdicts.values())
-        assert rigid > 0
-        assert f"rigid among {rep.candidates_tested} sampled candidates: {rigid}" in out
-        # the JSON document carries the same verdicts, as [a, b, ok]
-        code, out = run_cli(["--json", "census", "3", "7", "--sample", "0.5"], capsys)
-        doc = json.loads(out)
-        assert code == 0 and len(doc["candidate_verdicts"]) == rep.candidates_tested
-        assert sum(ok for _, _, ok in doc["candidate_verdicts"]) == rigid
-        assert main(["census", "3", "7", "--sample", "2"]) == 2
-        assert "error: sample must be a fraction in (0, 1]" in capsys.readouterr().err
-
     def test_refresh_has_no_effect(self, capsys):
-        for argv in (["census", "3", "7"], ["--json", "census", "3", "7"],
-                     ["--json", "census", "3", "7", "--sample", "0.5"]):
+        for argv in (["census", "3", "7"], ["--json", "census", "3", "7"]):
             assert run_cli(argv, capsys) == run_cli(argv + ["--refresh"], capsys)
 
     def test_a_census_without_orbits_prints_null_orbit_ids(self, capsys):
@@ -233,6 +215,7 @@ class TestUsageErrors:
         ["--format", "dot", "diagram", "145@(3,8)"],
         ["orbit", "126@(3,9)", "--format", "svg"],
         ["roots", "4", "8", "--degree", "2"],
+        ["census", "3", "7", "--sample", "0.5"],
     ])
     def test_removed_options_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -283,12 +266,6 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-
-    @pytest.mark.parametrize("flag", ["--orbits"])
-    def test_sampled_census_refuses_full_census_flags(self, flag, capsys):
-        assert main(["--json", "census", "3", "7", "--sample", "0.5", flag]) == 2
-        out, err = capsys.readouterr()
-        assert out == "" and f"error: {flag} needs a full census" in err
 
     def test_bad_rim_token(self, capsys):
         code = main(["rim", "145"])
@@ -372,7 +349,7 @@ COMMAND_HELP = {
     "orbit": ("syzygy orbit of a rim or profile", ["profile", "--format"]),
     "tubes": ("tube census over one ambient", ["k", "n"]),
     "roots": ("degree-2 real root enumeration", ["k", "n"]),
-    "census": ("rigid rank-2 census", ["k", "n", "--sample", "--refresh", "--orbits"]),
+    "census": ("rigid rank-2 census", ["k", "n", "--refresh", "--orbits"]),
     "diagram": ("lattice diagram emitter", ["profile", "--format", "--write"]),
 }
 

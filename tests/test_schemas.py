@@ -58,7 +58,7 @@ def test_every_schema_is_valid():
     ("rigid", ["rigid", "135@(3,6)"]),
     ("ar-seq", ["ar-seq", "145@(3,8)"]),
     ("ar-seq", ["ar-seq", "134@(3,8)"]),
-    ("census", ["census", "3", "7", "--sample", "0.5"]),
+    ("census", ["census", "4", "8"]),
 ])
 def test_document_validates(schema, args, tmp_path, capsys):
     doc = emit(["--out", str(tmp_path), *args], capsys)

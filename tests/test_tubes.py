@@ -6,12 +6,13 @@ import pytest
 from grasscat import dvr, homology, modules, tubes
 from grasscat.census import rank2_candidates, run_census
 from grasscat.errors import NotAlmostConsecutive, ProjectiveInput
-from grasscat.homology import canonical_module, is_isomorphic, rank2_extension, syzygy
+from grasscat.homology import (OrbitMember, canonical_module, is_isomorphic, rank2_extension,
+                               syzygy)
 from grasscat.modules import (Profile, a_vector, build_rank1, default_truncation,
                               identify_rank1, parse_profile, profile, rep_a_vector)
 from grasscat.rims import (Rim, all_rims, interlacing_degree, is_almost_consecutive,
                            is_projective, least_shift, rim, shift, two_layer_splits)
-from grasscat.tubes import OrbitMember, ar_sequence, tau_orbit, tube_census
+from grasscat.tubes import ar_sequence, tau_orbit, tube_census
 
 from oracles import name_afresh, orbit_named_afresh
 
@@ -185,9 +186,9 @@ class TestNamedOncePerRoot:
         homology._rank2_walk.cache_clear()
         modules._rank1.cache_clear()
         named, proved = [], []   # keep every module alive, so that ids stay distinct
-        identify, rank1 = tubes._identify, tubes.identify_rank1
+        identify, rank1 = tubes._identify, homology.identify_rank1
         monkeypatch.setattr(tubes, "_identify", lambda rep: named.append(rep) or identify(rep))
-        monkeypatch.setattr(tubes, "identify_rank1", lambda m: proved.append(m) or rank1(m))
+        monkeypatch.setattr(homology, "identify_rank1", lambda m: proved.append(m) or rank1(m))
         seed = parse_profile(token)
         tau_orbit(seed)
         # _identify reads the truncation off the module: N at every call
