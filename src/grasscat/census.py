@@ -107,13 +107,14 @@ def rank2_candidates(k: int, n: int) -> list[tuple[Rim, Rim]]:
 
     The degree is symmetric, so each unordered pair is tested once; each
     rim's partners are then appended in increasing order, the smaller ones
-    first.
+    first.  Pairs sharing over k - 3 elements (degree 3 needs 3 a side) are skipped.
     """
     rims = all_rims(k, n)
+    masks = [sum(1 << e for e in a.elements) for a in rims]
     partners: list[list[Rim]] = [[] for _ in rims]
     for i, a in enumerate(rims):
         for j in range(i + 1, len(rims)):
-            if interlacing_degree(a, rims[j]) >= 3:
+            if (masks[i] & masks[j]).bit_count() <= k - 3 and interlacing_degree(a, rims[j]) >= 3:
                 partners[i].append(rims[j])
                 partners[j].append(a)
     return [(a, b) for a, bs in zip(rims, partners) for b in bs]

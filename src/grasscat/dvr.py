@@ -7,8 +7,8 @@ matrix over a DVR divides all the others), which keeps every elimination
 step exact modulo t^N.  ``_smith`` returns one factorisation object,
 ``Smith``: the exponents and the column steps, replayed into the column
 transform V only when V is first read; V's columns past the pivots are
-the kernel.  A surjection with a unit pivot in every row, a
-cover map, is split by ``_split`` instead: kernel, section and retraction.
+the kernel.  A surjection with a unit pivot in every row, a cover map, is
+split by ``_split``: kernel, free rows and a section built on first read.
 
 Precision is tracked by one integer per computed object, its floor: a
 matrix with floor P <= N is correct modulo t^P, and its coefficients in
@@ -22,13 +22,14 @@ carry the floors; ``Smith.certify`` checks the exponents against one.  A
 decide kernel membership modulo t^floor.
 
 ``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared,
-and arithmetic may return an operand unchanged (``p + 0`` is ``p``).  The
-kernels skip zero entries: products with a zero factor, elimination steps
-against a zero entry and zero terms of a matrix product are never
-computed, since each would leave its target's value as it was.  Results the module
-builds itself are wrapped by ``ValPoly._clean`` and ``DVRMatrix._wrap``,
-which skip the validation the public constructors do; they stay private
-to this module.
+and arithmetic may return an operand unchanged (``p + 0``, ``1 * p`` and
+``I @ p`` are ``p``).  The kernels skip zero entries and exact units:
+products by zero, by an exact 1 or identity, elimination steps against a
+zero, zero terms of a matrix product and pivot rows scaled by 1 are never
+computed, since each would leave its target's value as it was.  Results
+the module builds itself are wrapped by ``ValPoly._clean`` and
+``DVRMatrix._wrap``, which skip the validation the public constructors
+do; they stay private to this module.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import TruncationUnstable
 
 Coeff = Union[int, Fraction]
 Coeffs = dict[int, Coeff]
+_ONE: Coeffs = {0: 1}  # the coefficients of an exact 1
 
 
 def _exact(c) -> Coeff:
@@ -60,8 +62,8 @@ class ValPoly:
 
     Coefficients are ints until a division makes them Fractions; they are
     never floats and never zero.  Instances are immutable and may be
-    shared; arithmetic with a zero operand may return the other operand
-    itself, and every result carries the left operand's truncation.
+    shared; arithmetic with a zero operand or an exact 1 may return the
+    other operand itself, and every result carries the left operand's truncation.
     """
 
     __slots__ = ("coeffs", "trunc")
@@ -126,6 +128,8 @@ class ValPoly:
         trunc = self.trunc
         if not self.coeffs or not other.coeffs:
             return ValPoly._clean({}, trunc)
+        if other.trunc == trunc and _ONE in (self.coeffs, other.coeffs):
+            return other if self.coeffs == _ONE else self
         if len(self.coeffs) == 1 and len(other.coeffs) == 1:
             (d1, c1), = self.coeffs.items()
             (d2, c2), = other.coeffs.items()
@@ -203,7 +207,7 @@ class DVRMatrix:
     """Immutable matrix of ValPoly entries sharing one truncation level.
 
     Instances, their row tuples and their entries may be shared; products
-    skip zero entries.
+    skip zero entries and exact identity factors.
     """
 
     __slots__ = ("rows", "cols", "trunc", "data")
@@ -252,13 +256,24 @@ class DVRMatrix:
         return cls._wrap(tuple([r + s for r, s in zip(a.data, b.data)])
                          + tuple([left + r for r in d.data]), a.cols + d.cols, a.trunc)
 
+    def _is_identity(self) -> bool:
+        """Square, 1 on the diagonal and no other entry; stops at the first entry that fails."""
+        for i, row in enumerate(self.data):
+            for j, e in enumerate(row):
+                if (e.coeffs != _ONE) if i == j else e.coeffs:
+                    return False
+        return self.rows == self.cols
+
     def __matmul__(self, other: "DVRMatrix") -> "DVRMatrix":
         """The product, each column of ``other`` read once as its nonzero
-        (index, coeffs) terms.  Zeros are dropped only where two coefficient
+        (index, coeffs) terms; by an exact identity of the same truncation,
+        the other operand.  Zeros are dropped only where two coefficient
         products met or one fell past trunc: one alone is nonzero."""
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         trunc = self.trunc
+        if other.trunc == trunc and ((left := self._is_identity()) or other._is_identity()):
+            return other if left else self
         cols = [[(l, e.coeffs) for l, e in enumerate(col) if e.coeffs]
                 for col in zip(*other.data)] or [()] * other.cols
         data = []
@@ -350,8 +365,7 @@ class Smith:
 
     def _replay(self) -> DVRMatrix:
         p, trunc = self.cols, self.trunc
-        one, z = ValPoly.one(trunc), ValPoly.zero(trunc)
-        V = [[one if i == j else z for j in range(p)] for i in range(p)]
+        V = [list(row) for row in DVRMatrix.identity(p, trunc).data]
         for r, (bj, pivot, entries) in enumerate(self.steps):
             if bj != r:
                 for row in V:
@@ -395,6 +409,21 @@ class Smith:
                                self.cols - self.npivots, self.trunc)
 
 
+def _row_step(rows: list[list[ValPoly]], step: tuple) -> None:
+    """Row step (r, col, unit inverse, [(i, g)]) at row r's nonzero entries: row r
+    times the unit inverse (unless exactly 1), then row i minus g times row r."""
+    r, _, unit_inv, eliminated = step
+    pivot_row = rows[r]
+    row_nz = [j for j, e in enumerate(pivot_row) if e.coeffs]
+    if unit_inv.coeffs != _ONE:
+        for j in row_nz:
+            pivot_row[j] = unit_inv * pivot_row[j]
+    for i, g in eliminated:
+        row = rows[i]
+        for j in row_nz:
+            row[j] = row[j] - g * pivot_row[j]
+
+
 def _smith(matrix: DVRMatrix) -> Smith:
     """Diagonalise over the local ring by minimal-valuation pivoting.
 
@@ -403,9 +432,8 @@ def _smith(matrix: DVRMatrix) -> Smith:
     divides every other one, so each clearing step is exact modulo t^N.
     Each column step is recorded for ``Smith.V``, not applied: the column
     swap, the pivot and the pivot row's nonzero entries past it, a row no
-    later step reads or swaps.  Each clearing step visits only the nonzero
-    entries of the pivot row and the pivot column: against a zero it would
-    subtract g * 0 and leave the entry as it was.
+    later step reads or swaps.  The rows from the pivot row on are zero
+    before the pivot column, so each clearing step is a ``_row_step``.
     """
     m, p, trunc = matrix.rows, matrix.cols, matrix.trunc
     A = [list(row) for row in matrix.data]
@@ -434,22 +462,13 @@ def _smith(matrix: DVRMatrix) -> Smith:
         if bj != r:
             for row in A[r:]:
                 row[r], row[bj] = row[bj], row[r]
-        pivot_row = A[r]
-        # normalise the pivot row so the pivot becomes exactly t^val
-        unit_inv = ValPoly._clean({d - val: c for d, c in pivot_row[r].coeffs.items()},
+        # scale the pivot row so the pivot becomes exactly t^val, and clear below it
+        unit_inv = ValPoly._clean({d - val: c for d, c in A[r][r].coeffs.items()},
                                   trunc).unit_inverse()
-        row_nz = [j for j in range(r, p) if pivot_row[j].coeffs]
-        for j in row_nz:
-            pivot_row[j] = unit_inv * pivot_row[j]
-        pivot = pivot_row[r]
-        for i in range(r + 1, m):
-            row = A[i]
-            if not row[r].coeffs:
-                continue
-            g = row[r].exact_div(pivot)
-            for j in row_nz:
-                row[j] = row[j] - g * pivot_row[j]
-        steps.append((bj, pivot, [(j, pivot_row[j]) for j in row_nz[1:]]))
+        t_val = ValPoly.monomial(1, val, trunc)
+        _row_step(A, (r, r, unit_inv, [(i, A[i][r].exact_div(t_val)) for i in range(r + 1, m)
+                                       if A[i][r].coeffs]))
+        steps.append((bj, A[r][r], [(j, e) for j, e in enumerate(A[r]) if j > r and e.coeffs]))
         exponents.append(val)
         r += 1
     if any(exponents[i] > exponents[i + 1] for i in range(len(exponents) - 1)):
@@ -460,9 +479,9 @@ def _smith(matrix: DVRMatrix) -> Smith:
 class Split:
     """A surjection A: C[[t]]^c -> C[[t]]^s with a unit pivot in every row,
     as a cover map is, split: with its pivot columns first A = [B | C], B
-    invertible, the columns of ``kernel`` = [-B^-1 C; I], ``section`` =
-    [B^-1; 0] and ``retraction``, which reads the free coordinates ``free``,
-    give section @ A + kernel @ retraction = 1.
+    invertible, the columns of ``kernel`` = [-B^-1 C; I] and ``section`` =
+    [B^-1; 0] give section @ A + kernel @ R = 1, where R reads the free
+    coordinates ``free`` (``free_rows``).
 
     These are ``_smith``'s kernel, V_piv @ U and V^-1's rows past the
     pivots, value for value.  Such an A has minimal valuation 0 at every
@@ -473,57 +492,67 @@ class Split:
     the pivot coordinates and a retraction vanishing on them.  ``coordinates``
     checks A v = 0 modulo t^floor, where ``_smith`` checked V^-1's pivot
     rows, U A v with U unimodular: the same vectors pass.  Nothing is
-    divided by t, so nothing is lost.
+    divided by t, so nothing is lost.  ``section`` is built on first read.
     """
 
-    __slots__ = ("matrix", "free", "kernel", "section", "retraction")
+    __slots__ = ("matrix", "free", "kernel", "steps", "_section")
 
-    def __init__(self, matrix: DVRMatrix, free: tuple[int, ...], kernel: DVRMatrix,
-                 section: DVRMatrix, retraction: DVRMatrix):
-        self.matrix, self.free, self.kernel = matrix, free, kernel
-        self.section, self.retraction = section, retraction
+    def __init__(self, matrix: DVRMatrix, free: tuple[int, ...], kernel: DVRMatrix, steps: list):
+        self.matrix, self.free, self.kernel, self.steps = matrix, free, kernel, steps
+        self._section = None
+
+    @property
+    def section(self) -> DVRMatrix:
+        """``_split``'s row ``steps`` replayed, in order, on the s x s identity on first read."""
+        if self._section is None:
+            self._section = self._replay()
+        return self._section
+
+    def _replay(self) -> DVRMatrix:
+        s, trunc = self.matrix.rows, self.matrix.trunc
+        rows = [list(row) for row in DVRMatrix.identity(s, trunc).data]
+        for step in self.steps:
+            _row_step(rows, step)
+        section = [(ValPoly.zero(trunc),) * s] * self.matrix.cols
+        for r, col, _, _ in self.steps:
+            section[col] = tuple(rows[r])
+        return DVRMatrix._wrap(tuple(section), s, trunc)
+
+    def free_rows(self, vectors: DVRMatrix) -> DVRMatrix:
+        """The rows of ``vectors`` at the free coordinates: R @ vectors."""
+        return DVRMatrix._wrap(tuple([vectors.data[j] for j in self.free]), vectors.cols,
+                               vectors.trunc)
 
     def coordinates(self, vectors: DVRMatrix, floor: int) -> DVRMatrix:
         """Coordinates in the ``kernel`` basis of each column of ``vectors``,
-        correct modulo t^floor as A is: its free coordinates, or
+        correct modulo t^floor as A is: its free rows, or
         TruncationUnstable when A @ vectors is nonzero there."""
         if any(e.coeffs and min(e.coeffs) < floor
                for row in (self.matrix @ vectors).data for e in row):
             raise TruncationUnstable("vector is not in the kernel at working precision")
-        return DVRMatrix._wrap(tuple([vectors.data[j] for j in self.free]), vectors.cols,
-                               vectors.trunc)
+        return self.free_rows(vectors)
 
 
 def _split(matrix: DVRMatrix) -> Split:
-    """``Split`` of A by Gauss-Jordan steps on its rows, each carrying its row
-    of B^-1 and visiting only the pivot row's nonzero entries; ValueError
-    when a row has no unit left, so that A is no such surjection."""
+    """``Split`` of A by Gauss-Jordan steps on A's rows (``_row_step``), each
+    recorded for ``Split.section``; ValueError when a row has no unit left,
+    so that A is no such surjection."""
     s, c, trunc = matrix.rows, matrix.cols, matrix.trunc
-    one, z = ValPoly.one(trunc), ValPoly.zero(trunc)
-    rows = [list(row) + [one if i == j else z for j in range(s)]
-            for i, row in enumerate(matrix.data)]
+    rows = [list(row) for row in matrix.data]
     order = list(range(c))  # column of A at each position, the pivots first
+    steps = []
     for r, pivot_row in enumerate(rows):
         at = next((q for q in range(r, c) if 0 in pivot_row[order[q]].coeffs), None)
         if at is None:
             raise ValueError(f"row {r} has no unit pivot")
         order[r], order[at] = order[at], order[r]
         col = order[r]
-        unit_inv = pivot_row[col].unit_inverse()
-        row_nz = [j for j in range(c + s) if pivot_row[j].coeffs]
-        for j in row_nz:
-            pivot_row[j] = unit_inv * pivot_row[j]
-        for row in rows:
-            g = row[col]
-            if row is not pivot_row and g.coeffs:
-                for j in row_nz:
-                    row[j] = row[j] - g * pivot_row[j]
+        steps.append((r, col, pivot_row[col].unit_inverse(),
+                      [(i, row[col]) for i, row in enumerate(rows) if i != r and row[col].coeffs]))
+        _row_step(rows, steps[-1])
     free = tuple(order[s:])
-    kernel, section = [None] * c, [(z,) * s] * c
-    for f, col in enumerate(free):
-        kernel[col] = tuple([one if g == f else z for g in range(c - s)])
+    kernel = dict(zip(free, DVRMatrix.identity(c - s, trunc).data))
     for k, col in enumerate(order[:s]):
-        kernel[col], section[col] = tuple([-rows[k][j] for j in free]), tuple(rows[k][c:])
-    retraction = tuple([tuple([one if j == i else z for j in range(c)]) for i in free])
-    return Split(matrix, free, DVRMatrix._wrap(tuple(kernel), c - s, trunc),
-                 DVRMatrix._wrap(tuple(section), s, trunc), DVRMatrix._wrap(retraction, c, trunc))
+        kernel[col] = tuple([-rows[k][j] for j in free])
+    return Split(matrix, free, DVRMatrix._wrap(tuple([kernel[j] for j in range(c)]), c - s,
+                                               trunc), steps)

@@ -24,12 +24,12 @@ an extension's classes are lifted off it and the condition itself, with no
 second step and no row transform.  Each cover map is a surjection with a
 unit pivot in every row, split once (``dvr._split``, no Smith form) when
 the module is covered: the syzygy, the vertex matrices of a Hom basis and
-an extension middle read its kernel, coordinates, section and retraction
+an extension middle read its kernel, coordinates, section and free rows
 from that one split, and no linear system is solved.  The syzygy and a
 middle are one pass over the cover's arrows (``_cover_arrows``): an arrow
 applied to the kernel and read back by ``coordinates`` is the syzygy's;
-applied to the section and read back by the retraction, it is the
-middle's off-diagonal block.
+applied to the section and read back by its free rows, it is the
+middle's off-diagonal block.  Ext reads no section and builds none.
 
 Every computed module and Hom basis carries a precision floor (see
 ``dvr``), and every rank that theory fixes is checked with
@@ -133,7 +133,7 @@ def projective_cover(m: CMModuleRep) -> Cover:
     The top spans every M_w modulo the arrows and t, so the cover map is
     surjective with a unit pivot in every row, and its splits lose no
     precision: the syzygy, the Hom maps and the pushout read their kernels,
-    coordinates, sections and retractions at the module's floor.
+    coordinates, sections and free rows at the module's floor.
     """
     gens = top_generators(m)
     split = {}
@@ -490,17 +490,17 @@ def _pushout(top_rep: CMModuleRep, bot_rep: CMModuleRep, f: dict[int, DVRMatrix]
     vertex v, the section sigma_v and retraction rho_v of the cover map
     eps_v (the cover's ``Split``, whose ``kernel`` is Omega's basis too)
     split P0 as Omega + top, and (b, p) -> (b + f_v rho_v p, eps_v p)
-    identifies E_v with bottom_v + top_v.  An arrow A of P0 from v to u
-    (``_cover_arrows``, applied to sigma_v) becomes [[bottom's arrow,
-    f_u rho_u A sigma_v], [0, top's arrow]], since eps_u A sigma_v is top's.
-    The cover map has unit pivots, so nothing is lost.
+    identifies E_v with bottom_v + top_v; rho_v reads the free rows.  An
+    arrow A of P0 from v to u (``_cover_arrows``, applied to sigma_v)
+    becomes [[bottom's arrow, f_u rho_u A sigma_v], [0, top's arrow]], since
+    eps_u A sigma_v is top's.  The cover map has unit pivots, so nothing is lost.
     """
     cover = _cover_of(top_rep)
     maps: dict[str, dict[int, DVRMatrix]] = {"x": {}, "y": {}}
     for arrow, v, dst, image in _cover_arrows(
             top_rep, cover, {w: sp.section for w, sp in cover.split.items()}):
         maps[arrow][v] = DVRMatrix.block(getattr(bot_rep, arrow)[v],
-                                         f[dst] @ (cover.split[dst].retraction @ image),
+                                         f[dst] @ cover.split[dst].free_rows(image),
                                          getattr(top_rep, arrow)[v])
     return CMModuleRep(top_rep.n, top_rep.k, top_rep.s + bot_rep.s, maps["x"], maps["y"],
                        top_rep.trunc, floor)

@@ -15,7 +15,7 @@ from math import lcm
 from typing import Optional
 
 from grasscat.census import CensusEntry
-from grasscat.dvr import DVRMatrix, ValPoly
+from grasscat.dvr import DVRMatrix, Split, ValPoly
 from grasscat.errors import TruncationUnstable
 from grasscat.homology import (OrbitMember, canonical_module, is_isomorphic, is_rigid,
                                rigid_indecomposable_rank2, syzygy)
@@ -172,6 +172,16 @@ class FullSmith:
         if any(e.coeffs and min(e.coeffs) < known for row in y.data[:self.npivots] for e in row):
             raise TruncationUnstable("vector is not in the kernel at working precision")
         return DVRMatrix(y.data[self.npivots:], self.trunc, cols=vectors.cols)
+
+
+def retraction(sp: Split) -> DVRMatrix:
+    """The 0/1 matrix that selects a split's free coordinates ``sp.free``:
+    with the kernel and the section it splits the surjection,
+    section @ A + kernel @ retraction = 1."""
+    trunc, cols = sp.matrix.trunc, sp.matrix.cols
+    one, z = ValPoly.one(trunc), ValPoly.zero(trunc)
+    return DVRMatrix([[one if j == i else z for j in range(cols)] for i in sp.free], trunc,
+                     cols=cols)
 
 
 def solve(sm: FullSmith, rhs: DVRMatrix, floor: int) -> Optional[DVRMatrix]:

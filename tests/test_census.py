@@ -103,7 +103,8 @@ class TestCandidates:
         rep = census_reports[(3, 6)]
         assert rep.candidates_tested == len(rank2_candidates(3, 6)) == len(rep.candidate_verdicts)
 
-    @pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (4, 8)])
+    @pytest.mark.parametrize("k, n", [(3, 6), (3, 7), (3, 8), (3, 9), (4, 8), (4, 9), (3, 10),
+                                      (5, 10)])
     def test_each_unordered_pair_once_gives_the_ordered_list(self, k, n):
         rims = all_rims(k, n)
         ordered = [(a, b) for a in rims for b in rims

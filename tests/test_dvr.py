@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from grasscat.dvr import DVRMatrix, ValPoly, _smith, _split
 from grasscat.errors import TruncationUnstable
-from oracles import FullSmith, dense_product, rational_rank, solve
+from oracles import FullSmith, dense_product, rational_rank, retraction, solve
 
 N = 16
 
@@ -331,10 +331,13 @@ class TestSplitting:
         rows, extra = rng.randint(1, 3), rng.randint(0, 3)
         mat = random_surjection(rng, rows, extra)
         sp = _split(mat)
-        section, retraction, kernel = sp.section, sp.retraction, sp.kernel
+        section, selection, kernel = sp.section, retraction(sp), sp.kernel
         assert mat @ section == DVRMatrix.identity(rows, N)
-        assert retraction @ kernel == DVRMatrix.identity(extra, N)
-        assert section @ mat + kernel @ retraction == DVRMatrix.identity(rows + extra, N)
+        assert selection @ kernel == DVRMatrix.identity(extra, N)
+        assert section @ mat + kernel @ selection == DVRMatrix.identity(rows + extra, N)
+        # free_rows reads what the selection matrix multiplies out
+        vectors = random_matrix(rng, rows + extra, rng.randint(0, 3))
+        assert sp.free_rows(vectors) == dense_product(selection, vectors)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 9))
@@ -346,12 +349,12 @@ class TestSplitting:
         mat = random_surjection(rng, rows, rng.randint(0, 5 - rows))
         sp, full = _split(mat), FullSmith(mat)
         assert full.exponents == [0] * rows
-        section, retraction = full.splitting()
-        assert (sp.kernel, sp.section, sp.retraction) == (full.kernel(), section, retraction)
+        section, full_retraction = full.splitting()
+        assert (sp.kernel, sp.section, retraction(sp)) == (full.kernel(), section, full_retraction)
         cols = mat.cols
         assert mat @ sp.section == DVRMatrix.identity(rows, N)
         assert mat @ sp.kernel == DVRMatrix.zeros(rows, cols - rows, N)
-        assert sp.section @ mat + sp.kernel @ sp.retraction == DVRMatrix.identity(cols, N)
+        assert sp.section @ mat + sp.kernel @ retraction(sp) == DVRMatrix.identity(cols, N)
 
     def test_a_row_without_a_unit_is_refused(self):
         z = ValPoly.zero(N)
@@ -658,6 +661,36 @@ class TestSparseProduct:
         for row in got.data:
             for entry in row:
                 assert_clean(entry)
+
+    @settings(max_examples=200, deadline=None)
+    @given(terms.filter(bool), terms)
+    def test_an_exact_one_returns_the_other_factor(self, a, b):
+        p, one = ValPoly(a, TRUNC), ValPoly.one(TRUNC)
+        # p * 1 is the right-hand 1 when p is an exact 1 too
+        assert one * p is p and p * one is (one if p == one else p)
+        # another truncation, or a unit other than 1, takes the general path
+        assert ValPoly.one(TRUNC + 1) * p == ValPoly(a, TRUNC + 1)
+        assert p * ValPoly.one(TRUNC + 1) == p
+        q = ValPoly({**b, 0: 1}, TRUNC)
+        assert (q * p).coeffs == ref_mul(q.coeffs, a) and (p * q).coeffs == ref_mul(a, q.coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(product_operands(), product_entries, st.integers(0, 15), st.integers(0, 15))
+    def test_an_exact_identity_returns_the_other_factor(self, operands, entry, i, j):
+        a, b = operands
+        left, right = DVRMatrix.identity(a.rows, TRUNC), DVRMatrix.identity(a.cols, TRUNC)
+        assert left @ a is a and a @ right is (right if a == right else a)
+        assert a == dense_product(left, a) == dense_product(a, right)
+        assert DVRMatrix.identity(a.cols, TRUNC + 1) @ b == dense_product(
+            DVRMatrix.identity(a.cols, TRUNC + 1), b)
+        # one entry changed: an identity only if the entry is the one it replaced
+        for eye in (left, right):
+            if eye.rows:
+                data = [list(row) for row in eye.data]
+                data[i % eye.rows][j % eye.rows] = ValPoly(entry, TRUNC)
+                near = DVRMatrix(data, TRUNC, cols=eye.cols)
+                got = near @ a if eye is left else a @ near
+                assert got == (dense_product(near, a) if eye is left else dense_product(a, near))
 
     def test_exact_cancellation_and_the_truncation_edge(self):
         one_t, z = ValPoly({0: 1, 1: 1}, TRUNC), ValPoly.zero(TRUNC)

@@ -21,8 +21,8 @@ from grasscat.modules import (CMModuleRep, Profile, build_layered, build_rank1,
                               validate_relations)
 from grasscat.rims import (all_rims, interlacing_degree, is_projective, least_shift,
                            peaks, rim, shift, slopes, syzygy_rim, two_layer_splits)
-from oracles import (FullSmith, crossing, rational_det, rational_rank, solve, transpose,
-                     two_peak_syzygy_rim)
+from oracles import (FullSmith, crossing, rational_det, rational_rank, retraction, solve,
+                     transpose, two_peak_syzygy_rim)
 
 
 class TestTop:
@@ -665,7 +665,7 @@ class TestRotatedCaches:
         cover = homology._cover_of(m)
         for w, eps in cover_maps(m).items():
             emb = cover.split[w].kernel
-            sec, ret = cover.split[w].section, cover.split[w].retraction
+            sec, ret = cover.split[w].section, retraction(cover.split[w])
             assert eps @ sec == DVRMatrix.identity(m.s, m.trunc), w
             assert ret @ emb == DVRMatrix.identity(emb.cols, m.trunc), w
             assert sec @ eps + emb @ ret == DVRMatrix.identity(eps.cols, m.trunc), w
@@ -773,22 +773,23 @@ class TestFactorOnce:
         return calls
 
     @staticmethod
-    def count_replays(monkeypatch):
-        """The factorisations ``_smith`` returns, and each factorisation
-        whose V is built, once per build."""
+    def count_replays(monkeypatch, factor="_smith", kind=dvr.Smith):
+        """The factorisations ``factor`` returns, and each factorisation
+        whose V (a ``Split``'s section) is built, once per build."""
         factored, built = [], []
-        smith, replay = dvr._smith, dvr.Smith._replay
+        original, replay = getattr(dvr, factor), kind._replay
 
         def recorded(matrix):
-            factored.append(smith(matrix))
+            factored.append(original(matrix))
             return factored[-1]
 
         def counted(sm):
             built.append(sm)
             return replay(sm)
         for module in (dvr, homology, modules):
-            monkeypatch.setattr(module, "_smith", recorded)
-        monkeypatch.setattr(dvr.Smith, "_replay", counted)
+            if hasattr(module, factor):
+                monkeypatch.setattr(module, factor, recorded)
+        monkeypatch.setattr(kind, "_replay", counted)
         return factored, built
 
     def test_exponent_readers_build_no_v(self, monkeypatch):
@@ -800,6 +801,21 @@ class TestFactorOnce:
         rep_a_vector(m)
         # two Hom conditions and a Smith form per structure map, no V
         assert len(factored) == 2 + m.n and built == []
+
+    def test_ext_sweep_builds_no_section(self, monkeypatch):
+        # a cold sweep splits every cover map and reads kernels and
+        # coordinates only; a Hom basis then builds each section it reads once
+        modules._rank1.cache_clear()
+        rims = all_rims(4, 9)
+        split, built = self.count_replays(monkeypatch, "_split", dvr.Split)
+        for a, b in ((rims[0], rims[40]), (rims[3], rims[77]), (rims[10], rims[11])):
+            ext1(build_rank1(a), build_rank1(b))
+            ext1(build_rank1(b), build_rank1(a))
+        assert len(split) > 6 and built == []
+        m, n = build_rank1(rims[0]), build_rank1(rims[40])
+        hom_space(m, n)
+        hom_space(m, n)
+        assert len(built) == m.n and all(any(sp is s for s in split) for sp in built)
 
     def test_ladder_builds_v_for_its_classes_alone(self, monkeypatch):
         # no weight gives a rigid indecomposable middle, so the walk tests

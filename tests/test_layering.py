@@ -362,7 +362,7 @@ def test_detects_a_forbidden_start_up_module(tmp_path):
 # each matrix is factored once: a module's structure maps for the
 # a-vector and one Hom condition per pair by _smith, and a module's cover
 # maps, when it is covered, by _split; every kernel, coordinate, section,
-# retraction and extension class is read off those factorisations
+# free row and extension class is read off those factorisations
 SMITH_CALLERS = ["homology._hom_condition", "modules.rep_a_vector"]
 SPLIT_CALLERS = ["homology.projective_cover"]
 FACTORING = ("homology", "modules")
@@ -410,6 +410,7 @@ ORACLE_FORBIDDEN = {
     "rational_det": ("_det_poly_mod_t",),
     "solve": ("coordinates", "splitting"),
     "FullSmith": ("_smith", "_split"),
+    "retraction": ("free_rows", "coordinates"),
     "dense_product": ("__matmul__",),
     "route_product": ("path_matrix", "_path", "__matmul__"),
     "brute_least_shift": ("least_shift",),
