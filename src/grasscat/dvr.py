@@ -21,19 +21,23 @@ carry the floors; ``Smith.certify`` checks the exponents against one.  A
 ``Split`` divides by units only and loses nothing: its ``coordinates``
 decide kernel membership modulo t^floor.
 
-``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared,
-and arithmetic may return an operand unchanged (``p + 0``, ``1 * p`` and
-``I @ p`` are ``p``).  The kernels skip zero entries and exact units:
-products by zero, by an exact 1 or identity, elimination steps against a
-zero, zero terms of a matrix product and pivot rows scaled by 1 are never
-computed, since each would leave its target's value as it was.  Results
-the module builds itself are wrapped by ``ValPoly._clean`` and
+``ValPoly`` and ``DVRMatrix`` instances are immutable and may be shared:
+0, 1, t and each identity are one instance per truncation, and arithmetic
+may return an operand unchanged (``p + 0``, ``1 * p`` and ``I @ p`` are
+``p``).  The kernels skip zero entries and exact units: products by zero,
+by an exact 1 or identity, elimination steps against a zero, zero terms
+of a matrix product and pivot rows scaled by 1 are never computed, since
+each would leave its target's value as it was.  ``_smith`` divides by
+its pivots t^val as a shift of degrees, and a split's kernel test sums
+only the terms below the floor and builds no product.  Results the
+module builds itself are wrapped by ``ValPoly._clean`` and
 ``DVRMatrix._wrap``, which skip the validation the public constructors
 do; they stay private to this module.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -61,9 +65,10 @@ class ValPoly:
     """Polynomial in t, exact rational coefficients, degrees < trunc.
 
     Coefficients are ints until a division makes them Fractions; they are
-    never floats and never zero.  Instances are immutable and may be
-    shared; arithmetic with a zero operand or an exact 1 may return the
-    other operand itself, and every result carries the left operand's truncation.
+    never floats and never zero.  Instances are immutable and may be shared:
+    ``zero``, ``one`` and ``t`` are one instance per truncation.  Arithmetic
+    with a zero operand or an exact 1 may return the other operand itself,
+    and every result carries the left operand's truncation.
     """
 
     __slots__ = ("coeffs", "trunc")
@@ -80,6 +85,7 @@ class ValPoly:
         return p
 
     @classmethod
+    @functools.cache
     def zero(cls, trunc: int) -> "ValPoly":
         return cls._clean({}, trunc)
 
@@ -88,10 +94,12 @@ class ValPoly:
         return cls({degree: _exact(coeff)}, trunc)
 
     @classmethod
+    @functools.cache
     def one(cls, trunc: int) -> "ValPoly":
         return cls.monomial(1, 0, trunc)
 
     @classmethod
+    @functools.cache
     def t(cls, trunc: int) -> "ValPoly":
         return cls.monomial(1, 1, trunc)
 
@@ -206,8 +214,9 @@ class ValPoly:
 class DVRMatrix:
     """Immutable matrix of ValPoly entries sharing one truncation level.
 
-    Instances, their row tuples and their entries may be shared; products
-    skip zero entries and exact identity factors.
+    Instances, their row tuples and their entries may be shared, and
+    ``identity`` is one instance per size and truncation; products skip
+    zero entries and exact identity factors.
     """
 
     __slots__ = ("rows", "cols", "trunc", "data")
@@ -233,6 +242,7 @@ class DVRMatrix:
         return cls._wrap(((ValPoly.zero(trunc),) * cols,) * rows, cols, trunc)
 
     @classmethod
+    @functools.cache
     def identity(cls, size: int, trunc: int) -> "DVRMatrix":
         one = ValPoly.one(trunc)
         z = ValPoly.zero(trunc)
@@ -430,6 +440,7 @@ def _smith(matrix: DVRMatrix) -> Smith:
     Pivot selection takes the globally minimal valuation in the remaining
     block, breaking ties by the smallest (row, col) pair; that entry
     divides every other one, so each clearing step is exact modulo t^N.
+    The pivot is scaled to t^val: clearing below it is a shift of degrees.
     Each column step is recorded for ``Smith.V``, not applied: the column
     swap, the pivot and the pivot row's nonzero entries past it, a row no
     later step reads or swaps.  The rows from the pivot row on are zero
@@ -462,12 +473,13 @@ def _smith(matrix: DVRMatrix) -> Smith:
         if bj != r:
             for row in A[r:]:
                 row[r], row[bj] = row[bj], row[r]
-        # scale the pivot row so the pivot becomes exactly t^val, and clear below it
+        # scale the pivot row so the pivot becomes exactly t^val, and clear below it;
+        # val is the least valuation left, so A[i][r] / t^val is a shift and cannot fail
         unit_inv = ValPoly._clean({d - val: c for d, c in A[r][r].coeffs.items()},
                                   trunc).unit_inverse()
-        t_val = ValPoly.monomial(1, val, trunc)
-        _row_step(A, (r, r, unit_inv, [(i, A[i][r].exact_div(t_val)) for i in range(r + 1, m)
-                                       if A[i][r].coeffs]))
+        below = [(i, ValPoly._clean({d - val: c for d, c in e.items()}, trunc))
+                 for i in range(r + 1, m) if (e := A[i][r].coeffs)]
+        _row_step(A, (r, r, unit_inv, below))
         steps.append((bj, A[r][r], [(j, e) for j, e in enumerate(A[r]) if j > r and e.coeffs]))
         exponents.append(val)
         r += 1
@@ -525,11 +537,21 @@ class Split:
 
     def coordinates(self, vectors: DVRMatrix, floor: int) -> DVRMatrix:
         """Coordinates in the ``kernel`` basis of each column of ``vectors``,
-        correct modulo t^floor as A is: its free rows, or
-        TruncationUnstable when A @ vectors is nonzero there."""
-        if any(e.coeffs and min(e.coeffs) < floor
-               for row in (self.matrix @ vectors).data for e in row):
-            raise TruncationUnstable("vector is not in the kernel at working precision")
+        correct modulo t^floor as A is: its free rows, or TruncationUnstable
+        when A @ vectors is nonzero there, tested with no product built: each
+        entry sums only its terms of degree below the floor."""
+        cols = [[(l, e.coeffs) for l, e in enumerate(col) if e.coeffs]
+                for col in zip(*vectors.data)]
+        for row in self.matrix.data:
+            for col in cols:
+                low: Coeffs = {}
+                for l, b in col:
+                    for d1, c1 in row[l].coeffs.items():
+                        for d2, c2 in b.items():
+                            if (d := d1 + d2) < floor:
+                                low[d] = low.get(d, 0) + c1 * c2
+                if any(low.values()):
+                    raise TruncationUnstable("vector is not in the kernel at working precision")
         return self.free_rows(vectors)
 
 

@@ -447,6 +447,22 @@ class TestFloorReads:
         for reader in (sp, full):
             with pytest.raises(TruncationUnstable):
                 reader.coordinates(members + off, known)
+        # A = [a b] with units a and b reads A v term by term below the floor:
+        # b t^q and -a t^q cancel there, one term at known - 1 refuses, and
+        # terms from the floor on are not read
+        a, b = (random_poly(rng, constant=rng.choice([-1, 1, 2, Fraction(1, 3)]))
+                for _ in range(2))
+        pair = M([[a, b]])
+        cases = [(column([b * tpow(q), -a * tpow(q)]), True),
+                 (column([tpow(known - 1, coeff=rng.choice([-1, 2])), ValPoly.zero(N)]), False),
+                 (column([random_poly(rng) * tpow(known), random_poly(rng) * tpow(known)]), True)]
+        for vector, accepted in cases:
+            for reader in (_split(pair), FullSmith(pair)):
+                if accepted:
+                    assert reader.coordinates(vector, known) == column([vector.data[1][0]])
+                else:
+                    with pytest.raises(TruncationUnstable):
+                        reader.coordinates(vector, known)
 
     def test_solve(self):
         # A = [t^2; 0] has loss 2: at floor 5, U rhs is known modulo t^3
@@ -517,6 +533,47 @@ class TestDVRMatrixShape:
         assert empty @ DVRMatrix.zeros(2, 3, N) == DVRMatrix.zeros(0, 3, N)
         assert empty + empty == empty and empty - empty == empty
         assert empty.scale(tpow(1)) == empty == empty.scale_rows(tpow(1), [])
+
+
+class TestSharedConstants:
+    """0, 1, t and each identity are one instance per truncation, which no
+    kernel changes: they hold their values after every kernel has read them."""
+
+    def test_one_instance_per_truncation(self):
+        for trunc in (1, 4, N):
+            for make in (ValPoly.zero, ValPoly.one, ValPoly.t):
+                assert make(trunc) is make(trunc)
+            assert DVRMatrix.identity(3, trunc) is DVRMatrix.identity(3, trunc)
+        assert ValPoly.one(4) is not ValPoly.one(5)
+        assert DVRMatrix.identity(2, N) is not DVRMatrix.identity(3, N)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_kernels_leave_them_as_they_are(self, seed):
+        rng = random.Random(seed)
+        zero, one, t = ValPoly.zero(N), ValPoly.one(N), ValPoly.t(N)
+        shared = [zero, one, t]
+
+        def entries(mat):
+            return DVRMatrix([[rng.choice(shared) if rng.random() < 0.5 else e for e in row]
+                              for row in mat.data], N, cols=mat.cols)
+        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        A = entries(random_matrix(rng, rows, cols))
+        assert _smith(A).kernel() == FullSmith(A).kernel()
+        B = entries(random_matrix(rng, cols, 2))
+        left, right = DVRMatrix.identity(rows, N), DVRMatrix.identity(cols, N)
+        assert left @ A.scale(one) @ right @ B == dense_product(A, B)
+        surjection = random_surjection(rng, rows, rng.randint(0, 2))
+        # shared entries where the units are not, so that A keeps a unit per row
+        mat = DVRMatrix([[e if 0 in e.coeffs else rng.choice([e, zero, t]) for e in row]
+                         for row in surjection.data], N, cols=surjection.cols)
+        sp, coeffs = _split(mat), entries(random_matrix(rng, mat.cols - rows, 2))
+        assert mat @ sp.section == DVRMatrix.identity(rows, N)
+        assert sp.coordinates(sp.kernel @ coeffs, N) == coeffs
+        assert (zero.coeffs, one.coeffs, t.coeffs) == ({}, {0: 1}, {1: 1})
+        for size in (rows, cols, mat.cols):
+            assert DVRMatrix.identity(size, N).data == tuple(
+                tuple(one if i == j else zero for j in range(size)) for i in range(size))
 
 
 # -- exact arithmetic against a schoolbook reference ----------------------

@@ -1,6 +1,7 @@
 """Imports of grasscat modules sit at module top, in layer order, every
 name the package defines is used, and used by the package itself unless it
-is on an allow-list, the unchecked constructors stay in ``dvr``,
+is on an allow-list, the unchecked constructors stay in ``dvr``, no
+shared ``.coeffs`` or ``.data`` value is changed in place,
 starting a command loads no code-generating or resource-loading module,
 and no oracle of ``tests/oracles.py`` calls the function it checks.
 
@@ -177,6 +178,53 @@ def test_detects_an_unchecked_constructor(tmp_path):
     (tests / "test_dvr.py").write_text("_wrap = 1\n")
     assert unchecked_constructor_uses(package, tests) == [
         "grasscat/homology.py:2", "grasscat/homology.py:3", "tests/test_dvr.py:1"]
+
+
+# ValPoly and DVRMatrix values are shared: one 0, 1, t and identity per
+# truncation, and operands returned as results.  A value that one caller
+# changed in place would change every later answer that reads it
+SHARED_VALUES = {"coeffs", "data"}
+MUTATORS = {"update", "pop", "popitem", "setdefault", "clear", "__setitem__", "__delitem__"}
+
+
+def _holder(node):
+    """The expression a chain of subscripts reads from: ``x.data`` in ``x.data[i][j]``."""
+    while isinstance(node, ast.Subscript):
+        node = node.value
+    return node
+
+
+def in_place_changes(package: Path = PACKAGE) -> list[str]:
+    """module:line of each in-place change to a ``.coeffs`` or ``.data``
+    value: an item assigned or deleted, or a mutating method called."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                held = _holder(node)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in MUTATORS):
+                held = _holder(node.func.value)
+            else:
+                continue
+            if isinstance(held, ast.Attribute) and held.attr in SHARED_VALUES:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_shared_value_is_changed_in_place():
+    assert in_place_changes() == []
+
+
+def test_detects_an_in_place_change(tmp_path):
+    (tmp_path / "dvr.py").write_text(
+        "def f(p, m, out):\n"
+        "    p.coeffs[0] = 1\n    m.data[0][1] = p\n    del p.coeffs[2]\n"
+        "    p.coeffs.update({1: 2})\n    p.coeffs.pop(0)\n    m.data[0].clear()\n"
+        "    p.coeffs.setdefault(3, 1)\n    p.coeffs.__setitem__(0, 2)\n    p.coeffs[1] += 1\n"
+        "    out[p.coeffs[0]] = m.data[0]\n    p.coeffs = {0: 1}\n    out.update(p.coeffs)\n"
+        "    q = dict(p.coeffs)\n    q[0] = 2\n    return p.coeffs.get(0), m.data[0][1]\n")
+    assert in_place_changes(tmp_path) == [f"dvr:{line}" for line in range(2, 11)]
 
 
 # an empty module-level container is state that fills up as the package

@@ -41,6 +41,10 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma_power(3, 4, N)
 
+    def test_the_zeroth_power_is_the_shared_identity(self):
+        for s in range(1, 5):
+            assert sigma_power(s, 0, N) is DVRMatrix.identity(s, N)
+
 
 class TestBuildRank1:
     def test_structure_scalars(self):
