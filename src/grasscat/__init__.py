@@ -6,12 +6,12 @@ the rigid-module censuses for the finite and tame parameter pairs."""
 __version__ = "0.1.0"
 
 from .rims import Rim, rim, all_rims, parse_rim
-from .modules import Profile, profile, parse_profile, build_rank1, build_layered
+from .modules import Profile, profile, parse_profile, build_rank1
 from .roots import RootVector
 
 __all__ = [
     "Rim", "rim", "all_rims", "parse_rim",
-    "Profile", "profile", "parse_profile", "build_rank1", "build_layered",
+    "Profile", "profile", "parse_profile", "build_rank1",
     "RootVector",
     "__version__",
 ]

@@ -23,8 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import GrasscatError, TruncationUnstable
-from .modules import (Profile, a_vector, build_layered, default_truncation,
-                      parse_profile, validate_relations)
+from .modules import a_vector, default_truncation, parse_profile, validate_relations
 from .rims import (almost_consecutive_decompositions, is_projective,
                    parse_rim, peaks, projective_index, slopes, syzygy_rim)
 from .roots import (classify_root_vector, enumerate_degree2_real_roots,
@@ -46,14 +45,6 @@ def _truncation(args, n: int) -> int:
     if args.trunc is not None and args.trunc < n:
         raise ValueError(f"truncation {args.trunc} below ambient size {n}")
     return default_truncation(n, args.trunc)
-
-
-def _module_for(profile: Profile, trunc: int):
-    """The profile's canonical module, or its layered module past two layers."""
-    if len(profile.layers) > 2:
-        return build_layered(profile.layers, trunc)
-    from .homology import canonical_module
-    return canonical_module(profile, trunc)
 
 
 def cmd_rim(args) -> int:
@@ -85,8 +76,9 @@ def cmd_rim(args) -> int:
 
 
 def cmd_module(args) -> int:
+    from .homology import canonical_module
     p = parse_profile(args.profile)
-    rep = _module_for(p, _truncation(args, p.n))
+    rep = canonical_module(p, _truncation(args, p.n))
     report = validate_relations(rep)
     av = a_vector(p)
     payload = {
@@ -107,10 +99,10 @@ def cmd_module(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    from .homology import hom_space
+    from .homology import canonical_module, hom_space
     a, b = parse_profile(args.source), parse_profile(args.target)
     N = _truncation(args, a.n)
-    ha = hom_space(_module_for(a, N), _module_for(b, N))
+    ha = hom_space(canonical_module(a, N), canonical_module(b, N))
     gens = []
     for g in ha.generators:
         gens.append({str(w): [[repr(e) for e in row] for row in g[w].data]
@@ -123,10 +115,10 @@ def cmd_hom(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    from .homology import ext1
+    from .homology import canonical_module, ext1
     a, b = parse_profile(args.source), parse_profile(args.target)
     N = _truncation(args, a.n)
-    dec = ext1(_module_for(a, N), _module_for(b, N))
+    dec = ext1(canonical_module(a, N), canonical_module(b, N))
     payload = {"source": a.label(), "target": b.label(),
                "exponents": list(dec.exponents), "total_dim": dec.total_dim}
     _emit(args, payload,
@@ -146,11 +138,10 @@ def cmd_syzygy(args) -> int:
 
 
 def cmd_rigid(args) -> int:
-    from .homology import is_rigid, rigid_indecomposable_rank2
+    from .homology import canonical_module, is_rigid, rigid_indecomposable_rank2
     p = parse_profile(args.profile)
     N = _truncation(args, p.n)
-    rep = _module_for(p, N)
-    rigid = is_rigid(rep)
+    rigid = is_rigid(canonical_module(p, N))
     payload = {"profile": p.label(), "rigid": rigid}
     if len(p.layers) == 2:
         payload["rigid_indecomposable"] = (

@@ -12,6 +12,17 @@ def _svg_point(col: int, height: float, max_h: int) -> tuple[float, float]:
     return (MARGIN + col * CELL, MARGIN + (max_h - height) * CELL * 0.5)
 
 
+def _arrows(data: dict):
+    """The structure arrows between adjacent columns, in drawing order, as
+    ((column, height), (column, height)) pairs: each goes one step down."""
+    columns = data["columns"]
+    for i in range(1, data["n"] + 1):
+        for a, b in ((i - 1, i), (i, i - 1)):
+            for d in columns[a]["dots"]:
+                if d - 1 in columns[b]["dots"]:
+                    yield (a, d), (b, d - 1)
+
+
 def lattice_svg(p: Profile) -> str:
     data = lattice_diagram_data(p)
     n = data["n"]
@@ -29,21 +40,11 @@ def lattice_svg(p: Profile) -> str:
         for d in col["dots"]:
             x, y = _svg_point(col["column"], d, max_h)
             parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5"/>')
-    for i in range(1, n + 1):
-        left = data["columns"][i - 1]
-        right = data["columns"][i]
-        for d in left["dots"]:
-            if d - 1 in right["dots"]:
-                x1, y1 = _svg_point(i - 1, d, max_h)
-                x2, y2 = _svg_point(i, d - 1, max_h)
-                parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" '
-                             f'x2="{x2:.1f}" y2="{y2:.1f}" stroke-width="0.7"/>')
-        for d in right["dots"]:
-            if d - 1 in left["dots"]:
-                x1, y1 = _svg_point(i, d, max_h)
-                x2, y2 = _svg_point(i - 1, d - 1, max_h)
-                parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" '
-                             f'x2="{x2:.1f}" y2="{y2:.1f}" stroke-width="0.7"/>')
+    for start, end in _arrows(data):
+        x1, y1 = _svg_point(*start, max_h)
+        x2, y2 = _svg_point(*end, max_h)
+        parts.append(f'<line x1="{x1:.1f}" y1="{y1:.1f}" '
+                     f'x2="{x2:.1f}" y2="{y2:.1f}" stroke-width="0.7"/>')
     # rims as thick polylines, one per layer
     for h in data["polylines"]:
         pts = " ".join("{:.1f},{:.1f}".format(*_svg_point(i, h[i], max_h))
@@ -69,17 +70,9 @@ def lattice_tikz(p: Profile) -> str:
             lines.append(
                 f"\\draw ({col['column']},{d / 2:.1f}) circle (0.06) [fill=black];")
     lines.append("% structure arrows")
-    for i in range(1, n + 1):
-        left = data["columns"][i - 1]
-        right = data["columns"][i]
-        for d in left["dots"]:
-            if d - 1 in right["dots"]:
-                lines.append(f"\\draw[-latex, shorten <=2pt, shorten >=2pt] "
-                             f"({i - 1},{d / 2:.1f}) -- ({i},{(d - 1) / 2:.1f});")
-        for d in right["dots"]:
-            if d - 1 in left["dots"]:
-                lines.append(f"\\draw[-latex, shorten <=2pt, shorten >=2pt] "
-                             f"({i},{d / 2:.1f}) -- ({i - 1},{(d - 1) / 2:.1f});")
+    for (c1, h1), (c2, h2) in _arrows(data):
+        lines.append(f"\\draw[-latex, shorten <=2pt, shorten >=2pt] "
+                     f"({c1},{h1 / 2:.1f}) -- ({c2},{h2 / 2:.1f});")
     lines.append("% rims")
     for h in data["polylines"]:
         path = " -- ".join(f"({i},{h[i] / 2:.1f})" for i in range(n + 1))

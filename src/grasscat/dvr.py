@@ -376,13 +376,14 @@ class Smith:
     def _replay(self) -> DVRMatrix:
         p, trunc = self.cols, self.trunc
         V = [list(row) for row in DVRMatrix.identity(p, trunc).data]
-        for r, (bj, pivot, entries) in enumerate(self.steps):
+        for r, (bj, val, entries) in enumerate(self.steps):
             if bj != r:
                 for row in V:
                     row[r], row[bj] = row[bj], row[r]
             v_nz = [i for i in range(p) if V[i][r].coeffs]
             for j, entry in entries:
-                g = entry.exact_div(pivot)
+                # the pivot is exactly t^val and divides the entry: a shift of degrees
+                g = ValPoly._clean({d - val: c for d, c in entry.coeffs.items()}, trunc)
                 for i in v_nz:
                     V[i][j] = V[i][j] - g * V[i][r]
         return DVRMatrix._wrap(tuple(map(tuple, V)), p, trunc)
@@ -442,14 +443,16 @@ def _smith(matrix: DVRMatrix) -> Smith:
     divides every other one, so each clearing step is exact modulo t^N.
     The pivot is scaled to t^val: clearing below it is a shift of degrees.
     Each column step is recorded for ``Smith.V``, not applied: the column
-    swap, the pivot and the pivot row's nonzero entries past it, a row no
-    later step reads or swaps.  The rows from the pivot row on are zero
-    before the pivot column, so each clearing step is a ``_row_step``.
+    swap, the pivot's exponent val and the pivot row's nonzero entries past
+    it, a row no later step reads or swaps.  Dividing those entries by
+    t^val, a shift of degrees, waits for V, which ``ext1`` never reads.
+    The rows from the pivot row on are zero before the pivot column, so
+    each clearing step is a ``_row_step``.
     """
     m, p, trunc = matrix.rows, matrix.cols, matrix.trunc
     A = [list(row) for row in matrix.data]
     exponents: list[int] = []
-    steps: list[tuple[int, ValPoly, list[tuple[int, ValPoly]]]] = []
+    steps: list[tuple[int, int, list[tuple[int, ValPoly]]]] = []
     r = 0
     while r < min(m, p):
         best: Optional[tuple[int, int, int]] = None
@@ -480,7 +483,7 @@ def _smith(matrix: DVRMatrix) -> Smith:
         below = [(i, ValPoly._clean({d - val: c for d, c in e.items()}, trunc))
                  for i in range(r + 1, m) if (e := A[i][r].coeffs)]
         _row_step(A, (r, r, unit_inv, below))
-        steps.append((bj, A[r][r], [(j, e) for j, e in enumerate(A[r]) if j > r and e.coeffs]))
+        steps.append((bj, val, [(j, e) for j, e in enumerate(A[r]) if j > r and e.coeffs]))
         exponents.append(val)
         r += 1
     if any(exponents[i] > exponents[i + 1] for i in range(len(exponents) - 1)):

@@ -415,25 +415,6 @@ def _isomorphic_given_a_vectors(m: CMModuleRep, n_rep: CMModuleRep) -> bool:
     return bool(_det_poly_mod_t([gen[1].mod_t() for gen in basis], m.s))
 
 
-def generic_extension(top: Rim, bottom: Rim, trunc: Optional[int] = None,
-                      weights: Optional[tuple[int, ...]] = None) -> CMModuleRep:
-    """Middle term of a maximally nonsplit extension of the top rank-1
-    module by the bottom one, as an explicit rank-2 representation.
-
-    The extension class is chosen with a unit component in every nonzero
-    cyclic factor of the extension group (deterministically, from the
-    Smith transform of the Hom condition, see ``_extension_classes``); when
-    the group vanishes this is the direct sum.  The middle is written on
-    bottom + top at every vertex (see ``_pushout``).
-    """
-    if (top.n, top.k) != (bottom.n, bottom.k):
-        raise ValueError("rims disagree on (k, n)")
-    N = default_truncation(top.n, trunc)
-    top_rep, bot_rep = build_rank1(top, N), build_rank1(bottom, N)
-    return _extension_middle(top_rep, bot_rep, _extension_classes(top_rep, bot_rep),
-                             weights or (1,))
-
-
 def _extension_classes(top_rep: CMModuleRep, bot_rep: CMModuleRep
                        ) -> Optional[tuple[CMModuleRep, list[dict[int, DVRMatrix]], int]]:
     """The top's syzygy Omega, one map Omega -> bottom per nonzero cyclic

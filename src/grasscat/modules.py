@@ -5,15 +5,16 @@ n vertices: one free module of rank s per vertex and, for every edge i,
 structure matrices x_i (forward) and y_i (backward) over the power-series
 centre, subject to x_i y_i = y_{i+1} x_{i+1} = t and x^k = y^{n-k}.
 
-Layered modules are built from an ordered list of rims via powers of the
-cyclic shift matrix sigma (sigma^s = t * Id); the single-rim case recovers
-the classical rank-1 modules with scalar maps 1 and t.
+The one module built here from data is the rank-1 module of a rim, with
+scalar maps 1 and t (``build_rank1``).  Every other module is computed:
+syzygies and extension middles in ``homology``, whose ``canonical_module``
+is the one way from a profile of one or two layers to the module it names.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .dvr import DVRMatrix, ValPoly, _smith
 from .errors import NotRankOne, TruncationUnstable
@@ -76,9 +77,9 @@ class CMModuleRep:
     ``x[i]`` maps vertex i-1 to vertex i and ``y[i]`` maps vertex i back to
     vertex i-1 (labels taken mod n in [1, n]).  Instances are plain,
     immutable data.  ``floor`` <= ``trunc`` is the precision of the maps:
-    they are correct modulo t^floor.  A module built from rims is exact,
-    with floor = trunc; a computed one (a syzygy, an extension middle)
-    carries the floor its construction left.
+    they are correct modulo t^floor.  The rank-1 module of a rim
+    (``build_rank1``) is exact, with floor = trunc; a computed one (a
+    syzygy, an extension middle) carries the floor its construction left.
     ``rotate`` returns a view: relabelled ``x``/``y`` maps, the unrotated
     root ``_root`` and the shift ``_turn`` (None and 0 on a root).  A view
     reads its root's ``_paths`` (``path_matrix``) at moved labels.  Five
@@ -162,58 +163,9 @@ class CMModuleRep:
         return mat
 
 
-def sigma_power(s: int, j: int, trunc: int) -> DVRMatrix:
-    """j-th power of the s x s cyclic shift with a t in the corner.
-
-    sigma^j has ones on the j-th superdiagonal and t on the (s-j)-th
-    subdiagonal; sigma^s = t * Id, and sigma^0 is the shared identity.
-    """
-    if not 0 <= j <= s:
-        raise ValueError(f"need 0 <= j <= s, got j={j}, s={s}")
-    if j == 0:
-        return DVRMatrix.identity(s, trunc)
-    z = ValPoly.zero(trunc)
-    rows = [[z] * s for _ in range(s)]
-    for i in range(1, s - j + 1):
-        rows[i - 1][i + j - 1] = ValPoly.one(trunc)
-    for i in range(1, j + 1):
-        rows[s + i - j - 1][i - 1] = ValPoly.t(trunc)
-    return DVRMatrix(rows, trunc, cols=s)
-
-
 def default_truncation(n: int, trunc: Optional[int] = None) -> int:
     """The working truncation: trunc, or 2n when it is None."""
     return 2 * n if trunc is None else trunc
-
-
-def build_layered(layers: Sequence[Rim], trunc: Optional[int] = None) -> CMModuleRep:
-    """Module with the given ordered rims as filtration layers.
-
-    At edge i the forward map is sigma^(s - r_i) and the backward map is
-    sigma^(r_i), where r_i counts the layers containing i.  This layered
-    module is not the extension middle: for every pair with interlacing
-    degree >= 3 at (3,6), (3,7) and (3,8) the two-layer module is
-    isomorphic to the direct sum of its layers, and at (4,8) it splits for
-    114 of the 138 such pairs.  Extension middles come from
-    ``homology.rank2_extension``.
-    """
-    layers = tuple(layers)
-    if not layers:
-        raise ValueError("need at least one layer")
-    n, k = layers[0].n, layers[0].k
-    for r in layers:
-        if (r.n, r.k) != (n, k):
-            raise ValueError("layers disagree on (k, n)")
-    s = len(layers)
-    N = default_truncation(n, trunc)
-    # DVRMatrix is immutable, so every edge with the same r_i shares its pair
-    powers = [sigma_power(s, j, N) for j in range(s + 1)]
-    x, y = {}, {}
-    for i in range(1, n + 1):
-        r_i = sum(1 for r in layers if i in r)
-        x[i] = powers[s - r_i]
-        y[i] = powers[r_i]
-    return CMModuleRep(n, k, s, x, y, N)
 
 
 def per_rotation_class(build: Callable[[Profile, int], object]):
@@ -231,8 +183,17 @@ def per_rotation_class(build: Callable[[Profile, int], object]):
     return memo
 
 
-# a lambda, so that a replaced build_layered is reached
-_rank1 = per_rotation_class(lambda p, trunc: build_layered(p.layers, trunc))
+def _rank1_module(r: Rim, trunc: int) -> CMModuleRep:
+    """The rank-1 module of r built afresh: x_i is the shared 1 x 1 identity
+    on the rim and one shared [[t]] off it, y_i the opposite."""
+    one, t = DVRMatrix.identity(1, trunc), DVRMatrix([[ValPoly.t(trunc)]], trunc)
+    x = {i: one if i in r else t for i in range(1, r.n + 1)}
+    y = {i: t if i in r else one for i in range(1, r.n + 1)}
+    return CMModuleRep(r.n, r.k, 1, x, y, trunc)
+
+
+# a lambda, so that a replaced _rank1_module is reached
+_rank1 = per_rotation_class(lambda p, trunc: _rank1_module(p.layers[0], trunc))
 
 
 def build_rank1(r: Rim, trunc: Optional[int] = None) -> CMModuleRep:

@@ -311,4 +311,6 @@ def parse_rim(token: str) -> Rim:
         elems = [int(p) for p in body.split(",") if p]
     else:
         elems = [int(ch) for ch in body.strip()]
+    if len(set(elems)) != len(elems):
+        raise ValueError(f"rim token {token!r} repeats a label")
     return rim(elems, k, n)

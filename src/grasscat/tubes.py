@@ -123,7 +123,7 @@ def _divisors(m: int) -> list[int]:
 
 
 class ARSequence:
-    """Verified data of the AR sequence starting at an a.c. rim."""
+    """The AR sequence starting at an a.c. rim, with ``ar_sequence``'s checks."""
 
     __slots__ = ("left", "right", "middle_profile", "middle_projective_vertex",
                  "middle_extra_layer", "middle_rigid", "middle_indecomposable", "exact")
@@ -146,10 +146,13 @@ class ARSequence:
 def ar_sequence(r: Rim, trunc: Optional[int] = None) -> ARSequence:
     """AR sequence data for an almost consecutive non-projective rim.
 
-    The middle term is built explicitly and checked: it must be rigid,
-    the multiplicity vectors must add up (exactness), and it is
-    indecomposable exactly when the two-interval decomposition is not the
-    degenerate j = i + 2 case.
+    The middle is the closed formula's (``ar_middle_profile``), not a
+    module built from the sequence.  Three things are checked: its
+    rigidity (the ladder's rigid-indecomposable verdict on its two-layer
+    profile, or ``is_rigid`` of P + M_u when the formula splits it), that
+    the ends' a-vectors add up to its own (``exact``), and, as
+    ``middle_indecomposable``, that its layers interlace with degree >= 3
+    (False for a split middle).
     """
     if is_projective(r):
         raise ProjectiveInput(f"{r} is projective")

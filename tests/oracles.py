@@ -1,5 +1,5 @@
-"""Oracles the tests check grasscat against, and the paper's results that
-only the tests run.
+"""Oracles the tests check grasscat against, the paper's results that
+only the tests run, and the layered modules that tests take as inputs.
 
 Each oracle is written apart from the code it checks: none calls the
 function whose answer it is compared with (``tests/test_layering.py``
@@ -19,8 +19,8 @@ from grasscat.dvr import DVRMatrix, Split, ValPoly
 from grasscat.errors import TruncationUnstable
 from grasscat.homology import (OrbitMember, canonical_module, is_isomorphic, is_rigid,
                                rigid_indecomposable_rank2, syzygy)
-from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered, identify_rank1,
-                              rep_a_vector)
+from grasscat.modules import (CMModuleRep, Profile, a_vector, default_truncation,
+                              identify_rank1, rep_a_vector)
 from grasscat.rims import Rim, interlacing_degree, rim, runs, shift, two_layer_splits
 from grasscat.roots import RootVector, classify_root_vector
 
@@ -99,6 +99,47 @@ def route_product(m: CMModuleRep, v: int, w: int) -> DVRMatrix:
 
 def transpose(mat: DVRMatrix) -> DVRMatrix:
     return DVRMatrix([mat.column(j) for j in range(mat.cols)], mat.trunc, cols=mat.rows)
+
+
+def sigma_power(s: int, j: int, trunc: int) -> DVRMatrix:
+    """j-th power of the s x s cyclic shift with a t in the corner.
+
+    sigma^j has ones on the j-th superdiagonal and t on the (s-j)-th
+    subdiagonal; sigma^s = t * Id, and sigma^0 is the shared identity.
+    """
+    if not 0 <= j <= s:
+        raise ValueError(f"need 0 <= j <= s, got j={j}, s={s}")
+    if j == 0:
+        return DVRMatrix.identity(s, trunc)
+    z = ValPoly.zero(trunc)
+    rows = [[z] * s for _ in range(s)]
+    for i in range(1, s - j + 1):
+        rows[i - 1][i + j - 1] = ValPoly.one(trunc)
+    for i in range(1, j + 1):
+        rows[s + i - j - 1][i - 1] = ValPoly.t(trunc)
+    return DVRMatrix(rows, trunc, cols=s)
+
+
+def build_layered(layers, trunc: Optional[int] = None) -> CMModuleRep:
+    """A module with the given ordered rims as filtration layers: at edge i
+    the forward map is sigma^(s - r_i) and the backward map sigma^(r_i),
+    where r_i counts the layers containing i.  One layer gives the rank-1
+    module of its rim.  Past one layer this is not the module the profile
+    names (``homology.canonical_module``): for every pair of interlacing
+    degree >= 3 at (3,6), (3,7) and (3,8) the two-layer module is
+    isomorphic to the direct sum of its layers, and at (4,8) it splits for
+    114 of the 138 such pairs.  Tests take it as an input module of any
+    rank.
+    """
+    layers = tuple(layers)
+    n, k, s = layers[0].n, layers[0].k, len(layers)
+    N = default_truncation(n, trunc)
+    powers = [sigma_power(s, j, N) for j in range(s + 1)]
+    x, y = {}, {}
+    for i in range(1, n + 1):
+        r_i = sum(1 for r in layers if i in r)
+        x[i], y[i] = powers[s - r_i], powers[r_i]
+    return CMModuleRep(n, k, s, x, y, N)
 
 
 class FullSmith:

@@ -187,17 +187,16 @@ def test_census_leaves_the_shared_rank1_modules_intact(monkeypatch):
     modules._rank1.cache_clear()
     homology._rank2_walk.cache_clear()
     built, requested = [], set()   # (rim, module) per build, (profile, trunc) per request
-    original, memo = modules.build_layered, modules._rank1
+    original, memo = modules._rank1_module, modules._rank1
 
-    def recorded(layers, trunc=None):
-        (r,) = layers
-        built.append((r, original(layers, trunc)))
+    def recorded(r, trunc):
+        built.append((r, original(r, trunc)))
         return built[-1][1]
 
     def requested_from_memo(p, trunc):
         requested.add((p, trunc))
         return memo(p, trunc)
-    monkeypatch.setattr(modules, "build_layered", recorded)
+    monkeypatch.setattr(modules, "_rank1_module", recorded)
     monkeypatch.setattr(modules, "_rank1", requested_from_memo)
     run_census(3, 7)
     assert built and len(requested) == memo.cache_info().currsize
@@ -208,7 +207,7 @@ def test_census_leaves_the_shared_rank1_modules_intact(monkeypatch):
     assert all(least_shift(r) == 0 for r, _ in built)
     for r, m in built:
         assert build_rank1(r, m.trunc) is m
-        fresh = original([r], m.trunc)
+        fresh = original(r, m.trunc)
         assert (m.x, m.y, m.floor) == (fresh.x, fresh.y, fresh.floor), r
 
 

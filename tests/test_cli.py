@@ -271,6 +271,26 @@ class TestUsageErrors:
         code = main(["rim", "145"])
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["1135@(3,6)", "1,3,5,5@(3,6)"])
+    def test_a_repeated_label_exits_2(self, token, capsys):
+        assert main(["ext", token, "246@(3,6)"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: rim token {token!r} repeats a label\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["module", "136|247|125@(3,7)"],
+        ["hom", "136@(3,7)", "136|247|125@(3,7)"],
+        ["ext", "136|247|125@(3,7)", "136@(3,7)"],
+        ["rigid", "136|247|125@(3,7)"],
+        ["syzygy", "136|247|125@(3,7)"],
+        ["orbit", "136|247|125@(3,7)"],
+    ], ids=lambda argv: argv[0])
+    def test_a_profile_of_three_layers_names_no_module(self, argv, capsys):
+        assert main(["--json"] + argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: 136|247|125 has 3 layers; only 1 or 2 name a module\n"
+
     def test_env_truncation(self, capsys, monkeypatch):
         monkeypatch.setenv("GRASSCAT_TRUNCATION", "20")
         code, out = run_cli(["ext", "135@(3,6)", "246@(3,6)"], capsys)
@@ -428,6 +448,22 @@ PINNED_JSON = {
     "ext-3-6": (["ext", "135@(3,6)", "246@(3,6)"],
                 "00540a20c7d0f7c81368f739ab6c9fc76997fd021d4f82c0d6e88621d4b4c972"),
 }
+
+
+# sha256 of the diagram text, SVG and TikZ, of a rim and of a two-layer profile
+PINNED_DIAGRAMS = {
+    ("145@(3,8)", "svg"): "ff2cad495bfdc99d0325ba503c12fa0287e229a0bb398ab9436a4d87f47b7311",
+    ("246|135@(3,9)", "svg"): "2c40cb5842cfbaf9e2b80514aa1989df82116d759c68771cabd34076dec09b9c",
+    ("145@(3,8)", "tikz"): "c121d8fbc498d82d5b07dcab08bb5059b72dcdbdfdb455c5a64bd995f22d3aa0",
+    ("246|135@(3,9)", "tikz"): "bdc3aac14bb98af28adb36b40cf191955d26bb496817860d8a3a0dc0392a166e",
+}
+
+
+@pytest.mark.parametrize("profile, fmt", sorted(PINNED_DIAGRAMS))
+def test_diagram_digest_is_unchanged(profile, fmt, capsys):
+    code, out = run_cli(["diagram", profile, "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIAGRAMS[profile, fmt], out
 
 
 class TestPinnedJson:

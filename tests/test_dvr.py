@@ -376,6 +376,23 @@ class TestSmithAgainstTheOracle:
         assert (sm.exponents, sm.V) == (full.exponents, full.V)
         assert sm.kernel() == full.kernel()
 
+    def test_v_is_built_without_a_division(self, monkeypatch):
+        # each pivot is exactly t^val, so V divides by it with a shift of degrees
+        rng = random.Random(5)
+        cases = [random_matrix(rng, 3, 4).scale(tpow(val)) for val in (0, 1, 2, 3)]
+        want = [FullSmith(A).V for A in cases]
+        factored = [_smith(A) for A in cases]
+        assert any(val and entries for sm in factored for _, val, entries in sm.steps)
+        divisions = []
+        original = ValPoly.exact_div
+
+        def counted(p, q):
+            divisions.append(q)
+            return original(p, q)
+        monkeypatch.setattr(ValPoly, "exact_div", counted)
+        assert [sm.V for sm in factored] == want
+        assert divisions == []
+
 
 class TestSolve:
     """``oracles.solve``, the solver of the pushout oracle in test_homology."""

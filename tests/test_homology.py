@@ -11,18 +11,25 @@ from grasscat.census import rank2_candidates, run_census
 from grasscat.dvr import DVRMatrix, ValPoly
 from grasscat.errors import ProjectiveInput, TruncationUnstable
 from grasscat.homology import (WEIGHT_LADDER, canonical_module, decomposition_rank2,
-                               ext1, ext1_rims,
-                               generic_extension, hom_space, is_isomorphic,
+                               ext1, ext1_rims, hom_space, is_isomorphic,
                                is_rigid, projective_cover, rank2_extension,
                                rigid_indecomposable_rank2, syzygy,
                                top_generators, top_multiset)
-from grasscat.modules import (CMModuleRep, Profile, build_layered, build_rank1,
+from grasscat.modules import (CMModuleRep, Profile, build_rank1,
                               direct_sum, identify_rank1, rep_a_vector,
                               validate_relations)
 from grasscat.rims import (all_rims, interlacing_degree, is_projective, least_shift,
                            peaks, rim, shift, slopes, syzygy_rim, two_layer_splits)
-from oracles import (FullSmith, crossing, rational_det, rational_rank, retraction, solve,
-                     transpose, two_peak_syzygy_rim)
+from oracles import (FullSmith, build_layered, crossing, rational_det, rational_rank,
+                     retraction, solve, transpose, two_peak_syzygy_rim)
+
+
+def extension_middle(top, bottom, weights=(1,)):
+    """The extension middle of the rank-1 modules of top and bottom at the
+    given weights, built from the two functions a ladder walk uses: no walk
+    and no memo."""
+    t, b = build_rank1(top), build_rank1(bottom)
+    return homology._extension_middle(t, b, homology._extension_classes(t, b), weights)
 
 
 class TestTop:
@@ -93,7 +100,7 @@ class TestCoverAndSyzygy:
 
     def test_projective_source_has_zero_ext_and_evaluation_hom(self):
         projective = build_rank1(rim([6, 7, 8], 3, 8))
-        other = generic_extension(rim([1, 3, 5], 3, 8), rim([2, 4, 7], 3, 8))
+        other = extension_middle(rim([1, 3, 5], 3, 8), rim([2, 4, 7], 3, 8))
         assert homology._omega(projective) is None
         assert homology._cover_of(projective).size == projective.s
         assert ext1(projective, other).is_zero()
@@ -306,7 +313,7 @@ class TestExtensionConstruction:
 
     def test_split_for_noncrossing(self):
         a, b = rim([1, 2, 3], 3, 6), rim([4, 5, 6], 3, 6)
-        m = generic_extension(a, b)
+        m = extension_middle(a, b)
         assert decomposition_rank2(m) == (a, b) or decomposition_rank2(m) == (b, a)
 
     def test_all_weightings_agree_when_rigid(self):
@@ -314,7 +321,7 @@ class TestExtensionConstruction:
         a, b = rim([1, 4, 6], 3, 9), rim([2, 5, 8], 3, 9)
         builds = []
         for w in WEIGHT_LADDER[:3]:
-            m = generic_extension(a, b, weights=w)
+            m = extension_middle(a, b, w)
             if is_rigid(m) and decomposition_rank2(m) is None:
                 builds.append(m)
         assert len(builds) >= 2
@@ -330,7 +337,7 @@ class TestExtensionConstruction:
         assert is_rigid(m)
         J = syzygy_rim(I)
         # a maximally nonsplit extension of L_J by L_I is the same module
-        other = generic_extension(J, I)
+        other = extension_middle(J, I)
         assert is_isomorphic(m, other)
 
     def test_stability_protocol_runs(self):
@@ -549,7 +556,7 @@ class TestRank2Walk:
         a, b = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
         assert rigid_indecomposable_rank2(a, b) is None
         m = rank2_extension(a, b)
-        first = generic_extension(a, b, weights=WEIGHT_LADDER[0])
+        first = extension_middle(a, b, WEIGHT_LADDER[0])
         assert (m.s, m.trunc, m.x, m.y) == (first.s, first.trunc, first.x, first.y)
         assert fresh_cache() == 1
 
@@ -794,7 +801,7 @@ class TestFactorOnce:
 
     def test_exponent_readers_build_no_v(self, monkeypatch):
         top = build_rank1(rim([1, 3, 5, 7], 4, 8))
-        m = generic_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        m = extension_middle(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
         factored, built = self.count_replays(monkeypatch)
         ext1(m, top)
         is_rigid(m)
@@ -881,7 +888,7 @@ class TestFactorOnce:
 
     def test_syzygy_is_factored_once_per_module(self, monkeypatch):
         top, bottom = rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8)
-        m, other = generic_extension(top, bottom), generic_extension(bottom, top)
+        m, other = extension_middle(top, bottom), extension_middle(bottom, top)
         calls = self.count_factorisations(monkeypatch)
         assert hom_space(m, m).z_rank > 1
         # the 8 cover maps split and the Hom condition factored
@@ -905,7 +912,7 @@ class TestFactorOnce:
         assert (len(calls["_smith"]), calls["_split"]) == (1, [])
 
     def test_rigidity_resolves_the_module_once(self, monkeypatch):
-        m = generic_extension(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
+        m = extension_middle(rim([1, 3, 5, 7], 4, 8), rim([2, 4, 6, 8], 4, 8))
         covered = []
         original = homology.projective_cover
 

@@ -22,7 +22,7 @@ TESTS = Path(__file__).resolve().parent
 
 
 def _allowed(module: str, function: str) -> bool:
-    return module == "cli" and (function.startswith("cmd_") or function == "_module_for")
+    return module == "cli" and function.startswith("cmd_")
 
 
 def _grasscat_targets(node) -> list[str]:
@@ -114,7 +114,6 @@ def test_every_definition_is_used():
 # else the package defines must be reached from the package itself
 TEST_ONLY = {
     "homology.ext1_rims": "public API: Ext^1 between two rims",
-    "homology.generic_extension": "public API: one extension middle of two rims",
 }
 
 

@@ -6,13 +6,12 @@ import pytest
 from grasscat.dvr import DVRMatrix, ValPoly
 from grasscat.errors import NotRankOne, TruncationUnstable
 from grasscat.homology import canonical_module, rank2_extension, syzygy
-from grasscat.modules import (CMModuleRep, Profile, a_vector, build_layered,
-                              build_rank1, direct_sum, identify_rank1,
-                              lattice_diagram_data, parse_profile, per_rotation_class,
-                              profile, rep_a_vector, sigma_power, validate_relations)
+from grasscat.modules import (CMModuleRep, Profile, a_vector, build_rank1, direct_sum,
+                              identify_rank1, lattice_diagram_data, parse_profile,
+                              per_rotation_class, profile, rep_a_vector, validate_relations)
 from grasscat.rims import all_rims, least_shift, parse_rim, rim, shift
 
-from oracles import route_product
+from oracles import build_layered, route_product, sigma_power
 
 N = 16
 
@@ -47,6 +46,13 @@ class TestSigma:
 
 
 class TestBuildRank1:
+    def test_maps_are_the_shared_identity_and_one_t(self):
+        r = rim([1, 4, 5], 3, 8)
+        m, one = build_rank1(r, N), DVRMatrix.identity(1, N)
+        assert [m.x[i] is one for i in range(1, 9)] == [i in r for i in range(1, 9)]
+        assert [m.y[i] is one for i in range(1, 9)] == [i not in r for i in range(1, 9)]
+        assert len({id(mat) for mat in (*m.x.values(), *m.y.values())}) == 2
+
     def test_structure_scalars(self):
         m = build_rank1(rim([1, 4, 5], 3, 8), N)
         for i in range(1, 9):
