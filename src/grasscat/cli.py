@@ -7,8 +7,8 @@ builds two ``ArgumentParser``s.  None is built at import or kept between
 calls: the defaults from ``GRASSCAT_TRUNCATION`` and ``GRASSCAT_OUT`` are
 read on every call.
 
-Exit codes: 0 success, 2 usage error (argparse, or a global flag that the
-command would ignore), 3 fixture mismatch in a census or tube run,
+Exit codes: 0 success, 2 usage error (argparse, or ``--json`` with a
+command that would ignore it), 3 fixture mismatch in a census or tube run,
 4 truncation instability: an answer its precision floor cannot certify,
 or a step that cannot be completed at the working truncation.
 """
@@ -103,13 +103,7 @@ def cmd_hom(args) -> int:
     a, b = parse_profile(args.source), parse_profile(args.target)
     N = _truncation(args, a.n)
     ha = hom_space(canonical_module(a, N), canonical_module(b, N))
-    gens = []
-    for g in ha.generators:
-        gens.append({str(w): [[repr(e) for e in row] for row in g[w].data]
-                     for w in sorted(g)})
     payload = {"source": a.label(), "target": b.label(), "z_rank": ha.z_rank}
-    if args.verbose:
-        payload["generators"] = gens
     _emit(args, payload, f"Hom({a}, {b}) is free of rank {ha.z_rank}")
     return 0
 
@@ -127,10 +121,9 @@ def cmd_ext(args) -> int:
 
 
 def cmd_syzygy(args) -> int:
-    from .tubes import tau_orbit
+    from .homology import _identify, canonical_module, syzygy
     p = parse_profile(args.profile)
-    orbit = tau_orbit(p, trunc=_truncation(args, p.n))
-    member = orbit.members[1 % len(orbit.members)]
+    member = _identify(syzygy(canonical_module(p, _truncation(args, p.n))))
     payload = {"input": p.label(), "syzygy": member.label(),
                "rank": member.rank, "a_vector": list(member.a_vec)}
     _emit(args, payload, f"syzygy({p}) = {member.label()} (rank {member.rank})")
@@ -219,11 +212,9 @@ def cmd_roots(args) -> int:
         "roots": [list(v.entries) for v in vecs],
     }
     lines = [f"degree-2 real roots for (k,n)=({args.k},{args.n}): {len(vecs)}"]
-    for v in vecs if args.verbose else vecs[:10]:
+    for v in vecs:
         rc = root_coordinates(v)
         lines.append(f"  {list(v.entries)}  c={list(rc.c)} d={rc.d}")
-    if not args.verbose and len(vecs) > 10:
-        lines.append(f"  ... ({len(vecs) - 10} more; use --verbose)")
     _emit(args, payload, "\n".join(lines))
     return 0
 
@@ -250,14 +241,7 @@ def cmd_census(args) -> int:
 def cmd_diagram(args) -> int:
     from .diagrams import lattice_svg, lattice_tikz
     p = parse_profile(args.profile)
-    text = lattice_svg(p) if args.fmt == "svg" else lattice_tikz(p)
-    if args.write:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / f"diagram-{p.label().replace('|', '_')}.{args.fmt}"
-        path.write_text(text)
-        print(f"written {path}")
-    else:
-        print(text, end="")
+    print(lattice_svg(p) if args.fmt == "svg" else lattice_tikz(p), end="")
     return 0
 
 
@@ -289,9 +273,7 @@ COMMANDS = {
                      "help": "attach a syzygy-orbit id to every census entry"}}),
     "diagram": (cmd_diagram, "lattice diagram emitter", {
         "profile": {},
-        "--format": {"dest": "fmt", "default": "svg", "choices": ["svg", "tikz"]},
-        "--write": {"action": "store_true",
-                    "help": "write into the output directory instead of stdout"}}),
+        "--format": {"dest": "fmt", "default": "svg", "choices": ["svg", "tikz"]}}),
 }
 
 
@@ -310,8 +292,7 @@ def _top_parser() -> argparse.ArgumentParser:
     ap.add_argument("--trunc", type=int, default=os.environ.get("GRASSCAT_TRUNCATION") or None,
                     help="working t-adic truncation (default $GRASSCAT_TRUNCATION, else 2n)")
     ap.add_argument("--out", type=Path, default=os.environ.get("GRASSCAT_OUT") or "out",
-                    help="output directory (default $GRASSCAT_OUT, else out)")
-    ap.add_argument("--verbose", action="store_true")
+                    help="tubes' report directory (default $GRASSCAT_OUT, else out)")
     ap.add_argument("command", choices=COMMANDS, metavar="command")
     ap.add_argument("args", nargs=argparse.REMAINDER, help="the command's arguments")
     return ap
@@ -326,10 +307,6 @@ def main(argv=None) -> int:
     sub.parse_args(args.args, namespace=args)
     if args.json and getattr(args, "fmt", "table") != "table":
         sub.error(f"--json does not apply to {args.command} --format {args.fmt}")
-    # hom reads --verbose only with --json, roots only without it
-    if args.verbose and (args.command, args.json) not in (("hom", True), ("roots", False)):
-        sub.error(f"--verbose applies to --json hom and to roots without --json only, "
-                  f"not to {'--json ' if args.json else ''}{args.command}")
     try:
         return fn(args)
     except TruncationUnstable as exc:

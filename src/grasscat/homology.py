@@ -584,10 +584,10 @@ def canonical_module(p: Profile, trunc: Optional[int] = None) -> CMModuleRep:
 class OrbitMember:
     """One module named by its profiles as far as its rank allows: a rank-1
     module by the one-layer profile of its rim, a rank-2 module by every
-    two-layer profile it has (sorted by label), and a module that is not
-    identified by none.  A member is its own key: identified members are
-    equal exactly when their modules are isomorphic, the others when their
-    ranks and a-vectors agree."""
+    two-layer profile whose rigid indecomposable module it is (sorted by
+    label), and a module that is not identified by none.  A member is its
+    own key: identified members are equal exactly when their modules are
+    isomorphic, the others when their ranks and a-vectors agree."""
 
     __slots__ = ("rank", "a_vec", "profiles")
 
@@ -616,15 +616,15 @@ class OrbitMember:
 
 
 def _identify(rep: CMModuleRep) -> OrbitMember:
-    """The profiles whose ``canonical_module`` is isomorphic to rep, as far
-    as its rank allows, found once per root module: the answer is cached
-    (``on_root``), and a rotated view gets its root's member rotated, since
-    rotation is an automorphism that carries a-vectors, valuations,
-    canonical modules and isomorphisms along.
+    """The profiles that name rep, as far as its rank allows, found once per
+    root module: the answer is cached (``on_root``), and a rotated view gets
+    its root's member rotated, since rotation is an automorphism that
+    carries a-vectors, valuations, ladder walks and isomorphisms along.
 
     A root of rank 1 is named by ``identify_rank1``.  A root of rank 2 is
-    compared with the canonical module of every split of its a-vector of
-    interlacing degree at least 3.
+    compared with the rigid indecomposable module, unique up to isomorphism,
+    of every split of its a-vector of interlacing degree at least 3 that has
+    one, so no name depends on the basis a computation used.
     """
     def name(root: CMModuleRep) -> OrbitMember:
         avec = rep_a_vector(root).entries
@@ -633,7 +633,8 @@ def _identify(rep: CMModuleRep) -> OrbitMember:
         if root.s == 2:
             splits = map(Profile, two_layer_splits(avec, root.k, root.n))
             matches = sorted((p for p in splits if interlacing_degree(*p.layers) >= 3
-                              and is_isomorphic(root, canonical_module(p, root.trunc))),
+                              and (m := rigid_indecomposable_rank2(*p.layers, root.trunc))
+                              is not None and is_isomorphic(root, m)),
                              key=Profile.label)
             if matches:
                 return OrbitMember(2, avec, tuple(matches))

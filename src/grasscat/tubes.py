@@ -5,8 +5,8 @@ are computed by repeated syzygy steps.  Every orbit of a non-projective
 rank-1 module or rigid rank-2 module is periodic with period dividing
 2v, v = lcm(n, k)/k; members of rank at most two are identified exactly
 by their profiles (rims directly, rank-2 members by isomorphism against
-the canonical extension modules), higher ranks are reported by rank and
-multiplicity vector only.
+the rigid indecomposable extension modules), and the others are reported
+by rank and multiplicity vector only.
 """
 
 from __future__ import annotations
@@ -87,16 +87,17 @@ def tau_orbit(start: Union[Rim, Profile], trunc: Optional[int] = None) -> TauOrb
 
     Computes 2v consecutive syzygies, verifies the orbit closes, and
     reports the least period dividing 2v at which the identified member
-    sequence repeats.
+    sequence repeats; a seed with a projective summand is refused.
 
     Each step takes the syzygy of an identified member's shared module
     (``canonical_module`` of its first profile), whose syzygy is cached on
     it, rather than of the module just computed.
     This is exact: identification proves the two modules isomorphic, and
-    isomorphic modules have isomorphic syzygies.  Members of rank 3 or more
-    are not identified and step from the computed module.  A step that
-    lands on a rotated view of a module already named takes that name
-    rotated (``_identify``).
+    isomorphic modules have isomorphic syzygies.  Members that are not
+    identified (a rank-2 module that is no profile's rigid indecomposable
+    module, or one of rank 3 or more) step from the computed module.  A
+    step that lands on a rotated view of a module already named takes that
+    name rotated (``_identify``).
     """
     n, k = start.n, start.k
     N = default_truncation(n, trunc)

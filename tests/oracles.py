@@ -1,5 +1,6 @@
 """Oracles the tests check grasscat against, the paper's results that
-only the tests run, and the layered modules that tests take as inputs.
+only the tests run, the layered modules that tests take as inputs, and a
+Smith form with the other pivot tie-break, which no answer may notice.
 
 Each oracle is written apart from the code it checks: none calls the
 function whose answer it is compared with (``tests/test_layering.py``
@@ -15,7 +16,7 @@ from math import lcm
 from typing import Optional
 
 from grasscat.census import CensusEntry
-from grasscat.dvr import DVRMatrix, Split, ValPoly
+from grasscat.dvr import DVRMatrix, Smith, Split, ValPoly
 from grasscat.errors import TruncationUnstable
 from grasscat.homology import (OrbitMember, canonical_module, is_isomorphic, is_rigid,
                                rigid_indecomposable_rank2, syzygy)
@@ -213,6 +214,37 @@ class FullSmith:
         if any(e.coeffs and min(e.coeffs) < known for row in y.data[:self.npivots] for e in row):
             raise TruncationUnstable("vector is not in the kernel at working precision")
         return DVRMatrix(y.data[self.npivots:], self.trunc, cols=vectors.cols)
+
+
+def smith_last_tie(matrix: DVRMatrix) -> Smith:
+    """``dvr._smith`` with its tie-break flipped: the pivot is the last
+    (row, column) place of least valuation, not the first.  Its exponents
+    are the same, but its V, and so every kernel, Hom basis and extension
+    middle read off it, is in another basis.  The steps are recorded as
+    ``_smith`` records them: the column swap, the exponent and the scaled
+    pivot row's nonzero entries past the pivot."""
+    m, p, trunc = matrix.rows, matrix.cols, matrix.trunc
+    A = [list(row) for row in matrix.data]
+    exponents, steps = [], []
+    for r in range(min(m, p)):
+        places = [(e.valuation(), i, j) for i in range(r, m) for j in range(r, p)
+                  for e in (A[i][j],) if not e.is_zero()]
+        if not places:
+            break
+        val = min(places)[0]
+        _, bi, bj = max(place for place in places if place[0] == val)
+        A[r], A[bi] = A[bi], A[r]
+        for row in A:
+            row[r], row[bj] = row[bj], row[r]
+        unit = ValPoly({d - val: c for d, c in A[r][r].coeffs.items()}, trunc)
+        A[r] = [unit.unit_inverse() * e for e in A[r]]
+        for i in range(r + 1, m):
+            g = ValPoly({d - val: c for d, c in A[i][r].coeffs.items()}, trunc)
+            A[i] = [a - g * b for a, b in zip(A[i], A[r])]
+        steps.append((bj, val, [(j, e) for j, e in enumerate(A[r])
+                                if j > r and not e.is_zero()]))
+        exponents.append(val)
+    return Smith(exponents, steps, p, trunc)
 
 
 def retraction(sp: Split) -> DVRMatrix:

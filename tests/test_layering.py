@@ -457,6 +457,7 @@ ORACLE_FORBIDDEN = {
     "rational_det": ("_det_poly_mod_t",),
     "solve": ("coordinates", "splitting"),
     "FullSmith": ("_smith", "_split"),
+    "smith_last_tie": ("_smith",),
     "retraction": ("free_rows", "coordinates"),
     "dense_product": ("__matmul__",),
     "route_product": ("path_matrix", "_path", "__matmul__"),

@@ -52,7 +52,7 @@ def test_every_schema_is_valid():
     ("census", ["census", "3", "6", "--orbits"]),
     ("module", ["module", "246|135@(3,9)"]),
     ("hom", ["hom", "135@(3,6)", "246@(3,6)"]),
-    ("hom", ["--verbose", "hom", "135@(3,6)", "246@(3,6)"]),
+    ("hom", ["hom", "135|246@(3,6)", "135|246@(3,6)"]),
     ("syzygy", ["syzygy", "147@(3,9)"]),
     ("rigid", ["rigid", "135|246@(3,6)"]),
     ("rigid", ["rigid", "135@(3,6)"]),

@@ -150,7 +150,7 @@ class TestCanonicalSteps:
     @pytest.mark.parametrize("layers, kn", [
         ([[1, 3, 5], [1, 3, 5]], (3, 6)),            # degree 0: 135 ⊕ 135
         ([[1, 4, 6], [2, 3, 5]], (3, 6)),            # degree 2: 246|135
-        ([[1, 2, 4, 7], [3, 5, 6, 8]], (4, 8))])     # degree 3, not rigid
+        ([[1, 2, 4, 7], [3, 5, 6, 8]], (4, 8))])     # degree 3, rigid
     def test_other_seeds_keep_their_orbits(self, layers, kn):
         seed = profile(layers, *kn)
         orbit = tau_orbit(seed)
